@@ -260,23 +260,26 @@ def enumerate_lattices(n: int) -> list[FiniteBoundedLattice]:
 def enumerate_ortholattices(n: int) -> list[OrthoPair]:
     """Each enumerated lattice paired with each orthocomplementation, up to
     isomorphisms commuting with pi."""
-    if not 1 <= n <= MAX_ENUM:
-        raise SizeTooLarge(f"enumeration supports 1..{MAX_ENUM}, got {n}")
+    return [pair for l in enumerate_lattices(n) for pair in _ortho_classes(l)]
+
+
+def _ortho_classes(l: FiniteBoundedLattice) -> list[OrthoPair]:
+    """l with each of its orthocomplementations, one per class of
+    automorphisms commuting with pi, in order of the least map."""
+    pis = orthocomplementations(l)
+    if not pis:
+        return []
+    auts = lattice_automorphisms(l)
+    seen = set()
     out = []
-    for l in enumerate_lattices(n):
-        pis = orthocomplementations(l)
-        if not pis:
-            continue
-        auts = lattice_automorphisms(l)
-        seen = set()
-        for pi in sorted(pis, key=lambda p: p.map):
-            orbit = min(
-                tuple(sigma[pi(_inverse_at(sigma, p))] for p in range(l.size))
-                for sigma in auts
-            )
-            if orbit not in seen:
-                seen.add(orbit)
-                out.append(OrthoPair(l, pi))
+    for pi in sorted(pis, key=lambda p: p.map):
+        orbit = min(
+            tuple(sigma[pi(_inverse_at(sigma, p))] for p in range(l.size))
+            for sigma in auts
+        )
+        if orbit not in seen:
+            seen.add(orbit)
+            out.append(OrthoPair(l, pi))
     return out
 
 
@@ -291,11 +294,8 @@ def census(n: int) -> list[dict]:
     """Classifier summary rows for the n-element enumeration."""
     from .lattice_core import is_modular, is_orthomodular
     rows = []
-    orthos = {}
-    for pair in enumerate_ortholattices(n):
-        orthos.setdefault(pair.lattice.leq, []).append(pair)
     for i, l in enumerate(enumerate_lattices(n)):
-        pairs = orthos.get(l.leq, [])
+        pairs = _ortho_classes(l)
         rows.append(
             {
                 "id": f"n{n}_{i}",

@@ -52,6 +52,8 @@ ALL_CHECKS = (
     "roundtrip",
     "nakano-props",
 )
+# the checks that need the orthocomplementations of the input
+ORTHO_CHECKS = ("ortholattice", "orthomodular", "roundtrip")
 
 
 def _fail_input(message: str):
@@ -63,8 +65,12 @@ def _load(source: str):
     """Lattice file path or catalog name -> (lattice, ortho or None, name)."""
     try:
         if os.path.exists(source):
-            with open(source, "r", encoding="utf-8") as fh:
-                return parse_lattice_json(fh.read())
+            try:
+                with open(source, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                _fail_input(f"cannot read {source}: {exc}")
+            return parse_lattice_json(text)
         entry = cat.named(source)
         return entry.lattice, entry.ortho, entry.name
     except MosaicLabError as exc:
@@ -171,7 +177,9 @@ def _ortho_list(l, ortho):
     return [ortho] if ortho is not None else orthocomplementations(l)
 
 
-def _run_checks(l, ortho, names):
+def _run_checks(l, pis, names):
+    """Results of the named checks; pis are the orthocomplementations that
+    ORTHO_CHECKS run against."""
     results = []
     add = additive_nakano(l)
     if "mosaic" in names:
@@ -195,7 +203,6 @@ def _run_checks(l, ortho, names):
     if "modular" in names:
         results.append(("modular", is_modular(l)))
     if "ortholattice" in names:
-        pis = _ortho_list(l, ortho)
         if pis:
             results.append(("ortholattice", AxiomReport("ortholattice", True)))
         else:
@@ -203,17 +210,16 @@ def _run_checks(l, ortho, names):
                 ("ortholattice", AxiomReport("ortholattice", False, (), "no orthocomplementation"))
             )
     if "orthomodular" in names or "roundtrip" in names:
-        pis = _ortho_list(l, ortho)
         if not pis:
             raise MissingOrtho("input has no ortho block and no discoverable orthocomplementation")
         for k, pi in enumerate(pis):
             tag = "" if len(pis) == 1 else f"[pi{k}]"
-            pair = OrthoPair(l, pi)
+            mosaic_pair = functor_E(OrthoPair(l, pi))
             if "orthomodular" in names:
                 results.append((f"orthomodular{tag}", is_orthomodular(l, pi)))
-                results.append((f"orthomodular-mosaic{tag}", is_orthomodular_mosaic(functor_E(pair))))
+                results.append((f"orthomodular-mosaic{tag}", is_orthomodular_mosaic(mosaic_pair)))
             if "roundtrip" in names:
-                rebuilt = reconstruct_lattice(functor_E(pair))
+                rebuilt = reconstruct_lattice(mosaic_pair)
                 ok = structurally_equal(rebuilt.lattice, l) and rebuilt.pi == pi
                 results.append(
                     (
@@ -239,16 +245,18 @@ def check(source, checks, fmt, quiet):
     """Run axiom checks; exit 0 iff all hold."""
     l, ortho, name = _load(source)
     if checks is None:
+        pis = _ortho_list(l, ortho)
         requested = [c for c in ALL_CHECKS if c not in ("orthomodular", "roundtrip")]
-        if _ortho_list(l, ortho):
+        if pis:
             requested += ["orthomodular", "roundtrip"]
     else:
         requested = [c.strip() for c in checks.split(",") if c.strip()]
         unknown = [c for c in requested if c not in ALL_CHECKS]
         if unknown:
             _fail_input(f"unknown checks: {', '.join(unknown)}")
+        pis = _ortho_list(l, ortho) if set(requested) & set(ORTHO_CHECKS) else []
     try:
-        results = _run_checks(l, ortho, requested)
+        results = _run_checks(l, pis, requested)
     except MissingOrtho as exc:
         _fail_input(str(exc))
     _emit(results, l, fmt, quiet, name)
@@ -286,7 +294,7 @@ def roundtrip(source, fmt, quiet):
     """Reconstruct the lattice from its Nakano mosaic and compare."""
     l, ortho, name = _load(source)
     try:
-        results = _run_checks(l, ortho, ["roundtrip"])
+        results = _run_checks(l, _ortho_list(l, ortho), ["roundtrip"])
     except MissingOrtho as exc:
         _fail_input(str(exc))
     _emit(results, l, fmt, quiet, name)

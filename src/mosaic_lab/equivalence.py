@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bits import bits, full_mask, mask_of, subsets
 from .errors import (
@@ -20,8 +21,8 @@ from .hyperstructure import (
     Multioperation,
     check_morphism,
     dualize,
-    induced_order,
     is_associative,
+    principal_rows,
     verify_lmosaic,
     verify_mosaic,
 )
@@ -33,7 +34,7 @@ from .lattice_core import (
     generated_sublattice,
     is_orthocomplementation,
 )
-from .nakano import additive_nakano, restrict_to_sublattice
+from .nakano import ADDITIVE, NakanoMosaic, additive_nakano, restrict_to_sublattice
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,12 @@ def is_genuinely_dualizable(mosaic: Mosaic, pi: Involution) -> bool:
 @dataclass(frozen=True)
 class DualizableLMosaicPair:
     """A verified L-mosaic with an involution that orthocomplements its
-    induced order (equivalently: reconstruction yields a pi-ortholattice)."""
+    induced order (equivalently: reconstruction yields a pi-ortholattice).
+
+    Construction proves the pair dualizable; the reconstruction and the
+    orthomodularity verdict are then computed at most once per pair, on first
+    use, and live as long as the pair.  They take no part in ==, hash or repr.
+    """
 
     mosaic: Mosaic
     pi: Involution
@@ -111,6 +117,24 @@ class DualizableLMosaicPair:
     def one(self) -> int:
         return self.pi(self.mosaic.neutral)
 
+    @cached_property
+    def reconstruction(self) -> "OrthoPair":
+        """The pi-ortholattice on the carrier, with default names x0, x1, ..."""
+        return _reconstruct(self.mosaic, self.pi)
+
+    @cached_property
+    def orthomodular(self) -> AxiomReport:
+        """Criterion: x in y+y and 1 in x + pi(y) imply x = y, with 1 = pi(0)."""
+        one = self.one
+        m, pi = self.mosaic, self.pi
+        for x in range(self.size):
+            for y in range(self.size):
+                if x == y:
+                    continue
+                if m.cell(y, y) >> x & 1 and m.cell(x, pi(y)) >> one & 1:
+                    return AxiomReport("orthomodular-mosaic", False, (x, y), "criterion violated")
+        return AxiomReport("orthomodular-mosaic", True)
+
 
 def functor_E(op: OrthoPair) -> DualizableLMosaicPair:
     """Object assignment of the equivalence: the additive Nakano mosaic with
@@ -119,19 +143,35 @@ def functor_E(op: OrthoPair) -> DualizableLMosaicPair:
 
 
 def reconstruct_from(mosaic: Mosaic, pi: Involution, names=None) -> OrthoPair:
-    """Rebuild the pi-ortholattice on the mosaic's own carrier: order from the
-    principal cells, joins from the unique Lms4 candidate, top = pi(0), meets
-    transported through pi.  Raises ReconstructionFailure when the input is
-    not genuinely a dualizable L-mosaic."""
+    """Rebuild the pi-ortholattice of an unverified (mosaic, pi).  Raises
+    ReconstructionFailure when the input is not genuinely a dualizable
+    L-mosaic."""
     failure = _dualizability_failure(mosaic, pi)
     if failure is not None:
         raise ReconstructionFailure(*failure)
+    return _reconstruct(mosaic, pi, names)
+
+
+def reconstruct_lattice(p: DualizableLMosaicPair, names=None) -> OrthoPair:
+    """Rebuild the pi-ortholattice of a verified pair; with default names the
+    pair's own reconstruction, built on first use."""
+    if names is None:
+        return p.reconstruction
+    return _reconstruct(p.mosaic, p.pi, names)
+
+
+def _reconstruct(mosaic: Mosaic, pi: Involution, names=None) -> OrthoPair:
+    """Rebuild the pi-ortholattice on the mosaic's own carrier from a pair
+    already known to be dualizable: order from the principal cells, joins
+    from the unique Lms4 candidate, top = pi(0), meets transported through
+    pi; finally the mosaic must equal the Nakano mosaic of that order, cell
+    for cell."""
     n = mosaic.size
-    leq = induced_order(mosaic)
     if names is None:
         names = [f"x{i}" for i in range(n)]
-    lattice = from_leq(names, leq)
-    assert lattice.bottom == mosaic.neutral and lattice.top == pi(mosaic.neutral)
+    lattice = from_leq(names, principal_rows(mosaic))
+    if lattice.bottom != mosaic.neutral or lattice.top != pi(mosaic.neutral):
+        raise ReconstructionFailure("bounds are not 0 and pi(0)", (lattice.bottom, lattice.top))
     for x in range(n):
         for y in range(n):
             # the Lms4 candidate is the least upper bound
@@ -146,10 +186,6 @@ def reconstruct_from(mosaic: Mosaic, pi: Involution, names=None) -> OrthoPair:
             if rebuilt.cell(x, y) != mosaic.cell(x, y):
                 raise ReconstructionFailure("mosaic is not the Nakano mosaic of its order", (x, y))
     return OrthoPair(lattice, pi)
-
-
-def reconstruct_lattice(p: DualizableLMosaicPair, names=None) -> OrthoPair:
-    return reconstruct_from(p.mosaic, p.pi, names)
 
 
 @dataclass(frozen=True)
@@ -197,32 +233,24 @@ def morphism_transfer_check(f, src: OrthoPair, dst: OrthoPair) -> MorphismTransf
 
 
 def is_orthomodular_mosaic(p: DualizableLMosaicPair) -> AxiomReport:
-    """Criterion: x in y+y and 1 in x + pi(y) imply x = y, with 1 = pi(0)."""
-    one = p.one
-    m, pi = p.mosaic, p.pi
-    for x in range(p.size):
-        for y in range(p.size):
-            if x == y:
-                continue
-            if m.cell(y, y) >> x & 1 and m.cell(x, pi(y)) >> one & 1:
-                return AxiomReport("orthomodular-mosaic", False, (x, y), "criterion violated")
-    return AxiomReport("orthomodular-mosaic", True)
+    """The pair's mosaic-side orthomodularity verdict, computed once per pair."""
+    return p.orthomodular
 
 
 def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> AxiomReport:
     """Smallest pi-closed L-submosaic containing x and y, realized through the
     reconstructed lattice; its restricted multioperation must be an
-    associative mosaic (a polygroup)."""
+    associative mosaic (a polygroup).
+
+    The reconstruction has proved p.mosaic cell for cell equal to the Nakano
+    mosaic of the rebuilt lattice, so p.mosaic is restricted as it stands;
+    the restriction verifies itself as a mosaic."""
     if not is_orthomodular_mosaic(p).holds:
         raise PreconditionFailed("mosaic is not orthomodular")
     ortho = reconstruct_lattice(p)
     seeds = {x, y, p.mosaic.neutral, p.one}
     closed = generated_sublattice(ortho.lattice, seeds, p.pi)
-    restricted = restrict_to_sublattice(additive_nakano(ortho.lattice), closed)
-    got = verify_mosaic(restricted.op)
-    if not got.ok:
-        failed = next(r for r in got.reports if not r.holds)
-        return AxiomReport("generated-polygroup", False, (x, y), f"mosaic check: {failed.axiom}")
+    restricted = restrict_to_sublattice(NakanoMosaic(ortho.lattice, ADDITIVE, p.mosaic), closed)
     assoc = is_associative(restricted.op)
     if not assoc.holds:
         return AxiomReport("generated-polygroup", False, (x, y), "restriction not associative")

@@ -365,10 +365,7 @@ def induced_order(m: Mosaic) -> tuple[int, ...]:
     if bad:
         raise NotAnLMosaic(f"{bad[0].axiom} fails at {bad[0].witness}")
     n = m.size
-    rows = [0] * n
-    for j in range(n):
-        for i in bits(m.cell(j, j)):
-            rows[i] |= 1 << j
+    rows = principal_rows(m)
     full = full_mask(n)
     assert rows[m.neutral] == full, "neutral is not the bottom"
     for i in range(n):
@@ -376,6 +373,16 @@ def induced_order(m: Mosaic) -> tuple[int, ...]:
         for j in bits(rows[i]):
             assert i == j or not rows[j] >> i & 1, "not antisymmetric"
             assert rows[j] & ~rows[i] == 0, "not transitive"
+    return rows
+
+
+def principal_rows(m: Mosaic) -> tuple[int, ...]:
+    """The principal cells read as up-set rows (bit j of row i iff i in j+j),
+    unchecked: induced_order for a table already known to be an L-mosaic."""
+    rows = [0] * m.size
+    for j in range(m.size):
+        for i in bits(m.cell(j, j)):
+            rows[i] |= 1 << j
     return tuple(rows)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import bits, mask_of
-from .errors import MissingBound, NoUniqueExtremum
+from .errors import MissingBound, NoUniqueExtremum, NotASubmosaic
 from .hyperstructure import Mosaic, Multioperation, is_reproductive, verify_mosaic
 from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, sublattice
 
@@ -82,7 +82,8 @@ def extremum_by_characterization(m: NakanoMosaic) -> int:
 def restrict_to_sublattice(m: NakanoMosaic, sub) -> Mosaic:
     """Cellwise intersection with a meet/join-closed subset containing the
     flavor's neutral bound; index k of the result is sorted(sub)[k].  Equals
-    the Nakano mosaic of the sublattice."""
+    the Nakano mosaic of the sublattice; raises NotASubmosaic when m's table
+    is no Nakano table and its restriction fails the mosaic pipeline."""
     members = sorted(sub if not isinstance(sub, int) else bits(sub))
     bound = m.base.bottom if m.flavor == ADDITIVE else m.base.top
     if bound not in members:
@@ -97,7 +98,9 @@ def restrict_to_sublattice(m: NakanoMosaic, sub) -> Mosaic:
 
     op = Multioperation.build(k, cell)
     got = verify_mosaic(op)
-    assert got.ok, "restriction of a Nakano mosaic must stay a mosaic"
+    if not got.ok:
+        failed = next(r for r in got.reports if not r.holds)
+        raise NotASubmosaic(f"restriction is no mosaic: {failed.axiom} fails at {failed.witness}")
     return got.mosaic
 
 

@@ -1,4 +1,5 @@
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,20 @@ def ortholattices_upto_8():
 @pytest.fixture(scope="session")
 def ortholattices_upto_4():
     return [p for n in range(1, 5) for p in enumerate_ortholattices(n)]
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """call_counts(module, *names) wraps the named functions of module for the
+    test and returns the Counter that tallies their calls by name."""
+    counts = Counter()
+
+    def wrap(module, *names):
+        for name in names:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    return wrap

@@ -191,3 +191,12 @@ def test_census_shape_and_determinism():
     assert rows == census(5)
     assert sum(1 for r in rows if not r["modular"]) == 1
     assert all(not r["ortholattice"] for r in rows)
+
+
+def test_census_enumerates_once(call_counts):
+    import mosaic_lab.catalog as cat
+
+    counts = call_counts(cat, "enumerate_lattices")
+    rows = census(6)
+    assert counts == {"enumerate_lattices": 1}
+    assert sum(r["ortho_count"] for r in rows) == len(enumerate_ortholattices(6))

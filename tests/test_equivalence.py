@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from mosaic_lab import equivalence
 from mosaic_lab.bits import full_mask
 from mosaic_lab.errors import (
     NotAnOrthocomplementation,
@@ -22,6 +23,7 @@ from mosaic_lab.equivalence import (
     reconstruct_from,
     reconstruct_lattice,
 )
+from mosaic_lab.hyperstructure import Mosaic
 from mosaic_lab.lattice_core import (
     Involution,
     generated_sublattice,
@@ -225,3 +227,48 @@ class TestGeneratedPolygroup:
                     closed = generated_sublattice(p.lattice, [x, y], p.pi)
                     sl, _ = sublattice(p.lattice, closed)
                     assert is_modular(sl).holds
+
+
+class TestVerifiedOnce:
+    def test_polygroup_checks_reconstruct_once(self, call_counts):
+        counts = call_counts(equivalence, "_reconstruct", "_dualizability_failure")
+        e = named("MO_3")
+        p = functor_E(OrthoPair(e.lattice, e.ortho))
+        for x in range(p.size):
+            for y in range(p.size):
+                assert generated_polygroup_check(p, x, y).holds
+        assert counts == {"_reconstruct": 1, "_dualizability_failure": 1}
+
+    def test_verified_pair_matches_external_input(self, ortholattices_upto_8):
+        for p in ortholattices_upto_8:
+            d = functor_E(p)
+            assert reconstruct_lattice(d) == reconstruct_from(d.mosaic, d.pi)
+
+    def test_named_reconstruction_is_not_memoized(self, hexagon_pair):
+        d = functor_E(hexagon_pair)
+        names = hexagon_pair.lattice.names
+        assert reconstruct_lattice(d, names) == reconstruct_from(d.mosaic, d.pi, names)
+        assert reconstruct_lattice(d).lattice.names == tuple(f"x{i}" for i in range(d.size))
+
+    def test_memo_leaves_eq_hash_repr(self, hexagon_pair):
+        d = functor_E(hexagon_pair)
+        before = (hash(d), repr(d))
+        reconstruct_lattice(d)
+        is_orthomodular_mosaic(d)
+        assert (hash(d), repr(d)) == before
+        fresh = functor_E(hexagon_pair)
+        assert d == fresh and hash(d) == hash(fresh)
+
+    def test_bounds_check_is_a_typed_error(self):
+        # 2^2 with its diagonal rewritten so that the atom a sits on top:
+        # the order is still a lattice with bottom 0, but pi(0) is not its top
+        b2 = named("boolean_2")
+        l = b2.lattice
+        op = additive_nakano(l).mosaic.op
+        a, one = l.index("a"), l.top
+        op = op.with_cell(a, a, range(4)).with_cell(one, one, [l.bottom, one])
+        m = Mosaic(op, l.bottom, Involution.identity(4))
+        with pytest.raises(ReconstructionFailure) as exc:
+            equivalence._reconstruct(m, b2.ortho)
+        assert "bounds" in str(exc.value)
+        assert exc.value.witness == (l.bottom, a)

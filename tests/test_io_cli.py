@@ -202,6 +202,41 @@ class TestCliOther:
         res = runner.invoke(main, ["validate", str(path)])
         assert res.exit_code == 2
 
+    def test_directory_source_is_input_error(self, runner, tmp_path):
+        res = runner.invoke(main, ["check", str(tmp_path)])
+        assert res.exit_code == 2
+        assert res.output.startswith("error: cannot read")
+
+    def test_unreadable_source_is_input_error(self, runner, tmp_path, monkeypatch):
+        path = tmp_path / "locked.json"
+        path.write_text(json.dumps(lattice_to_doc(named("hexagon").lattice, None, "h")))
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        # file modes do not stop a superuser, so the refusal is simulated
+        monkeypatch.setattr("mosaic_lab.cli.open", refuse, raising=False)
+        res = runner.invoke(main, ["validate", str(path)])
+        assert res.exit_code == 2
+        assert "Permission denied" in res.output
+
+    def test_undecodable_source_is_input_error(self, runner, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        res = runner.invoke(main, ["validate", str(path)])
+        assert res.exit_code == 2
+
+    def test_check_searches_orthocomplements_once(self, runner, tmp_path, call_counts):
+        import mosaic_lab.cli as cli
+
+        counts = call_counts(cli, "orthocomplementations", "functor_E")
+        path = tmp_path / "mo3.json"
+        path.write_text(json.dumps(lattice_to_doc(named("MO_3").lattice, None, "MO_3")))
+        res = runner.invoke(main, ["check", str(path)])
+        assert res.exit_code == 0
+        assert "PASS roundtrip[pi14]" in res.output
+        assert counts == {"orthocomplementations": 1, "functor_E": 15}
+
     def test_orthocomplements_hexagon(self, runner):
         res = runner.invoke(main, ["orthocomplements", "hexagon", "--format", "json"])
         doc = json.loads(res.output)

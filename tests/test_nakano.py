@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from mosaic_lab.bits import bits, mask_of
-from mosaic_lab.errors import MissingBound, NoUniqueExtremum, NotASublattice
+from mosaic_lab.errors import MissingBound, NoUniqueExtremum, NotASublattice, NotASubmosaic
 from mosaic_lab.hyperstructure import induced_order, is_associative
 from mosaic_lab.lattice_core import dual_lattice, is_modular, lattice_isomorphism
 from mosaic_lab.nakano import (
@@ -141,6 +141,17 @@ class TestRestriction:
         p = pentagon.lattice
         with pytest.raises(NotASublattice):
             restrict_to_sublattice(additive_nakano(p), [p.bottom, p.index("a"), p.index("c")])
+
+    def test_restriction_that_is_no_mosaic_is_a_typed_error(self, pentagon):
+        # an asymmetric cell survives the restriction to the whole carrier
+        p = pentagon.lattice
+        nm = additive_nakano(p)
+        a, c = p.index("a"), p.index("c")
+        op = nm.mosaic.op.with_cell(a, c, [c, p.top])
+        corrupted = NakanoMosaic(p, nm.flavor, type(nm.mosaic)(op, nm.mosaic.neutral, nm.mosaic.rho))
+        with pytest.raises(NotASubmosaic) as exc:
+            restrict_to_sublattice(corrupted, range(p.size))
+        assert "commutative" in str(exc.value)
 
     def test_restriction_equals_sublattice_mosaic(self, hexagon):
         from mosaic_lab.lattice_core import sublattice
