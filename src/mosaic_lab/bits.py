@@ -20,6 +20,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def least(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 def elements(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 

@@ -13,7 +13,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .bits import bits, full_mask, mask_of
+from .bits import bits, full_mask, least, mask_of
 from .equivalence import OrthoPair
 from .errors import SizeTooLarge, UnknownName
 from .lattice_core import (
@@ -21,6 +21,7 @@ from .lattice_core import (
     Involution,
     _lub,
     build_from_covers,
+    complement_mask,
     from_leq,
     hexagon_pattern,
     lattice_automorphisms,
@@ -132,7 +133,7 @@ def named(name: str) -> CatalogEntry:
         if not 1 <= n <= 4:
             raise SizeTooLarge(f"boolean_{n}")
         l = _boolean(n)
-        comp = Involution(tuple(l.index(_complement_label(l, i)) for i in range(l.size)))
+        comp = Involution(tuple(least(complement_mask(l, i)) for i in range(l.size)))
         return CatalogEntry(
             name, l, comp,
             {"modular": True, "ortholattice": True, "orthomodular": True},
@@ -148,13 +149,6 @@ def named(name: str) -> CatalogEntry:
             {"modular": True, "ortholattice": True, "orthomodular": True},
         )
     raise UnknownName(f"unknown catalog name {name!r}")
-
-
-def _complement_label(l: FiniteBoundedLattice, i: int) -> str:
-    for j in range(l.size):
-        if l.join(i, j) == l.top and l.meet(i, j) == l.bottom:
-            return l.names[j]
-    raise AssertionError("boolean lattice must be complemented")
 
 
 CATALOG_NAMES = ("pentagon", "hexagon", "diamond_M3", "chain_1", "chain_2", "chain_3",

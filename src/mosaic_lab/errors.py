@@ -38,7 +38,12 @@ class NotASubmosaic(MosaicLabError):
 
 
 class NotAnLMosaic(MosaicLabError):
-    pass
+    """An L-mosaic axiom or the order its principal cells induce fails;
+    witness holds the failing element(s) when known."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class SizeMismatch(MosaicLabError):

@@ -9,8 +9,10 @@ Table cells are bitmask subsets of the carrier; empty cells are representable
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
-from .bits import bits, elements, full_mask, mask_of
+from .bits import bits, elements, full_mask, least, mask_of
 from .errors import NotAnLMosaic, NotASubmosaic, SizeMismatch
 from .lattice_core import AxiomReport, Involution
 
@@ -102,10 +104,12 @@ class Multioperation:
         return m
 
     def set_product(self, xmask: int, ymask: int) -> int:
+        ys = list(bits(ymask))
         m = 0
         for x in bits(xmask):
-            for y in bits(ymask):
-                m |= self.table[x][y]
+            row = self.table[x]
+            for y in ys:
+                m |= row[y]
         return m
 
     def with_cell(self, x: int, y: int, zs) -> "Multioperation":
@@ -165,8 +169,9 @@ def classify_morphism(f, a: "Mosaic", b: "Mosaic"):
 
 def find_neutral(op: Multioperation):
     """The unique neutral element, or None."""
-    for e in range(op.size):
-        if all(op.cell(e, x) == 1 << x and op.cell(x, e) == 1 << x for x in range(op.size)):
+    units = tuple(1 << x for x in range(op.size))
+    for e, row in enumerate(op.table):
+        if row == units and all(op.table[x][e] == units[x] for x in range(op.size)):
             return e
     return None
 
@@ -199,16 +204,23 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
     """Full pipeline: commutative, total, neutral, unique inverses, rho := inverse
     map, reversibility; on success also asserts the structural consequences
     (rho fixes neutral, rho is a strong iso onto the dual operation, RINV and
-    the three-way membership equivalences)."""
+    the three-way membership equivalences).
+
+    Past the commutativity stage every check reads one transpose of the table,
+    T[v][u] = {w : u in v.w}: the inverses of x are T[x][e], and with
+    commutativity "x in z.rho(y)" is "z in T[rho(y)][x]", so reversibility and
+    the membership equivalences at (x, y) compare three masks over all z."""
     n = op.size
+    table = op.table
     reports = []
 
-    witness = next(
-        ((x, y) for x in range(n) for y in range(n) if op.cell(x, y) != op.cell(y, x)),
-        None,
-    )
+    witness = None
+    for x, (row, col) in enumerate(zip(table, zip(*table))):
+        if row != col:
+            witness = (x, next(y for y in range(n) if row[y] != col[y]))
+            break
     reports.append(AxiomReport("commutative", witness is None, witness, witness and "cell asymmetry"))
-    witness = next(((x, y) for x in range(n) for y in range(n) if not op.cell(x, y)), None)
+    witness = next(((x, row.index(0)) for x, row in enumerate(table) if 0 in row), None)
     reports.append(AxiomReport("total", witness is None, witness, witness and "empty cell"))
     if not all(r.holds for r in reports):
         return MosaicVerification(tuple(reports), None)
@@ -219,50 +231,85 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
         return MosaicVerification(tuple(reports), None)
     reports.append(AxiomReport("neutral", True))
 
+    tr = _transpose(table)
     inv = []
     for x in range(n):
-        ys = inverses(op, e, x)
-        if len(ys) != 1:
+        ys = tr[x][e]
+        if not ys or ys & (ys - 1):
             reason = "no inverse" if not ys else "multiple inverses"
             reports.append(AxiomReport("unique-inverses", False, (x,), reason))
             return MosaicVerification(tuple(reports), None)
-        inv.append(next(iter(ys)))
+        inv.append(least(ys))
     reports.append(AxiomReport("unique-inverses", True))
     rho = Involution(tuple(inv))
 
-    for x in range(n):
-        for y in range(n):
-            for z in bits(op.cell(x, y)):
-                if not op.cell(z, rho(y)) >> x & 1 or not op.cell(rho(x), z) >> y & 1:
-                    reports.append(AxiomReport("reversible", False, (x, y, z), "RE fails"))
-                    return MosaicVerification(tuple(reports), None)
+    for x, row in enumerate(table):
+        trx = tr[inv[x]]
+        for y, cell in enumerate(row):
+            bad = cell & ~(tr[inv[y]][x] & trx[y])
+            if bad:
+                reports.append(AxiomReport("reversible", False, (x, y, least(bad)), "RE fails"))
+                return MosaicVerification(tuple(reports), None)
     reports.append(AxiomReport("reversible", True))
 
     # structural consequences, asserted now that the pipeline passed
     assert rho(e) == e
-    for x in range(n):
-        rx = rho(x)
-        assert op.cell(x, rx) >> e & 1 and op.cell(rx, x) >> e & 1, "RINV"
-        for y in range(n):
-            assert rho.image_mask(op.cell(x, y)) == op.cell(rho(y), rho(x)), "dual iso"
-            for z in range(n):
-                a = bool(op.cell(x, y) >> z & 1)
-                b = bool(op.cell(z, rho(y)) >> x & 1)
-                c = bool(op.cell(rho(x), z) >> y & 1)
-                assert a == b == c, "membership equivalences"
+    for x, row in enumerate(table):
+        rx = inv[x]
+        assert row[rx] >> e & 1 and table[rx][x] >> e & 1, "RINV"
+        trx = tr[rx]
+        for y, cell in enumerate(row):
+            assert rho.image_mask(cell) == table[inv[y]][rx], "dual iso"
+            assert cell == tr[inv[y]][x] == trx[y], "membership equivalences"
     reports.append(AxiomReport("lemma1-consequences", True))
 
     return MosaicVerification(tuple(reports), Mosaic(op, e, rho))
 
 
+def _transpose(table) -> list[list[int]]:
+    """T[v][u] = {w : u in v.w}, read off the set bits of the table."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for v, row in enumerate(table):
+        tv = out[v]
+        for w, cell in enumerate(row):
+            bit = 1 << w
+            while cell:
+                low = cell & -cell
+                tv[low.bit_length() - 1] |= bit
+                cell ^= low
+    return out
+
+
+class _RowUnions(dict):
+    """M -> the list over i of the union of rows[w][i] for w in M, made on
+    first use.  With rows = table, entry i is M.i; with rows = the columns
+    of the table, it is i.M.  Lives for one check."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, m: int) -> list[int]:
+        ws = list(bits(m))
+        acc = list(self.rows[ws[0]]) if ws else [0] * len(self.rows)
+        for w in ws[1:]:
+            acc = list(map(or_, acc, self.rows[w]))
+        self[m] = acc
+        return acc
+
+
 def is_associative(op: Multioperation) -> AxiomReport:
     """(x [.] y) [.] z = x [.] (y [.] z), set-extended on both sides."""
-    n = op.size
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if op.right_extend(x, op.cell(y, z)) != op.left_extend(op.cell(x, y), z):
-                    return AxiomReport("associative", False, (x, y, z), "associativity")
+    table = op.table
+    right, left = _RowUnions(tuple(zip(*table))), _RowUnions(table)
+    for x in range(op.size):
+        for y, xy in enumerate(table[x]):
+            lhs = [right[yz][x] for yz in table[y]]  # x.(y.z) for every z
+            rhs = left[xy]  # (x.y).z for every z
+            if lhs != rhs:
+                z = next(z for z, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+                return AxiomReport("associative", False, (x, y, z), "associativity")
     return AxiomReport("associative", True)
 
 
@@ -314,38 +361,23 @@ def check_morphism(f, a: Mosaic, b: Mosaic, kind: str = "morphism") -> AxiomRepo
 def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
     """The four L-mosaic axioms; Lms4 failures report zero or multiple join
     candidates at the witness pair."""
-    op, e, n = m.op, m.neutral, m.size
+    op, e = m.op, m.neutral
+    table = op.table
     lms1 = AxiomReport("Lms1", True)
-    for x in range(n):
-        diag = op.cell(x, x)
-        if not (diag >> e & 1 and diag >> x & 1):
+    for x, row in enumerate(table):
+        if not (row[x] >> e & 1 and row[x] >> x & 1):
             lms1 = AxiomReport("Lms1", False, (x,), "0,x not both in x+x")
             break
-    lms2 = AxiomReport("Lms2", True)
-    for x in range(n):
-        diag = op.cell(x, x)
-        if op.set_product(diag, diag) != diag:
-            lms2 = AxiomReport("Lms2", False, (x,), "(x+x)+(x+x) != x+x")
-            break
-    lms3 = AxiomReport("Lms3", True)
-    for x in range(n):
-        for y in range(n):
-            cell = op.cell(x, y)
-            left = op.right_extend(x, cell)
-            right = op.left_extend(cell, y)
-            if left & right & ~cell:
-                lms3 = AxiomReport("Lms3", False, (x, y), "intersection leaks")
-                break
-        if not lms3.holds:
-            break
+    witness = _lms2_witness(op)
+    lms2 = AxiomReport("Lms2", witness is None, witness, witness and "(x+x)+(x+x) != x+x")
+    witness = _lms3_witness(table)
+    lms3 = AxiomReport("Lms3", witness is None, witness, witness and "intersection leaks")
     lms4 = AxiomReport("Lms4", True)
-    for x in range(n):
-        for y in range(n):
-            cands = [
-                z for z in bits(op.cell(x, y))
-                if op.cell(z, z) >> x & 1 and op.cell(z, z) >> y & 1
-            ]
-            if len(cands) != 1:
+    under = _principal_rows(table)  # under[x] = {z : x in z+z}
+    for x, row in enumerate(table):
+        for y, cell in enumerate(row):
+            cands = under[x] & under[y] & cell
+            if not cands or cands & (cands - 1):
                 reason = "no join candidate" if not cands else "multiple join candidates"
                 lms4 = AxiomReport("Lms4", False, (x, y), reason)
                 break
@@ -354,36 +386,71 @@ def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
     return (lms1, lms2, lms3, lms4)
 
 
+def _lms2_witness(op: Multioperation):
+    """(x,) for the least x with (x+x)+(x+x) != x+x, or None."""
+    for x, row in enumerate(op.table):
+        if op.set_product(row[x], row[x]) != row[x]:
+            return (x,)
+    return None
+
+
+def _lms3_witness(table):
+    """The least (x, y) with (x+(x+y)) & ((x+y)+y) not inside x+y, or None."""
+    columns = tuple(zip(*table))
+    for x, row in enumerate(table):
+        for y, cell in enumerate(row):
+            col = columns[y]
+            left = right = 0  # x+(x+y) and (x+y)+y
+            for v in bits(cell):
+                left |= row[v]
+                right |= col[v]
+            if left & right & ~cell:
+                return (x, y)
+    return None
+
+
 def is_lmosaic(m: Mosaic) -> bool:
     return all(r.holds for r in verify_lmosaic(m))
 
 
 def induced_order(m: Mosaic) -> tuple[int, ...]:
     """Order matrix of a verified L-mosaic (y <= x iff y in x+x), as up-set
-    bitmask rows in the lattice_core convention: bit j of row i iff i <= j."""
+    bitmask rows in the lattice_core convention: bit j of row i iff i <= j.
+    Raises NotAnLMosaic, with the failing elements as its witness, when the
+    axioms fail or the principal cells do not order the carrier with the
+    neutral element at the bottom."""
     bad = [r for r in verify_lmosaic(m) if not r.holds]
     if bad:
-        raise NotAnLMosaic(f"{bad[0].axiom} fails at {bad[0].witness}")
+        raise NotAnLMosaic(f"{bad[0].axiom} fails at {bad[0].witness}", bad[0].witness)
     n = m.size
     rows = principal_rows(m)
-    full = full_mask(n)
-    assert rows[m.neutral] == full, "neutral is not the bottom"
+    e = m.neutral
+    if rows[e] != full_mask(n):
+        raise NotAnLMosaic(f"neutral {e} is not the bottom", (e,))
     for i in range(n):
-        assert rows[i] >> i & 1, "not reflexive"
+        if not rows[i] >> i & 1:
+            raise NotAnLMosaic(f"order not reflexive at {i}", (i,))
         for j in bits(rows[i]):
-            assert i == j or not rows[j] >> i & 1, "not antisymmetric"
-            assert rows[j] & ~rows[i] == 0, "not transitive"
+            if i != j and rows[j] >> i & 1:
+                raise NotAnLMosaic(f"order not antisymmetric at ({i},{j})", (i, j))
+            if rows[j] & ~rows[i]:
+                raise NotAnLMosaic(f"order not transitive through ({i},{j})", (i, j))
     return rows
 
 
 def principal_rows(m: Mosaic) -> tuple[int, ...]:
     """The principal cells read as up-set rows (bit j of row i iff i in j+j),
     unchecked: induced_order for a table already known to be an L-mosaic."""
-    rows = [0] * m.size
-    for j in range(m.size):
-        for i in bits(m.cell(j, j)):
+    return tuple(_principal_rows(m.op.table))
+
+
+def _principal_rows(table) -> list[int]:
+    """under[i] = {j : i in j.j}."""
+    rows = [0] * len(table)
+    for j, row in enumerate(table):
+        for i in bits(row[j]):
             rows[i] |= 1 << j
-    return tuple(rows)
+    return rows
 
 
 def strong_closure(m: Mosaic, subset) -> frozenset[int]:
@@ -438,10 +505,7 @@ def dualize(m: Mosaic, pi: Involution, literal: bool = False):
 def is_reproductive(op: Multioperation) -> AxiomReport:
     """x [.] A = A for every x (row-union check)."""
     full = full_mask(op.size)
-    for x in range(op.size):
-        acc = 0
-        for y in range(op.size):
-            acc |= op.cell(x, y)
-        if acc != full:
+    for x, row in enumerate(op.table):
+        if reduce(or_, row, 0) != full:
             return AxiomReport("reproductive", False, (x,), "row union misses elements")
     return AxiomReport("reproductive", True)

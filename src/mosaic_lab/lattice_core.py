@@ -65,7 +65,12 @@ class Involution:
         return self.map[x]
 
     def image_mask(self, mask: int) -> int:
-        return mask_of(self.map[x] for x in bits(mask))
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= 1 << self.map[low.bit_length() - 1]
+            mask ^= low
+        return out
 
     @classmethod
     def identity(cls, n: int) -> "Involution":
@@ -290,10 +295,6 @@ def omega_rows(l: FiniteBoundedLattice) -> tuple[int, ...]:
     return tuple(complement_mask(l, x) for x in range(l.size))
 
 
-def is_complemented(l: FiniteBoundedLattice) -> bool:
-    return all(omega_rows(l))
-
-
 def check_o1(l: FiniteBoundedLattice) -> AxiomReport:
     """omega(x) nonempty implies x in omega(omega(x))."""
     om = omega_rows(l)
@@ -406,10 +407,7 @@ def is_distributive(l: FiniteBoundedLattice, subset=None) -> AxiomReport:
         members = list(range(l.size))
     else:
         members = sorted(subset if not isinstance(subset, int) else bits(subset))
-        for x in members:
-            for y in members:
-                if l.join(x, y) not in members or l.meet(x, y) not in members:
-                    raise NotASublattice(f"subset not closed at ({x},{y})")
+        _require_closed(l, members)
     for x in members:
         for y in members:
             for z in members:
@@ -507,6 +505,11 @@ def hexagon_pattern() -> FiniteBoundedLattice:
     )
 
 
+# built once at import, for check_om_equivalences; callers of hexagon_pattern()
+# get a lattice of their own
+_HEXAGON = hexagon_pattern()
+
+
 def pentagon_pattern() -> FiniteBoundedLattice:
     """The 5-element pentagon: 0<b<a<1 and 0<c<1."""
     return build_from_covers(
@@ -535,7 +538,7 @@ def check_om_equivalences(l: FiniteBoundedLattice, pi: Involution) -> list[Axiom
         if not om2.holds:
             break
 
-    copy = find_sublattice_copy(l, hexagon_pattern())
+    copy = find_sublattice_copy(l, _HEXAGON)
     if copy is None:
         om3 = AxiomReport("OM3", True)
     else:
@@ -569,13 +572,21 @@ def sublattice(l: FiniteBoundedLattice, subset) -> tuple[FiniteBoundedLattice, t
     members = sorted(subset if not isinstance(subset, int) else bits(subset))
     if not members:
         raise NotASublattice("empty subset")
+    _require_closed(l, members)
     pos = {x: i for i, x in enumerate(members)}
-    for x in members:
-        for y in members:
-            if l.join(x, y) not in pos or l.meet(x, y) not in pos:
-                raise NotASublattice(f"subset not closed at ({x},{y})")
     up = [mask_of(pos[j] for j in bits(l.leq[x]) if j in pos) for x in members]
     return from_leq([l.names[x] for x in members], up), tuple(members)
+
+
+def _require_closed(l: FiniteBoundedLattice, members: list[int]):
+    """Raise NotASublattice at the first (x, y) of the sorted members whose
+    join or meet leaves them."""
+    mask = mask_of(members)
+    for x in members:
+        joins, meets = l.join_table[x], l.meet_table[x]
+        for y in members:
+            if not (mask >> joins[y] & 1 and mask >> meets[y] & 1):
+                raise NotASublattice(f"subset not closed at ({x},{y})")
 
 
 def _invariants(l: FiniteBoundedLattice) -> list:

@@ -9,10 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import bits, mask_of
+from .bits import bits, least, mask_of
 from .errors import MissingBound, NoUniqueExtremum, NotASubmosaic
-from .hyperstructure import Mosaic, Multioperation, is_reproductive, verify_mosaic
-from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, sublattice
+from .hyperstructure import (
+    Mosaic,
+    Multioperation,
+    _lms2_witness,
+    _lms3_witness,
+    _principal_rows,
+    _RowUnions,
+    is_reproductive,
+    verify_mosaic,
+)
+from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _require_closed
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -38,19 +47,29 @@ class NakanoMosaic:
         return self.mosaic.cell(x, y)
 
 
-def _nakano_table(l: FiniteBoundedLattice, binop) -> Multioperation:
-    n = l.size
+def _reach(table) -> list[list[int]]:
+    """reach[x][t] = {z : x o z = t} for a lattice operation table o."""
+    n = len(table)
+    reach = [[0] * n for _ in range(n)]
+    for x, row in enumerate(table):
+        rx = reach[x]
+        for z, t in enumerate(row):
+            rx[t] |= 1 << z
+    return reach
 
-    def cell(x, y):
-        t = binop(x, y)
-        return mask_of(z for z in range(n) if binop(x, z) == t and binop(z, y) == t)
 
-    return Multioperation.build(n, cell)
+def _nakano_table(table) -> Multioperation:
+    """N(x,y) = reach[x][t] & reach[y][t] with t = x o y; o is commutative."""
+    reach = _reach(table)
+    return Multioperation(len(table), tuple(
+        tuple(rx[t] & reach[y][t] for y, t in enumerate(row))
+        for rx, row in zip(reach, table)
+    ))
 
 
 def additive_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
     """The mosaic (L, N_v, 0); commutative, total, reproductive, rho = id."""
-    got = verify_mosaic(_nakano_table(l, l.join))
+    got = verify_mosaic(_nakano_table(l.join_table))
     assert got.ok, "additive Nakano table failed the mosaic pipeline"
     assert got.mosaic.neutral == l.bottom
     assert got.mosaic.rho == Involution.identity(l.size)
@@ -59,7 +78,7 @@ def additive_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
 
 def multiplicative_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
     """The mosaic (L, N_^, 1); cell-for-cell the additive mosaic of the dual."""
-    got = verify_mosaic(_nakano_table(l, l.meet))
+    got = verify_mosaic(_nakano_table(l.meet_table))
     assert got.ok, "multiplicative Nakano table failed the mosaic pipeline"
     assert got.mosaic.neutral == l.top
     assert got.mosaic.rho == Involution.identity(l.size)
@@ -69,11 +88,8 @@ def multiplicative_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
 def extremum_by_characterization(m: NakanoMosaic) -> int:
     """The unique u with: u in x+x implies x = u.  Top for additive mosaics,
     bottom for multiplicative ones; anything else signals a corrupted table."""
-    n = m.size
-    found = [
-        u for u in range(n)
-        if all(not m.cell(x, x) >> u & 1 for x in range(n) if x != u)
-    ]
+    under = _principal_rows(m.mosaic.op.table)  # under[u] = {x : u in x+x}
+    found = [u for u, xs in enumerate(under) if not xs & ~(1 << u)]
     if len(found) != 1:
         raise NoUniqueExtremum(f"candidates: {found}")
     return found[0]
@@ -81,14 +97,15 @@ def extremum_by_characterization(m: NakanoMosaic) -> int:
 
 def restrict_to_sublattice(m: NakanoMosaic, sub) -> Mosaic:
     """Cellwise intersection with a meet/join-closed subset containing the
-    flavor's neutral bound; index k of the result is sorted(sub)[k].  Equals
+    flavor's neutral bound; index k of the result is the k-th least member
+    (a repeated member counts once).  Equals
     the Nakano mosaic of the sublattice; raises NotASubmosaic when m's table
     is no Nakano table and its restriction fails the mosaic pipeline."""
-    members = sorted(sub if not isinstance(sub, int) else bits(sub))
+    members = sorted(set(sub) if not isinstance(sub, int) else bits(sub))
     bound = m.base.bottom if m.flavor == ADDITIVE else m.base.top
     if bound not in members:
         raise MissingBound(f"subset must contain element {m.base.names[bound]!r}")
-    sublattice(m.base, members)  # raises NotASublattice when not closed
+    _require_closed(m.base, members)
     pos = {x: i for i, x in enumerate(members)}
     submask = mask_of(members)
     k = len(members)
@@ -109,9 +126,9 @@ def restrict_to_sublattice(m: NakanoMosaic, sub) -> Mosaic:
 
 def check_antisym(m: NakanoMosaic) -> AxiomReport:
     """x,y in x+y iff x = y."""
-    for x in range(m.size):
-        for y in range(m.size):
-            both = m.cell(x, y) >> x & 1 and m.cell(x, y) >> y & 1
+    for x, row in enumerate(m.mosaic.op.table):
+        for y, cell in enumerate(row):
+            both = cell >> x & 1 and cell >> y & 1
             if both != (x == y):
                 return AxiomReport("antisym", False, (x, y), "x,y in x+y iff x=y")
     return AxiomReport("antisym", True)
@@ -119,73 +136,67 @@ def check_antisym(m: NakanoMosaic) -> AxiomReport:
 
 def check_principal_idempotent(m: NakanoMosaic) -> AxiomReport:
     """(x+x)+(x+x) = x+x."""
-    for x in range(m.size):
-        diag = m.cell(x, x)
-        if m.mosaic.op.set_product(diag, diag) != diag:
-            return AxiomReport("principal-idempotent", False, (x,), "(x+x)+(x+x) != x+x")
-    return AxiomReport("principal-idempotent", True)
+    witness = _lms2_witness(m.mosaic.op)
+    return AxiomReport("principal-idempotent", witness is None, witness, witness and "(x+x)+(x+x) != x+x")
 
 
-def _flavor_ops(m: NakanoMosaic):
+def _flavor_rows(m: NakanoMosaic):
+    """The flavor's junction table, and below[t] = {z : z <= t} in the
+    flavor's order (the lattice order, dualized for multiplicative)."""
     if m.flavor == ADDITIVE:
-        return m.base.join, lambda a, b: m.base.le(a, b)
-    return m.base.meet, lambda a, b: m.base.le(b, a)
+        return m.base.join_table, m.base.down
+    return m.base.meet_table, m.base.leq
 
 
 def check_bound_by_extremum(m: NakanoMosaic) -> AxiomReport:
     """z in x+y implies z <= x v y (additive; order dualized for multiplicative)."""
-    junction, le = _flavor_ops(m)
-    for x in range(m.size):
-        for y in range(m.size):
-            for z in bits(m.cell(x, y)):
-                if not le(z, junction(x, y)):
-                    return AxiomReport("bounded-by-junction", False, (x, y, z), "z not under x v y")
+    junction, below = _flavor_rows(m)
+    for x, row in enumerate(m.mosaic.op.table):
+        for y, cell in enumerate(row):
+            bad = cell & ~below[junction[x][y]]
+            if bad:
+                return AxiomReport("bounded-by-junction", False, (x, y, least(bad)), "z not under x v y")
     return AxiomReport("bounded-by-junction", True)
 
 
 def check_junction_characterization(m: NakanoMosaic) -> AxiomReport:
     """z = x v y iff (x,y in z+z and z in x+y); dual statement with meets."""
-    junction, _ = _flavor_ops(m)
-    for x in range(m.size):
-        for y in range(m.size):
-            for z in range(m.size):
-                lhs = junction(x, y) == z
-                rhs = (
-                    bool(m.cell(z, z) >> x & 1)
-                    and bool(m.cell(z, z) >> y & 1)
-                    and bool(m.cell(x, y) >> z & 1)
-                )
-                if lhs != rhs:
-                    return AxiomReport("junction-characterization", False, (x, y, z), "lemma sup/inf")
+    junction, _ = _flavor_rows(m)
+    table = m.mosaic.op.table
+    under = _principal_rows(table)  # under[x] = {z : x in z+z}
+    for x, row in enumerate(table):
+        for y, cell in enumerate(row):
+            diff = (under[x] & under[y] & cell) ^ (1 << junction[x][y])
+            if diff:
+                return AxiomReport("junction-characterization", False, (x, y, least(diff)), "lemma sup/inf")
     return AxiomReport("junction-characterization", True)
 
 
 def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
     """x+(y+z) stays in {t : t v x v y = t v x v z = t v y v z = x v y v z}."""
-    junction, _ = _flavor_ops(m)
-    for x in range(m.size):
-        for y in range(m.size):
-            for z in range(m.size):
-                total = junction(junction(x, y), z)
-                for t in bits(m.mosaic.op.right_extend(x, m.cell(y, z))):
-                    if not (
-                        junction(t, junction(x, y)) == total
-                        and junction(t, junction(x, z)) == total
-                        and junction(t, junction(y, z)) == total
-                    ):
-                        return AxiomReport("triple-bound", False, (x, y, z, t), "triple junction bound")
+    junction, _ = _flavor_rows(m)
+    reach = _reach(junction)
+    table = m.mosaic.op.table
+    right = _RowUnions(tuple(zip(*table)))  # right[M][x] = x+M
+    n = m.size
+    for x in range(n):
+        jx = junction[x]
+        for y in range(n):
+            xy, jy, yrow = jx[y], junction[y], table[y]
+            reach_xy, jxy = reach[xy], junction[xy]
+            for z in range(n):
+                total = jxy[z]
+                allowed = reach_xy[total] & reach[jx[z]][total] & reach[jy[z]][total]
+                leak = right[yrow[z]][x] & ~allowed
+                if leak:
+                    return AxiomReport("triple-bound", False, (x, y, z, least(leak)), "triple junction bound")
     return AxiomReport("triple-bound", True)
 
 
 def check_lms3_inclusion(m: NakanoMosaic) -> AxiomReport:
     """(x+(x+y)) & ((x+y)+y) <= x+y."""
-    op = m.mosaic.op
-    for x in range(m.size):
-        for y in range(m.size):
-            cell = m.cell(x, y)
-            if op.right_extend(x, cell) & op.left_extend(cell, y) & ~cell:
-                return AxiomReport("lms3-inclusion", False, (x, y), "intersection leaks")
-    return AxiomReport("lms3-inclusion", True)
+    witness = _lms3_witness(m.mosaic.op.table)
+    return AxiomReport("lms3-inclusion", witness is None, witness, witness and "intersection leaks")
 
 
 def nakano_property_reports(m: NakanoMosaic) -> list[AxiomReport]:

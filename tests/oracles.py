@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 from mosaic_lab.bits import bits, mask_of
+from mosaic_lab.lattice_core import AxiomReport
 
 
 def closure_oracle(names, covers):
@@ -215,3 +216,157 @@ def mosaic_isomorphism(a, b):
         return None
 
     return rec(0)
+
+
+# -- element-at-a-time references for the table kernels -------------------------
+#
+# The library reads Nakano tables and runs the mosaic, L-mosaic and section-4
+# checks as whole-row bitmask operations.  These are the same checks written
+# one element at a time, over plain tuples of cell masks; they return the
+# same AxiomReports, least witness and reason included.
+
+
+def _report(axiom, witness=None, reason=None):
+    return AxiomReport(axiom, witness is None, witness, reason)
+
+
+def _right(table, x, ymask):
+    out = 0
+    for y in bits(ymask):
+        out |= table[x][y]
+    return out
+
+
+def _left(table, xmask, y):
+    out = 0
+    for x in bits(xmask):
+        out |= table[x][y]
+    return out
+
+
+def _square(table, mask):
+    out = 0
+    for x in bits(mask):
+        out |= _right(table, x, mask)
+    return out
+
+
+def nakano_table_loops(l, additive: bool = True):
+    """N(x,y) = {z : x o y = x o z = z o y}, testing each z."""
+    op = l.join if additive else l.meet
+    n = l.size
+    return tuple(
+        tuple(mask_of(z for z in range(n) if op(x, z) == op(x, y) and op(z, y) == op(x, y)) for y in range(n))
+        for x in range(n)
+    )
+
+
+def mosaic_reports_loops(table):
+    """verify_mosaic's reports: commutative, total, neutral, unique inverses,
+    reversibility, then the lemma-1 consequences asserted for every z."""
+    n = len(table)
+    reports = []
+    w = next(((x, y) for x in range(n) for y in range(n) if table[x][y] != table[y][x]), None)
+    reports.append(_report("commutative", w, w and "cell asymmetry"))
+    w = next(((x, y) for x in range(n) for y in range(n) if not table[x][y]), None)
+    reports.append(_report("total", w, w and "empty cell"))
+    if not all(r.holds for r in reports):
+        return tuple(reports)
+    e = next((e for e in range(n)
+              if all(table[e][x] == 1 << x and table[x][e] == 1 << x for x in range(n))), None)
+    if e is None:
+        return tuple(reports + [_report("neutral", (), "no neutral element")])
+    reports.append(_report("neutral"))
+    rho = []
+    for x in range(n):
+        ys = [y for y in range(n) if table[x][y] >> e & 1 and table[y][x] >> e & 1]
+        if len(ys) != 1:
+            return tuple(reports + [_report("unique-inverses", (x,), "no inverse" if not ys else "multiple inverses")])
+        rho.append(ys[0])
+    reports.append(_report("unique-inverses"))
+    for x in range(n):
+        for y in range(n):
+            for z in bits(table[x][y]):
+                if not table[z][rho[y]] >> x & 1 or not table[rho[x]][z] >> y & 1:
+                    return tuple(reports + [_report("reversible", (x, y, z), "RE fails")])
+    reports.append(_report("reversible"))
+    assert rho[e] == e
+    for x in range(n):
+        assert table[x][rho[x]] >> e & 1 and table[rho[x]][x] >> e & 1, "RINV"
+        for y in range(n):
+            assert mask_of(rho[z] for z in bits(table[x][y])) == table[rho[y]][rho[x]], "dual iso"
+            for z in range(n):
+                a = bool(table[x][y] >> z & 1)
+                b = bool(table[z][rho[y]] >> x & 1)
+                c = bool(table[rho[x]][z] >> y & 1)
+                assert a == b == c, "membership equivalences"
+    reports.append(_report("lemma1-consequences"))
+    return tuple(reports)
+
+
+def associativity_loops(table):
+    n = len(table)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if _right(table, x, table[y][z]) != _left(table, table[x][y], z):
+                    return _report("associative", (x, y, z), "associativity")
+    return _report("associative")
+
+
+def lmosaic_reports_loops(table, e):
+    """Lms1-Lms4, with the join candidates of Lms4 listed one z at a time."""
+    n = len(table)
+    w = next(((x,) for x in range(n) if not (table[x][x] >> e & 1 and table[x][x] >> x & 1)), None)
+    lms1 = _report("Lms1", w, w and "0,x not both in x+x")
+    w = next(((x,) for x in range(n) if _square(table, table[x][x]) != table[x][x]), None)
+    lms2 = _report("Lms2", w, w and "(x+x)+(x+x) != x+x")
+    w = next(((x, y) for x in range(n) for y in range(n)
+              if _right(table, x, table[x][y]) & _left(table, table[x][y], y) & ~table[x][y]), None)
+    lms3 = _report("Lms3", w, w and "intersection leaks")
+    lms4 = _report("Lms4")
+    for x in range(n):
+        for y in range(n):
+            cands = [z for z in bits(table[x][y]) if table[z][z] >> x & 1 and table[z][z] >> y & 1]
+            if len(cands) != 1:
+                lms4 = _report("Lms4", (x, y), "no join candidate" if not cands else "multiple join candidates")
+                break
+        if not lms4.holds:
+            break
+    return (lms1, lms2, lms3, lms4)
+
+
+def nakano_property_loops(l, additive, table):
+    """nakano_property_reports of a Nakano-flavored table over the lattice l:
+    every z, t and u tested on its own."""
+    n = l.size
+    junction = l.join if additive else l.meet
+    le = (lambda a, b: l.le(a, b)) if additive else (lambda a, b: l.le(b, a))
+    out = []
+    w = next(((x, y) for x in range(n) for y in range(n)
+              if bool(table[x][y] >> x & 1 and table[x][y] >> y & 1) != (x == y)), None)
+    out.append(_report("antisym", w, w and "x,y in x+y iff x=y"))
+    w = next(((x,) for x in range(n) if _square(table, table[x][x]) != table[x][x]), None)
+    out.append(_report("principal-idempotent", w, w and "(x+x)+(x+x) != x+x"))
+    w = next(((x, y, z) for x in range(n) for y in range(n) for z in bits(table[x][y])
+              if not le(z, junction(x, y))), None)
+    out.append(_report("bounded-by-junction", w, w and "z not under x v y"))
+    w = next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
+              if (junction(x, y) == z) != bool(table[z][z] >> x & 1 and table[z][z] >> y & 1
+                                               and table[x][y] >> z & 1)), None)
+    out.append(_report("junction-characterization", w, w and "lemma sup/inf"))
+    w = next(((x, y, z, t) for x in range(n) for y in range(n) for z in range(n)
+              for t in bits(_right(table, x, table[y][z]))
+              if not junction(t, junction(x, y)) == junction(t, junction(x, z)) == junction(t, junction(y, z))
+              == junction(junction(x, y), z)), None)
+    out.append(_report("triple-bound", w, w and "triple junction bound"))
+    w = next(((x, y) for x in range(n) for y in range(n)
+              if _right(table, x, table[x][y]) & _left(table, table[x][y], y) & ~table[x][y]), None)
+    out.append(_report("lms3-inclusion", w, w and "intersection leaks"))
+    w = next(((x,) for x in range(n) if _right(table, x, (1 << n) - 1) != (1 << n) - 1), None)
+    out.append(_report("reproductive", w, w and "row union misses elements"))
+    expected = l.top if additive else l.bottom
+    found = [u for u in range(n) if all(not table[x][x] >> u & 1 for x in range(n) if x != u)]
+    w = None if found == [expected] else (expected,)
+    out.append(_report("extremum", w, w and "characterized extremum is not the bound"))
+    return out

@@ -1,0 +1,125 @@
+"""The table kernels against their element-at-a-time references.
+
+The Nakano table, verify_mosaic, verify_lmosaic, is_associative and the
+section-4 lemma battery read whole rows of bitmasks; tests/oracles.py keeps
+the same checks one element at a time.  Their reports must agree exactly,
+least witness and reason included, on every lattice with at most 6 elements
+and on seeded cell edits of those lattices' tables.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from mosaic_lab.errors import NotAnLMosaic
+from mosaic_lab.hyperstructure import Mosaic, induced_order, is_associative, verify_lmosaic, verify_mosaic
+from mosaic_lab.nakano import NakanoMosaic, additive_nakano, multiplicative_nakano, nakano_property_reports
+
+from oracles import (
+    associativity_loops,
+    closure_oracle,
+    lmosaic_reports_loops,
+    mosaic_reports_loops,
+    nakano_property_loops,
+    nakano_table_loops,
+)
+
+FLAVORS = ((True, additive_nakano), (False, multiplicative_nakano))
+
+
+def assert_reports_agree(l, additive, nm):
+    op = nm.mosaic.op
+    assert verify_mosaic(op).reports == mosaic_reports_loops(op.table)
+    assert verify_lmosaic(nm.mosaic) == lmosaic_reports_loops(op.table, nm.mosaic.neutral)
+    assert is_associative(op) == associativity_loops(op.table)
+    assert nakano_property_reports(nm) == nakano_property_loops(l, additive, op.table)
+
+
+def edits(nm, rng, count):
+    """Seeded edits of one cell off the neutral row and column, so that the
+    result is still a Mosaic; every other edit is mirrored onto (y, x), which
+    keeps the table commutative and lets it reach the later stages."""
+    n, e = nm.size, nm.mosaic.neutral
+    others = [x for x in range(n) if x != e]
+    for k in range(count):
+        x, y = rng.choice(others), rng.choice(others)
+        zs = [z for z in range(n) if rng.random() < 0.4]
+        op = nm.mosaic.op.with_cell(x, y, zs)
+        if k % 2:
+            op = op.with_cell(y, x, zs)
+        yield NakanoMosaic(nm.base, nm.flavor, Mosaic(op, e, nm.mosaic.rho))
+
+
+def first_failure(reports):
+    return next((r.axiom for r in reports if not r.holds), None)
+
+
+def test_nakano_tables_match(lattices_upto_6):
+    for l in lattices_upto_6:
+        for additive, build in FLAVORS:
+            assert build(l).mosaic.op.table == nakano_table_loops(l, additive)
+
+
+def test_reports_match_on_nakano_tables(lattices_upto_6):
+    for l in lattices_upto_6:
+        for additive, build in FLAVORS:
+            assert_reports_agree(l, additive, build(l))
+
+
+def test_reports_match_on_edited_tables(lattices_upto_6):
+    rng = random.Random(20260118)
+    mosaic_stage, lemma_failures = Counter(), Counter()
+    for l in lattices_upto_6:
+        if l.size < 3:
+            continue
+        for additive, build in FLAVORS:
+            for bad in edits(build(l), rng, 12):
+                assert_reports_agree(l, additive, bad)
+                mosaic_stage[first_failure(verify_mosaic(bad.mosaic.op).reports)] += 1
+                for r in nakano_property_reports(bad):
+                    lemma_failures[r.axiom] += not r.holds
+    # every stage of verify_mosaic is reached, some edits pass it in full
+    # (the lemma-1 consequences are then asserted), and each lemma fails
+    # somewhere
+    assert set(mosaic_stage) == {"commutative", "total", "unique-inverses", "reversible", None}
+    assert all(lemma_failures.values()), lemma_failures
+
+
+def test_order_of_an_lmosaic_is_a_bounded_partial_order(lattices_upto_6):
+    """Lms1 makes the principal cells reflexive with the neutral at the bottom,
+    Lms4 at (x, x) makes them antisymmetric and Lms2 transitive, so an edited
+    table that passes verify_lmosaic always yields an order."""
+    rng = random.Random(7)
+    passed = 0
+    for l in lattices_upto_6:
+        if l.size < 3:
+            continue
+        for _, build in FLAVORS:
+            for bad in edits(build(l), rng, 12):
+                if not all(r.holds for r in verify_lmosaic(bad.mosaic)):
+                    continue
+                passed += 1
+                rows = induced_order(bad.mosaic)
+                names = list(range(l.size))
+                covers = [(i, j) for i in names for j in names if i != j and rows[i] >> j & 1]
+                up = closure_oracle(names, covers)
+                assert up is not None and all(up[i] == {j for j in names if rows[i] >> j & 1} for i in names)
+                assert rows[bad.mosaic.neutral] == (1 << l.size) - 1
+    assert passed
+
+
+def test_induced_order_raises_a_typed_error(pentagon):
+    """Putting a into b+b (b < a, so b is in a+a already) breaks antisymmetry
+    of the principal cells; Lms4 then finds two join candidates, a and b, at
+    (a, a), and induced_order raises NotAnLMosaic with that pair, under -O as
+    well."""
+    p = pentagon.lattice
+    nm = additive_nakano(p)
+    a, b = p.index("a"), p.index("b")
+    op = nm.mosaic.op.with_cell(b, b, [p.bottom, a, b])
+    assert op.cell(a, a) >> b & 1 and op.cell(b, b) >> a & 1
+    with pytest.raises(NotAnLMosaic) as err:
+        induced_order(Mosaic(op, nm.mosaic.neutral, nm.mosaic.rho))
+    assert str(err.value) == f"Lms4 fails at {(a, a)}"
+    assert err.value.witness == (a, a)

@@ -132,6 +132,12 @@ class TestRestriction:
         want = additive_nakano(named("chain_2").lattice).mosaic
         assert two.op.table == want.op.table
 
+    def test_repeated_members_count_once(self, pentagon):
+        p = pentagon.lattice
+        nm = additive_nakano(p)
+        once = restrict_to_sublattice(nm, [p.bottom, p.top])
+        assert restrict_to_sublattice(nm, [p.bottom, p.bottom, p.top]) == once
+
     def test_missing_bound(self, pentagon):
         p = pentagon.lattice
         with pytest.raises(MissingBound):
