@@ -1,10 +1,13 @@
 """Named example lattices and exhaustive small-n enumeration up to isomorphism.
 
-Enumeration generates naturally-labeled middle posets recursively, keeps the
-bounded ones that are lattices, and deduplicates by canonical form (minimal
-leq bit matrix over invariant-class-respecting relabelings).  Counts are
-never copied from external sources; tests freeze what the independent oracle
-and this generator produce.
+Enumeration is orderly: it generates only candidates that can be the
+canonical form of their class (minimal leq bit matrix over
+invariant-class-respecting relabelings) and keeps those that are their own
+canonical form, so no class is generated as a duplicate that must be removed.
+The candidates are naturally-labeled bounded posets, grown one middle element
+at a time, in which every new element has a meet with every earlier one and
+the down-set sizes never decrease.  Counts are never copied from external
+sources; tests freeze what the independent oracle and this generator produce.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .errors import SizeTooLarge, UnknownName
 from .lattice_core import (
     FiniteBoundedLattice,
     Involution,
-    _lub,
     build_from_covers,
     complement_mask,
     from_leq,
@@ -159,24 +161,46 @@ CATALOG_NAMES = ("pentagon", "hexagon", "diamond_M3", "chain_1", "chain_2", "cha
 
 
 def _middle_posets(m: int):
-    """Naturally-labeled posets on 0..m-1 as strict down-set bitmask rows."""
+    """Naturally-labeled posets on 0..m-1 as strict down-set bitmask rows, in
+    which every two elements have a meet (or no common lower bound) and the
+    down-set sizes never decrease.
+
+    The first field of the canonical key's invariant is the down-set size, so
+    every canonical key has non-decreasing sizes; labels are natural, so the
+    common down-set of two elements is fixed once the later one is added."""
     downs = []
+    closed = []
 
     def rec(i: int):
         if i == m:
             yield tuple(downs)
             return
+        least_size = downs[-1].bit_count() if downs else 0
         for cand in range(1 << i):
-            if all(downs[j] & ~cand == 0 for j in bits(cand)):
-                downs.append(cand)
-                yield from rec(i + 1)
-                downs.pop()
+            if cand.bit_count() < least_size:
+                continue
+            if any(downs[j] & ~cand for j in bits(cand)):
+                continue
+            if not all(_has_greatest(cand & c, closed) for c in closed):
+                continue
+            downs.append(cand)
+            closed.append(cand | 1 << i)
+            yield from rec(i + 1)
+            downs.pop()
+            closed.pop()
 
     yield from rec(0)
 
 
+def _has_greatest(common: int, closed: list[int]) -> bool:
+    """common is empty or its highest label lies above all of it."""
+    return not common or common & ~closed[common.bit_length() - 1] == 0
+
+
 def _bounded_lattice_candidates(n: int):
-    """Up-mask rows of every naturally-labeled n-element bounded lattice."""
+    """Up-mask rows of the naturally-labeled n-element bounded lattices whose
+    down-set sizes never decrease: among them the canonical key of every
+    class.  A finite meet-semilattice with a top is a lattice."""
     if n == 1:
         yield (1,)
         return
@@ -192,26 +216,19 @@ def _bounded_lattice_candidates(n: int):
                 if downs[j] >> i & 1:
                     mask |= 1 << (j + 1)
             up[i + 1] = mask
-        down = [0] * n
-        for i in range(n):
-            for j in bits(up[i]):
-                down[j] |= 1 << i
-        if all(
-            _lub(up, i, j) is not None and _lub(down, i, j) is not None
-            for i in range(n) for j in range(i + 1, n)
-        ):
-            yield tuple(up)
+        yield tuple(up)
 
 
-def _canonical_key(up: tuple[int, ...]) -> tuple[int, ...]:
-    """Minimal leq bit matrix over invariant-class-respecting relabelings."""
+def _key_invariants(up: tuple[int, ...]) -> list:
+    """Per element: (down-set size, up-set size), and the sorted sizes of the
+    elements above and below it."""
     n = len(up)
     down = [0] * n
     for i in range(n):
         for j in bits(up[i]):
             down[j] |= 1 << i
-    base = [(bin(down[i]).count("1"), bin(up[i]).count("1")) for i in range(n)]
-    inv = [
+    base = [(down[i].bit_count(), up[i].bit_count()) for i in range(n)]
+    return [
         (
             base[i],
             tuple(sorted(base[j] for j in bits(up[i]))),
@@ -219,6 +236,24 @@ def _canonical_key(up: tuple[int, ...]) -> tuple[int, ...]:
         )
         for i in range(n)
     ]
+
+
+def _canonical_key(up: tuple[int, ...]) -> tuple[int, ...]:
+    """Minimal leq bit matrix over invariant-class-respecting relabelings."""
+    return _least_relabeling(up, _key_invariants(up))
+
+
+def _is_canonical(up: tuple[int, ...]) -> bool:
+    """up is its own canonical key.  The key lists its elements in invariant
+    order, so an unsorted invariant sequence rules up out at once."""
+    inv = _key_invariants(up)
+    return inv == sorted(inv) and _least_relabeling(up, inv) == up
+
+
+def _least_relabeling(up: tuple[int, ...], inv: list) -> tuple[int, ...]:
+    """Least up-row matrix over the relabelings that list the elements in
+    sorted invariant order."""
+    n = len(up)
     groups: dict = {}
     for i in range(n):
         groups.setdefault(inv[i], []).append(i)
@@ -239,16 +274,12 @@ def _canonical_key(up: tuple[int, ...]) -> tuple[int, ...]:
 
 def enumerate_lattices(n: int) -> list[FiniteBoundedLattice]:
     """Every isomorphism class of n-element bounded lattices, exactly once,
-    in canonical-key order."""
+    in canonical-key order: the candidates that are their own key."""
     if not 1 <= n <= MAX_ENUM:
         raise SizeTooLarge(f"enumeration supports 1..{MAX_ENUM}, got {n}")
-    seen = {}
-    for up in _bounded_lattice_candidates(n):
-        key = _canonical_key(up)
-        if key not in seen:
-            seen[key] = key
+    keys = sorted(up for up in _bounded_lattice_candidates(n) if _is_canonical(up))
     names = [f"x{i}" for i in range(n)]
-    return [from_leq(names, key) for key in sorted(seen)]
+    return [from_leq(names, key) for key in keys]
 
 
 def enumerate_ortholattices(n: int) -> list[OrthoPair]:

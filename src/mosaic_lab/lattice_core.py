@@ -392,11 +392,13 @@ def _require_ortho(l: FiniteBoundedLattice, pi: Involution):
 
 def is_modular(l: FiniteBoundedLattice) -> AxiomReport:
     """x v (y ^ (x v z)) = (x v y) ^ (x v z) for all triples."""
+    meet = l.meet_table
     for x in range(l.size):
+        joins = l.join_table[x]
         for y in range(l.size):
-            for z in range(l.size):
-                xvz = l.join(x, z)
-                if l.join(x, l.meet(y, xvz)) != l.meet(l.join(x, y), xvz):
+            meets_y, meets_xvy = meet[y], meet[joins[y]]
+            for z, xvz in enumerate(joins):
+                if joins[meets_y[xvz]] != meets_xvy[xvz]:
                     return AxiomReport("modular", False, (x, y, z), "modular law")
     return AxiomReport("modular", True)
 

@@ -16,6 +16,8 @@ from mosaic_lab.lattice_core import (
 )
 from mosaic_lab.catalog import (
     CATALOG_NAMES,
+    _bounded_lattice_candidates,
+    _canonical_key,
     census,
     enumerate_lattices,
     enumerate_ortholattices,
@@ -90,7 +92,64 @@ class TestNamed:
             named("chain_99")
 
 
+def natural_middle_posets(m):
+    """Every naturally-labeled poset on 0..m-1, as strict down-set rows."""
+    downs = []
+
+    def rec(i):
+        if i == m:
+            yield tuple(downs)
+            return
+        for cand in range(1 << i):
+            if all(downs[j] & ~cand == 0 for j in range(i) if cand >> j & 1):
+                downs.append(cand)
+                yield from rec(i + 1)
+                downs.pop()
+
+    yield from rec(0)
+
+
+def least_of_common(rows, i, j):
+    """The least element of rows[i] & rows[j] (rows[x]: the set above x)."""
+    common = rows[i] & rows[j]
+    return next((k for k in range(len(rows)) if common >> k & 1 and common & ~rows[k] == 0), None)
+
+
+def generate_filter_dedup(n):
+    """The route the enumerator replaced: every naturally-labeled bounded
+    poset on n elements, kept when every pair has a join and a meet, then
+    deduplicated by canonical key.  Returns (lattices, keys)."""
+    if n == 1:
+        return {(1,)}, {(1,)}
+    m, full, top = n - 2, (1 << n) - 1, 1 << (n - 1)
+    lattices = set()
+    for downs in natural_middle_posets(m):
+        up = [full] + [
+            1 << (i + 1) | top | sum(1 << (j + 1) for j in range(m) if downs[j] >> i & 1)
+            for i in range(m)
+        ] + [top]
+        down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+        if all(
+            least_of_common(up, i, j) is not None and least_of_common(down, i, j) is not None
+            for i in range(n) for j in range(i + 1, n)
+        ):
+            lattices.add(tuple(up))
+    return lattices, {_canonical_key(up) for up in lattices}
+
+
 class TestEnumerateLattices:
+    def test_pruned_generator_loses_no_class(self):
+        for n in range(1, 9):
+            lattices, keys = generate_filter_dedup(n)
+            assert set(_bounded_lattice_candidates(n)) <= lattices, n
+            assert {l.leq for l in enumerate_lattices(n)} == keys, n
+
+    def test_each_class_is_listed_as_its_canonical_key_in_order(self):
+        for n in range(1, 9):
+            ups = [l.leq for l in enumerate_lattices(n)]
+            assert all(_canonical_key(up) == up for up in ups), n
+            assert ups == sorted(set(ups)), n
+
     def test_counts_match_frozen_fixture(self):
         for n, want in COUNTS["lattice_classes"].items():
             assert len(enumerate_lattices(int(n))) == want
