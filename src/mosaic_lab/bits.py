@@ -12,6 +12,24 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+def members_of(subset) -> list[int]:
+    """Sorted distinct members of a bitmask or of an iterable of elements."""
+    return list(bits(subset)) if isinstance(subset, int) else sorted(set(subset))
+
+
+def transpose(rows) -> list[int]:
+    """The converse relation of bitmask rows on 0..len(rows)-1: bit i of
+    out[j] is set iff bit j of rows[i] is set."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits, ascending."""
     while mask:

@@ -16,12 +16,13 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .bits import bits, full_mask, least, mask_of
+from .bits import bits, full_mask, least, mask_of, transpose
 from .equivalence import OrthoPair
 from .errors import SizeTooLarge, UnknownName
 from .lattice_core import (
     FiniteBoundedLattice,
     Involution,
+    _key_invariants,
     build_from_covers,
     complement_mask,
     from_leq,
@@ -204,38 +205,11 @@ def _bounded_lattice_candidates(n: int):
     if n == 1:
         yield (1,)
         return
-    m = n - 2
     top_bit = 1 << (n - 1)
-    for downs in _middle_posets(m):
-        up = [0] * n
-        up[0] = full_mask(n)
-        up[n - 1] = top_bit
-        for i in range(m):
-            mask = 1 << (i + 1) | top_bit
-            for j in range(m):
-                if downs[j] >> i & 1:
-                    mask |= 1 << (j + 1)
-            up[i + 1] = mask
-        yield tuple(up)
-
-
-def _key_invariants(up: tuple[int, ...]) -> list:
-    """Per element: (down-set size, up-set size), and the sorted sizes of the
-    elements above and below it."""
-    n = len(up)
-    down = [0] * n
-    for i in range(n):
-        for j in bits(up[i]):
-            down[j] |= 1 << i
-    base = [(down[i].bit_count(), up[i].bit_count()) for i in range(n)]
-    return [
-        (
-            base[i],
-            tuple(sorted(base[j] for j in bits(up[i]))),
-            tuple(sorted(base[j] for j in bits(down[i]))),
-        )
-        for i in range(n)
-    ]
+    for downs in _middle_posets(n - 2):
+        # middle element i is element i + 1 of the lattice
+        middle = (top_bit | (above | 1 << i) << 1 for i, above in enumerate(transpose(downs)))
+        yield (full_mask(n), *middle, top_bit)
 
 
 def _canonical_key(up: tuple[int, ...]) -> tuple[int, ...]:
@@ -295,24 +269,19 @@ def _ortho_classes(l: FiniteBoundedLattice) -> list[OrthoPair]:
     if not pis:
         return []
     auts = lattice_automorphisms(l)
+    # each automorphism with its inverse, the sort of range(n) by image
+    conjugators = [(sigma, sorted(range(l.size), key=sigma.__getitem__)) for sigma in auts]
     seen = set()
     out = []
     for pi in sorted(pis, key=lambda p: p.map):
         orbit = min(
-            tuple(sigma[pi(_inverse_at(sigma, p))] for p in range(l.size))
-            for sigma in auts
+            tuple(sigma[pi(inverse[p])] for p in range(l.size))
+            for sigma, inverse in conjugators
         )
         if orbit not in seen:
             seen.add(orbit)
             out.append(OrthoPair(l, pi))
     return out
-
-
-def _inverse_at(sigma: tuple[int, ...], p: int) -> int:
-    for i, v in enumerate(sigma):
-        if v == p:
-            return i
-    raise ValueError("not a permutation")
 
 
 def census(n: int) -> list[dict]:

@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import bits, full_mask, mask_of, subsets
+from .bits import bits, full_mask, mask_of, subsets, transpose
 from .errors import (
     NotAnLMosaic,
     NotAnOrthocomplementation,
@@ -30,6 +30,7 @@ from .lattice_core import (
     AxiomReport,
     FiniteBoundedLattice,
     Involution,
+    _lub,
     from_leq,
     generated_sublattice,
     is_orthocomplementation,
@@ -282,19 +283,14 @@ def _orders_with_bottom(n: int):
 
     def _all_joins_exist(rows) -> bool:
         # antisymmetry + transitivity + pairwise least upper bounds
-        up = [mask_of(j for j in range(n) if rows[j] >> i & 1) for i in range(n)]
+        up = transpose(rows)
         for i in range(n):
             for j in bits(up[i]):
                 if i != j and up[j] >> i & 1:
                     return False
                 if up[j] & ~up[i]:
                     return False
-        for i in range(n):
-            for j in range(n):
-                common = up[i] & up[j]
-                if not any(common & ~up[m] == 0 for m in bits(common)):
-                    return False
-        return True
+        return all(_lub(up, i, j) is not None for i in range(n) for j in range(n))
 
     yield from rec(1) if n > 1 else iter([(1,)])
 
@@ -308,17 +304,12 @@ def enumerate_dualizable_pairs(max_n: int):
     out = []
     for n in range(1, max_n + 1):
         for rows in _orders_with_bottom(n):
-            up = [mask_of(j for j in range(n) if rows[j] >> i & 1) for i in range(n)]
-            join = {}
-            for i in range(n):
-                for j in range(n):
-                    common = up[i] & up[j]
-                    join[i, j] = next(m for m in bits(common) if common & ~up[m] == 0)
+            up = transpose(rows)
             free_pairs = [(x, y) for x in range(1, n) for y in range(x + 1, n)]
-            free_space = []
-            for x, y in free_pairs:
-                ubs = up[x] & up[y]
-                free_space.append([m | 1 << join[x, y] for m in subsets(full_mask(n) & ~ubs)])
+            free_space = [
+                [m | 1 << _lub(up, x, y) for m in subsets(full_mask(n) & ~(up[x] & up[y]))]
+                for x, y in free_pairs
+            ]
             for choice in itertools.product(*free_space):
                 table = [[0] * n for _ in range(n)]
                 for x in range(n):

@@ -28,6 +28,11 @@ def lattices_upto_6():
 
 
 @pytest.fixture(scope="session")
+def lattices_upto_8():
+    return [l for n in range(1, 9) for l in enumerate_lattices(n)]
+
+
+@pytest.fixture(scope="session")
 def ortholattices_upto_8():
     return [p for n in range(1, 9) for p in enumerate_ortholattices(n)]
 

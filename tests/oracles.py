@@ -263,7 +263,8 @@ def nakano_table_loops(l, additive: bool = True):
 
 def mosaic_reports_loops(table):
     """verify_mosaic's reports: commutative, total, neutral, unique inverses,
-    reversibility, then the lemma-1 consequences asserted for every z."""
+    reversibility, then the lemma-1 consequences tested for every (x, y, z):
+    the least failing (x, y) is their witness."""
     n = len(table)
     reports = []
     w = next(((x, y) for x in range(n) for y in range(n) if table[x][y] != table[y][x]), None)
@@ -290,17 +291,19 @@ def mosaic_reports_loops(table):
                 if not table[z][rho[y]] >> x & 1 or not table[rho[x]][z] >> y & 1:
                     return tuple(reports + [_report("reversible", (x, y, z), "RE fails")])
     reports.append(_report("reversible"))
-    assert rho[e] == e
-    for x in range(n):
-        assert table[x][rho[x]] >> e & 1 and table[rho[x]][x] >> e & 1, "RINV"
-        for y in range(n):
-            assert mask_of(rho[z] for z in bits(table[x][y])) == table[rho[y]][rho[x]], "dual iso"
-            for z in range(n):
-                a = bool(table[x][y] >> z & 1)
-                b = bool(table[z][rho[y]] >> x & 1)
-                c = bool(table[rho[x]][z] >> y & 1)
-                assert a == b == c, "membership equivalences"
-    reports.append(_report("lemma1-consequences"))
+
+    def consequences_hold(x, y):
+        rinv = table[x][rho[x]] >> e & 1 and table[rho[x]][x] >> e & 1
+        dual_iso = mask_of(rho[z] for z in bits(table[x][y])) == table[rho[y]][rho[x]]
+        membership = all(
+            bool(table[x][y] >> z & 1) == bool(table[z][rho[y]] >> x & 1) == bool(table[rho[x]][z] >> y & 1)
+            for z in range(n)
+        )
+        return rinv and dual_iso and membership
+
+    w = (e,) if rho[e] != e else next(
+        ((x, y) for x in range(n) for y in range(n) if not consequences_hold(x, y)), None)
+    reports.append(_report("lemma1-consequences", w, w and "lemma 1 consequence fails"))
     return tuple(reports)
 
 

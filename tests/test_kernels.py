@@ -5,6 +5,10 @@ section-4 lemma battery read whole rows of bitmasks; tests/oracles.py keeps
 the same checks one element at a time.  Their reports must agree exactly,
 least witness and reason included, on every lattice with at most 6 elements
 and on seeded cell edits of those lattices' tables.
+
+verify_mosaic reports the lemma-1 consequences without testing them, since
+Lemma 1 derives them from the stages before; the oracle tests them, so the
+agreement here is where that theorem is checked.
 """
 
 import random
@@ -80,7 +84,7 @@ def test_reports_match_on_edited_tables(lattices_upto_6):
                 for r in nakano_property_reports(bad):
                     lemma_failures[r.axiom] += not r.holds
     # every stage of verify_mosaic is reached, some edits pass it in full
-    # (the lemma-1 consequences are then asserted), and each lemma fails
+    # (the oracle then tests the lemma-1 consequences), and each lemma fails
     # somewhere
     assert set(mosaic_stage) == {"commutative", "total", "unique-inverses", "reversible", None}
     assert all(lemma_failures.values()), lemma_failures

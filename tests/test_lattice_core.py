@@ -1,15 +1,20 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mosaic_lab.bits import bits
+from mosaic_lab.bits import bits, mask_of
 from mosaic_lab.errors import (
     CyclicCovers,
     DuplicateLabel,
+    MosaicLabError,
     NotALattice,
     NotAnOrthocomplementation,
     NotASublattice,
     NotBounded,
+    SizeMismatch,
     UnknownName,
 )
 from mosaic_lab.lattice_core import (
@@ -23,6 +28,7 @@ from mosaic_lab.lattice_core import (
     complements,
     dual_lattice,
     find_sublattice_copy,
+    from_leq,
     generated_sublattice,
     hexagon_pattern,
     is_distributive,
@@ -135,6 +141,78 @@ class TestBuildFromCovers:
                         assert l.le(l.join(x, z), l.join(y, z))
 
 
+def _oracle_lattice(rows):
+    """(join, meet, bottom, top) of the bounded lattice whose up-set rows are
+    rows, found by closure and scanning; None when rows are no such order."""
+    names = range(len(rows))
+    up = closure_oracle(names, [(i, j) for i in names for j in bits(rows[i]) if i != j])
+    if up is None or any(up[i] != set(bits(rows[i])) for i in names):
+        return None  # not reflexive, transitive and antisymmetric
+
+    def bound(xs, upper):
+        return brute_bound(up, names, xs, upper)
+
+    join = [[bound((x, y), True) for y in names] for x in names]
+    meet = [[bound((x, y), False) for y in names] for x in names]
+    bottom, top = bound((), True), bound((), False)
+    if bottom is None or top is None or any(None in row for row in join + meet):
+        return None
+    return join, meet, bottom, top
+
+
+def _random_rows(rng, n):
+    """Up rows of a random reflexive acyclic relation under a random labeling;
+    most get a bottom and a top, and most are closed transitively, so that
+    orders, non-orders, lattices and non-lattices all occur."""
+    order = rng.sample(range(n), n)
+    rows = [1 << i for i in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < (0.9 if a == 0 or b == n - 1 else 0.3):
+            rows[order[a]] |= 1 << order[b]
+    if rng.random() < 0.8:
+        for k in range(n):
+            for i in range(n):
+                if rows[i] >> k & 1:
+                    rows[i] |= rows[k]
+    return rows
+
+
+class TestFromLeq:
+    def test_builds_exactly_the_bounded_lattices(self):
+        """Every up-row matrix on at most 3 elements and seeded random ones on
+        4 to 6: from_leq builds the lattice with the oracles' order, tables
+        and bounds, or raises when the rows are no bounded lattice order."""
+        rng = random.Random(20261018)
+        inputs = [rows for n in range(4) for rows in itertools.product(range(1 << n), repeat=n)]
+        for n in range(4, 7):
+            inputs += [[rng.randrange(1 << n) for _ in range(n)] for _ in range(200)]
+            inputs += [_random_rows(rng, n) for _ in range(400)]
+        built = 0
+        for rows in inputs:
+            n = len(rows)
+            want = _oracle_lattice(rows)
+            try:
+                l = from_leq([f"x{i}" for i in range(n)], rows)
+            except (MosaicLabError, ValueError):
+                assert want is None, rows
+                continue
+            assert want is not None, rows
+            built += 1
+            join, meet, bottom, top = want
+            assert l.size == n and l.leq == tuple(rows)
+            assert l.down == tuple(mask_of(i for i in range(n) if rows[i] >> j & 1) for j in range(n))
+            assert [list(r) for r in l.join_table] == join
+            assert [list(r) for r in l.meet_table] == meet
+            assert (l.bottom, l.top) == (bottom, top)
+        assert 0 < built < len(inputs)
+
+    def test_row_count_must_match_label_count(self):
+        for names, rows in ((["a"], []), (["a", "b"], [3]), ([], [1]), (["a"], [3])):
+            with pytest.raises(SizeMismatch):
+                from_leq(names, rows)
+        assert issubclass(SizeMismatch, MosaicLabError)
+
+
 def test_join_meet_tables_commutative_associative(lattices_upto_6):
     for l in lattices_upto_6:
         for x in range(l.size):
@@ -241,6 +319,20 @@ class TestOrthocomplementations:
                     dropped += 1
                     assert not is_order_reversing(l, pi)
         assert dropped > 0  # the hexagon violator is in this corpus
+
+    def test_de_morgan_laws_hold(self, lattices_upto_8):
+        """OC2 and OC3 follow from OC1 and are not tested by
+        orthocomplementations; every map it returns satisfies them."""
+        extra = [f"boolean_{k}" for k in range(1, 5)] + [f"MO_{k}" for k in range(2, 6)] + ["hexagon"]
+        maps = 0
+        for l in lattices_upto_8 + [named(name).lattice for name in extra]:
+            for pi in orthocomplementations(l):
+                maps += 1
+                for x in range(l.size):
+                    for y in range(l.size):
+                        assert pi(l.join(x, y)) == l.meet(pi(x), pi(y)), "OC2"
+                        assert pi(l.meet(x, y)) == l.join(pi(x), pi(y)), "OC3"
+        assert maps
 
 
 class TestModularity:
@@ -401,6 +493,9 @@ def test_sublattice_restriction(pentagon):
     assert sub.size == 4 and sub.names == ("0", "a", "b", "1")
     with pytest.raises(NotASublattice):
         sublattice(p, [1, 3])
+    # a repeated member counts once
+    sub, members = sublattice(p, [0, 0, 4])
+    assert members == (0, 4) and sub.names == ("0", "1") and sub.leq == (0b11, 0b10)
 
 
 def test_automorphisms_m3():

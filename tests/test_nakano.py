@@ -5,7 +5,7 @@ import pytest
 
 from mosaic_lab.bits import bits, mask_of
 from mosaic_lab.errors import MissingBound, NoUniqueExtremum, NotASublattice, NotASubmosaic
-from mosaic_lab.hyperstructure import induced_order, is_associative
+from mosaic_lab.hyperstructure import induced_order, is_associative, is_lmosaic, verify_mosaic
 from mosaic_lab.lattice_core import dual_lattice, is_modular, lattice_isomorphism
 from mosaic_lab.nakano import (
     NakanoMosaic,
@@ -66,6 +66,18 @@ class TestAdditive:
                 for y in range(l.size):
                     assert frozenset(bits(m.cell(x, y))) == nakano_cell_oracle(l, x, y, True)
                     assert frozenset(bits(w.cell(x, y))) == nakano_cell_oracle(l, x, y, False)
+
+
+@pytest.mark.parametrize("build", [additive_nakano, multiplicative_nakano])
+def test_nakano_table_is_the_mosaic_verify_mosaic_finds(build, lattices_upto_8):
+    """The theorem the constructors rely on instead of verifying: the Nakano
+    table of a bounded lattice is an L-mosaic whose neutral is the flavor's
+    bound and whose rho is the identity."""
+    extra = ["chain_16", "boolean_4"] + [f"MO_{k}" for k in range(2, 7)]
+    for l in lattices_upto_8 + [named(name).lattice for name in extra]:
+        nm = build(l)
+        assert verify_mosaic(nm.mosaic.op).mosaic == nm.mosaic
+        assert is_lmosaic(nm.mosaic)
 
 
 class TestMultiplicative:
