@@ -18,7 +18,7 @@ import click
 from . import catalog as cat
 from .bits import bits
 from .equivalence import OrthoPair, functor_E, is_orthomodular_mosaic, reconstruct_lattice
-from .errors import MissingOrtho, MosaicLabError
+from .errors import MissingOrtho, MosaicLabError, SizeTooLarge
 from .hyperstructure import is_associative, verify_lmosaic, verify_mosaic
 from .io import (
     diff_table_docs,
@@ -54,6 +54,10 @@ ALL_CHECKS = (
 )
 # the checks that need the orthocomplementations of the input
 ORTHO_CHECKS = ("ortholattice", "orthomodular", "roundtrip")
+# check and roundtrip run every orthocomplementation of an input without an
+# ortho block; past this many (MO_5 has 945, no lattice with at most 8
+# elements has more) the input is refused rather than run for minutes
+MAX_ORTHOCOMPLEMENTATIONS = 1000
 
 
 def _fail_input(message: str):
@@ -174,7 +178,12 @@ def table(source, additive, fmt, diff_path, golden_path, quiet):
 
 
 def _ortho_list(l, ortho):
-    return [ortho] if ortho is not None else orthocomplementations(l)
+    if ortho is not None:
+        return [ortho]
+    try:
+        return orthocomplementations(l, limit=MAX_ORTHOCOMPLEMENTATIONS)
+    except SizeTooLarge as exc:
+        _fail_input(f"{exc}; give the input an ortho block")
 
 
 def _run_checks(l, pis, names):

@@ -8,7 +8,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import bits, full_mask, mask_of, subsets, transpose
+from .bits import bits, full_mask, least, mask_of, subsets, transpose
 from .errors import (
     NotAnLMosaic,
     NotAnOrthocomplementation,
@@ -71,15 +71,15 @@ def _dualizability_failure(mosaic: Mosaic, pi: Involution):
     bad = [r for r in verify_lmosaic(dual) if not r.holds]
     if bad:
         return f"pi-dual violates {bad[0].axiom} at {bad[0].witness}", bad[0].witness
-    n = mosaic.size
-    for x in range(n):
-        for y in range(n):
-            below = bool(mosaic.cell(x, x) >> y & 1)  # y <= x
-            rev = bool(mosaic.cell(pi(y), pi(y)) >> pi(x) & 1)  # pi(x) <= pi(y)
-            if below != rev:
-                return "pi does not reverse the induced order", (x, y)
+    # the elements below x (its principal cell x+x) must be the pi-images of
+    # the elements above pi(x)
+    up = principal_rows(mosaic)
+    for x, px in enumerate(pi.map):
+        wrong = mosaic.cell(x, x) ^ pi.image_mask(up[px])
+        if wrong:
+            return "pi does not reverse the induced order", (x, least(wrong))
     one = pi(mosaic.neutral)
-    for x in range(n):
+    for x in range(mosaic.size):
         if not mosaic.cell(x, pi(x)) >> one & 1:
             return "pi(x) is no complement of x", (x,)
     return None
@@ -173,19 +173,22 @@ def _reconstruct(mosaic: Mosaic, pi: Involution, names=None) -> OrthoPair:
     lattice = from_leq(names, principal_rows(mosaic))
     if lattice.bottom != mosaic.neutral or lattice.top != pi(mosaic.neutral):
         raise ReconstructionFailure("bounds are not 0 and pi(0)", (lattice.bottom, lattice.top))
+    cells, join, p = mosaic.op.table, lattice.join_table, pi.map
     for x in range(n):
-        for y in range(n):
-            # the Lms4 candidate is the least upper bound
-            z = lattice.join(x, y)
-            if not (mosaic.cell(x, y) >> z & 1):
-                raise ReconstructionFailure("join escapes its cell", (x, y))
-            if lattice.meet(x, y) != pi(lattice.join(pi(x), pi(y))):
-                raise ReconstructionFailure("meet is not the pi-transported join", (x, y))
-    rebuilt = additive_nakano(lattice)
-    for x in range(n):
-        for y in range(n):
-            if rebuilt.cell(x, y) != mosaic.cell(x, y):
-                raise ReconstructionFailure("mosaic is not the Nakano mosaic of its order", (x, y))
+        # the Lms4 candidate is the least upper bound
+        joins, transported = join[x], join[p[x]]
+        meets = tuple(p[transported[py]] for py in p)
+        if meets != lattice.meet_table[x] or any(not c >> z & 1 for c, z in zip(cells[x], joins)):
+            for y in range(n):
+                if not cells[x][y] >> joins[y] & 1:
+                    raise ReconstructionFailure("join escapes its cell", (x, y))
+                if meets[y] != lattice.meet_table[x][y]:
+                    raise ReconstructionFailure("meet is not the pi-transported join", (x, y))
+    rebuilt = additive_nakano(lattice).mosaic.op.table
+    if rebuilt != cells:
+        x = next(x for x in range(n) if rebuilt[x] != cells[x])
+        y = next(y for y in range(n) if rebuilt[x][y] != cells[x][y])
+        raise ReconstructionFailure("mosaic is not the Nakano mosaic of its order", (x, y))
     return OrthoPair(lattice, pi)
 
 

@@ -17,6 +17,11 @@ class NotBounded(MosaicLabError):
     pass
 
 
+class NotAnOrder(MosaicLabError, ValueError):
+    """Up-set rows that are not reflexive, antisymmetric and transitive.
+    Also a ValueError, which such rows raised before this class existed."""
+
+
 class NotALattice(MosaicLabError):
     """Some pair has no unique least upper / greatest lower bound."""
 

@@ -450,12 +450,13 @@ def dualize(m: Mosaic, pi: Involution, literal: bool = False):
     Returns the dual mosaic iff it verifies, None otherwise."""
     if pi.size != m.size:
         raise SizeMismatch("involution size disagrees with the carrier")
+    image = pi.image_mask
+    rows = (m.op.table[px] for px in pi.map)
     if literal:
-        fn = lambda x, y: m.cell(pi(x), pi(y))
+        table = tuple(tuple(row[py] for py in pi.map) for row in rows)
     else:
-        fn = lambda x, y: pi.image_mask(m.cell(pi(x), pi(y)))
-    table = Multioperation.build(m.size, fn)
-    got = verify_mosaic(table)
+        table = tuple(tuple(image(row[py]) for py in pi.map) for row in rows)
+    got = verify_mosaic(Multioperation(m.size, table))
     if got.mosaic is None or got.mosaic.neutral != pi(m.neutral):
         return None
     return got.mosaic

@@ -15,10 +15,12 @@ from .errors import (
     CyclicCovers,
     DuplicateLabel,
     NotALattice,
+    NotAnOrder,
     NotAnOrthocomplementation,
     NotASublattice,
     NotBounded,
     SizeMismatch,
+    SizeTooLarge,
     UnknownName,
 )
 
@@ -129,12 +131,12 @@ class FiniteBoundedLattice:
             raise DuplicateLabel("duplicate element labels")
         for i in range(n):
             if not up[i] >> i & 1:
-                raise ValueError(f"leq not reflexive at {i}")
+                raise NotAnOrder(f"leq not reflexive at {i}")
             for j in bits(up[i]):
                 if i != j and up[j] >> i & 1:
-                    raise ValueError(f"leq not antisymmetric at ({i},{j})")
+                    raise NotAnOrder(f"leq not antisymmetric at ({i},{j})")
                 if up[j] & ~up[i]:
-                    raise ValueError(f"leq not transitive through ({i},{j})")
+                    raise NotAnOrder(f"leq not transitive through ({i},{j})")
         self.leq = up
         self.down = tuple(down)
         self.join_table = tuple(map(tuple, join))
@@ -298,55 +300,69 @@ def check_o2(l: FiniteBoundedLattice) -> AxiomReport:
 
 
 def is_order_reversing(l: FiniteBoundedLattice, pi: Involution) -> bool:
-    """OC1: x <= y iff pi(y) <= pi(x)."""
-    return all(
-        l.le(x, y) == l.le(pi(y), pi(x)) for x in range(l.size) for y in range(l.size)
-    )
+    """OC1: x <= y iff pi(y) <= pi(x), one up-set row at a time: the elements
+    above x are the pi-images of the elements below pi(x)."""
+    image, down = pi.image_mask, l.down
+    return all(image(down[px]) == row for row, px in zip(l.leq, pi.map))
 
 
-def complement_selecting_involutions(l: FiniteBoundedLattice) -> list[Involution]:
-    """All involutions pi with pi(x) a complement of x; OC1 not required."""
-    om = omega_rows(l)
-    n = l.size
-    out = []
-    assign = [-1] * n
-
-    def rec(start: int):
-        x = start
-        while x < n and assign[x] != -1:
-            x += 1
-        if x == n:
-            out.append(Involution(tuple(assign)))
-            return
-        for y in bits(om[x]):
-            if y == x:
-                assign[x] = x
-                rec(x + 1)
-                assign[x] = -1
-            elif y > x and assign[y] == -1:
-                assign[x], assign[y] = y, x
-                rec(x + 1)
-                assign[x] = assign[y] = -1
-
-    rec(0)
-    return out
-
-
-def orthocomplementations(l: FiniteBoundedLattice) -> list[Involution]:
+def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> list[Involution]:
     """All orthocomplementations: complement-selecting involutions satisfying OC1.
+
+    One backtracking search: the least unassigned x is paired with each of
+    its complements y in ascending order (x itself when it is its own
+    complement), and a branch is cut as soon as the pair breaks OC1 against
+    the elements assigned so far.  The maps come out in the order in which
+    the same search without the cut lists the complement-selecting
+    involutions (tests/oracles.py keeps it).  With a limit, the search stops
+    with SizeTooLarge once it finds more than limit maps.
 
     The De Morgan laws (OC2/OC3) follow from OC1 for an involution, so they
     are not tested here; tests/test_lattice_core.py checks them on every
     returned map.
     """
-    return [pi for pi in complement_selecting_involutions(l) if is_order_reversing(l, pi)]
+    n, up, down = l.size, l.leq, l.down
+    om = omega_rows(l)
+    assign = [-1] * n
+    out = []
+
+    def reverses(u: int, done: int) -> bool:
+        # OC1 between u and every assigned element: those above u are the
+        # images of those below pi(u).  A pair (v, u) is the pair
+        # (pi(u), pi(v)) of OC1, so the rows of the new elements cover it.
+        mask, image = down[assign[u]] & done, 0
+        while mask:
+            low = mask & -mask
+            image |= 1 << assign[low.bit_length() - 1]
+            mask ^= low
+        return up[u] & done == image
+
+    def rec(x: int, done: int):
+        while x < n and assign[x] != -1:
+            x += 1
+        if x == n:
+            if limit is not None and len(out) == limit:
+                raise SizeTooLarge(f"more than {limit} orthocomplementations")
+            out.append(Involution(tuple(assign)))
+            return
+        for y in bits(om[x]):
+            if assign[y] == -1:
+                assign[x], assign[y] = y, x
+                pair = done | 1 << x | 1 << y
+                if reverses(x, pair) and reverses(y, pair):
+                    rec(x + 1, pair)
+                assign[x] = assign[y] = -1
+
+    rec(0, 0)
+    return out
 
 
 def is_orthocomplementation(l: FiniteBoundedLattice, pi: Involution) -> bool:
     if pi.size != l.size:
         return False
+    join, meet, top, bottom = l.join_table, l.meet_table, l.top, l.bottom
     return all(
-        l.join(x, pi(x)) == l.top and l.meet(x, pi(x)) == l.bottom for x in range(l.size)
+        join[x][px] == top and meet[x][px] == bottom for x, px in enumerate(pi.map)
     ) and is_order_reversing(l, pi)
 
 
@@ -372,18 +388,26 @@ def is_modular(l: FiniteBoundedLattice) -> AxiomReport:
 
 
 def is_distributive(l: FiniteBoundedLattice, subset=None) -> AxiomReport:
-    """x ^ (y v z) = (x ^ y) v (x ^ z) over a meet/join-closed subset."""
+    """x ^ (y v z) = (x ^ y) v (x ^ z) over a meet/join-closed subset.
+
+    The triples run in x, y, z order over the sorted members, reading the
+    meets of x and the joins of y and of x ^ y as table rows."""
     if subset is None:
         members = list(range(l.size))
     else:
         members = members_of(subset)
         _require_closed(l, members)
+    return _distributive_law(l, members)
+
+
+def _distributive_law(l: FiniteBoundedLattice, members: list[int]) -> AxiomReport:
+    join, meet = l.join_table, l.meet_table
     for x in members:
+        meets = meet[x]
         for y in members:
+            joins_y, joins_xy = join[y], join[meets[y]]
             for z in members:
-                lhs = l.meet(x, l.join(y, z))
-                rhs = l.join(l.meet(x, y), l.meet(x, z))
-                if lhs != rhs:
+                if meets[joins_y[z]] != joins_xy[meets[z]]:
                     return AxiomReport("distributive", False, (x, y, z), "distributive law")
     return AxiomReport("distributive", True)
 
@@ -391,11 +415,17 @@ def is_distributive(l: FiniteBoundedLattice, subset=None) -> AxiomReport:
 def is_orthomodular(l: FiniteBoundedLattice, pi: Involution) -> AxiomReport:
     """x <= y implies x v (pi(x) ^ y) = y."""
     _require_ortho(l, pi)
-    for x in range(l.size):
+    return _orthomodular_law(l, pi, "orthomodular")
+
+
+def _orthomodular_law(l: FiniteBoundedLattice, pi: Involution, axiom: str) -> AxiomReport:
+    join, meet = l.join_table, l.meet_table
+    for x, px in enumerate(pi.map):
+        joins, meets = join[x], meet[px]
         for y in bits(l.leq[x]):
-            if l.join(x, l.meet(pi(x), y)) != y:
-                return AxiomReport("orthomodular", False, (x, y), "orthomodular law")
-    return AxiomReport("orthomodular", True)
+            if joins[meets[y]] != y:
+                return AxiomReport(axiom, False, (x, y), "orthomodular law")
+    return AxiomReport(axiom, True)
 
 
 def generated_sublattice(l: FiniteBoundedLattice, seeds, close_under_pi: Involution | None = None) -> frozenset[int]:
@@ -403,68 +433,85 @@ def generated_sublattice(l: FiniteBoundedLattice, seeds, close_under_pi: Involut
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    cur = mask_of(seeds)
-    while True:
-        nxt = cur
-        if close_under_pi is not None:
-            nxt |= close_under_pi.image_mask(cur)
-        members = list(bits(nxt))
-        for i, x in enumerate(members):
-            for y in members[i:]:
-                nxt |= 1 << l.join(x, y)
-                nxt |= 1 << l.meet(x, y)
-        if nxt == cur:
-            return elements(cur)
-        cur = nxt
+    return elements(_generated_mask(l, mask_of(seeds), close_under_pi))
+
+
+def _generated_mask(l: FiniteBoundedLattice, seeds: int, pi: Involution | None) -> int:
+    """generated_sublattice as a mask.  Each member is taken up once, and
+    then joined and met only with the members taken up before it and itself,
+    so each pair is closed once."""
+    join, meet = l.join_table, l.meet_table
+    done, todo = 0, seeds
+    while todo:
+        low = todo & -todo
+        x = low.bit_length() - 1
+        done |= low
+        joins, meets = join[x], meet[x]
+        found = 0 if pi is None else 1 << pi.map[x]
+        rest = done
+        while rest:
+            low = rest & -rest
+            y = low.bit_length() - 1
+            found |= 1 << joins[y] | 1 << meets[y]
+            rest ^= low
+        todo = (todo | found) & ~done
+    return done
 
 
 def find_sublattice_copy(l: FiniteBoundedLattice, pattern: FiniteBoundedLattice):
-    """Injective map embedding pattern into l preserving meet and join, or None."""
+    """Injective map embedding pattern into l preserving meet and join, or None.
+
+    Pattern elements are placed in index order, each on the least free
+    element of l that passes the checks, so the copy found is the least in
+    that order.  The elements that agree in order with everything placed so
+    far are one mask of up and down rows; joins and meets are checked on
+    those alone."""
     if pattern.size > l.size:
         return None
-    n, k = l.size, pattern.size
+    k = pattern.size
+    up, down, join, meet = l.leq, l.down, l.join_table, l.meet_table
     assign = [-1] * k
-    used = [False] * n
 
-    def consistent(u: int, v: int) -> bool:
-        for u2 in range(k):
+    def order_candidates(u: int, free: int) -> int:
+        mask, above, below = free, pattern.leq[u], pattern.down[u]
+        for u2 in range(u):
             v2 = assign[u2]
-            if v2 < 0:
-                continue
-            if pattern.le(u, u2) != l.le(v, v2) or pattern.le(u2, u) != l.le(v2, v):
-                return False
-            ju = pattern.join(u, u2)
-            if assign[ju] >= 0 and l.join(v, v2) != assign[ju]:
-                return False
-            mu = pattern.meet(u, u2)
-            if assign[mu] >= 0 and l.meet(v, v2) != assign[mu]:
+            mask &= down[v2] if above >> u2 & 1 else ~down[v2]
+            mask &= up[v2] if below >> u2 & 1 else ~up[v2]
+        return mask
+
+    def keeps_bounds(u: int, v: int) -> bool:
+        joins, meets = join[v], meet[v]
+        for u2 in range(u):
+            v2 = assign[u2]
+            ju, mu = assign[pattern.join(u, u2)], assign[pattern.meet(u, u2)]
+            if ju >= 0 and joins[v2] != ju or mu >= 0 and meets[v2] != mu:
                 return False
         return True
 
     def complete() -> bool:
         for u in range(k):
+            joins, meets = join[assign[u]], meet[assign[u]]
             for u2 in range(k):
-                if assign[pattern.join(u, u2)] != l.join(assign[u], assign[u2]):
+                if assign[pattern.join(u, u2)] != joins[assign[u2]]:
                     return False
-                if assign[pattern.meet(u, u2)] != l.meet(assign[u], assign[u2]):
+                if assign[pattern.meet(u, u2)] != meets[assign[u2]]:
                     return False
         return True
 
-    def rec(u: int):
+    def rec(u: int, free: int):
         if u == k:
             return tuple(assign) if complete() else None
-        for v in range(n):
-            if not used[v] and consistent(u, v):
+        for v in bits(order_candidates(u, free)):
+            if keeps_bounds(u, v):
                 assign[u] = v
-                used[v] = True
-                got = rec(u + 1)
+                got = rec(u + 1, free & ~(1 << v))
                 if got:
                     return got
                 assign[u] = -1
-                used[v] = False
         return None
 
-    return rec(0)
+    return rec(0, l.full)
 
 
 def hexagon_pattern() -> FiniteBoundedLattice:
@@ -491,18 +538,22 @@ def pentagon_pattern() -> FiniteBoundedLattice:
 def check_om_equivalences(l: FiniteBoundedLattice, pi: Involution) -> list[AxiomReport]:
     """OM1 (definition), OM2, OM3 (hexagon-freeness), OM4 (generated distributivity).
 
-    The four reports agree in truth value on every ortholattice.
+    The four reports agree in truth value on every ortholattice.  pi is
+    checked to be an orthocomplementation once, on entry.  OM4 closes
+    {x, y} for every x <= y and tests each distinct closure for
+    distributivity once per call; the first failing (x, y) is the witness.
     """
     _require_ortho(l, pi)
-    om1 = AxiomReport("OM1", *_strip(is_orthomodular(l, pi)))
+    om1 = _orthomodular_law(l, pi, "OM1")
 
     # x <= y and x v pi(y) = 1 imply x = y; the section-3 print swaps the
     # complement onto x, which is vacuous under x <= y, so the form the
     # section-5 proof actually quotes is used here
     om2 = AxiomReport("OM2", True)
     for x in range(l.size):
-        for y in bits(l.leq[x]):
-            if x != y and l.join(x, pi(y)) == l.top:
+        joins = l.join_table[x]
+        for y in bits(l.leq[x] & ~(1 << x)):
+            if joins[pi.map[y]] == l.top:
                 om2 = AxiomReport("OM2", False, (x, y), "x v pi(y) = 1 but x != y")
                 break
         if not om2.holds:
@@ -515,20 +566,19 @@ def check_om_equivalences(l: FiniteBoundedLattice, pi: Involution) -> list[Axiom
         om3 = AxiomReport("OM3", False, copy, "hexagon sublattice")
 
     om4 = AxiomReport("OM4", True)
+    distributive = {}
     for x in range(l.size):
         for y in bits(l.leq[x]):
-            sub = generated_sublattice(l, [x, y], pi)
-            if not is_distributive(l, sub).holds:
+            sub = _generated_mask(l, 1 << x | 1 << y, pi)
+            if sub not in distributive:
+                distributive[sub] = _distributive_law(l, list(bits(sub))).holds
+            if not distributive[sub]:
                 om4 = AxiomReport("OM4", False, (x, y), "generated pi-closed sublattice not distributive")
                 break
         if not om4.holds:
             break
 
     return [om1, om2, om3, om4]
-
-
-def _strip(report: AxiomReport):
-    return report.holds, report.witness, report.reason
 
 
 # -- sublattices and isomorphism ----------------------------------------------

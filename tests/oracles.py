@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from mosaic_lab.bits import bits, mask_of
-from mosaic_lab.lattice_core import AxiomReport
+from mosaic_lab.lattice_core import AxiomReport, Involution
 
 
 def closure_oracle(names, covers):
@@ -53,6 +53,35 @@ def all_involutions(n: int):
     for perm in itertools.permutations(range(n)):
         if all(perm[perm[x]] == x for x in range(n)):
             yield perm
+
+
+def complement_selecting_involutions(l):
+    """Every involution pi with pi(x) a complement of x, OC1 not required,
+    listed by backtracking on the least unassigned element: the unpruned
+    reference for the library's orthocomplement search."""
+    n = l.size
+    comps = [[y for y in range(n) if l.join(x, y) == l.top and l.meet(x, y) == l.bottom] for x in range(n)]
+    out = []
+    assign = [-1] * n
+
+    def rec(x: int):
+        while x < n and assign[x] != -1:
+            x += 1
+        if x == n:
+            out.append(Involution(tuple(assign)))
+            return
+        for y in comps[x]:
+            if y == x:
+                assign[x] = x
+                rec(x + 1)
+                assign[x] = -1
+            elif y > x and assign[y] == -1:
+                assign[x], assign[y] = y, x
+                rec(x + 1)
+                assign[x] = assign[y] = -1
+
+    rec(0)
+    return out
 
 
 def nakano_cell_oracle(l, x: int, y: int, additive: bool = True) -> frozenset:
@@ -373,3 +402,156 @@ def nakano_property_loops(l, additive, table):
     w = None if found == [expected] else (expected,)
     out.append(_report("extremum", w, w and "characterized extremum is not the bound"))
     return out
+
+
+# -- element-at-a-time references for the ortholattice kernels -----------------
+#
+# The library tests OC1, searches orthocomplementations, runs OM1-OM4 and
+# checks dualizability and reconstruction with whole bitmask rows.  These are
+# the same checks one element at a time, through le/join/meet, and return the
+# same results, least witness and reason included.
+
+
+def order_reversing_loops(l, pi) -> bool:
+    """OC1 for every pair: x <= y iff pi(y) <= pi(x)."""
+    return all(l.le(x, y) == l.le(pi(y), pi(x)) for x in range(l.size) for y in range(l.size))
+
+
+def orthocomplementations_loops(l):
+    """The unpruned search filtered by OC1, in the order it lists the maps."""
+    return [pi for pi in complement_selecting_involutions(l) if order_reversing_loops(l, pi)]
+
+
+def generated_sublattice_loops(l, seeds, pi=None) -> frozenset:
+    """Add every join and meet (and pi-image) of the current members until
+    nothing changes."""
+    members = set(seeds)
+    while True:
+        new = {l.join(x, y) for x in members for y in members}
+        new |= {l.meet(x, y) for x in members for y in members}
+        if pi is not None:
+            new |= {pi(x) for x in members}
+        if new <= members:
+            return frozenset(members)
+        members |= new
+
+
+def distributive_loops(l, members) -> AxiomReport:
+    members = sorted(members)
+    for x in members:
+        for y in members:
+            for z in members:
+                if l.meet(x, l.join(y, z)) != l.join(l.meet(x, y), l.meet(x, z)):
+                    return _report("distributive", (x, y, z), "distributive law")
+    return _report("distributive")
+
+
+def sublattice_copy_loops(l, pattern):
+    """Place pattern elements in index order on the least free element of l
+    that agrees, pair by pair, on order, joins and meets with the elements
+    placed so far; the first complete embedding found."""
+    k, n = pattern.size, l.size
+    if k > n:
+        return None
+    assign = [-1] * k
+
+    def consistent(u, v):
+        for u2 in range(u):
+            v2 = assign[u2]
+            if v2 == v or pattern.le(u, u2) != l.le(v, v2) or pattern.le(u2, u) != l.le(v2, v):
+                return False
+            ju, mu = assign[pattern.join(u, u2)], assign[pattern.meet(u, u2)]
+            if ju >= 0 and l.join(v, v2) != ju or mu >= 0 and l.meet(v, v2) != mu:
+                return False
+        return True
+
+    def rec(u):
+        if u == k:
+            ok = all(assign[pattern.join(a, b)] == l.join(assign[a], assign[b])
+                     and assign[pattern.meet(a, b)] == l.meet(assign[a], assign[b])
+                     for a in range(k) for b in range(k))
+            return tuple(assign) if ok else None
+        for v in range(n):
+            if consistent(u, v):
+                assign[u] = v
+                got = rec(u + 1)
+                if got:
+                    return got
+                assign[u] = -1
+        return None
+
+    return rec(0)
+
+
+def om_reports_loops(l, pi, hexagon):
+    """check_om_equivalences of an orthocomplemented l: OM1 to OM4, each
+    scanning x <= y in lexicographic order; OM4 closes and tests every pair
+    afresh."""
+    n = l.size
+    pairs = [(x, y) for x in range(n) for y in range(n) if l.le(x, y)]
+    w = next(((x, y) for x, y in pairs if l.join(x, l.meet(pi(x), y)) != y), None)
+    om1 = _report("OM1", w, w and "orthomodular law")
+    w = next(((x, y) for x, y in pairs if x != y and l.join(x, pi(y)) == l.top), None)
+    om2 = _report("OM2", w, w and "x v pi(y) = 1 but x != y")
+    w = sublattice_copy_loops(l, hexagon)
+    om3 = _report("OM3", w, w and "hexagon sublattice")
+    w = next(((x, y) for x, y in pairs
+              if not distributive_loops(l, generated_sublattice_loops(l, [x, y], pi)).holds), None)
+    om4 = _report("OM4", w, w and "generated pi-closed sublattice not distributive")
+    return [om1, om2, om3, om4]
+
+
+def dual_table_loops(table, e, pi, literal=False):
+    """The pi-dual table, cell by cell, when it is a mosaic with neutral
+    pi(e); None otherwise."""
+    n = len(table)
+    dual = tuple(
+        tuple(
+            table[pi(x)][pi(y)] if literal else mask_of(pi(z) for z in bits(table[pi(x)][pi(y)]))
+            for y in range(n)
+        )
+        for x in range(n)
+    )
+    if not all(r.holds for r in mosaic_reports_loops(dual)):
+        return None
+    neutral = next(u for u in range(n) if all(dual[u][x] == 1 << x for x in range(n)))
+    return dual if neutral == pi(e) else None
+
+
+def dualizability_failure_loops(table, e, pi):
+    """(reason, witness) of the first dualizability condition that fails,
+    or None: the L-mosaic axioms on the table and on its pi-dual, then OC1 on
+    the principal cells pair by pair, then the complements."""
+    n = len(table)
+    bad = next((r for r in lmosaic_reports_loops(table, e) if not r.holds), None)
+    if bad:
+        return f"{bad.axiom} fails at {bad.witness}", bad.witness
+    dual = dual_table_loops(table, e, pi)
+    if dual is None:
+        return "pi-dual table is not a mosaic", ()
+    bad = next((r for r in lmosaic_reports_loops(dual, pi(e)) if not r.holds), None)
+    if bad:
+        return f"pi-dual violates {bad.axiom} at {bad.witness}", bad.witness
+    for x in range(n):
+        for y in range(n):
+            if bool(table[x][x] >> y & 1) != bool(table[pi(y)][pi(y)] >> pi(x) & 1):
+                return "pi does not reverse the induced order", (x, y)
+    w = next(((x,) for x in range(n) if not table[x][pi(x)] >> pi(e) & 1), None)
+    return w and ("pi(x) is no complement of x", w)
+
+
+def reconstruction_failure_loops(l, table, pi):
+    """(reason, witness) of the first cell at which a table fails to be the
+    Nakano mosaic of the lattice l read off its principal cells, or None:
+    the join in its cell and the pi-transported meet, cell by cell, then
+    every cell against the Nakano table of l."""
+    n = l.size
+    for x in range(n):
+        for y in range(n):
+            if not table[x][y] >> l.join(x, y) & 1:
+                return "join escapes its cell", (x, y)
+            if l.meet(x, y) != pi(l.join(pi(x), pi(y))):
+                return "meet is not the pi-transported join", (x, y)
+    rebuilt = nakano_table_loops(l)
+    w = next(((x, y) for x in range(n) for y in range(n) if rebuilt[x][y] != table[x][y]), None)
+    return w and ("mosaic is not the Nakano mosaic of its order", w)

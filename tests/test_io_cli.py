@@ -21,6 +21,7 @@ from mosaic_lab.nakano import additive_nakano, multiplicative_nakano
 from mosaic_lab.catalog import named
 
 DATA = Path(__file__).parent.parent / "src" / "mosaic_lab" / "data"
+GOLDEN = Path(__file__).parent / "fixtures" / "cli_golden"
 
 
 @pytest.fixture
@@ -236,6 +237,34 @@ class TestCliOther:
         assert res.exit_code == 0
         assert "PASS roundtrip[pi14]" in res.output
         assert counts == {"orthocomplementations": 1, "functor_E": 15}
+
+    def test_check_refuses_inputs_with_too_many_orthocomplementations(self, runner, tmp_path):
+        """MO_6 has 10 395 orthocomplementations; without an ortho block,
+        check and roundtrip stop the search past the budget and exit 2."""
+        path = tmp_path / "mo6.json"
+        path.write_text(json.dumps(lattice_to_doc(named("MO_6").lattice, None, "MO_6")))
+        for command in ("check", "roundtrip"):
+            res = runner.invoke(main, [command, str(path)])
+            assert res.exit_code == 2
+            assert res.stderr == "error: more than 1000 orthocomplementations; give the input an ortho block\n"
+        assert runner.invoke(main, ["check", str(path), "--checks", "modular"]).exit_code == 0
+
+    @pytest.mark.parametrize(
+        "stem, args, exit_code",
+        [
+            ("orthocomplements_MO_5.txt", ["orthocomplements", "MO_5"], 0),
+            ("orthocomplements_MO_5.json", ["orthocomplements", "MO_5", "--format", "json"], 0),
+            ("check_MO_4_no_ortho.txt", ["check", str(GOLDEN / "MO_4_no_ortho.json")], 0),
+            ("roundtrip_MO_5.txt", ["roundtrip", "MO_5"], 0),
+            ("check_hexagon.json", ["check", "hexagon", "--format", "json"], 1),
+        ],
+    )
+    def test_output_is_byte_identical_to_the_frozen_one(self, runner, stem, args, exit_code):
+        """Standard output and exit code as the element-at-a-time
+        implementation printed them before the row kernels replaced it."""
+        res = runner.invoke(main, args)
+        assert res.exit_code == exit_code
+        assert res.stdout_bytes == (GOLDEN / stem).read_bytes()
 
     def test_orthocomplements_hexagon(self, runner):
         res = runner.invoke(main, ["orthocomplements", "hexagon", "--format", "json"])

@@ -11,6 +11,7 @@ from mosaic_lab.errors import (
     DuplicateLabel,
     MosaicLabError,
     NotALattice,
+    NotAnOrder,
     NotAnOrthocomplementation,
     NotASublattice,
     NotBounded,
@@ -24,7 +25,6 @@ from mosaic_lab.lattice_core import (
     check_o1,
     check_o2,
     check_om_equivalences,
-    complement_selecting_involutions,
     complements,
     dual_lattice,
     find_sublattice_copy,
@@ -47,6 +47,7 @@ from oracles import (
     brute_bound,
     brute_sublattice_copy,
     closure_oracle,
+    complement_selecting_involutions,
     least_closed_superset,
 )
 
@@ -193,7 +194,7 @@ class TestFromLeq:
             want = _oracle_lattice(rows)
             try:
                 l = from_leq([f"x{i}" for i in range(n)], rows)
-            except (MosaicLabError, ValueError):
+            except MosaicLabError:
                 assert want is None, rows
                 continue
             assert want is not None, rows
@@ -205,6 +206,21 @@ class TestFromLeq:
             assert [list(r) for r in l.meet_table] == meet
             assert (l.bottom, l.top) == (bottom, top)
         assert 0 < built < len(inputs)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([2, 3], "leq not reflexive at 0"),
+            ([3, 3], "leq not antisymmetric at (0,1)"),
+            # 1 <= 2 <= 3 without 1 <= 3, between a bottom 0 and a top 4
+            ([0b11111, 0b10110, 0b11100, 0b11000, 0b10000], "leq not transitive through (1,2)"),
+        ],
+    )
+    def test_rows_that_are_no_order_raise_a_typed_error(self, rows, message):
+        with pytest.raises(NotAnOrder) as exc:
+            from_leq([f"x{i}" for i in range(len(rows))], rows)
+        assert str(exc.value) == message
+        assert isinstance(exc.value, MosaicLabError) and isinstance(exc.value, ValueError)
 
     def test_row_count_must_match_label_count(self):
         for names, rows in ((["a"], []), (["a", "b"], [3]), ([], [1]), (["a"], [3])):

@@ -1,0 +1,243 @@
+"""The ortholattice kernels against their element-at-a-time references.
+
+OC1, the orthocomplement search, OM1-OM4 with the sublattice-copy search
+and the generated closures, the dualizability check, the pi-dual table and
+the reconstruction read whole bitmask rows; tests/oracles.py keeps each one
+element at a time.  Results must agree exactly, map order and least witness
+included, on every lattice with at most 6 elements, the lattices of the
+ortholattices with at most 8, MO_2 to MO_6, boolean_1 to boolean_4 and the
+hexagon, and on seeded cell edits of their Nakano tables.  OM1-OM4 run on
+every orthocomplementation of these lattices except MO_5 and MO_6, where a
+seeded sample of their 945 and 10 395 maps keeps the references quick.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from mosaic_lab import equivalence
+from mosaic_lab.catalog import named
+from mosaic_lab.errors import (
+    MosaicLabError,
+    NotAnOrthocomplementation,
+    ReconstructionFailure,
+    SizeTooLarge,
+)
+from mosaic_lab.hyperstructure import Mosaic, dualize, principal_rows
+from mosaic_lab.lattice_core import (
+    Involution,
+    check_om_equivalences,
+    find_sublattice_copy,
+    from_leq,
+    generated_sublattice,
+    hexagon_pattern,
+    is_distributive,
+    is_order_reversing,
+    orthocomplementations,
+    pentagon_pattern,
+)
+from mosaic_lab.nakano import additive_nakano
+
+from oracles import (
+    all_involutions,
+    brute_sublattice_copy,
+    distributive_loops,
+    dual_table_loops,
+    dualizability_failure_loops,
+    generated_sublattice_loops,
+    om_reports_loops,
+    order_reversing_loops,
+    orthocomplementations_loops,
+    reconstruction_failure_loops,
+    sublattice_copy_loops,
+)
+
+NAMED = ["hexagon"] + [f"MO_{k}" for k in range(2, 7)] + [f"boolean_{k}" for k in range(1, 5)]
+# maps sampled for the OM references
+SAMPLED = {"MO_5": 40, "MO_6": 20}
+
+
+@pytest.fixture(scope="module")
+def corpus(lattices_upto_6, ortholattices_upto_8):
+    """(name, lattice) for every lattice with at most 6 elements, the
+    lattices of the ortholattices with 7 or 8, and the named ones."""
+    bigger = {p.lattice.leq: p.lattice for p in ortholattices_upto_8 if p.size > 6}
+    out = [(f"n{l.size}", l) for l in lattices_upto_6]
+    out += [(f"n{l.size}", l) for l in bigger.values()]
+    return out + [(name, named(name).lattice) for name in NAMED]
+
+
+def involutions(l, rng):
+    """Every involution of the carrier up to 8 elements; past that the
+    orthocomplementations and 200 seeded random involutions."""
+    if l.size <= 8:
+        return [Involution(p) for p in all_involutions(l.size)]
+    out = orthocomplementations(l)[:50]
+    for _ in range(200):
+        rest, perm = list(range(l.size)), [0] * l.size
+        rng.shuffle(rest)
+        while rest:
+            x = rest.pop()
+            y = rest.pop() if rest and rng.random() < 0.8 else x
+            perm[x], perm[y] = y, x
+        out.append(Involution(tuple(perm)))
+    return out
+
+
+def test_order_reversing_matches(corpus):
+    rng = random.Random(6)
+    verdicts = set()
+    for _, l in corpus:
+        for pi in involutions(l, rng):
+            got = is_order_reversing(l, pi)
+            assert got == order_reversing_loops(l, pi)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_search_lists_the_filtered_involutions_in_order(corpus):
+    for _, l in corpus:
+        assert orthocomplementations(l) == orthocomplementations_loops(l)
+
+
+def test_search_budget():
+    mo5 = named("MO_5").lattice
+    assert len(orthocomplementations(mo5, limit=945)) == 945
+    with pytest.raises(SizeTooLarge, match="more than 944 orthocomplementations"):
+        orthocomplementations(mo5, limit=944)
+
+
+def test_om_reports_match(corpus):
+    rng = random.Random(44)
+    hexagon = hexagon_pattern()
+    failing = 0
+    for name, l in corpus:
+        pis = orthocomplementations(l)
+        if name in SAMPLED:
+            pis = rng.sample(pis, SAMPLED[name])
+        for pi in pis:
+            got = check_om_equivalences(l, pi)
+            assert got == om_reports_loops(l, pi, hexagon), (name, pi)
+            failing += not got[0].holds
+    assert failing
+
+
+def test_sublattice_copies_match(corpus):
+    patterns = (hexagon_pattern(), pentagon_pattern())
+    found = 0
+    for _, l in corpus:
+        for pattern in patterns:
+            got = find_sublattice_copy(l, pattern)
+            assert got == sublattice_copy_loops(l, pattern)
+            if l.size <= 6:
+                assert got == brute_sublattice_copy(l, pattern)
+            found += got is not None
+    assert found
+
+
+def test_generated_sublattices_and_distributivity_match(corpus):
+    """Closed under join and meet alone, under an orthocomplementation too,
+    and under an involution that is none: the join/meet closure of a set
+    closed under an orthocomplementation is closed under it by De Morgan,
+    so only the last tells closing every member under pi from closing the
+    seeds."""
+    rng = random.Random(8)
+    for _, l in corpus:
+        others = involutions(l, rng)
+        pis = [None] + orthocomplementations(l)[:2] + rng.sample(others, min(2, len(others)))
+        pairs = list(itertools.product(range(l.size), repeat=2))
+        for x, y in pairs if l.size <= 8 else rng.sample(pairs, 40):
+            for pi in pis:
+                sub = generated_sublattice(l, [x, y], pi)
+                assert sub == generated_sublattice_loops(l, [x, y], pi)
+                assert is_distributive(l, sub) == distributive_loops(l, sub)
+        assert is_distributive(l) == distributive_loops(l, range(l.size))
+
+
+def edited_mosaics(m, rng, count):
+    """Seeded edits of one or two cells of a row, off the neutral row and
+    column, every other edit mirrored onto the column so that the table
+    stays commutative."""
+    n, e = m.size, m.neutral
+    others = [x for x in range(n) if x != e]
+    for k in range(count):
+        x, op = rng.choice(others), m.op
+        for y in rng.sample(others, min(len(others), 1 + k % 3 // 2)):
+            zs = [z for z in range(n) if rng.random() < 0.4]
+            op = op.with_cell(x, y, zs)
+            if k % 2:
+                op = op.with_cell(y, x, zs)
+        yield Mosaic(op, e, m.rho)
+
+
+@pytest.fixture(scope="module")
+def mosaic_cases(ortholattices_upto_8):
+    """(mosaic, pi): the Nakano mosaic of each ortholattice with at most 8
+    elements and of the named ones, and seeded edits of it, each with its own
+    pi and with a seeded other involution; up to 6 elements the mosaic also
+    with every other involution."""
+    rng = random.Random(20261018)
+    pairs = [(p.lattice, p.pi) for p in ortholattices_upto_8]
+    pairs += [(named(name).lattice, named(name).ortho) for name in NAMED if name != "MO_6"]
+    out = []
+    for l, pi in pairs:
+        m = additive_nakano(l).mosaic
+        others = [q for q in involutions(l, rng) if q != pi]
+        out.append((m, pi))
+        if l.size >= 3:
+            out += [(bad, q) for bad in edited_mosaics(m, rng, 8) for q in (pi, rng.choice(others))]
+        if l.size <= 6:
+            out += [(m, q) for q in others]
+    return out
+
+
+def test_dualizability_failures_match(mosaic_cases):
+    reasons = set()
+    for m, pi in mosaic_cases:
+        got = equivalence._dualizability_failure(m, pi)
+        assert got == dualizability_failure_loops(m.op.table, m.neutral, pi)
+        reasons.add(got and got[0].split(" ")[0])
+    assert {None, "pi", "Lms1", "Lms3"} <= reasons, reasons
+
+
+def test_dual_tables_match(mosaic_cases):
+    duals = 0
+    for m, pi in mosaic_cases:
+        for literal in (False, True):
+            got = dualize(m, pi, literal=literal)
+            want = dual_table_loops(m.op.table, m.neutral, pi, literal)
+            assert (got and got.op.table) == want
+            duals += got is not None
+    assert duals
+
+
+def test_reconstruction_failures_match(mosaic_cases):
+    """_reconstruct on tables not checked for dualizability: whenever the
+    principal cells give a lattice with bounds 0 and pi(0), its failure is
+    the first cell the element-at-a-time checks reject; with no such cell,
+    the rebuilt pair is refused only when pi selects no complements."""
+    reasons = set()
+    for m, pi in mosaic_cases:
+        names = [f"x{i}" for i in range(m.size)]
+        try:
+            l = from_leq(names, principal_rows(m))
+        except MosaicLabError:
+            continue
+        if l.bottom != m.neutral or l.top != pi(m.neutral):
+            continue
+        want = reconstruction_failure_loops(l, m.op.table, pi)
+        if want is None and not all(l.join(x, pi(x)) == l.top and l.meet(x, pi(x)) == l.bottom
+                                    for x in range(l.size)):
+            want = "not an orthocomplementation"
+        try:
+            equivalence._reconstruct(m, pi)
+            got = None
+        except ReconstructionFailure as exc:
+            got = str(exc), exc.witness
+        except NotAnOrthocomplementation:
+            got = "not an orthocomplementation"
+        assert got == want
+        reasons.add(got if got is None or isinstance(got, str) else got[0])
+    assert {None, "join escapes its cell", "meet is not the pi-transported join",
+            "mosaic is not the Nakano mosaic of its order"} <= reasons, reasons
