@@ -10,17 +10,17 @@ from functools import cached_property
 
 from .bits import bits, full_mask, least, mask_of, subsets, transpose
 from .errors import (
-    NotAnLMosaic,
+    MosaicLabError,
     NotAnOrthocomplementation,
     PreconditionFailed,
     ReconstructionFailure,
+    SizeMismatch,
     SizeTooLarge,
 )
 from .hyperstructure import (
     Mosaic,
     Multioperation,
     check_morphism,
-    dualize,
     is_associative,
     principal_rows,
     verify_lmosaic,
@@ -30,12 +30,11 @@ from .lattice_core import (
     AxiomReport,
     FiniteBoundedLattice,
     Involution,
-    _lub,
+    _generated_mask,
     from_leq,
-    generated_sublattice,
     is_orthocomplementation,
 )
-from .nakano import ADDITIVE, NakanoMosaic, additive_nakano, restrict_to_sublattice
+from .nakano import _restricted_op, additive_nakano
 
 
 @dataclass(frozen=True)
@@ -57,20 +56,21 @@ class OrthoPair:
 def _dualizability_failure(mosaic: Mosaic, pi: Involution):
     """Why (mosaic, pi) is not a dualizable L-mosaic pair; None when it is.
 
-    Beyond the transported-mosaic check (which any involution passes, the
-    outer-pi table being an isomorphic copy), pi must orthocomplement the
-    induced order: order-reversing, with pi(0) in x + pi(x) for every x.
-    Without these the reconstructed structure is no pi-ortholattice.
+    The table must be an L-mosaic and a mosaic.  pi maps the pi-dual table
+    isomorphically onto it, so the pi-dual is a mosaic exactly when the table
+    is, and its L-mosaic axioms are the table's own; the table is checked in
+    its place (tests/oracles.dualizability_failure_loops keeps the literal
+    pi-dual route).  Then pi must orthocomplement the induced order:
+    order-reversing, with pi(0) in x + pi(x) for every x.  Without these the
+    reconstructed structure is no pi-ortholattice.
     """
     bad = [r for r in verify_lmosaic(mosaic) if not r.holds]
     if bad:
         return f"{bad[0].axiom} fails at {bad[0].witness}", bad[0].witness
-    dual = dualize(mosaic, pi)
-    if dual is None:
+    if pi.size != mosaic.size:
+        raise SizeMismatch("involution size disagrees with the carrier")
+    if not verify_mosaic(mosaic.op).ok:
         return "pi-dual table is not a mosaic", ()
-    bad = [r for r in verify_lmosaic(dual) if not r.holds]
-    if bad:
-        return f"pi-dual violates {bad[0].axiom} at {bad[0].witness}", bad[0].witness
     # the elements below x (its principal cell x+x) must be the pi-images of
     # the elements above pi(x)
     up = principal_rows(mosaic)
@@ -91,24 +91,19 @@ def is_genuinely_dualizable(mosaic: Mosaic, pi: Involution) -> bool:
 
 @dataclass(frozen=True)
 class DualizableLMosaicPair:
-    """A verified L-mosaic with an involution that orthocomplements its
-    induced order (equivalently: reconstruction yields a pi-ortholattice).
+    """An L-mosaic with an involution that orthocomplements its induced
+    order (equivalently: reconstruction yields a pi-ortholattice).
 
-    Construction proves the pair dualizable; the reconstruction and the
-    orthomodularity verdict are then computed at most once per pair, on first
-    use, and live as long as the pair.  They take no part in ==, hash or repr.
+    A plain record, like Mosaic: construction checks nothing.  functor_E
+    builds pairs that the paper proves dualizable, and a table from outside
+    is checked by reconstruct_from or is_genuinely_dualizable.  The
+    reconstruction and the orthomodularity verdict are computed at most once
+    per pair, on first use, and live as long as the pair.  They take no part
+    in ==, hash or repr.
     """
 
     mosaic: Mosaic
     pi: Involution
-
-    def __post_init__(self):
-        failure = _dualizability_failure(self.mosaic, self.pi)
-        if failure is not None:
-            reason, witness = failure
-            if "Lms" in reason:
-                raise NotAnLMosaic(reason)
-            raise ReconstructionFailure(reason, witness)
 
     @property
     def size(self) -> int:
@@ -139,7 +134,9 @@ class DualizableLMosaicPair:
 
 def functor_E(op: OrthoPair) -> DualizableLMosaicPair:
     """Object assignment of the equivalence: the additive Nakano mosaic with
-    the same orthocomplementation."""
+    the same orthocomplementation.  The paper's main theorem makes the pair
+    dualizable, so it is built unchecked; test_equivalence.py runs the full
+    check on the images of the corpus."""
     return DualizableLMosaicPair(additive_nakano(op.lattice).mosaic, op.pi)
 
 
@@ -154,8 +151,9 @@ def reconstruct_from(mosaic: Mosaic, pi: Involution, names=None) -> OrthoPair:
 
 
 def reconstruct_lattice(p: DualizableLMosaicPair, names=None) -> OrthoPair:
-    """Rebuild the pi-ortholattice of a verified pair; with default names the
-    pair's own reconstruction, built on first use."""
+    """Rebuild the pi-ortholattice of a dualizable pair (an image of
+    functor_E, or a table that passed the dualizability check); with default
+    names the pair's own reconstruction, built on first use."""
     if names is None:
         return p.reconstruction
     return _reconstruct(p.mosaic, p.pi, names)
@@ -247,15 +245,15 @@ def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> Axiom
     associative mosaic (a polygroup).
 
     The reconstruction has proved p.mosaic cell for cell equal to the Nakano
-    mosaic of the rebuilt lattice, so p.mosaic is restricted as it stands;
-    the restriction verifies itself as a mosaic."""
+    mosaic of the rebuilt lattice, and the generated subset is a sublattice
+    holding 0, so the restriction is the Nakano mosaic of that sublattice: a
+    mosaic by theorem, of which only associativity is checked."""
     if not is_orthomodular_mosaic(p).holds:
         raise PreconditionFailed("mosaic is not orthomodular")
     ortho = reconstruct_lattice(p)
-    seeds = {x, y, p.mosaic.neutral, p.one}
-    closed = generated_sublattice(ortho.lattice, seeds, p.pi)
-    restricted = restrict_to_sublattice(NakanoMosaic(ortho.lattice, ADDITIVE, p.mosaic), closed)
-    assoc = is_associative(restricted.op)
+    seeds = mask_of((x, y, p.mosaic.neutral, p.one))
+    members = list(bits(_generated_mask(ortho.lattice, seeds, p.pi)))
+    assoc = is_associative(_restricted_op(p.mosaic.op.table, members))
     if not assoc.holds:
         return AxiomReport("generated-polygroup", False, (x, y), "restriction not associative")
     return AxiomReport("generated-polygroup", True)
@@ -264,38 +262,18 @@ def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> Axiom
 # -- exhaustive search for dualizable pairs on tiny carriers -------------------
 
 
-def _orders_with_bottom(n: int):
-    """All labeled partial orders on 0..n-1 with bottom 0 and pairwise joins,
-    yielded as down-set bitmask rows."""
-    down = [0] * n
-    down[0] = 1
-
-    def rec(i: int):
-        if i == n:
-            rows = tuple(down)
-            if _all_joins_exist(rows):
-                yield rows
-            return
-        base = 1 | 1 << i
-        others = [j for j in range(1, n) if j != i]
-        for extra in range(1 << len(others)):
-            cand = base | mask_of(others[k] for k in bits(extra))
-            down[i] = cand
-            yield from rec(i + 1)
-        down[i] = 0
-
-    def _all_joins_exist(rows) -> bool:
-        # antisymmetry + transitivity + pairwise least upper bounds
-        up = transpose(rows)
-        for i in range(n):
-            for j in bits(up[i]):
-                if i != j and up[j] >> i & 1:
-                    return False
-                if up[j] & ~up[i]:
-                    return False
-        return all(_lub(up, i, j) is not None for i in range(n) for j in range(n))
-
-    yield from rec(1) if n > 1 else iter([(1,)])
+def _lattices_with_bottom(n: int):
+    """Every labeled lattice on 0..n-1 with bottom 0.  Each choice of down
+    rows, row i holding 0 and i, goes to the lattice constructor, which
+    rejects the rows that are no lattice order."""
+    names = [f"x{i}" for i in range(n)]
+    choices = [[row for row in range(1 << n) if row & (1 | 1 << i) == 1 | 1 << i] for i in range(1, n)]
+    for rows in itertools.product(*choices):
+        try:
+            lattice = from_leq(names, transpose((1, *rows)))
+        except MosaicLabError:
+            continue
+        yield lattice
 
 
 def enumerate_dualizable_pairs(max_n: int):
@@ -306,11 +284,11 @@ def enumerate_dualizable_pairs(max_n: int):
         raise SizeTooLarge("raw table search is capped at carrier size 4")
     out = []
     for n in range(1, max_n + 1):
-        for rows in _orders_with_bottom(n):
-            up = transpose(rows)
+        for lattice in _lattices_with_bottom(n):
+            up, join = lattice.leq, lattice.join_table
             free_pairs = [(x, y) for x in range(1, n) for y in range(x + 1, n)]
             free_space = [
-                [m | 1 << _lub(up, x, y) for m in subsets(full_mask(n) & ~(up[x] & up[y]))]
+                [m | 1 << join[x][y] for m in subsets(full_mask(n) & ~(up[x] & up[y]))]
                 for x, y in free_pairs
             ]
             for choice in itertools.product(*free_space):
@@ -318,7 +296,7 @@ def enumerate_dualizable_pairs(max_n: int):
                 for x in range(n):
                     table[0][x] = table[x][0] = 1 << x
                 for x in range(1, n):
-                    table[x][x] = rows[x]
+                    table[x][x] = lattice.down[x]
                 for (x, y), cell in zip(free_pairs, choice):
                     table[x][y] = table[y][x] = cell
                 op = Multioperation(n, tuple(tuple(r) for r in table))

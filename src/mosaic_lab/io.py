@@ -2,7 +2,8 @@
 
 Lattice JSON: {"name": str, "elements": [str...], "covers": [[str,str]...],
                "ortho": optional [[str,str]...]}  (pair order irrelevant;
-unknown element names are rejected).
+unknown element names, and an ortho block that is no orthocomplementation,
+are rejected).
 
 Mosaic table JSON: {"name": str, "elements": [str...], "neutral": str,
                     "table": [[[str...]...]...]} plus an optional free-form
@@ -16,8 +17,8 @@ import json
 from dataclasses import dataclass
 
 from .bits import bits
-from .errors import FormatError
-from .lattice_core import FiniteBoundedLattice, Involution, build_from_covers
+from .errors import FormatError, NotAnOrthocomplementation
+from .lattice_core import FiniteBoundedLattice, Involution, build_from_covers, is_orthocomplementation
 from .hyperstructure import Mosaic, Multioperation
 
 
@@ -68,6 +69,8 @@ def lattice_from_doc(doc):
             i, j = lattice.index(pair[0]), lattice.index(pair[1])
             m[i], m[j] = j, i
         ortho = Involution(tuple(m))
+        if not is_orthocomplementation(lattice, ortho):
+            raise NotAnOrthocomplementation("ortho block does not orthocomplement the lattice")
     return lattice, ortho, str(doc["name"])
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bits import bits, least, mask_of, members_of
+from .bits import bits, least, members_of
 from .errors import MissingBound, NoUniqueExtremum, NotASubmosaic
 from .hyperstructure import (
     Mosaic,
@@ -91,26 +91,35 @@ def extremum_by_characterization(m: NakanoMosaic) -> int:
     return found[0]
 
 
+def _restricted_op(table, members: list[int]) -> Multioperation:
+    """The table's rows and columns at the sorted members, each cell
+    intersected with them; index k is the k-th member."""
+    pos = [0] * len(table)
+    for k, x in enumerate(members):
+        pos[x] = 1 << k
+
+    def relabel(cell: int) -> int:
+        out = 0
+        for z in bits(cell):
+            out |= pos[z]
+        return out
+
+    return Multioperation(len(members), tuple(tuple(relabel(table[x][y]) for y in members) for x in members))
+
+
 def restrict_to_sublattice(m: NakanoMosaic, sub) -> Mosaic:
     """Cellwise intersection with a meet/join-closed subset containing the
     flavor's neutral bound; index k of the result is the k-th least member
-    (a repeated member counts once).  Equals
-    the Nakano mosaic of the sublattice; raises NotASubmosaic when m's table
-    is no Nakano table and its restriction fails the mosaic pipeline."""
+    (a repeated member counts once).  On a Nakano table this is the Nakano
+    mosaic of the sublattice; the table comes from the caller, so the
+    restriction runs through verify_mosaic, and NotASubmosaic is raised when
+    it fails."""
     members = members_of(sub)
     bound = m.base.bottom if m.flavor == ADDITIVE else m.base.top
     if bound not in members:
         raise MissingBound(f"subset must contain element {m.base.names[bound]!r}")
     _require_closed(m.base, members)
-    pos = {x: i for i, x in enumerate(members)}
-    submask = mask_of(members)
-    k = len(members)
-
-    def cell(i, j):
-        return mask_of(pos[z] for z in bits(m.cell(members[i], members[j]) & submask))
-
-    op = Multioperation.build(k, cell)
-    got = verify_mosaic(op)
+    got = verify_mosaic(_restricted_op(m.mosaic.op.table, members))
     if not got.ok:
         failed = next(r for r in got.reports if not r.holds)
         raise NotASubmosaic(f"restriction is no mosaic: {failed.axiom} fails at {failed.witness}")

@@ -9,10 +9,10 @@ from mosaic_lab.errors import (
     NotAnOrthocomplementation,
     PreconditionFailed,
     ReconstructionFailure,
+    SizeMismatch,
     SizeTooLarge,
 )
 from mosaic_lab.equivalence import (
-    DualizableLMosaicPair,
     OrthoPair,
     enumerate_dualizable_pairs,
     functor_E,
@@ -23,7 +23,7 @@ from mosaic_lab.equivalence import (
     reconstruct_from,
     reconstruct_lattice,
 )
-from mosaic_lab.hyperstructure import Mosaic
+from mosaic_lab.hyperstructure import Mosaic, is_associative
 from mosaic_lab.lattice_core import (
     Involution,
     generated_sublattice,
@@ -34,6 +34,11 @@ from mosaic_lab.lattice_core import (
 )
 from mosaic_lab.nakano import additive_nakano, extremum_by_characterization
 from mosaic_lab.catalog import named
+
+from oracles import nakano_table_loops
+
+NAMED_ORTHO = [f"boolean_{k}" for k in range(1, 5)] + [f"MO_{k}" for k in range(2, 7)] + [
+    "hexagon", "chain_1", "chain_2"]
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +60,7 @@ class TestPairValidation:
         pi = Involution.identity(2)
         assert not is_genuinely_dualizable(m, pi)
         with pytest.raises(ReconstructionFailure):
-            DualizableLMosaicPair(m, pi)
+            reconstruct_from(m, pi)
 
     def test_antitone_non_complement_rejected(self):
         # on 2^2 the involution fixing both atoms and swapping the bounds
@@ -65,8 +70,13 @@ class TestPairValidation:
         swap_bounds = Involution((3, 1, 2, 0))
         assert not is_genuinely_dualizable(m, swap_bounds)
         with pytest.raises(ReconstructionFailure) as exc:
-            DualizableLMosaicPair(m, swap_bounds)
+            reconstruct_from(m, swap_bounds)
         assert "complement" in str(exc.value)
+
+    def test_involution_of_another_size_is_a_typed_error(self):
+        m = additive_nakano(named("boolean_2").lattice).mosaic
+        with pytest.raises(SizeMismatch):
+            reconstruct_from(m, Involution.identity(5))
 
     def test_pentagon_admits_no_dualizing_involution(self, pentagon):
         from oracles import all_involutions
@@ -218,15 +228,23 @@ class TestGeneratedPolygroup:
         with pytest.raises(PreconditionFailed):
             generated_polygroup_check(functor_E(hexagon_pair), 0, 1)
 
-    def test_lattice_side_fact6(self, ortholattices_upto_8):
+    def test_lattice_side_fact6(self, ortholattices_upto_8, monkeypatch):
+        """The generated pi-closed sublattice is modular, and the table that
+        generated_polygroup_check restricts, and checks only for
+        associativity, is its Nakano table."""
+        restricted = []
+        monkeypatch.setattr(equivalence, "is_associative", lambda op: restricted.append(op) or is_associative(op))
         for p in ortholattices_upto_8:
             if not is_orthomodular(p.lattice, p.pi).holds:
                 continue
+            d = functor_E(p)
             for x in range(p.size):
                 for y in range(p.size):
                     closed = generated_sublattice(p.lattice, [x, y], p.pi)
                     sl, _ = sublattice(p.lattice, closed)
                     assert is_modular(sl).holds
+                    assert generated_polygroup_check(d, x, y).holds
+                    assert restricted.pop().table == nakano_table_loops(sl)
 
 
 class TestVerifiedOnce:
@@ -237,10 +255,13 @@ class TestVerifiedOnce:
         for x in range(p.size):
             for y in range(p.size):
                 assert generated_polygroup_check(p, x, y).holds
-        assert counts == {"_reconstruct": 1, "_dualizability_failure": 1}
+        assert counts == {"_reconstruct": 1}
 
     def test_verified_pair_matches_external_input(self, ortholattices_upto_8):
-        for p in ortholattices_upto_8:
+        """functor_E builds its pairs unchecked; the full dualizability check
+        runs on each of them here, through reconstruct_from."""
+        named_pairs = [OrthoPair(named(name).lattice, named(name).ortho) for name in NAMED_ORTHO]
+        for p in ortholattices_upto_8 + named_pairs:
             d = functor_E(p)
             assert reconstruct_lattice(d) == reconstruct_from(d.mosaic, d.pi)
 

@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from mosaic_lab.cli import main
-from mosaic_lab.errors import FormatError
+from mosaic_lab.errors import FormatError, NotAnOrthocomplementation
 from mosaic_lab.io import (
     diff_table_docs,
     lattice_from_doc,
@@ -22,6 +22,8 @@ from mosaic_lab.catalog import named
 
 DATA = Path(__file__).parent.parent / "src" / "mosaic_lab" / "data"
 GOLDEN = Path(__file__).parent / "fixtures" / "cli_golden"
+# an ortho block for boolean_2 that pairs the bottom and the top with atoms
+NON_ORTHO_PAIRING = [["0", "a"], ["b", "1"]]
 
 
 @pytest.fixture
@@ -61,6 +63,12 @@ class TestLatticeFormat:
         with pytest.raises(FormatError) as exc:
             parse_lattice_json('{"name": "x",\n  "elements": [}')
         assert "line 2" in str(exc.value)
+
+    def test_ortho_block_that_is_no_orthocomplementation_rejected(self):
+        doc = lattice_to_doc(named("boolean_2").lattice, named("boolean_2").ortho, "boolean_2")
+        doc["ortho"] = NON_ORTHO_PAIRING
+        with pytest.raises(NotAnOrthocomplementation):
+            lattice_from_doc(doc)
 
     def test_ortho_pair_order_irrelevant(self, hexagon):
         doc = lattice_to_doc(hexagon.lattice, hexagon.ortho, "h")
@@ -226,6 +234,19 @@ class TestCliOther:
         path.write_bytes(b"\xff\xfe{")
         res = runner.invoke(main, ["validate", str(path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args", [["validate"], ["check"], ["check", "--checks", "ortholattice"], ["roundtrip"]]
+    )
+    def test_ortho_block_that_is_no_orthocomplementation_is_input_error(self, runner, tmp_path, args):
+        b2 = named("boolean_2")
+        doc = dict(lattice_to_doc(b2.lattice, b2.ortho, "boolean_2"), ortho=NON_ORTHO_PAIRING)
+        path = tmp_path / "boolean_2.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, [args[0], str(path), *args[1:]])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: ortho block does not orthocomplement the lattice\n"
 
     def test_check_searches_orthocomplements_once(self, runner, tmp_path, call_counts):
         import mosaic_lab.cli as cli

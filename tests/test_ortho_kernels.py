@@ -198,7 +198,7 @@ def test_dualizability_failures_match(mosaic_cases):
         got = equivalence._dualizability_failure(m, pi)
         assert got == dualizability_failure_loops(m.op.table, m.neutral, pi)
         reasons.add(got and got[0].split(" ")[0])
-    assert {None, "pi", "Lms1", "Lms3"} <= reasons, reasons
+    assert {None, "pi", "pi-dual", "Lms1", "Lms3"} <= reasons, reasons
 
 
 def test_dual_tables_match(mosaic_cases):
