@@ -264,7 +264,9 @@ def enumerate_ortholattices(n: int) -> list[OrthoPair]:
 
 def _ortho_classes(l: FiniteBoundedLattice) -> list[OrthoPair]:
     """l with each of its orthocomplementations, one per class of
-    automorphisms commuting with pi, in order of the least map."""
+    automorphisms commuting with pi, in order of the least map.  The maps run
+    in sorted order; a map not yet seen is the least of its orbit, and its
+    whole orbit, the conjugates by every automorphism, is then seen."""
     pis = orthocomplementations(l)
     if not pis:
         return []
@@ -274,12 +276,11 @@ def _ortho_classes(l: FiniteBoundedLattice) -> list[OrthoPair]:
     seen = set()
     out = []
     for pi in sorted(pis, key=lambda p: p.map):
-        orbit = min(
-            tuple(sigma[pi(inverse[p])] for p in range(l.size))
-            for sigma, inverse in conjugators
-        )
-        if orbit not in seen:
-            seen.add(orbit)
+        if pi.map not in seen:
+            seen.update(
+                tuple(sigma[pi(inverse[p])] for p in range(l.size))
+                for sigma, inverse in conjugators
+            )
             out.append(OrthoPair(l, pi))
     return out
 

@@ -58,6 +58,9 @@ ORTHO_CHECKS = ("ortholattice", "orthomodular", "roundtrip")
 # ortho block; past this many (MO_5 has 945, no lattice with at most 8
 # elements has more) the input is refused rather than run for minutes
 MAX_ORTHOCOMPLEMENTATIONS = 1000
+# orthocomplements lists every map; past this many (MO_6 has 10 395, MO_7
+# 135 135) the listing is refused
+_MAX_LISTED_ORTHOCOMPLEMENTATIONS = 20000
 
 
 def _fail_input(message: str):
@@ -277,7 +280,10 @@ def check(source, checks, fmt, quiet):
 def orthocomplements(source, fmt):
     """List every orthocomplementation of the lattice."""
     l, _, name = _load(source)
-    pis = orthocomplementations(l)
+    try:
+        pis = orthocomplementations(l, limit=_MAX_LISTED_ORTHOCOMPLEMENTATIONS)
+    except SizeTooLarge as exc:
+        _fail_input(str(exc))
     if fmt == "json":
         doc = {
             "input": name,

@@ -54,15 +54,20 @@ class OrthoPair:
 
 
 def _dualizability_failure(mosaic: Mosaic, pi: Involution):
-    """Why (mosaic, pi) is not a dualizable L-mosaic pair; None when it is.
+    """Why (mosaic, pi) is not a dualizable L-mosaic pair; None when it is:
+    the table checks, then the orthocomplement checks."""
+    return _table_failure(mosaic, pi) or _orthocomplement_failure(mosaic, pi)
 
-    The table must be an L-mosaic and a mosaic.  pi maps the pi-dual table
-    isomorphically onto it, so the pi-dual is a mosaic exactly when the table
-    is, and its L-mosaic axioms are the table's own; the table is checked in
-    its place (tests/oracles.dualizability_failure_loops keeps the literal
-    pi-dual route).  Then pi must orthocomplement the induced order:
-    order-reversing, with pi(0) in x + pi(x) for every x.  Without these the
-    reconstructed structure is no pi-ortholattice.
+
+def _table_failure(mosaic: Mosaic, pi: Involution):
+    """Why the table is no L-mosaic and mosaic; None when it is.
+
+    pi maps the pi-dual table isomorphically onto the table, so the pi-dual
+    is a mosaic exactly when the table is, and its L-mosaic axioms are the
+    table's own; the table is checked in its place
+    (tests/oracles.dualizability_failure_loops keeps the literal pi-dual
+    route).  An involution of another size is a SizeMismatch once the table
+    is an L-mosaic.
     """
     bad = [r for r in verify_lmosaic(mosaic) if not r.holds]
     if bad:
@@ -71,6 +76,14 @@ def _dualizability_failure(mosaic: Mosaic, pi: Involution):
         raise SizeMismatch("involution size disagrees with the carrier")
     if not verify_mosaic(mosaic.op).ok:
         return "pi-dual table is not a mosaic", ()
+    return None
+
+
+def _orthocomplement_failure(mosaic: Mosaic, pi: Involution):
+    """Why pi does not orthocomplement the order induced by an L-mosaic of
+    its own size; None when it does: order-reversing, with pi(0) in x + pi(x)
+    for every x.  Without these the reconstructed structure is no
+    pi-ortholattice."""
     # the elements below x (its principal cell x+x) must be the pi-images of
     # the elements above pi(x)
     up = principal_rows(mosaic)
@@ -97,9 +110,10 @@ class DualizableLMosaicPair:
     A plain record, like Mosaic: construction checks nothing.  functor_E
     builds pairs that the paper proves dualizable, and a table from outside
     is checked by reconstruct_from or is_genuinely_dualizable.  The
-    reconstruction and the orthomodularity verdict are computed at most once
-    per pair, on first use, and live as long as the pair.  They take no part
-    in ==, hash or repr.
+    reconstruction, the orthomodularity verdict and the associativity
+    verdict of each generated subalgebra are computed at most once per pair,
+    on first use, and live as long as the pair.  They take no part in ==,
+    hash or repr.
     """
 
     mosaic: Mosaic
@@ -130,6 +144,12 @@ class DualizableLMosaicPair:
                 if m.cell(y, y) >> x & 1 and m.cell(x, pi(y)) >> one & 1:
                     return AxiomReport("orthomodular-mosaic", False, (x, y), "criterion violated")
         return AxiomReport("orthomodular-mosaic", True)
+
+    @cached_property
+    def _associative_subalgebras(self) -> dict[int, bool]:
+        """Generated mask -> whether the table restricted to it is
+        associative; filled by generated_polygroup_check."""
+        return {}
 
 
 def functor_E(op: OrthoPair) -> DualizableLMosaicPair:
@@ -247,14 +267,21 @@ def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> Axiom
     The reconstruction has proved p.mosaic cell for cell equal to the Nakano
     mosaic of the rebuilt lattice, and the generated subset is a sublattice
     holding 0, so the restriction is the Nakano mosaic of that sublattice: a
-    mosaic by theorem, of which only associativity is checked."""
+    mosaic by theorem, of which only associativity is checked.  Many (x, y)
+    generate the same subalgebra (two elements of an orthomodular lattice
+    generate an image of MO_2 x 2^4), so the verdict is computed once per
+    distinct generated subset of the pair; a failing report carries its own
+    (x, y)."""
     if not is_orthomodular_mosaic(p).holds:
         raise PreconditionFailed("mosaic is not orthomodular")
     ortho = reconstruct_lattice(p)
     seeds = mask_of((x, y, p.mosaic.neutral, p.one))
-    members = list(bits(_generated_mask(ortho.lattice, seeds, p.pi)))
-    assoc = is_associative(_restricted_op(p.mosaic.op.table, members))
-    if not assoc.holds:
+    generated = _generated_mask(ortho.lattice, seeds, p.pi)
+    verdicts = p._associative_subalgebras
+    if generated not in verdicts:
+        restricted = _restricted_op(p.mosaic.op.table, list(bits(generated)))
+        verdicts[generated] = is_associative(restricted).holds
+    if not verdicts[generated]:
         return AxiomReport("generated-polygroup", False, (x, y), "restriction not associative")
     return AxiomReport("generated-polygroup", True)
 
@@ -279,7 +306,9 @@ def _lattices_with_bottom(n: int):
 def enumerate_dualizable_pairs(max_n: int):
     """Exhaustively discover (L-mosaic, pi) pairs on carriers up to max_n <= 4,
     generating only tables that satisfy the Lms1 diagonal constraints (and the
-    neutral row) before running the full verification pipeline."""
+    neutral row).  Each table is verified once, as a mosaic and an L-mosaic;
+    each involution then meets only the orthocomplement checks, the part of
+    is_genuinely_dualizable that depends on it."""
     if max_n > 4:
         raise SizeTooLarge("raw table search is capped at carrier size 4")
     out = []
@@ -304,7 +333,7 @@ def enumerate_dualizable_pairs(max_n: int):
                 if not got.ok or not all(r.holds for r in verify_lmosaic(got.mosaic)):
                     continue
                 for pi in _involutions(n):
-                    if is_genuinely_dualizable(got.mosaic, pi):
+                    if _orthocomplement_failure(got.mosaic, pi) is None:
                         out.append(DualizableLMosaicPair(got.mosaic, pi))
     return out
 

@@ -87,7 +87,11 @@ class FiniteBoundedLattice:
     Built from labels and the order alone: leq is stored as bitmask rows, bit
     j of leq[i] set iff i <= j.  Construction checks the rows once and derives
     the down rows, the bounds and the join and meet tables from them, so no
-    lattice with inconsistent tables can be built.  Immutable after
+    lattice with inconsistent tables can be built.  A join is read off the
+    rows: the element whose up row is leq[i] & leq[j], when it lies in that
+    row; only when no such element exists does _lub scan the common row, and
+    _lub alone decides whether the pair lacks a join (a hit means _lub finds
+    one too).  Meets likewise from the down rows.  Immutable after
     construction by convention; all checks are pure.
     """
 
@@ -114,15 +118,24 @@ class FiniteBoundedLattice:
             raise NotBounded("no bottom element" if not bottoms else "no top element")
         join = [[0] * n for _ in range(n)]
         meet = [[0] * n for _ in range(n)]
+        above = {row: m for m, row in enumerate(up)}
+        below = {row: m for m, row in enumerate(down)}
         for i in range(n):
+            up_i, down_i = up[i], down[i]
             for j in range(i, n):
-                m = _lub(up, i, j)
-                if m is None:
-                    raise NotALattice(f"{labels[i]!r} and {labels[j]!r} lack a join", (i, j))
+                common = up_i & up[j]
+                m = above.get(common, -1)
+                if m < 0 or not common >> m & 1:
+                    m = _lub(up, i, j)
+                    if m is None:
+                        raise NotALattice(f"{labels[i]!r} and {labels[j]!r} lack a join", (i, j))
                 join[i][j] = join[j][i] = m
-                m = _lub(down, i, j)
-                if m is None:
-                    raise NotALattice(f"{labels[i]!r} and {labels[j]!r} lack a meet", (i, j))
+                common = down_i & down[j]
+                m = below.get(common, -1)
+                if m < 0 or not common >> m & 1:
+                    m = _lub(down, i, j)
+                    if m is None:
+                        raise NotALattice(f"{labels[i]!r} and {labels[j]!r} lack a meet", (i, j))
                 meet[i][j] = meet[j][i] = m
         self.size = n
         self.names = tuple(str(x) for x in labels)

@@ -49,6 +49,17 @@ def brute_bound(up: dict, pool, xs, upper: bool):
     return least[0] if len(least) == 1 else None
 
 
+def bound_tables_scan(rows):
+    """(join, meet) tables of the order with up-set rows `rows`, every bound
+    found by brute_bound's scan of the whole carrier."""
+    names = range(len(rows))
+    up = {x: set(bits(rows[x])) for x in names}
+    return tuple(
+        tuple(tuple(brute_bound(up, names, (x, y), upper) for y in names) for x in names)
+        for upper in (True, False)
+    )
+
+
 def all_involutions(n: int):
     for perm in itertools.permutations(range(n)):
         if all(perm[perm[x]] == x for x in range(n)):

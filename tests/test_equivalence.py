@@ -25,6 +25,7 @@ from mosaic_lab.equivalence import (
 )
 from mosaic_lab.hyperstructure import Mosaic, is_associative
 from mosaic_lab.lattice_core import (
+    AxiomReport,
     Involution,
     generated_sublattice,
     is_modular,
@@ -136,6 +137,14 @@ class TestEssentialSurjectivity:
             assert e.mosaic.op.table == p.mosaic.op.table
             assert e.pi == p.pi
 
+    def test_search_verifies_each_table_once(self, call_counts):
+        """verify_mosaic runs once per candidate table and verify_lmosaic at
+        most once; an involution meets only the orthocomplement checks."""
+        counts = call_counts(equivalence, "Multioperation", "verify_mosaic", "verify_lmosaic")
+        assert len(enumerate_dualizable_pairs(4)) == 5
+        assert counts["verify_mosaic"] == counts["Multioperation"] > 0
+        assert 0 < counts["verify_lmosaic"] <= counts["Multioperation"]
+
     def test_search_finds_only_nakano_tables(self):
         for p in enumerate_dualizable_pairs(3):
             r = reconstruct_lattice(p)
@@ -231,20 +240,50 @@ class TestGeneratedPolygroup:
     def test_lattice_side_fact6(self, ortholattices_upto_8, monkeypatch):
         """The generated pi-closed sublattice is modular, and the table that
         generated_polygroup_check restricts, and checks only for
-        associativity, is its Nakano table."""
+        associativity, is its Nakano table: one table per distinct generated
+        set of the pair, restricted when that set first occurs."""
         restricted = []
         monkeypatch.setattr(equivalence, "is_associative", lambda op: restricted.append(op) or is_associative(op))
         for p in ortholattices_upto_8:
             if not is_orthomodular(p.lattice, p.pi).holds:
                 continue
             d = functor_E(p)
+            seen = set()
             for x in range(p.size):
                 for y in range(p.size):
                     closed = generated_sublattice(p.lattice, [x, y], p.pi)
                     sl, _ = sublattice(p.lattice, closed)
                     assert is_modular(sl).holds
                     assert generated_polygroup_check(d, x, y).holds
-                    assert restricted.pop().table == nakano_table_loops(sl)
+                    if closed not in seen:
+                        seen.add(closed)
+                        assert restricted.pop().table == nakano_table_loops(sl)
+                    assert restricted == []
+
+    def test_one_associativity_check_per_generated_subalgebra(self, call_counts):
+        """The 144 (x, y) of MO_5 generate 16 distinct subalgebras; each is
+        checked once per pair, and another pair checks its own."""
+        counts = call_counts(equivalence, "is_associative")
+        e = named("MO_5")
+        p = OrthoPair(e.lattice, e.ortho)
+        for expected in (16, 32):
+            d = functor_E(p)
+            for x in range(p.size):
+                for y in range(p.size):
+                    assert generated_polygroup_check(d, x, y).holds
+            assert counts == {"is_associative": expected}
+
+    def test_failing_report_carries_its_own_pair(self, monkeypatch):
+        """A verdict reused from an earlier (x, y) is reported with the
+        (x, y) of the call."""
+        e = named("MO_2")
+        d = functor_E(OrthoPair(e.lattice, e.ortho))
+        monkeypatch.setattr(equivalence, "is_associative", lambda op: AxiomReport("associative", False, (0, 0, 0)))
+        a, b = e.lattice.index("a"), e.lattice.index("b")
+        for x, y in ((a, b), (b, a)):
+            rep = generated_polygroup_check(d, x, y)
+            assert (rep.holds, rep.witness, rep.reason) == (False, (x, y), "restriction not associative")
+        assert len(d._associative_subalgebras) == 1
 
 
 class TestVerifiedOnce:
@@ -272,13 +311,19 @@ class TestVerifiedOnce:
         assert reconstruct_lattice(d).lattice.names == tuple(f"x{i}" for i in range(d.size))
 
     def test_memo_leaves_eq_hash_repr(self, hexagon_pair):
-        d = functor_E(hexagon_pair)
-        before = (hash(d), repr(d))
-        reconstruct_lattice(d)
-        is_orthomodular_mosaic(d)
-        assert (hash(d), repr(d)) == before
-        fresh = functor_E(hexagon_pair)
-        assert d == fresh and hash(d) == hash(fresh)
+        mo3 = named("MO_3")
+        for p in (hexagon_pair, OrthoPair(mo3.lattice, mo3.ortho)):
+            d = functor_E(p)
+            before = (hash(d), repr(d))
+            reconstruct_lattice(d)
+            if is_orthomodular_mosaic(d).holds:
+                for x in range(d.size):
+                    for y in range(d.size):
+                        generated_polygroup_check(d, x, y)
+                assert d._associative_subalgebras
+            assert (hash(d), repr(d)) == before
+            fresh = functor_E(p)
+            assert d == fresh and hash(d) == hash(fresh)
 
     def test_bounds_check_is_a_typed_error(self):
         # 2^2 with its diagonal rewritten so that the atom a sits on top:

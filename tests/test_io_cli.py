@@ -270,6 +270,22 @@ class TestCliOther:
             assert res.stderr == "error: more than 1000 orthocomplementations; give the input an ortho block\n"
         assert runner.invoke(main, ["check", str(path), "--checks", "modular"]).exit_code == 0
 
+    def test_orthocomplements_refuses_a_listing_past_its_budget(self, runner, tmp_path):
+        """MO_7 has 135 135 orthocomplementations; orthocomplements stops
+        the search past 20 000 maps and exits 2, while MO_6 (10 395) is
+        still listed in full."""
+        atoms = [x for c in "abcdefg" for x in (c, c + "'")]
+        covers = [["0", x] for x in atoms] + [[x, "1"] for x in atoms]
+        path = tmp_path / "mo7.json"
+        path.write_text(json.dumps({"name": "MO_7", "elements": ["0", *atoms, "1"], "covers": covers}))
+        for fmt in ("ascii", "json"):
+            res = runner.invoke(main, ["orthocomplements", str(path), "--format", fmt])
+            assert res.exit_code == 2
+            assert res.stdout == ""
+            assert res.stderr == "error: more than 20000 orthocomplementations\n"
+        res = runner.invoke(main, ["orthocomplements", "MO_6", "--format", "json"])
+        assert res.exit_code == 0 and json.loads(res.stdout)["count"] == 10395
+
     @pytest.mark.parametrize(
         "stem, args, exit_code",
         [

@@ -44,6 +44,7 @@ from mosaic_lab.lattice_core import (
 from mosaic_lab.catalog import named
 
 from oracles import (
+    bound_tables_scan,
     brute_bound,
     brute_sublattice_copy,
     closure_oracle,
@@ -227,6 +228,14 @@ class TestFromLeq:
             with pytest.raises(SizeMismatch):
                 from_leq(names, rows)
         assert issubclass(SizeMismatch, MosaicLabError)
+
+
+def test_join_meet_tables_equal_a_scan(lattices_upto_8):
+    """The joins and meets the constructor reads off the rows are the bounds
+    a scan of the whole carrier finds."""
+    extra = [f"boolean_{k}" for k in range(1, 5)] + [f"MO_{k}" for k in range(2, 7)]
+    for l in lattices_upto_8 + [named(name).lattice for name in extra]:
+        assert (l.join_table, l.meet_table) == bound_tables_scan(l.leq)
 
 
 def test_join_meet_tables_commutative_associative(lattices_upto_6):
