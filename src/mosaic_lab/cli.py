@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from itertools import islice
 
 import click
 
@@ -31,6 +32,7 @@ from .io import (
 )
 from .lattice_core import (
     AxiomReport,
+    _orthocomplementation_search,
     is_modular,
     is_orthomodular,
     orthocomplementations,
@@ -180,9 +182,11 @@ def table(source, additive, fmt, diff_path, golden_path, quiet):
     sys.exit(EXIT_OK)
 
 
-def _ortho_list(l, ortho):
+def _ortho_list(l, ortho, first_only: bool = False):
     if ortho is not None:
         return [ortho]
+    if first_only:
+        return list(islice(_orthocomplementation_search(l), 1))
     try:
         return orthocomplementations(l, limit=MAX_ORTHOCOMPLEMENTATIONS)
     except SizeTooLarge as exc:
@@ -266,7 +270,9 @@ def check(source, checks, fmt, quiet):
         unknown = [c for c in requested if c not in ALL_CHECKS]
         if unknown:
             _fail_input(f"unknown checks: {', '.join(unknown)}")
-        pis = _ortho_list(l, ortho) if set(requested) & set(ORTHO_CHECKS) else []
+        ortho_checks = set(requested) & set(ORTHO_CHECKS)
+        # the ortholattice check alone needs one map, not the listing
+        pis = _ortho_list(l, ortho, ortho_checks == {"ortholattice"}) if ortho_checks else []
     try:
         results = _run_checks(l, pis, requested)
     except MissingOrtho as exc:

@@ -261,35 +261,55 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
     return MosaicVerification(tuple(reports), Mosaic(op, e, rho))
 
 
-class _RowUnions(dict):
-    """M -> the list over i of the union of rows[w][i] for w in M, made on
-    first use.  With rows = table, entry i is M.i; with rows = the columns
-    of the table, it is i.M.  Lives for one check."""
+def _pack(cells, width: int) -> int:
+    """The cells side by side in one integer, cell k at bit offset width*k."""
+    out = 0
+    for cell in reversed(cells):
+        out = out << width | cell
+    return out
 
-    def __init__(self, rows):
+
+class _PackedUnions(dict):
+    """M -> the OR of planes[w] over the members w of M, made on first use.
+    Lives for one check."""
+
+    def __init__(self, planes):
         super().__init__()
-        self.rows = rows
+        self.planes = planes
 
-    def __missing__(self, m: int) -> list[int]:
-        ws = list(bits(m))
-        acc = list(self.rows[ws[0]]) if ws else [0] * len(self.rows)
-        for w in ws[1:]:
-            acc = list(map(or_, acc, self.rows[w]))
+    def __missing__(self, m: int) -> int:
+        acc, rest = 0, m
+        while rest:
+            low = rest & -rest
+            acc |= self.planes[low.bit_length() - 1]
+            rest ^= low
         self[m] = acc
         return acc
 
 
 def is_associative(op: Multioperation) -> AxiomReport:
-    """(x [.] y) [.] z = x [.] (y [.] z), set-extended on both sides."""
-    table = op.table
-    right, left = _RowUnions(tuple(zip(*table))), _RowUnions(table)
-    for x in range(op.size):
-        for y, xy in enumerate(table[x]):
-            lhs = [right[yz][x] for yz in table[y]]  # x.(y.z) for every z
-            rhs = left[xy]  # (x.y).z for every z
-            if lhs != rhs:
-                z = next(z for z, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-                return AxiomReport("associative", False, (x, y, z), "associativity")
+    """(x [.] y) [.] z = x [.] (y [.] z), set-extended on both sides.
+
+    One integer holds the whole plane of a fixed x: the n-bit cell of slot
+    (y, z) sits at bit offset n*(n*y + z).  The left side x.(y.z) is the OR
+    over w of x.w times marks[w], which has a 1 at the low bit of every slot
+    whose cell y.z holds w.  The right side (x.y).z places, for each y, the
+    union of the packed rows of the members of x.y at offset n*n*y.  The
+    lowest bit where the two differ is the least (y, z)."""
+    n, table = op.size, op.table
+    rows = [_pack(row, n) for row in table]
+    cells = _pack(rows, n * n)
+    low = ((1 << n ** 3) - 1) // ((1 << n) - 1) if n else 0  # bit 0 of every slot
+    marks = [cells >> w & low for w in range(n)]
+    unions = _PackedUnions(rows)  # unions[M]: M.z for every z
+    for x, row in enumerate(table):
+        left = 0
+        for cell, mark in zip(row, marks):
+            left |= cell * mark
+        diff = left ^ _pack([unions[xy] for xy in row], n * n)
+        if diff:
+            slot = least(diff) // n
+            return AxiomReport("associative", False, (x, slot // n, slot % n), "associativity")
     return AxiomReport("associative", True)
 
 

@@ -49,8 +49,7 @@ def lattice_from_doc(doc):
     known = set(elements)
     _require(len(known) == len(elements), "duplicate element names")
     covers = []
-    for pair in doc["covers"]:
-        _require(isinstance(pair, list) and len(pair) == 2, f"bad cover {pair!r}")
+    for pair in _label_pairs(doc["covers"], "covers", "bad cover"):
         for lab in pair:
             _require(lab in known, f"unknown element {lab!r} in covers")
         covers.append(tuple(pair))
@@ -59,8 +58,7 @@ def lattice_from_doc(doc):
     if doc.get("ortho") is not None:
         m = list(range(lattice.size))
         seen = set()
-        for pair in doc["ortho"]:
-            _require(isinstance(pair, list) and len(pair) == 2, f"bad ortho pair {pair!r}")
+        for pair in _label_pairs(doc["ortho"], "ortho", "bad ortho pair"):
             # a self-pair [x, x] is legal only for the one-element lattice
             for lab in dict.fromkeys(pair):
                 _require(lab in known, f"unknown element {lab!r} in ortho")
@@ -72,6 +70,15 @@ def lattice_from_doc(doc):
         if not is_orthocomplementation(lattice, ortho):
             raise NotAnOrthocomplementation("ortho block does not orthocomplement the lattice")
     return lattice, ortho, str(doc["name"])
+
+
+def _label_pairs(pairs, key: str, bad: str) -> list:
+    """pairs, once it is known to be a list of two-string lists."""
+    _require(isinstance(pairs, list), f"{key} must be a list of label pairs")
+    for pair in pairs:
+        _require(isinstance(pair, list) and len(pair) == 2 and all(isinstance(lab, str) for lab in pair),
+                 f"{bad} {pair!r}")
+    return pairs
 
 
 def lattice_to_doc(lattice: FiniteBoundedLattice, ortho: Involution | None, name: str) -> dict:

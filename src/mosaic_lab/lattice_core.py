@@ -334,10 +334,20 @@ def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> 
     are not tested here; tests/test_lattice_core.py checks them on every
     returned map.
     """
+    out = []
+    for pi in _orthocomplementation_search(l):
+        if limit is not None and len(out) == limit:
+            raise SizeTooLarge(f"more than {limit} orthocomplementations")
+        out.append(pi)
+    return out
+
+
+def _orthocomplementation_search(l: FiniteBoundedLattice):
+    """The search of orthocomplementations, yielding each map as it is
+    found: next() of it stops at the first."""
     n, up, down = l.size, l.leq, l.down
     om = omega_rows(l)
     assign = [-1] * n
-    out = []
 
     def reverses(u: int, done: int) -> bool:
         # OC1 between u and every assigned element: those above u are the
@@ -354,20 +364,17 @@ def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> 
         while x < n and assign[x] != -1:
             x += 1
         if x == n:
-            if limit is not None and len(out) == limit:
-                raise SizeTooLarge(f"more than {limit} orthocomplementations")
-            out.append(Involution(tuple(assign)))
+            yield Involution(tuple(assign))
             return
         for y in bits(om[x]):
             if assign[y] == -1:
                 assign[x], assign[y] = y, x
                 pair = done | 1 << x | 1 << y
                 if reverses(x, pair) and reverses(y, pair):
-                    rec(x + 1, pair)
+                    yield from rec(x + 1, pair)
                 assign[x] = assign[y] = -1
 
-    rec(0, 0)
-    return out
+    return rec(0, 0)
 
 
 def is_orthocomplementation(l: FiniteBoundedLattice, pi: Involution) -> bool:

@@ -16,7 +16,8 @@ from .hyperstructure import (
     Multioperation,
     _lms2_witness,
     _lms3_witness,
-    _RowUnions,
+    _pack,
+    _PackedUnions,
     is_reproductive,
     principal_rows,
     verify_mosaic,
@@ -84,7 +85,11 @@ def multiplicative_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
 def extremum_by_characterization(m: NakanoMosaic) -> int:
     """The unique u with: u in x+x implies x = u.  Top for additive mosaics,
     bottom for multiplicative ones; anything else signals a corrupted table."""
-    under = principal_rows(m.mosaic)  # under[u] = {x : u in x+x}
+    return _extremum(principal_rows(m.mosaic))
+
+
+def _extremum(under) -> int:
+    """extremum_by_characterization from under[u] = {x : u in x+x}."""
     found = [u for u, xs in enumerate(under) if not xs & ~(1 << u)]
     if len(found) != 1:
         raise NoUniqueExtremum(f"candidates: {found}")
@@ -166,10 +171,13 @@ def check_bound_by_extremum(m: NakanoMosaic) -> AxiomReport:
 
 def check_junction_characterization(m: NakanoMosaic) -> AxiomReport:
     """z = x v y iff (x,y in z+z and z in x+y); dual statement with meets."""
+    return _junction_characterization(m, principal_rows(m.mosaic))
+
+
+def _junction_characterization(m: NakanoMosaic, under) -> AxiomReport:
+    """check_junction_characterization from under[x] = {z : x in z+z}."""
     junction, _ = _flavor_rows(m)
-    table = m.mosaic.op.table
-    under = principal_rows(m.mosaic)  # under[x] = {z : x in z+z}
-    for x, row in enumerate(table):
+    for x, row in enumerate(m.mosaic.op.table):
         for y, cell in enumerate(row):
             diff = (under[x] & under[y] & cell) ^ (1 << junction[x][y])
             if diff:
@@ -178,24 +186,41 @@ def check_junction_characterization(m: NakanoMosaic) -> AxiomReport:
 
 
 def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
-    """x+(y+z) stays in {t : t v x v y = t v x v z = t v y v z = x v y v z}."""
-    junction, _ = _flavor_rows(m)
+    """x+(y+z) stays in {t : t v x v y = t v x v z = t v y v z = x v y v z}.
+
+    For each (y, z) both sides are packed over x, the n-bit cell of x at bit
+    offset n*x.  x+(y+z) is the packed union of the columns of the members
+    of y+z.  With s = y v z the allowed set is bound[s][y] & bound[s][z],
+    where bound[s][u] (u <= s) packs {t : t v x v u = t v s = x v s}: it
+    depends on the lattice alone.  The least failing x over all (y, z), then
+    the first (y, z) at that x and the lowest leaking t make the witness."""
+    junction, below = _flavor_rows(m)
     reach = _reach(junction)
     table = m.mosaic.op.table
-    right = _RowUnions(tuple(zip(*table)))  # right[M][x] = x+M
     n = m.size
-    for x in range(n):
-        jx = junction[x]
-        for y in range(n):
-            xy, jy, yrow = jx[y], junction[y], table[y]
-            reach_xy, jxy = reach[xy], junction[xy]
-            for z in range(n):
-                total = jxy[z]
-                allowed = reach_xy[total] & reach[jx[z]][total] & reach[jy[z]][total]
-                leak = right[yrow[z]][x] & ~allowed
-                if leak:
-                    return AxiomReport("triple-bound", False, (x, y, z, least(leak)), "triple junction bound")
-    return AxiomReport("triple-bound", True)
+    sums = _PackedUnions([_pack(col, n) for col in zip(*table)])  # sums[M]: x+M for every x
+    bound = []
+    for s, (rs, js) in enumerate(zip(reach, junction)):  # js[x] = x v s
+        own = 0
+        for t in reversed(js):
+            own = own << n | rs[t]
+        planes = {}
+        for u in bits(below[s]):
+            plane = 0
+            for a, t in zip(reversed(junction[u]), reversed(js)):
+                plane = plane << n | reach[a][t]
+            planes[u] = own & plane
+        bound.append(planes)
+    witness = None
+    for y, (jy, row) in enumerate(zip(junction, table)):
+        for z, cell in enumerate(row):
+            bs = bound[jy[z]]
+            leak = sums[cell] & ~(bs[y] & bs[z])
+            if leak:
+                x, t = divmod(least(leak), n)
+                if witness is None or x < witness[0]:
+                    witness = (x, y, z, t)
+    return AxiomReport("triple-bound", witness is None, witness, witness and "triple junction bound")
 
 
 def check_lms3_inclusion(m: NakanoMosaic) -> AxiomReport:
@@ -205,18 +230,19 @@ def check_lms3_inclusion(m: NakanoMosaic) -> AxiomReport:
 
 
 def nakano_property_reports(m: NakanoMosaic) -> list[AxiomReport]:
+    under = principal_rows(m.mosaic)
     reports = [
         check_antisym(m),
         check_principal_idempotent(m),
         check_bound_by_extremum(m),
-        check_junction_characterization(m),
+        _junction_characterization(m, under),
         check_triple_bound(m),
         check_lms3_inclusion(m),
         is_reproductive(m.mosaic.op),
     ]
     expected = m.base.top if m.flavor == ADDITIVE else m.base.bottom
     try:
-        ok = extremum_by_characterization(m) == expected
+        ok = _extremum(under) == expected
     except NoUniqueExtremum:
         ok = False
     reports.append(

@@ -24,6 +24,18 @@ DATA = Path(__file__).parent.parent / "src" / "mosaic_lab" / "data"
 GOLDEN = Path(__file__).parent / "fixtures" / "cli_golden"
 # an ortho block for boolean_2 that pairs the bottom and the top with atoms
 NON_ORTHO_PAIRING = [["0", "a"], ["b", "1"]]
+# lattice documents whose covers or ortho block is no list of two-string
+# lists, with the one error line each gives
+MALFORMED_PAIRS = [
+    ({"covers": 5}, "covers must be a list of label pairs"),
+    ({"ortho": 7}, "ortho must be a list of label pairs"),
+    ({"covers": [[["0"], "1"]]}, "bad cover [['0'], '1']"),
+    ({"ortho": [[{"a": 1}, "1"]]}, "bad ortho pair [{'a': 1}, '1']"),
+]
+
+
+def chain_2_doc(**changes):
+    return dict({"name": "chain_2", "elements": ["0", "1"], "covers": [["0", "1"]]}, **changes)
 
 
 @pytest.fixture
@@ -69,6 +81,12 @@ class TestLatticeFormat:
         doc["ortho"] = NON_ORTHO_PAIRING
         with pytest.raises(NotAnOrthocomplementation):
             lattice_from_doc(doc)
+
+    @pytest.mark.parametrize("changes, message", MALFORMED_PAIRS)
+    def test_pairs_that_are_no_label_pairs_rejected(self, changes, message):
+        with pytest.raises(FormatError) as exc:
+            lattice_from_doc(chain_2_doc(**changes))
+        assert str(exc.value) == message
 
     def test_ortho_pair_order_irrelevant(self, hexagon):
         doc = lattice_to_doc(hexagon.lattice, hexagon.ortho, "h")
@@ -248,6 +266,16 @@ class TestCliOther:
         assert res.stdout == ""
         assert res.stderr == "error: ortho block does not orthocomplement the lattice\n"
 
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    @pytest.mark.parametrize("changes, message", MALFORMED_PAIRS)
+    def test_pairs_that_are_no_label_pairs_are_input_errors(self, runner, tmp_path, command, changes, message):
+        path = tmp_path / "chain_2.json"
+        path.write_text(json.dumps(chain_2_doc(**changes)))
+        res = runner.invoke(main, [command, str(path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
     def test_check_searches_orthocomplements_once(self, runner, tmp_path, call_counts):
         import mosaic_lab.cli as cli
 
@@ -269,6 +297,22 @@ class TestCliOther:
             assert res.exit_code == 2
             assert res.stderr == "error: more than 1000 orthocomplementations; give the input an ortho block\n"
         assert runner.invoke(main, ["check", str(path), "--checks", "modular"]).exit_code == 0
+
+    def test_ortholattice_check_alone_stops_at_the_first_map(self, runner, tmp_path):
+        """The ortholattice check needs one orthocomplementation, so on an
+        MO_6 file without an ortho block it takes the first the search finds
+        instead of refusing past the listing budget."""
+        path = tmp_path / "mo6.json"
+        path.write_text(json.dumps(lattice_to_doc(named("MO_6").lattice, None, "MO_6")))
+        res = runner.invoke(main, ["check", str(path), "--checks", "ortholattice"])
+        assert (res.exit_code, res.stdout) == (0, "PASS ortholattice\n")
+        res = runner.invoke(main, ["check", str(path), "--checks", "modular,ortholattice"])
+        assert (res.exit_code, res.stdout) == (0, "PASS modular\nPASS ortholattice\n")
+        for checks in ("ortholattice,orthomodular", "ortholattice,roundtrip"):
+            res = runner.invoke(main, ["check", str(path), "--checks", checks])
+            assert res.exit_code == 2 and res.stderr.startswith("error: more than 1000 orthocomplementations")
+        res = runner.invoke(main, ["check", "pentagon", "--checks", "ortholattice"])
+        assert (res.exit_code, res.stdout) == (1, "FAIL ortholattice witness=() reason=no orthocomplementation\n")
 
     def test_orthocomplements_refuses_a_listing_past_its_budget(self, runner, tmp_path):
         """MO_7 has 135 135 orthocomplementations; orthocomplements stops

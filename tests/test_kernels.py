@@ -1,10 +1,13 @@
 """The table kernels against their element-at-a-time references.
 
-The Nakano table, verify_mosaic, verify_lmosaic, is_associative and the
-section-4 lemma battery read whole rows of bitmasks; tests/oracles.py keeps
-the same checks one element at a time.  Their reports must agree exactly,
-least witness and reason included, on every lattice with at most 6 elements
-and on seeded cell edits of those lattices' tables.
+The Nakano table, verify_mosaic, verify_lmosaic and most of the section-4
+lemma battery read whole rows of bitmasks; is_associative and the triple
+junction bound read whole planes of the table packed into one integer.
+tests/oracles.py keeps the same checks one element at a time.  Their reports
+must agree exactly, least witness and reason included, on every lattice with
+at most 6 elements and on seeded cell edits of those lattices' tables, and
+the plane kernels also on larger lattices, where one plane spans thousands
+of bits.
 
 verify_mosaic reports the lemma-1 consequences without testing them, since
 Lemma 1 derives them from the stages before; the oracle tests them, so the
@@ -16,8 +19,10 @@ from collections import Counter
 
 import pytest
 
+from mosaic_lab.catalog import named
 from mosaic_lab.errors import NotAnLMosaic
 from mosaic_lab.hyperstructure import Mosaic, induced_order, is_associative, verify_lmosaic, verify_mosaic
+from mosaic_lab.lattice_core import is_modular
 from mosaic_lab.nakano import NakanoMosaic, additive_nakano, multiplicative_nakano, nakano_property_reports
 
 from oracles import (
@@ -88,6 +93,45 @@ def test_reports_match_on_edited_tables(lattices_upto_6):
     # somewhere
     assert set(mosaic_stage) == {"commutative", "total", "unique-inverses", "reversible", None}
     assert all(lemma_failures.values()), lemma_failures
+
+
+@pytest.fixture(scope="module")
+def wide_lattices(lattices_upto_8):
+    """chain_16, boolean_4, MO_6, the hexagon and a seeded sample of the
+    7- and 8-element lattices."""
+    rng = random.Random(90210)
+    sample = [l for n, k in ((7, 10), (8, 16)) for l in rng.sample([l for l in lattices_upto_8 if l.size == n], k)]
+    return [named(name).lattice for name in ("chain_16", "boolean_4", "MO_6", "hexagon")] + sample
+
+
+def test_plane_kernels_match_on_wide_tables(wide_lattices):
+    """On chain_16 a plane of is_associative spans 16 * 16 * 16 = 4 096 bits.
+    A Nakano table meets the triple bound, and is associative exactly when
+    the lattice is modular; the edits, one-sided and mirrored, make both
+    plane kernels fail, some of them past the first 64 bits of a plane."""
+    rng = random.Random(4471)
+    failed = Counter()
+    for l in wide_lattices:
+        n = l.size
+        for additive, build in FLAVORS:
+            nm = build(l)
+            for m in (nm, *edits(nm, rng, 6)):
+                table = m.mosaic.op.table
+                assoc = is_associative(m.mosaic.op)
+                assert assoc == associativity_loops(table)
+                reports = nakano_property_reports(m)
+                assert reports == nakano_property_loops(l, additive, table)
+                triple = next(r for r in reports if r.axiom == "triple-bound")
+                if m is nm:
+                    assert triple.holds and assoc.holds == is_modular(l).holds
+                if not assoc.holds:
+                    x, y, z = assoc.witness
+                    failed["associative"] += 1
+                    failed["associative past 64 bits"] += n * (n * y + z) >= 64
+                if not triple.holds:
+                    failed["triple-bound"] += 1
+                    failed["triple-bound past 64 bits"] += n * triple.witness[0] >= 64
+    assert len(failed) == 4 and all(failed.values()), failed
 
 
 def test_order_of_an_lmosaic_is_a_bounded_partial_order(lattices_upto_6):
