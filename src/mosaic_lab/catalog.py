@@ -6,7 +6,12 @@ invariant-class-respecting relabelings) and keeps those that are their own
 canonical form, so no class is generated as a duplicate that must be removed.
 The candidates are naturally-labeled bounded posets, grown one middle element
 at a time, in which every new element has a meet with every earlier one and
-the down-set sizes never decrease.  Counts are never copied from external
+the down-set sizes never decrease.  The canonicity test is staged from cheap
+to dear: unsorted base pairs (down-set size, up-set size) rule a candidate
+out, then an unsorted invariant sequence, and only the rest try relabelings.
+Each relabeling's key is built one row at a time and dropped at its first
+row above the best key so far; the test stops at the first relabeling that
+comes out below the candidate.  Counts are never copied from external
 sources; tests freeze what the independent oracle and this generator produce.
 """
 
@@ -22,11 +27,14 @@ from .errors import SizeTooLarge, UnknownName
 from .lattice_core import (
     FiniteBoundedLattice,
     Involution,
+    _base_pairs,
     _key_invariants,
     build_from_covers,
     complement_mask,
     from_leq,
     hexagon_pattern,
+    is_modular,
+    is_orthomodular,
     lattice_automorphisms,
     orthocomplementations,
     pentagon_pattern,
@@ -214,35 +222,53 @@ def _bounded_lattice_candidates(n: int):
 
 def _canonical_key(up: tuple[int, ...]) -> tuple[int, ...]:
     """Minimal leq bit matrix over invariant-class-respecting relabelings."""
-    return _least_relabeling(up, _key_invariants(up))
+    return _least_relabeling(up, _key_invariants(up, transpose(up)))
 
 
 def _is_canonical(up: tuple[int, ...]) -> bool:
     """up is its own canonical key.  The key lists its elements in invariant
-    order, so an unsorted invariant sequence rules up out at once."""
-    inv = _key_invariants(up)
-    return inv == sorted(inv) and _least_relabeling(up, inv) == up
+    order, so the test is staged: unsorted base pairs rule up out at once,
+    then an unsorted invariant sequence, and only then are relabelings
+    tried, up to the first whose key comes out below up."""
+    down = transpose(up)
+    base = _base_pairs(up, down)
+    if base != sorted(base):
+        return False
+    inv = _key_invariants(up, down)
+    return inv == sorted(inv) and _least_relabeling(up, inv, up) == up
 
 
-def _least_relabeling(up: tuple[int, ...], inv: list) -> tuple[int, ...]:
+def _least_relabeling(up: tuple[int, ...], inv: list, below: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """Least up-row matrix over the relabelings that list the elements in
-    sorted invariant order."""
+    sorted invariant order.
+
+    Each relabeling's key is built one row at a time against the best key so
+    far: a row above the best key's row drops the relabeling, and a row
+    below it makes the relabeling the new best.  Given below, the key of one
+    of these relabelings, the search returns the first key that comes out
+    below it, or below itself when none does."""
     n = len(up)
     groups: dict = {}
     for i in range(n):
         groups.setdefault(inv[i], []).append(i)
-    ordered = sorted(groups)
-    best = None
-    for parts in itertools.product(*(itertools.permutations(groups[key]) for key in ordered)):
+    above = [list(bits(row)) for row in up]
+    bit = [0] * n  # old element -> the bit of its new position
+    best = below
+    for parts in itertools.product(*(itertools.permutations(groups[key]) for key in sorted(groups))):
         old_at = [i for part in parts for i in part]  # new position -> old element
-        newpos = [0] * n
         for p, old in enumerate(old_at):
-            newpos[old] = p
-        key = tuple(
-            mask_of(newpos[j] for j in bits(up[old_at[p]])) for p in range(n)
-        )
-        if best is None or key < best:
-            best = key
+            bit[old] = 1 << p
+        rows = (sum(map(bit.__getitem__, above[old])) for old in old_at)
+        if best is None:
+            best = tuple(rows)
+            continue
+        for p, row in enumerate(rows):
+            if row != best[p]:
+                if row < best[p]:
+                    best = (*best[:p], row, *rows)
+                    if below is not None:
+                        return best
+                break
     return best
 
 
@@ -287,7 +313,6 @@ def _ortho_classes(l: FiniteBoundedLattice) -> list[OrthoPair]:
 
 def census(n: int) -> list[dict]:
     """Classifier summary rows for the n-element enumeration."""
-    from .lattice_core import is_modular, is_orthomodular
     rows = []
     for i, l in enumerate(enumerate_lattices(n)):
         pairs = _ortho_classes(l)

@@ -175,6 +175,7 @@ def table_from_doc(doc) -> TableDoc:
         isinstance(elements, list) and all(isinstance(e, str) for e in elements),
         "elements must be a list of strings",
     )
+    _require(len(set(elements)) == len(elements), "duplicate element names")
     n = len(elements)
     rows = doc["table"]
     _require(isinstance(rows, list) and len(rows) == n, "table must have one row per element")

@@ -342,6 +342,16 @@ def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> 
     return out
 
 
+def _image(mask: int, images) -> int:
+    """The bitmask of images[i] over the members i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << images[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _orthocomplementation_search(l: FiniteBoundedLattice):
     """The search of orthocomplementations, yielding each map as it is
     found: next() of it stops at the first."""
@@ -353,12 +363,7 @@ def _orthocomplementation_search(l: FiniteBoundedLattice):
         # OC1 between u and every assigned element: those above u are the
         # images of those below pi(u).  A pair (v, u) is the pair
         # (pi(u), pi(v)) of OC1, so the rows of the new elements cover it.
-        mask, image = down[assign[u]] & done, 0
-        while mask:
-            low = mask & -mask
-            image |= 1 << assign[low.bit_length() - 1]
-            mask ^= low
-        return up[u] & done == image
+        return up[u] & done == _image(down[assign[u]] & done, assign)
 
     def rec(x: int, done: int):
         while x < n and assign[x] != -1:
@@ -630,12 +635,18 @@ def _require_closed(l: FiniteBoundedLattice, members: list[int]):
                 raise NotASublattice(f"subset not closed at ({x},{y})")
 
 
-def _key_invariants(up) -> list:
-    """Per element of the order with up-set rows up: (down-set size, up-set
-    size), and the sorted sizes of the elements above and below it.  Sound
-    for any isomorphism search, and the sort key of catalog's canonical form."""
-    down = transpose(up)
-    base = [(down[i].bit_count(), up[i].bit_count()) for i in range(len(up))]
+def _base_pairs(up, down) -> list:
+    """Per element of the order with up-set rows up and down-set rows down:
+    (down-set size, up-set size), the first field of its key invariant."""
+    return [(d.bit_count(), u.bit_count()) for u, d in zip(up, down)]
+
+
+def _key_invariants(up, down) -> list:
+    """Per element of the order with up-set rows up and down-set rows down:
+    its base pair, and the sorted base pairs of the elements above and below
+    it.  Sound for any isomorphism search, and the sort key of catalog's
+    canonical form."""
+    base = _base_pairs(up, down)
     return [
         (
             base[i],
@@ -647,36 +658,36 @@ def _key_invariants(up) -> list:
 
 
 def lattice_isomorphisms(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
-    """Yield every order isomorphism a -> b as an index tuple."""
+    """Yield every order isomorphism a -> b as an index tuple, in
+    lexicographic order.
+
+    The search assigns a's elements in index order, each to the b-elements
+    of equal invariant in ascending order.  A candidate v for i is kept when
+    two row identities hold: the images of the assigned elements above i are
+    b.leq[v] & used, and those below i are b.down[v] & used, where used holds
+    the images assigned so far.  As the map is injective, that is the test
+    of both orders between i and every assigned element."""
     if a.size != b.size:
         return
-    inva, invb = _key_invariants(a.leq), _key_invariants(b.leq)
+    a_up, a_down, b_up, b_down = a.leq, a.down, b.leq, b.down
+    inva, invb = _key_invariants(a_up, a_down), _key_invariants(b_up, b_down)
     if sorted(inva) != sorted(invb):
         return
     cand = [[j for j in range(b.size) if invb[j] == inva[i]] for i in range(a.size)]
-    assign = [-1] * a.size
-    used = [False] * b.size
+    assign = [0] * a.size
 
-    def rec(i: int):
+    def rec(i: int, used: int):
         if i == a.size:
             yield tuple(assign)
             return
+        done = (1 << i) - 1
+        above, below = _image(a_up[i] & done, assign), _image(a_down[i] & done, assign)
         for v in cand[i]:
-            if used[v]:
-                continue
-            ok = True
-            for i2 in range(i):
-                if a.le(i, i2) != b.le(v, assign[i2]) or a.le(i2, i) != b.le(assign[i2], v):
-                    ok = False
-                    break
-            if ok:
+            if not used >> v & 1 and b_up[v] & used == above and b_down[v] & used == below:
                 assign[i] = v
-                used[v] = True
-                yield from rec(i + 1)
-                assign[i] = -1
-                used[v] = False
+                yield from rec(i + 1, used | 1 << v)
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def lattice_isomorphism(a: FiniteBoundedLattice, b: FiniteBoundedLattice):

@@ -157,6 +157,78 @@ def brute_poset_iso(up1, up2):
     return None
 
 
+def key_invariants_loops(up):
+    """catalog's key invariant of each element of the order with up-set rows
+    up, from the order relation one pair at a time: the base pair (down-set
+    size, up-set size), then the sorted base pairs above and below it."""
+    n = len(up)
+    le = [[up[i] >> j & 1 for j in range(n)] for i in range(n)]
+    base = [(sum(le[j][i] for j in range(n)), sum(le[i])) for i in range(n)]
+    return [
+        (
+            base[i],
+            tuple(sorted(base[j] for j in range(n) if le[i][j])),
+            tuple(sorted(base[j] for j in range(n) if le[j][i])),
+        )
+        for i in range(n)
+    ]
+
+
+def least_relabeling_unpruned(up, inv):
+    """Least up-row matrix over the relabelings that list the elements in
+    sorted invariant order, each relabeling's key built in full: the
+    unpruned reference for catalog's search."""
+    n = len(up)
+    groups = [[i for i in range(n) if inv[i] == key] for key in sorted(set(inv))]
+    best = None
+    for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
+        old_at = [i for part in parts for i in part]
+        newpos = {old: p for p, old in enumerate(old_at)}
+        key = tuple(sum(1 << newpos[j] for j in bits(up[old])) for old in old_at)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def canonical_key_unpruned(up):
+    return least_relabeling_unpruned(up, key_invariants_loops(up))
+
+
+def is_canonical_unpruned(up) -> bool:
+    """up is its own canonical key.  The key lists its elements in sorted
+    invariant order, so an unsorted invariant sequence rules up out."""
+    inv = key_invariants_loops(up)
+    return inv == sorted(inv) and least_relabeling_unpruned(up, inv) == tuple(up)
+
+
+def order_isomorphisms_loops(up1, up2) -> list:
+    """Every order isomorphism between the orders with up-set rows up1 and
+    up2, in lexicographic order: backtracking over every unused target in
+    ascending order, each tested pairwise against every assigned element.
+    No invariant narrows the candidates."""
+    n = len(up1)
+    if len(up2) != n:
+        return []
+    out = []
+    assign = []
+
+    def rec(i: int):
+        if i == n:
+            out.append(tuple(assign))
+            return
+        for v in range(n):
+            if v not in assign and all(
+                (up1[i] >> k & 1) == (up2[v] >> w & 1) and (up1[k] >> i & 1) == (up2[w] >> v & 1)
+                for k, w in enumerate(assign)
+            ):
+                assign.append(v)
+                rec(i + 1)
+                assign.pop()
+
+    rec(0)
+    return out
+
+
 def brute_bounded_lattices(n: int):
     """All isomorphism classes of n-element bounded lattices, by enumerating
     every upper-triangular transitive relation (every poset has such a natural

@@ -24,7 +24,7 @@ from mosaic_lab.catalog import (
     named,
 )
 
-from oracles import brute_bounded_lattices, brute_poset_iso
+from oracles import brute_bounded_lattices, brute_poset_iso, canonical_key_unpruned
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COUNTS = json.loads((FIXTURES / "enumeration_counts.json").read_text())
@@ -118,7 +118,8 @@ def least_of_common(rows, i, j):
 def generate_filter_dedup(n):
     """The route the enumerator replaced: every naturally-labeled bounded
     poset on n elements, kept when every pair has a join and a meet, then
-    deduplicated by canonical key.  Returns (lattices, keys)."""
+    deduplicated by the unpruned canonical key of tests/oracles.py, so that
+    no pruning of the library's is shared.  Returns (lattices, keys)."""
     if n == 1:
         return {(1,)}, {(1,)}
     m, full, top = n - 2, (1 << n) - 1, 1 << (n - 1)
@@ -134,7 +135,7 @@ def generate_filter_dedup(n):
             for i in range(n) for j in range(i + 1, n)
         ):
             lattices.add(tuple(up))
-    return lattices, {_canonical_key(up) for up in lattices}
+    return lattices, {canonical_key_unpruned(up) for up in lattices}
 
 
 class TestEnumerateLattices:

@@ -34,6 +34,19 @@ MALFORMED_PAIRS = [
 ]
 
 
+def duplicate_name_table(pentagon) -> dict:
+    """The pentagon's additive table with an extra element "a", listed
+    before the real one, whose row and column are all {1}."""
+    p = pentagon.lattice
+    doc = json.loads(table_doc_to_json(table_doc_from_mosaic("pv", p.names, additive_nakano(p).mosaic)))
+    at = doc["elements"].index("a")
+    doc["elements"].insert(at, "a")
+    doc["table"].insert(at, [["1"]] * len(doc["table"]))
+    for row in doc["table"]:
+        row.insert(at, ["1"])
+    return doc
+
+
 def chain_2_doc(**changes):
     return dict({"name": "chain_2", "elements": ["0", "1"], "covers": [["0", "1"]]}, **changes)
 
@@ -114,6 +127,12 @@ class TestTableFormat:
         with pytest.raises(FormatError):
             doc.to_multioperation()
 
+    def test_repeated_element_names_are_refused(self, pentagon):
+        """Cells are keyed by label, so a repeated name would let one row
+        and column silently overwrite the other."""
+        with pytest.raises(FormatError, match="^duplicate element names$"):
+            parse_table_json(json.dumps(duplicate_name_table(pentagon)))
+
     def test_render_ascii_matches_paper_layout(self, pentagon):
         p = pentagon.lattice
         doc = table_doc_from_mosaic("pv", p.names, additive_nakano(p).mosaic)
@@ -158,6 +177,14 @@ class TestCliTable:
         res = runner.invoke(main, ["table", "pentagon", "--diff", str(out)])
         assert res.exit_code == 0
         assert "0 differing cell(s)" in res.output
+
+    def test_diff_refuses_a_table_with_repeated_element_names(self, runner, tmp_path, pentagon):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(duplicate_name_table(pentagon)))
+        res = runner.invoke(main, ["table", "pentagon", "--diff", str(path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: duplicate element names\n"
 
     def test_one_element_grid(self, runner):
         res = runner.invoke(main, ["table", "chain_1", "--additive"])
@@ -338,11 +365,14 @@ class TestCliOther:
             ("check_MO_4_no_ortho.txt", ["check", str(GOLDEN / "MO_4_no_ortho.json")], 0),
             ("roundtrip_MO_5.txt", ["roundtrip", "MO_5"], 0),
             ("check_hexagon.json", ["check", "hexagon", "--format", "json"], 1),
+            ("catalog_enumerate_8.txt", ["catalog", "--enumerate", "8"], 0),
+            ("catalog_enumerate_7.json", ["catalog", "--enumerate", "7", "--format", "json"], 0),
         ],
     )
     def test_output_is_byte_identical_to_the_frozen_one(self, runner, stem, args, exit_code):
-        """Standard output and exit code as the element-at-a-time
-        implementation printed them before the row kernels replaced it."""
+        """Standard output and exit code as printed before the row kernels
+        replaced the element-at-a-time checks, and, for the census, before
+        the canonicity test and the isomorphism search were pruned."""
         res = runner.invoke(main, args)
         assert res.exit_code == exit_code
         assert res.stdout_bytes == (GOLDEN / stem).read_bytes()
