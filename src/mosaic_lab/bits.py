@@ -30,6 +30,16 @@ def transpose(rows) -> list[int]:
     return out
 
 
+def image(mask: int, images) -> int:
+    """The bitmask of images[i] over the members i of mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << images[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits, ascending."""
     while mask:

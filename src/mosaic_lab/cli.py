@@ -22,9 +22,10 @@ from .equivalence import OrthoPair, functor_E, is_orthomodular_mosaic, reconstru
 from .errors import MissingOrtho, MosaicLabError, SizeTooLarge
 from .hyperstructure import is_associative, verify_lmosaic, verify_mosaic
 from .io import (
+    _json_doc,
     diff_table_docs,
+    lattice_from_doc,
     lattice_to_doc,
-    parse_lattice_json,
     parse_table_json,
     render_table_ascii,
     table_doc_from_mosaic,
@@ -63,6 +64,9 @@ MAX_ORTHOCOMPLEMENTATIONS = 1000
 # orthocomplements lists every map; past this many (MO_6 has 10 395, MO_7
 # 135 135) the listing is refused
 _MAX_LISTED_ORTHOCOMPLEMENTATIONS = 20000
+# lattice files past this many elements are refused before the lattice is
+# built, since the cost of check grows between n^3 and n^4 in the elements
+_MAX_FILE_ELEMENTS = 64
 
 
 def _fail_input(message: str):
@@ -79,7 +83,11 @@ def _load(source: str):
                     text = fh.read()
             except (OSError, UnicodeDecodeError) as exc:
                 _fail_input(f"cannot read {source}: {exc}")
-            return parse_lattice_json(text)
+            doc = _json_doc(text)
+            elements = doc.get("elements") if isinstance(doc, dict) else None
+            if isinstance(elements, list) and len(elements) > _MAX_FILE_ELEMENTS:
+                raise SizeTooLarge(f"{len(elements)} elements; lattice files hold at most {_MAX_FILE_ELEMENTS}")
+            return lattice_from_doc(doc)
         entry = cat.named(source)
         return entry.lattice, entry.ortho, entry.name
     except MosaicLabError as exc:

@@ -1,5 +1,12 @@
 """The ortholattice <-> dualizable L-mosaic equivalence: functor, inverse
 reconstruction, morphism transfer and the mosaic-side orthomodularity test.
+
+Both directions build what the paper's main theorem proves: functor_E the
+Nakano mosaic of an ortholattice, the reconstruction the order that the
+principal cells of a dualizable table induce, with pi as orthocomplement.
+Neither re-checks the theorem; the test suite does.  A table from outside
+the program is checked once, by _dualizability_failure, before it is
+reconstructed.
 """
 
 from __future__ import annotations
@@ -8,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bits import bits, full_mask, least, mask_of, subsets, transpose
+from .bits import bits, full_mask, image, least, mask_of, subsets, transpose
 from .errors import (
     MosaicLabError,
     NotAnOrthocomplementation,
@@ -88,7 +95,7 @@ def _orthocomplement_failure(mosaic: Mosaic, pi: Involution):
     # the elements above pi(x)
     up = principal_rows(mosaic)
     for x, px in enumerate(pi.map):
-        wrong = mosaic.cell(x, x) ^ pi.image_mask(up[px])
+        wrong = mosaic.cell(x, x) ^ image(up[px], pi.map)
         if wrong:
             return "pi does not reverse the induced order", (x, least(wrong))
     one = pi(mosaic.neutral)
@@ -105,7 +112,8 @@ def is_genuinely_dualizable(mosaic: Mosaic, pi: Involution) -> bool:
 @dataclass(frozen=True)
 class DualizableLMosaicPair:
     """An L-mosaic with an involution that orthocomplements its induced
-    order (equivalently: reconstruction yields a pi-ortholattice).
+    order.  The paper's main theorem makes that order a pi-ortholattice
+    and the table its Nakano mosaic.
 
     A plain record, like Mosaic: construction checks nothing.  functor_E
     builds pairs that the paper proves dualizable, and a table from outside
@@ -129,7 +137,8 @@ class DualizableLMosaicPair:
 
     @cached_property
     def reconstruction(self) -> "OrthoPair":
-        """The pi-ortholattice on the carrier, with default names x0, x1, ..."""
+        """The pi-ortholattice on the carrier, with names x0, x1, ...: the
+        induced order and pi, read off the table unchecked."""
         return _reconstruct(self.mosaic, self.pi)
 
     @cached_property
@@ -160,54 +169,34 @@ def functor_E(op: OrthoPair) -> DualizableLMosaicPair:
     return DualizableLMosaicPair(additive_nakano(op.lattice).mosaic, op.pi)
 
 
-def reconstruct_from(mosaic: Mosaic, pi: Involution, names=None) -> OrthoPair:
-    """Rebuild the pi-ortholattice of an unverified (mosaic, pi).  Raises
-    ReconstructionFailure when the input is not genuinely a dualizable
-    L-mosaic."""
+def reconstruct_from(mosaic: Mosaic, pi: Involution) -> OrthoPair:
+    """The pi-ortholattice of a table from outside the program: the
+    dualizability check, then the inverse functor.  Raises
+    ReconstructionFailure when (mosaic, pi) is not a dualizable L-mosaic
+    pair."""
     failure = _dualizability_failure(mosaic, pi)
     if failure is not None:
         raise ReconstructionFailure(*failure)
-    return _reconstruct(mosaic, pi, names)
+    return _reconstruct(mosaic, pi)
 
 
-def reconstruct_lattice(p: DualizableLMosaicPair, names=None) -> OrthoPair:
-    """Rebuild the pi-ortholattice of a dualizable pair (an image of
-    functor_E, or a table that passed the dualizability check); with default
-    names the pair's own reconstruction, built on first use."""
-    if names is None:
-        return p.reconstruction
-    return _reconstruct(p.mosaic, p.pi, names)
+def reconstruct_lattice(p: DualizableLMosaicPair) -> OrthoPair:
+    """The pi-ortholattice of a dualizable pair (an image of functor_E, or a
+    table that passed the dualizability check): the pair's own
+    reconstruction, built on first use."""
+    return p.reconstruction
 
 
-def _reconstruct(mosaic: Mosaic, pi: Involution, names=None) -> OrthoPair:
-    """Rebuild the pi-ortholattice on the mosaic's own carrier from a pair
-    already known to be dualizable: order from the principal cells, joins
-    from the unique Lms4 candidate, top = pi(0), meets transported through
-    pi; finally the mosaic must equal the Nakano mosaic of that order, cell
-    for cell."""
-    n = mosaic.size
-    if names is None:
-        names = [f"x{i}" for i in range(n)]
-    lattice = from_leq(names, principal_rows(mosaic))
-    if lattice.bottom != mosaic.neutral or lattice.top != pi(mosaic.neutral):
-        raise ReconstructionFailure("bounds are not 0 and pi(0)", (lattice.bottom, lattice.top))
-    cells, join, p = mosaic.op.table, lattice.join_table, pi.map
-    for x in range(n):
-        # the Lms4 candidate is the least upper bound
-        joins, transported = join[x], join[p[x]]
-        meets = tuple(p[transported[py]] for py in p)
-        if meets != lattice.meet_table[x] or any(not c >> z & 1 for c, z in zip(cells[x], joins)):
-            for y in range(n):
-                if not cells[x][y] >> joins[y] & 1:
-                    raise ReconstructionFailure("join escapes its cell", (x, y))
-                if meets[y] != lattice.meet_table[x][y]:
-                    raise ReconstructionFailure("meet is not the pi-transported join", (x, y))
-    rebuilt = additive_nakano(lattice).mosaic.op.table
-    if rebuilt != cells:
-        x = next(x for x in range(n) if rebuilt[x] != cells[x])
-        y = next(y for y in range(n) if rebuilt[x][y] != cells[x][y])
-        raise ReconstructionFailure("mosaic is not the Nakano mosaic of its order", (x, y))
-    return OrthoPair(lattice, pi)
+def _reconstruct(mosaic: Mosaic, pi: Involution) -> OrthoPair:
+    """The inverse functor on a pair known to be dualizable, on the mosaic's
+    own carrier with names x0, x1, ...: the order read off the principal
+    cells, and pi as its orthocomplementation.  The paper proves that this
+    order is a lattice with bounds 0 and pi(0) and that the table is its
+    Nakano mosaic, so neither is checked here; the lattice constructor and
+    OrthoPair keep their own input checks.  tests/test_ortho_kernels.py
+    checks the theorem on every dualizable input it has."""
+    names = [f"x{i}" for i in range(mosaic.size)]
+    return OrthoPair(from_leq(names, principal_rows(mosaic)), pi)
 
 
 @dataclass(frozen=True)
@@ -264,10 +253,10 @@ def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> Axiom
     reconstructed lattice; its restricted multioperation must be an
     associative mosaic (a polygroup).
 
-    The reconstruction has proved p.mosaic cell for cell equal to the Nakano
-    mosaic of the rebuilt lattice, and the generated subset is a sublattice
-    holding 0, so the restriction is the Nakano mosaic of that sublattice: a
-    mosaic by theorem, of which only associativity is checked.  Many (x, y)
+    p.mosaic is the Nakano mosaic of the rebuilt lattice (the paper's main
+    theorem), and the generated subset is a sublattice holding 0, so the
+    restriction is the Nakano mosaic of that sublattice: a mosaic by
+    theorem, of which only associativity is checked.  Many (x, y)
     generate the same subalgebra (two elements of an orthomodular lattice
     generate an image of MO_2 x 2^4), so the verdict is computed once per
     distinct generated subset of the pair; a failing report carries its own

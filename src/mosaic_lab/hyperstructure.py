@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .bits import bits, elements, full_mask, least, mask_of, members_of, transpose
+from .bits import bits, elements, full_mask, image, least, mask_of, members_of, transpose
 from .errors import NotAnLMosaic, NotASubmosaic, SizeMismatch
 from .lattice_core import AxiomReport, Involution
 
@@ -58,14 +58,6 @@ class Multioperation:
             raise SizeMismatch("table is not size x size")
         if any(c & ~full for r in self.table for c in r):
             raise ValueError("cell not a subset of the carrier")
-
-    @classmethod
-    def from_cells(cls, size: int, cells) -> "Multioperation":
-        """cells: mapping (x, y) -> iterable of elements; missing cells are empty."""
-        table = [[0] * size for _ in range(size)]
-        for (x, y), zs in cells.items():
-            table[x][y] = mask_of(zs)
-        return cls(size, tuple(tuple(r) for r in table))
 
     @classmethod
     def build(cls, size: int, fn) -> "Multioperation":
@@ -462,20 +454,17 @@ def is_strong_submosaic(m: Mosaic, subset) -> bool:
     return all(m.cell(x, y) & ~mask == 0 for x in members for y in members)
 
 
-def dualize(m: Mosaic, pi: Involution, literal: bool = False):
+def dualize(m: Mosaic, pi: Involution):
     """pi-dual of a commutative mosaic: table (x,y) -> pi(pi(x) + pi(y)) with
     neutral pi(0).  The outer pi is a deliberate correction: with the literal
-    form pi(x) + pi(y) (exposed via literal=True) pi(0) is neutral only when
-    pi is the identity, and pi would not be an isomorphism onto the dual.
-    Returns the dual mosaic iff it verifies, None otherwise."""
+    form pi(x) + pi(y), pi(0) is neutral only when pi is the identity, and pi
+    would not be an isomorphism onto the dual (tests/oracles.dual_table_loops
+    keeps the literal form).  Returns the dual mosaic iff it verifies, None
+    otherwise."""
     if pi.size != m.size:
         raise SizeMismatch("involution size disagrees with the carrier")
-    image = pi.image_mask
-    rows = (m.op.table[px] for px in pi.map)
-    if literal:
-        table = tuple(tuple(row[py] for py in pi.map) for row in rows)
-    else:
-        table = tuple(tuple(image(row[py]) for py in pi.map) for row in rows)
+    p, cells = pi.map, m.op.table
+    table = tuple(tuple(image(cells[px][py], p) for py in p) for px in p)
     got = verify_mosaic(Multioperation(m.size, table))
     if got.mosaic is None or got.mosaic.neutral != pi(m.neutral):
         return None

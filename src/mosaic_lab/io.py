@@ -27,14 +27,18 @@ def _require(cond: bool, message: str):
         raise FormatError(message)
 
 
-def parse_lattice_json(text: str):
-    """-> (lattice, ortho involution or None, name).  Errors carry line info
-    when the JSON itself is malformed."""
+def _json_doc(text: str):
+    """The decoded JSON text; a FormatError with line info when it is
+    malformed."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return lattice_from_doc(doc)
+
+
+def parse_lattice_json(text: str):
+    """-> (lattice, ortho involution or None, name)."""
+    return lattice_from_doc(_json_doc(text))
 
 
 def lattice_from_doc(doc):
@@ -159,11 +163,7 @@ class TableDoc:
 
 
 def parse_table_json(text: str) -> TableDoc:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    return table_from_doc(doc)
+    return table_from_doc(_json_doc(text))
 
 
 def table_from_doc(doc) -> TableDoc:

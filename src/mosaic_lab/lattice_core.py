@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bits import bits, elements, full_mask, mask_of, members_of, transpose
+from .bits import bits, elements, full_mask, image, mask_of, members_of, transpose
 from .errors import (
     CyclicCovers,
     DuplicateLabel,
@@ -67,14 +67,6 @@ class Involution:
     def __call__(self, x: int) -> int:
         return self.map[x]
 
-    def image_mask(self, mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << self.map[low.bit_length() - 1]
-            mask ^= low
-        return out
-
     @classmethod
     def identity(cls, n: int) -> "Involution":
         return cls(tuple(range(n)))
@@ -85,14 +77,14 @@ class FiniteBoundedLattice:
     """Carrier of `size` indexed elements with order, join/meet tables and bounds.
 
     Built from labels and the order alone: leq is stored as bitmask rows, bit
-    j of leq[i] set iff i <= j.  Construction checks the rows once and derives
-    the down rows, the bounds and the join and meet tables from them, so no
-    lattice with inconsistent tables can be built.  A join is read off the
-    rows: the element whose up row is leq[i] & leq[j], when it lies in that
-    row; only when no such element exists does _lub scan the common row, and
-    _lub alone decides whether the pair lacks a join (a hit means _lub finds
-    one too).  Meets likewise from the down rows.  Immutable after
-    construction by convention; all checks are pure.
+    j of leq[i] set iff i <= j.  Construction checks once that the rows are an
+    order, then derives the down rows, the bounds and the join and meet tables
+    from them, so no lattice with inconsistent tables can be built.  In an
+    order, the common up row leq[i] & leq[j] is an element's up row exactly
+    when that element is the join of i and j, so a join is one look-up of
+    that row, and a miss means the pair lacks a join.  Meets likewise from
+    the down rows.  Immutable after construction by convention; all checks
+    are pure.
     """
 
     size: int = field(init=False)
@@ -111,6 +103,14 @@ class FiniteBoundedLattice:
         full = full_mask(n)
         if len(up) != n or any(row & ~full for row in up):
             raise SizeMismatch(f"{len(up)} up-set rows over {n} labels")
+        for i in range(n):
+            if not up[i] >> i & 1:
+                raise NotAnOrder(f"leq not reflexive at {i}")
+            for j in bits(up[i]):
+                if i != j and up[j] >> i & 1:
+                    raise NotAnOrder(f"leq not antisymmetric at ({i},{j})")
+                if up[j] & ~up[i]:
+                    raise NotAnOrder(f"leq not transitive through ({i},{j})")
         down = transpose(up)
         bottoms = [i for i in range(n) if up[i] == full]
         tops = [i for i in range(n) if down[i] == full]
@@ -123,33 +123,19 @@ class FiniteBoundedLattice:
         for i in range(n):
             up_i, down_i = up[i], down[i]
             for j in range(i, n):
-                common = up_i & up[j]
-                m = above.get(common, -1)
-                if m < 0 or not common >> m & 1:
-                    m = _lub(up, i, j)
-                    if m is None:
-                        raise NotALattice(f"{labels[i]!r} and {labels[j]!r} lack a join", (i, j))
+                m = above.get(up_i & up[j])
+                if m is None:
+                    raise NotALattice(f"{labels[i]!r} and {labels[j]!r} lack a join", (i, j))
                 join[i][j] = join[j][i] = m
-                common = down_i & down[j]
-                m = below.get(common, -1)
-                if m < 0 or not common >> m & 1:
-                    m = _lub(down, i, j)
-                    if m is None:
-                        raise NotALattice(f"{labels[i]!r} and {labels[j]!r} lack a meet", (i, j))
+                m = below.get(down_i & down[j])
+                if m is None:
+                    raise NotALattice(f"{labels[i]!r} and {labels[j]!r} lack a meet", (i, j))
                 meet[i][j] = meet[j][i] = m
         self.size = n
         self.names = tuple(str(x) for x in labels)
         self._index = {name: i for i, name in enumerate(self.names)}
         if len(self._index) != n:
             raise DuplicateLabel("duplicate element labels")
-        for i in range(n):
-            if not up[i] >> i & 1:
-                raise NotAnOrder(f"leq not reflexive at {i}")
-            for j in bits(up[i]):
-                if i != j and up[j] >> i & 1:
-                    raise NotAnOrder(f"leq not antisymmetric at ({i},{j})")
-                if up[j] & ~up[i]:
-                    raise NotAnOrder(f"leq not transitive through ({i},{j})")
         self.leq = up
         self.down = tuple(down)
         self.join_table = tuple(map(tuple, join))
@@ -167,12 +153,6 @@ class FiniteBoundedLattice:
 
     def meet(self, i: int, j: int) -> int:
         return self.meet_table[i][j]
-
-    def up_mask(self, i: int) -> int:
-        return self.leq[i]
-
-    def down_mask(self, i: int) -> int:
-        return self.down[i]
 
     @property
     def full(self) -> int:
@@ -199,15 +179,6 @@ class FiniteBoundedLattice:
         return out
 
 
-def _lub(rows: tuple[int, ...], i: int, j: int) -> int | None:
-    """Least element of rows[i] & rows[j] where rows[x] is the set above x."""
-    common = rows[i] & rows[j]
-    for m in bits(common):
-        if common & ~rows[m] == 0:
-            return m
-    return None
-
-
 def build_from_covers(names, covers) -> FiniteBoundedLattice:
     """Lattice from labels and cover pairs (lower, upper); validates eagerly."""
     names = list(names)
@@ -216,25 +187,19 @@ def build_from_covers(names, covers) -> FiniteBoundedLattice:
     n = len(names)
     idx = {x: i for i, x in enumerate(names)}
     up = [1 << i for i in range(n)]
-    edges = [[] for _ in range(n)]
     for lo, hi in covers:
         for lab in (lo, hi):
             if lab not in idx:
                 raise UnknownName(f"cover mentions unknown element {lab!r}")
         if lo == hi:
             raise CyclicCovers(f"self-loop at {lo!r}")
-        edges[idx[lo]].append(idx[hi])
-    # reflexive-transitive closure, then cycle detection via antisymmetry
-    changed = True
-    while changed:
-        changed = False
+        up[idx[lo]] |= 1 << idx[hi]
+    # reflexive-transitive closure (Warshall's, on the rows), then cycle
+    # detection via antisymmetry
+    for k in range(n):
         for i in range(n):
-            acc = up[i]
-            for j in bits(acc):
-                acc |= up[j] | mask_of(edges[j])
-            if acc != up[i]:
-                up[i] = acc
-                changed = True
+            if up[i] >> k & 1:
+                up[i] |= up[k]
     for i in range(n):
         for j in bits(up[i]):
             if i != j and up[j] >> i & 1:
@@ -315,8 +280,8 @@ def check_o2(l: FiniteBoundedLattice) -> AxiomReport:
 def is_order_reversing(l: FiniteBoundedLattice, pi: Involution) -> bool:
     """OC1: x <= y iff pi(y) <= pi(x), one up-set row at a time: the elements
     above x are the pi-images of the elements below pi(x)."""
-    image, down = pi.image_mask, l.down
-    return all(image(down[px]) == row for row, px in zip(l.leq, pi.map))
+    down, p = l.down, pi.map
+    return all(image(down[px], p) == row for row, px in zip(l.leq, p))
 
 
 def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> list[Involution]:
@@ -342,16 +307,6 @@ def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> 
     return out
 
 
-def _image(mask: int, images) -> int:
-    """The bitmask of images[i] over the members i of mask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << images[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def _orthocomplementation_search(l: FiniteBoundedLattice):
     """The search of orthocomplementations, yielding each map as it is
     found: next() of it stops at the first."""
@@ -363,7 +318,7 @@ def _orthocomplementation_search(l: FiniteBoundedLattice):
         # OC1 between u and every assigned element: those above u are the
         # images of those below pi(u).  A pair (v, u) is the pair
         # (pi(u), pi(v)) of OC1, so the rows of the new elements cover it.
-        return up[u] & done == _image(down[assign[u]] & done, assign)
+        return up[u] & done == image(down[assign[u]] & done, assign)
 
     def rec(x: int, done: int):
         while x < n and assign[x] != -1:
@@ -681,7 +636,7 @@ def lattice_isomorphisms(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
             yield tuple(assign)
             return
         done = (1 << i) - 1
-        above, below = _image(a_up[i] & done, assign), _image(a_down[i] & done, assign)
+        above, below = image(a_up[i] & done, assign), image(a_down[i] & done, assign)
         for v in cand[i]:
             if not used >> v & 1 and b_up[v] & used == above and b_down[v] & used == below:
                 assign[i] = v

@@ -304,12 +304,6 @@ class TestVerifiedOnce:
             d = functor_E(p)
             assert reconstruct_lattice(d) == reconstruct_from(d.mosaic, d.pi)
 
-    def test_named_reconstruction_is_not_memoized(self, hexagon_pair):
-        d = functor_E(hexagon_pair)
-        names = hexagon_pair.lattice.names
-        assert reconstruct_lattice(d, names) == reconstruct_from(d.mosaic, d.pi, names)
-        assert reconstruct_lattice(d).lattice.names == tuple(f"x{i}" for i in range(d.size))
-
     def test_memo_leaves_eq_hash_repr(self, hexagon_pair):
         mo3 = named("MO_3")
         for p in (hexagon_pair, OrthoPair(mo3.lattice, mo3.ortho)):
@@ -325,9 +319,10 @@ class TestVerifiedOnce:
             fresh = functor_E(p)
             assert d == fresh and hash(d) == hash(fresh)
 
-    def test_bounds_check_is_a_typed_error(self):
+    def test_table_with_wrong_bounds_is_a_typed_error(self):
         # 2^2 with its diagonal rewritten so that the atom a sits on top:
-        # the order is still a lattice with bottom 0, but pi(0) is not its top
+        # the order is still a lattice with bottom 0, but pi(0) is not its
+        # top, and the table is no L-mosaic
         b2 = named("boolean_2")
         l = b2.lattice
         op = additive_nakano(l).mosaic.op
@@ -335,6 +330,6 @@ class TestVerifiedOnce:
         op = op.with_cell(a, a, range(4)).with_cell(one, one, [l.bottom, one])
         m = Mosaic(op, l.bottom, Involution.identity(4))
         with pytest.raises(ReconstructionFailure) as exc:
-            equivalence._reconstruct(m, b2.ortho)
-        assert "bounds" in str(exc.value)
-        assert exc.value.witness == (l.bottom, a)
+            reconstruct_from(m, b2.ortho)
+        assert str(exc.value) == "Lms4 fails at (1, 2)"
+        assert exc.value.witness == (1, 2)

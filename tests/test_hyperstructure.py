@@ -385,8 +385,17 @@ class TestDualize:
         assert dual.neutral == h.top
 
     def test_literal_formula_fails(self, hexagon):
+        # the paper's erratum: (x, y) -> pi(x) + pi(y), without the outer pi,
+        # gives no mosaic on the hexagon, while dualize's corrected form does
+        from oracles import dual_table_loops
+
         hv = additive_nakano(hexagon.lattice).mosaic
-        assert dualize(hv, hexagon.ortho, literal=True) is None
+        pi = hexagon.ortho
+        assert dual_table_loops(hv.op.table, hv.neutral, pi, literal=True) is None
+        literal = Multioperation(hv.size, tuple(tuple(hv.cell(pi(x), pi(y)) for y in range(hv.size))
+                                                for x in range(hv.size)))
+        assert not verify_mosaic(literal).ok
+        assert dualize(hv, pi) is not None
 
     def test_identity_dualization(self, pv):
         dual = dualize(pv, Involution.identity(5))

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from mosaic_lab.cli import main
+from mosaic_lab.cli import _MAX_FILE_ELEMENTS, main
 from mosaic_lab.errors import FormatError, NotAnOrthocomplementation
 from mosaic_lab.io import (
     diff_table_docs,
@@ -49,6 +49,12 @@ def duplicate_name_table(pentagon) -> dict:
 
 def chain_2_doc(**changes):
     return dict({"name": "chain_2", "elements": ["0", "1"], "covers": [["0", "1"]]}, **changes)
+
+
+def chain_doc(n: int) -> dict:
+    """The chain c0 < c1 < ... < c(n-1) as a lattice document."""
+    elements = [f"c{i}" for i in range(n)]
+    return {"name": "chain", "elements": elements, "covers": [list(pair) for pair in zip(elements, elements[1:])]}
 
 
 @pytest.fixture
@@ -255,6 +261,22 @@ class TestCliOther:
         path.write_text('{"name": "x", "elements": ["a", "a"], "covers": []}')
         res = runner.invoke(main, ["validate", str(path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("command", ["validate", "check", "table", "orthocomplements", "roundtrip"])
+    def test_lattice_file_past_the_size_cap_is_input_error(self, runner, tmp_path, command):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_doc(_MAX_FILE_ELEMENTS + 1)))
+        res = runner.invoke(main, [command, str(path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: 65 elements; lattice files hold at most 64\n"
+
+    def test_lattice_file_at_the_size_cap_is_accepted(self, runner, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_doc(_MAX_FILE_ELEMENTS)))
+        res = runner.invoke(main, ["validate", str(path)])
+        assert res.exit_code == 0
+        assert res.stdout == "ok: chain: 64 elements, bottom=c0, top=c63, ortho=no\n"
 
     def test_directory_source_is_input_error(self, runner, tmp_path):
         res = runner.invoke(main, ["check", str(tmp_path)])

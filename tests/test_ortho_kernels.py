@@ -1,14 +1,22 @@
-"""The ortholattice kernels against their element-at-a-time references.
+"""The ortholattice kernels against their element-at-a-time references, and
+the inverse direction of the paper's main theorem.
 
 OC1, the orthocomplement search, OM1-OM4 with the sublattice-copy search
-and the generated closures, the dualizability check, the pi-dual table and
-the reconstruction read whole bitmask rows; tests/oracles.py keeps each one
-element at a time.  Results must agree exactly, map order and least witness
-included, on every lattice with at most 6 elements, the lattices of the
-ortholattices with at most 8, MO_2 to MO_6, boolean_1 to boolean_4 and the
-hexagon, and on seeded cell edits of their Nakano tables.  OM1-OM4 run on
-every orthocomplementation of these lattices except MO_5 and MO_6, where a
-seeded sample of their 945 and 10 395 maps keeps the references quick.
+and the generated closures, the dualizability check and the pi-dual table
+read whole bitmask rows; tests/oracles.py keeps each one element at a time.
+Results must agree exactly, map order and least witness included, on every
+lattice with at most 6 elements, the lattices of the ortholattices with at
+most 8, MO_2 to MO_6, boolean_1 to boolean_4 and the hexagon, and on seeded
+cell edits of their Nakano tables.  OM1-OM4 run on every orthocomplementation
+of these lattices except MO_5 and MO_6, where a seeded sample of their 945
+and 10 395 maps keeps the references quick.
+
+The reconstruction checks nothing: it reads the order off the principal
+cells and takes pi as orthocomplement.  That this is right is the theorem,
+checked here once on every input that passes the dualizability check: the
+order is a lattice with bounds 0 and pi(0), each join lies in its cell, each
+meet is the pi-transported join, and the table is the Nakano mosaic of the
+order.
 """
 
 import itertools
@@ -18,18 +26,12 @@ import pytest
 
 from mosaic_lab import equivalence
 from mosaic_lab.catalog import named
-from mosaic_lab.errors import (
-    MosaicLabError,
-    NotAnOrthocomplementation,
-    ReconstructionFailure,
-    SizeTooLarge,
-)
-from mosaic_lab.hyperstructure import Mosaic, dualize, principal_rows
+from mosaic_lab.errors import SizeTooLarge
+from mosaic_lab.hyperstructure import Mosaic, dualize
 from mosaic_lab.lattice_core import (
     Involution,
     check_om_equivalences,
     find_sublattice_copy,
-    from_leq,
     generated_sublattice,
     hexagon_pattern,
     is_distributive,
@@ -204,40 +206,23 @@ def test_dualizability_failures_match(mosaic_cases):
 def test_dual_tables_match(mosaic_cases):
     duals = 0
     for m, pi in mosaic_cases:
-        for literal in (False, True):
-            got = dualize(m, pi, literal=literal)
-            want = dual_table_loops(m.op.table, m.neutral, pi, literal)
-            assert (got and got.op.table) == want
-            duals += got is not None
+        got = dualize(m, pi)
+        assert (got and got.op.table) == dual_table_loops(m.op.table, m.neutral, pi)
+        duals += got is not None
     assert duals
 
 
-def test_reconstruction_failures_match(mosaic_cases):
-    """_reconstruct on tables not checked for dualizability: whenever the
-    principal cells give a lattice with bounds 0 and pi(0), its failure is
-    the first cell the element-at-a-time checks reject; with no such cell,
-    the rebuilt pair is refused only when pi selects no complements."""
-    reasons = set()
-    for m, pi in mosaic_cases:
-        names = [f"x{i}" for i in range(m.size)]
-        try:
-            l = from_leq(names, principal_rows(m))
-        except MosaicLabError:
-            continue
-        if l.bottom != m.neutral or l.top != pi(m.neutral):
-            continue
-        want = reconstruction_failure_loops(l, m.op.table, pi)
-        if want is None and not all(l.join(x, pi(x)) == l.top and l.meet(x, pi(x)) == l.bottom
-                                    for x in range(l.size)):
-            want = "not an orthocomplementation"
-        try:
-            equivalence._reconstruct(m, pi)
-            got = None
-        except ReconstructionFailure as exc:
-            got = str(exc), exc.witness
-        except NotAnOrthocomplementation:
-            got = "not an orthocomplementation"
-        assert got == want
-        reasons.add(got if got is None or isinstance(got, str) else got[0])
-    assert {None, "join escapes its cell", "meet is not the pi-transported join",
-            "mosaic is not the Nakano mosaic of its order"} <= reasons, reasons
+def test_reconstruction_is_the_inverse_functor(mosaic_cases):
+    """Every input that passes the dualizability check, from the seeded
+    cases and the raw table search on at most 4 elements: the lattice that
+    reconstruct_from reads off the table has bounds 0 and pi(0), and the
+    element-at-a-time reference finds no cell where the table fails to be
+    its Nakano mosaic."""
+    cases = [(m, pi) for m, pi in mosaic_cases if equivalence._dualizability_failure(m, pi) is None]
+    searched = [(p.mosaic, p.pi) for p in equivalence.enumerate_dualizable_pairs(4)]
+    for m, pi in cases + searched:
+        r = equivalence.reconstruct_from(m, pi)
+        assert reconstruction_failure_loops(r.lattice, m.op.table, pi) is None
+        assert (r.lattice.bottom, r.lattice.top) == (m.neutral, pi(m.neutral))
+        assert r.pi == pi
+    assert cases and searched
