@@ -18,10 +18,8 @@ from .lattice_core import (
 )
 from .hyperstructure import (
     Mosaic,
-    Multimap,
     Multioperation,
     check_morphism,
-    compose_relations,
     dualize,
     find_neutral,
     induced_order,

@@ -99,6 +99,11 @@ def _pairing(l: FiniteBoundedLattice, pairs) -> Involution:
     return Involution(tuple(m))
 
 
+def _require_in_catalog(family: str, n: int, largest: int) -> None:
+    if not 1 <= n <= largest:
+        raise SizeTooLarge(f"{family}_{n}: the catalog holds {family}_1 to {family}_{largest}")
+
+
 def named(name: str) -> CatalogEntry:
     chain = re.fullmatch(r"chain_(\d+)", name)
     boolean = re.fullmatch(r"boolean_(\d+)", name)
@@ -127,8 +132,7 @@ def named(name: str) -> CatalogEntry:
         )
     if chain:
         n = int(chain.group(1))
-        if not 1 <= n <= 16:
-            raise SizeTooLarge(f"chain_{n}")
+        _require_in_catalog("chain", n, 16)
         l = _chain(n)
         pi = None
         if n == 1:
@@ -141,8 +145,7 @@ def named(name: str) -> CatalogEntry:
         )
     if boolean:
         n = int(boolean.group(1))
-        if not 1 <= n <= 4:
-            raise SizeTooLarge(f"boolean_{n}")
+        _require_in_catalog("boolean", n, 4)
         l = _boolean(n)
         comp = Involution(tuple(least(complement_mask(l, i)) for i in range(l.size)))
         return CatalogEntry(
@@ -151,8 +154,7 @@ def named(name: str) -> CatalogEntry:
         )
     if mo:
         n = int(mo.group(1))
-        if not 1 <= n <= 6:
-            raise SizeTooLarge(f"MO_{n}")
+        _require_in_catalog("MO", n, 6)
         l = _mo(n)
         pi = _pairing(l, [("0", "1")] + [(x, x + "'") for x in _letters(n)])
         return CatalogEntry(

@@ -9,7 +9,7 @@ Table cells are bitmask subsets of the carrier; empty cells are representable
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 from .bits import bits, elements, full_mask, image, least, mask_of, members_of, transpose
@@ -18,36 +18,13 @@ from .lattice_core import AxiomReport, Involution
 
 
 @dataclass(frozen=True)
-class Multimap:
-    """Multimap dom -> powerset(cod); row x is the bitmask image of x."""
-
-    dom: int
-    cod: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.rows) != self.dom:
-            raise SizeMismatch("row count != domain size")
-        full = full_mask(self.cod)
-        if any(row & ~full for row in self.rows):
-            raise ValueError("row not a subset of the codomain")
-
-    @classmethod
-    def identity(cls, n: int) -> "Multimap":
-        return cls(n, n, tuple(1 << x for x in range(n)))
-
-
-def compose_relations(f: Multimap, g: Multimap) -> Multimap:
-    """(g o f)(x) = union of g(y) over y in f(x)."""
-    if f.cod != g.dom:
-        raise SizeMismatch(f"codomain {f.cod} != domain {g.dom}")
-    rows = tuple(mask_of(z for y in bits(f.rows[x]) for z in bits(g.rows[y])) for x in range(f.dom))
-    return Multimap(f.dom, g.cod, rows)
-
-
-@dataclass(frozen=True)
 class Multioperation:
-    """n x n table of carrier subsets."""
+    """n x n table of carrier subsets.
+
+    The rows that several checks read (packed rows, their unions, the
+    principal rows, the Lms2 and Lms3 witnesses) are derived once per
+    table, on first use, in the private _view.  They depend on the cells
+    alone and take no part in ==, hash or repr."""
 
     size: int
     table: tuple[tuple[int, ...], ...]
@@ -58,11 +35,6 @@ class Multioperation:
             raise SizeMismatch("table is not size x size")
         if any(c & ~full for r in self.table for c in r):
             raise ValueError("cell not a subset of the carrier")
-
-    @classmethod
-    def build(cls, size: int, fn) -> "Multioperation":
-        """fn(x, y) -> bitmask cell."""
-        return cls(size, tuple(tuple(fn(x, y) for y in range(size)) for x in range(size)))
 
     def cell(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -95,20 +67,15 @@ class Multioperation:
             m |= self.table[x][y]
         return m
 
-    def set_product(self, xmask: int, ymask: int) -> int:
-        ys = list(bits(ymask))
-        m = 0
-        for x in bits(xmask):
-            row = self.table[x]
-            for y in ys:
-                m |= row[y]
-        return m
-
     def with_cell(self, x: int, y: int, zs) -> "Multioperation":
         """Copy with one cell replaced (mutation testing helper)."""
         table = [list(r) for r in self.table]
         table[x][y] = mask_of(zs)
         return Multioperation(self.size, tuple(tuple(r) for r in table))
+
+    @cached_property
+    def _view(self) -> "_TableView":
+        return _TableView(self.table)
 
 
 @dataclass(frozen=True)
@@ -142,24 +109,6 @@ class Mosaic:
 
     def cell(self, x: int, y: int) -> int:
         return self.op.cell(x, y)
-
-
-@dataclass(frozen=True)
-class MorphismWitness:
-    """A structure map together with the strongest kind it satisfies."""
-
-    map: tuple[int, ...]
-    kind: str
-    unitary: bool
-
-
-def classify_morphism(f, a: "Mosaic", b: "Mosaic"):
-    """Strongest of embedding > strong > morphism that f satisfies, or None."""
-    f = tuple(f)
-    for kind in ("embedding", "strong", "morphism"):
-        if check_morphism(f, a, b, kind).holds:
-            return MorphismWitness(f, kind, f[a.neutral] == b.neutral)
-    return None
 
 
 def find_neutral(op: Multioperation):
@@ -262,8 +211,7 @@ def _pack(cells, width: int) -> int:
 
 
 class _PackedUnions(dict):
-    """M -> the OR of planes[w] over the members w of M, made on first use.
-    Lives for one check."""
+    """M -> the OR of planes[w] over the members w of M, made on first use."""
 
     def __init__(self, planes):
         super().__init__()
@@ -279,6 +227,75 @@ class _PackedUnions(dict):
         return acc
 
 
+class _TableView:
+    """What the checks read off one table, each part derived on first use.
+
+    Multioperation._view holds the one view of a table, so every part lives
+    exactly as long as the table: with_cell makes a new table, with a new
+    view.  The view keeps the cells, not the Multioperation, so the two form
+    no reference cycle."""
+
+    def __init__(self, table):
+        self.table = table
+
+    @cached_property
+    def packed_rows(self) -> list[int]:
+        """Row x as one integer, the cell x.y at bit offset n*y."""
+        n = len(self.table)
+        return [_pack(row, n) for row in self.table]
+
+    @cached_property
+    def row_unions(self) -> _PackedUnions:
+        """row_unions[M] packs M.z for every z."""
+        return _PackedUnions(self.packed_rows)
+
+    @cached_property
+    def column_unions(self) -> _PackedUnions:
+        """column_unions[M] packs x.M for every x; the same object as
+        row_unions when the table is commutative."""
+        columns = tuple(zip(*self.table))
+        if columns == self.table:
+            return self.row_unions
+        n = len(self.table)
+        return _PackedUnions([_pack(col, n) for col in columns])
+
+    @cached_property
+    def under(self) -> tuple[int, ...]:
+        """under[x] = {z : x in z.z}: the principal cells as up-set rows."""
+        return tuple(transpose([row[j] for j, row in enumerate(self.table)]))
+
+    @cached_property
+    def lms2_witness(self):
+        """(x,) for the least x with (x+x)+(x+x) != x+x, or None."""
+        table = self.table
+        for x, row in enumerate(table):
+            cell, acc = row[x], 0
+            members = list(bits(cell))
+            for a in members:
+                ra = table[a]
+                for b in members:
+                    acc |= ra[b]
+            if acc != cell:
+                return (x,)
+        return None
+
+    @cached_property
+    def lms3_witness(self):
+        """The least (x, y) with (x+(x+y)) & ((x+y)+y) not inside x+y, or None.
+
+        x+(x+y) is slot x of the column union of x+y, and (x+y)+y slot y of
+        its row union: the unions that is_associative and the triple
+        junction bound read."""
+        n = len(self.table)
+        full = (1 << n) - 1
+        lefts, rights = self.column_unions, self.row_unions
+        for x, row in enumerate(self.table):
+            for y, cell in enumerate(row):
+                if lefts[cell] >> n * x & rights[cell] >> n * y & full & ~cell:
+                    return (x, y)
+        return None
+
+
 def is_associative(op: Multioperation) -> AxiomReport:
     """(x [.] y) [.] z = x [.] (y [.] z), set-extended on both sides.
 
@@ -287,13 +304,13 @@ def is_associative(op: Multioperation) -> AxiomReport:
     over w of x.w times marks[w], which has a 1 at the low bit of every slot
     whose cell y.z holds w.  The right side (x.y).z places, for each y, the
     union of the packed rows of the members of x.y at offset n*n*y.  The
-    lowest bit where the two differ is the least (y, z)."""
-    n, table = op.size, op.table
-    rows = [_pack(row, n) for row in table]
-    cells = _pack(rows, n * n)
+    lowest bit where the two differ is the least (y, z).  The packed rows
+    and their unions come from the table's view."""
+    n, table, view = op.size, op.table, op._view
+    cells = _pack(view.packed_rows, n * n)
     low = ((1 << n ** 3) - 1) // ((1 << n) - 1) if n else 0  # bit 0 of every slot
     marks = [cells >> w & low for w in range(n)]
-    unions = _PackedUnions(rows)  # unions[M]: M.z for every z
+    unions = view.row_unions  # unions[M]: M.z for every z
     for x, row in enumerate(table):
         left = 0
         for cell, mark in zip(row, marks):
@@ -303,11 +320,6 @@ def is_associative(op: Multioperation) -> AxiomReport:
             slot = least(diff) // n
             return AxiomReport("associative", False, (x, slot // n, slot % n), "associativity")
     return AxiomReport("associative", True)
-
-
-def is_polygroup(op: Multioperation) -> bool:
-    """Polygroups are precisely the associative mosaics."""
-    return verify_mosaic(op).ok and is_associative(op).holds
 
 
 def check_morphism(f, a: Mosaic, b: Mosaic, kind: str = "morphism") -> AxiomReport:
@@ -352,20 +364,21 @@ def check_morphism(f, a: Mosaic, b: Mosaic, kind: str = "morphism") -> AxiomRepo
 
 def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
     """The four L-mosaic axioms; Lms4 failures report zero or multiple join
-    candidates at the witness pair."""
-    op, e = m.op, m.neutral
-    table = op.table
+    candidates at the witness pair.  Lms2, Lms3 and the principal rows that
+    Lms4 reads come from the table's view, which the section-4 lemma battery
+    shares: whichever runs first derives them, once per table."""
+    e, table, view = m.neutral, m.op.table, m.op._view
     lms1 = AxiomReport("Lms1", True)
     for x, row in enumerate(table):
         if not (row[x] >> e & 1 and row[x] >> x & 1):
             lms1 = AxiomReport("Lms1", False, (x,), "0,x not both in x+x")
             break
-    witness = _lms2_witness(op)
+    witness = view.lms2_witness
     lms2 = AxiomReport("Lms2", witness is None, witness, witness and "(x+x)+(x+x) != x+x")
-    witness = _lms3_witness(table)
+    witness = view.lms3_witness
     lms3 = AxiomReport("Lms3", witness is None, witness, witness and "intersection leaks")
     lms4 = AxiomReport("Lms4", True)
-    under = principal_rows(m)  # under[x] = {z : x in z+z}
+    under = view.under  # under[x] = {z : x in z+z}
     for x, row in enumerate(table):
         for y, cell in enumerate(row):
             cands = under[x] & under[y] & cell
@@ -376,33 +389,6 @@ def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
         if not lms4.holds:
             break
     return (lms1, lms2, lms3, lms4)
-
-
-def _lms2_witness(op: Multioperation):
-    """(x,) for the least x with (x+x)+(x+x) != x+x, or None."""
-    for x, row in enumerate(op.table):
-        if op.set_product(row[x], row[x]) != row[x]:
-            return (x,)
-    return None
-
-
-def _lms3_witness(table):
-    """The least (x, y) with (x+(x+y)) & ((x+y)+y) not inside x+y, or None."""
-    columns = tuple(zip(*table))
-    for x, row in enumerate(table):
-        for y, cell in enumerate(row):
-            col = columns[y]
-            left = right = 0  # x+(x+y) and (x+y)+y
-            for v in bits(cell):
-                left |= row[v]
-                right |= col[v]
-            if left & right & ~cell:
-                return (x, y)
-    return None
-
-
-def is_lmosaic(m: Mosaic) -> bool:
-    return all(r.holds for r in verify_lmosaic(m))
 
 
 def induced_order(m: Mosaic) -> tuple[int, ...]:
@@ -420,8 +406,10 @@ def induced_order(m: Mosaic) -> tuple[int, ...]:
 
 def principal_rows(m: Mosaic) -> tuple[int, ...]:
     """The principal cells read as up-set rows (bit j of row i iff i in j+j),
-    unchecked: induced_order for a table already known to be an L-mosaic."""
-    return tuple(transpose([row[j] for j, row in enumerate(m.op.table)]))
+    unchecked: induced_order for a table already known to be an L-mosaic.
+    The rows are transposed once per table and shared with verify_lmosaic
+    and the section-4 lemma battery."""
+    return m.op._view.under
 
 
 def strong_closure(m: Mosaic, subset) -> frozenset[int]:

@@ -7,21 +7,11 @@ Tables are materialized eagerly; every element is its own inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bits import bits, least, members_of
 from .errors import MissingBound, NoUniqueExtremum, NotASubmosaic
-from .hyperstructure import (
-    Mosaic,
-    Multioperation,
-    _lms2_witness,
-    _lms3_witness,
-    _pack,
-    _PackedUnions,
-    is_reproductive,
-    principal_rows,
-    verify_mosaic,
-)
+from .hyperstructure import Mosaic, Multioperation, is_reproductive, principal_rows, verify_mosaic
 from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _require_closed
 
 ADDITIVE = "additive"
@@ -30,9 +20,17 @@ MULTIPLICATIVE = "multiplicative"
 
 @dataclass(frozen=True)
 class NakanoMosaic:
+    """The Nakano mosaic of one flavor of a bounded lattice.
+
+    reach, when given, holds the rows reach[x][t] = {z : x o z = t} of the
+    flavor's junction o that the constructor built the table from, so that
+    check_triple_bound need not build them again; without it the check
+    builds them from the base.  It takes no part in ==, hash or repr."""
+
     base: FiniteBoundedLattice
     flavor: str
     mosaic: Mosaic
+    reach: list[list[int]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.flavor not in (ADDITIVE, MULTIPLICATIVE):
@@ -59,9 +57,9 @@ def _reach(table) -> list[list[int]]:
     return reach
 
 
-def _nakano_table(table) -> Multioperation:
-    """N(x,y) = reach[x][t] & reach[y][t] with t = x o y; o is commutative."""
-    reach = _reach(table)
+def _nakano_table(table, reach) -> Multioperation:
+    """N(x,y) = reach[x][t] & reach[y][t] with t = x o y; o is commutative
+    and reach = _reach(table)."""
     return Multioperation(len(table), tuple(
         tuple(rx[t] & reach[y][t] for y, t in enumerate(row))
         for rx, row in zip(reach, table)
@@ -74,23 +72,22 @@ def additive_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
     The paper proves that the table of any bounded lattice is an L-mosaic
     with these neutral and rho, so it is not run through verify_mosaic;
     tests/test_nakano.py checks the theorem on the enumerated lattices."""
-    return NakanoMosaic(l, ADDITIVE, Mosaic(_nakano_table(l.join_table), l.bottom, Involution.identity(l.size)))
+    reach = _reach(l.join_table)
+    op = _nakano_table(l.join_table, reach)
+    return NakanoMosaic(l, ADDITIVE, Mosaic(op, l.bottom, Involution.identity(l.size)), reach)
 
 
 def multiplicative_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
     """The mosaic (L, N_^, 1); cell-for-cell the additive mosaic of the dual."""
-    return NakanoMosaic(l, MULTIPLICATIVE, Mosaic(_nakano_table(l.meet_table), l.top, Involution.identity(l.size)))
+    reach = _reach(l.meet_table)
+    op = _nakano_table(l.meet_table, reach)
+    return NakanoMosaic(l, MULTIPLICATIVE, Mosaic(op, l.top, Involution.identity(l.size)), reach)
 
 
 def extremum_by_characterization(m: NakanoMosaic) -> int:
     """The unique u with: u in x+x implies x = u.  Top for additive mosaics,
     bottom for multiplicative ones; anything else signals a corrupted table."""
-    return _extremum(principal_rows(m.mosaic))
-
-
-def _extremum(under) -> int:
-    """extremum_by_characterization from under[u] = {x : u in x+x}."""
-    found = [u for u, xs in enumerate(under) if not xs & ~(1 << u)]
+    found = [u for u, xs in enumerate(principal_rows(m.mosaic)) if not xs & ~(1 << u)]
     if len(found) != 1:
         raise NoUniqueExtremum(f"candidates: {found}")
     return found[0]
@@ -145,8 +142,9 @@ def check_antisym(m: NakanoMosaic) -> AxiomReport:
 
 
 def check_principal_idempotent(m: NakanoMosaic) -> AxiomReport:
-    """(x+x)+(x+x) = x+x."""
-    witness = _lms2_witness(m.mosaic.op)
+    """(x+x)+(x+x) = x+x; the Lms2 witness of the table's view, shared with
+    verify_lmosaic."""
+    witness = m.mosaic.op._view.lms2_witness
     return AxiomReport("principal-idempotent", witness is None, witness, witness and "(x+x)+(x+x) != x+x")
 
 
@@ -171,12 +169,8 @@ def check_bound_by_extremum(m: NakanoMosaic) -> AxiomReport:
 
 def check_junction_characterization(m: NakanoMosaic) -> AxiomReport:
     """z = x v y iff (x,y in z+z and z in x+y); dual statement with meets."""
-    return _junction_characterization(m, principal_rows(m.mosaic))
-
-
-def _junction_characterization(m: NakanoMosaic, under) -> AxiomReport:
-    """check_junction_characterization from under[x] = {z : x in z+z}."""
     junction, _ = _flavor_rows(m)
+    under = principal_rows(m.mosaic)  # under[x] = {z : x in z+z}
     for x, row in enumerate(m.mosaic.op.table):
         for y, cell in enumerate(row):
             diff = (under[x] & under[y] & cell) ^ (1 << junction[x][y])
@@ -193,12 +187,17 @@ def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
     of y+z.  With s = y v z the allowed set is bound[s][y] & bound[s][z],
     where bound[s][u] (u <= s) packs {t : t v x v u = t v s = x v s}: it
     depends on the lattice alone.  The least failing x over all (y, z), then
-    the first (y, z) at that x and the lowest leaking t make the witness."""
+    the first (y, z) at that x and the lowest leaking t make the witness.
+
+    The packed unions come from the table's view, which is_associative
+    shares on a commutative table, and reach from the constructor when it
+    handed them over."""
     junction, below = _flavor_rows(m)
-    reach = _reach(junction)
-    table = m.mosaic.op.table
+    reach = m.reach if m.reach is not None else _reach(junction)
+    op = m.mosaic.op
+    table = op.table
     n = m.size
-    sums = _PackedUnions([_pack(col, n) for col in zip(*table)])  # sums[M]: x+M for every x
+    sums = op._view.column_unions  # sums[M]: x+M for every x
     bound = []
     for s, (rs, js) in enumerate(zip(reach, junction)):  # js[x] = x v s
         own = 0
@@ -224,25 +223,30 @@ def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
 
 
 def check_lms3_inclusion(m: NakanoMosaic) -> AxiomReport:
-    """(x+(x+y)) & ((x+y)+y) <= x+y."""
-    witness = _lms3_witness(m.mosaic.op.table)
+    """(x+(x+y)) & ((x+y)+y) <= x+y; the Lms3 witness of the table's view,
+    shared with verify_lmosaic."""
+    witness = m.mosaic.op._view.lms3_witness
     return AxiomReport("lms3-inclusion", witness is None, witness, witness and "intersection leaks")
 
 
 def nakano_property_reports(m: NakanoMosaic) -> list[AxiomReport]:
-    under = principal_rows(m.mosaic)
+    """The section-4 lemma battery, one report per lemma.  The principal
+    rows, the Lms2 and Lms3 witnesses and the packed unions are read from
+    the table's view, so a table that verify_lmosaic or is_associative has
+    already checked does not derive them again, and no order of the calls
+    changes a report."""
     reports = [
         check_antisym(m),
         check_principal_idempotent(m),
         check_bound_by_extremum(m),
-        _junction_characterization(m, under),
+        check_junction_characterization(m),
         check_triple_bound(m),
         check_lms3_inclusion(m),
         is_reproductive(m.mosaic.op),
     ]
     expected = m.base.top if m.flavor == ADDITIVE else m.base.bottom
     try:
-        ok = _extremum(under) == expected
+        ok = extremum_by_characterization(m) == expected
     except NoUniqueExtremum:
         ok = False
     reports.append(

@@ -9,9 +9,48 @@ bounds, permutation sweeps instead of backtracking, intersection-of-closed
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
-from mosaic_lab.bits import bits, mask_of
+from mosaic_lab.bits import bits, full_mask, mask_of
+from mosaic_lab.errors import SizeMismatch
 from mosaic_lab.lattice_core import AxiomReport, Involution
+
+
+# -- plain helpers: multimaps and their composition, and tables built from a
+# function of (x, y); no library check calls them
+
+
+@dataclass(frozen=True)
+class Multimap:
+    """Multimap dom -> powerset(cod); row x is the bitmask image of x."""
+
+    dom: int
+    cod: int
+    rows: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.rows) != self.dom:
+            raise SizeMismatch("row count != domain size")
+        full = full_mask(self.cod)
+        if any(row & ~full for row in self.rows):
+            raise ValueError("row not a subset of the codomain")
+
+    @classmethod
+    def identity(cls, n: int) -> "Multimap":
+        return cls(n, n, tuple(1 << x for x in range(n)))
+
+
+def compose_relations(f: Multimap, g: Multimap) -> Multimap:
+    """(g o f)(x) = union of g(y) over y in f(x)."""
+    if f.cod != g.dom:
+        raise SizeMismatch(f"codomain {f.cod} != domain {g.dom}")
+    rows = tuple(mask_of(z for y in bits(f.rows[x]) for z in bits(g.rows[y])) for x in range(f.dom))
+    return Multimap(f.dom, g.cod, rows)
+
+
+def table_of(size: int, fn):
+    """The size x size table of bitmask cells fn(x, y)."""
+    return tuple(tuple(fn(x, y) for y in range(size)) for x in range(size))
 
 
 def closure_oracle(names, covers):

@@ -91,6 +91,17 @@ class TestNamed:
         with pytest.raises(SizeTooLarge):
             named("chain_99")
 
+    @pytest.mark.parametrize("name, message", [
+        ("chain_17", "chain_17: the catalog holds chain_1 to chain_16"),
+        ("chain_0", "chain_0: the catalog holds chain_1 to chain_16"),
+        ("boolean_5", "boolean_5: the catalog holds boolean_1 to boolean_4"),
+        ("MO_7", "MO_7: the catalog holds MO_1 to MO_6"),
+    ])
+    def test_too_large_names_the_range(self, name, message):
+        with pytest.raises(SizeTooLarge) as err:
+            named(name)
+        assert str(err.value) == message
+
 
 def natural_middle_posets(m):
     """Every naturally-labeled poset on 0..m-1, as strict down-set rows."""

@@ -6,17 +6,13 @@ from mosaic_lab.bits import bits, full_mask, mask_of
 from mosaic_lab.errors import NotAnLMosaic, NotASubmosaic, SizeMismatch
 from mosaic_lab.hyperstructure import (
     Mosaic,
-    Multimap,
     Multioperation,
     check_morphism,
-    compose_relations,
     dualize,
     find_neutral,
     induced_order,
     inverses,
     is_associative,
-    is_lmosaic,
-    is_polygroup,
     is_reproductive,
     is_strong_submosaic,
     strong_closure,
@@ -26,6 +22,8 @@ from mosaic_lab.hyperstructure import (
 from mosaic_lab.lattice_core import Involution
 from mosaic_lab.nakano import additive_nakano, multiplicative_nakano
 from mosaic_lab.catalog import named
+
+from oracles import Multimap, compose_relations, table_of
 
 
 @pytest.fixture(scope="module")
@@ -95,11 +93,11 @@ class TestFindNeutral:
 
     def test_join_op_on_chain(self):
         c = named("chain_2").lattice
-        op = Multioperation.build(2, lambda x, y: 1 << c.join(x, y))
+        op = Multioperation(2, table_of(2, lambda x, y: 1 << c.join(x, y)))
         assert find_neutral(op) == c.bottom
 
     def test_no_neutral(self):
-        op = Multioperation.build(2, lambda x, y: 0b11)
+        op = Multioperation(2, table_of(2, lambda x, y: 0b11))
         assert find_neutral(op) is None
 
 
@@ -124,12 +122,12 @@ class TestVerifyMosaic:
         assert got.mosaic.rho == Involution.identity(5)
 
     def test_z2_group(self):
-        op = Multioperation.build(2, lambda x, y: 1 << (x ^ y))
+        op = Multioperation(2, table_of(2, lambda x, y: 1 << (x ^ y)))
         got = verify_mosaic(op)
         assert got.ok and got.mosaic.rho == Involution.identity(2)
 
     def test_z3_group_nontrivial_rho(self):
-        op = Multioperation.build(3, lambda x, y: 1 << ((x + y) % 3))
+        op = Multioperation(3, table_of(3, lambda x, y: 1 << ((x + y) % 3)))
         got = verify_mosaic(op)
         assert got.ok
         assert got.mosaic.rho.map == (0, 2, 1)
@@ -194,10 +192,10 @@ class TestAssociativity:
     def test_one_element(self):
         assert is_associative(Multioperation(1, ((1,),))).holds
 
-    def test_polygroup_predicate(self, pv, hv):
-        assert not is_polygroup(pv.op)
-        assert not is_polygroup(hv.op)
-        assert is_polygroup(additive_nakano(named("boolean_2").lattice).mosaic.op)
+    def test_polygroups_are_the_associative_mosaics(self, pv, hv):
+        b2 = additive_nakano(named("boolean_2").lattice).mosaic
+        for op, polygroup in ((pv.op, False), (hv.op, False), (b2.op, True)):
+            assert verify_mosaic(op).ok and is_associative(op).holds == polygroup
 
 
 class TestMorphisms:
@@ -232,33 +230,28 @@ class TestMorphisms:
         assert not rep.holds and rep.reason == "not injective"
 
     def test_z3_automorphism_preserves_inverses(self):
-        op = Multioperation.build(3, lambda x, y: 1 << ((x + y) % 3))
+        op = Multioperation(3, table_of(3, lambda x, y: 1 << ((x + y) % 3)))
         m = verify_mosaic(op).mosaic
         assert check_morphism((0, 2, 1), m, m, "strong").holds
 
-    def test_classify_strongest_kind(self, pv, hv, hexagon):
-        from mosaic_lab.hyperstructure import classify_morphism
-        from mosaic_lab.nakano import restrict_to_sublattice
-
-        assert classify_morphism(range(5), pv, pv).kind == "embedding"
-        # constant-to-neutral: strong but not injective
-        assert classify_morphism([pv.neutral] * 5, pv, pv).kind == "strong"
-        assert classify_morphism([1] * 5, pv, pv) is None
-        h = hexagon.lattice
-        members = sorted(h.index(x) for x in ("0", "a", "b", "a'", "1"))
-        restricted = restrict_to_sublattice(additive_nakano(h), members)
-        got = classify_morphism(members, restricted, hv)
-        assert got.kind == "embedding" and got.unitary
+    def test_kinds_are_nested(self, pv):
+        """embedding > strong > morphism: a map satisfies exactly the kinds
+        up to its strongest one."""
+        kinds = ("morphism", "strong", "embedding")
+        # the identity is an embedding; constant-to-neutral is strong but not
+        # injective; a constant elsewhere is not even unitary
+        for f, strongest in ((range(5), 3), ([pv.neutral] * 5, 2), ([1] * 5, 0)):
+            assert [check_morphism(f, pv, pv, kind).holds for kind in kinds] == [k < strongest for k in range(3)]
 
 
 class TestLMosaic:
     def test_pentagon_and_hexagon_pass(self, pv, hv):
-        assert is_lmosaic(pv) and is_lmosaic(hv)
+        assert all(r.holds for m in (pv, hv) for r in verify_lmosaic(m))
 
     def test_corpus_lmosaic(self, lattices_upto_6):
         for l in lattices_upto_6:
-            assert is_lmosaic(additive_nakano(l).mosaic)
-            assert is_lmosaic(multiplicative_nakano(l).mosaic)
+            for build in (additive_nakano, multiplicative_nakano):
+                assert all(r.holds for r in verify_lmosaic(build(l).mosaic))
 
     def test_mutating_ac_breaks_reversibility_not_lms(self, pv, pentagon):
         # adding c to a+c leaves Lms1-4 checkable but breaks (RE)

@@ -233,6 +233,12 @@ class TestCliCheck:
         res = runner.invoke(main, ["check", "nonexistent_thing"])
         assert res.exit_code == 2
 
+    def test_name_past_the_catalog_is_input_error(self, runner):
+        res = runner.invoke(main, ["check", "chain_17"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: chain_17: the catalog holds chain_1 to chain_16\n"
+
     def test_json_format_parses(self, runner):
         res = runner.invoke(main, ["check", "hexagon", "--format", "json"])
         doc = json.loads(res.output)

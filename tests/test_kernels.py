@@ -9,6 +9,14 @@ at most 6 elements and on seeded cell edits of those lattices' tables, and
 the plane kernels also on larger lattices, where one plane spans thousands
 of bits.
 
+The rows these checks share (packed rows and their unions, the principal
+rows, the Lms2 and Lms3 witnesses) are derived once per table, by whichever
+check runs first, and kept with the table.  So the reports are compared in
+both orders in which the checks can run on a new table, the derived rows
+must follow an edited table rather than the one it was edited from, and a
+verify or ortho battery must leave the lattice and the ortholattice pair it
+ran on as they were.
+
 verify_mosaic reports the lemma-1 consequences without testing them, since
 Lemma 1 derives them from the stages before; the oracle tests them, so the
 agreement here is where that theorem is checked.
@@ -16,14 +24,36 @@ agreement here is where that theorem is checked.
 
 import random
 from collections import Counter
+from copy import deepcopy
+from dataclasses import fields, replace
 
 import pytest
 
 from mosaic_lab.catalog import named
+from mosaic_lab.equivalence import (
+    OrthoPair,
+    functor_E,
+    generated_polygroup_check,
+    is_orthomodular_mosaic,
+    reconstruct_lattice,
+)
 from mosaic_lab.errors import NotAnLMosaic
-from mosaic_lab.hyperstructure import Mosaic, induced_order, is_associative, verify_lmosaic, verify_mosaic
-from mosaic_lab.lattice_core import is_modular
-from mosaic_lab.nakano import NakanoMosaic, additive_nakano, multiplicative_nakano, nakano_property_reports
+from mosaic_lab.hyperstructure import (
+    Mosaic,
+    Multioperation,
+    induced_order,
+    is_associative,
+    verify_lmosaic,
+    verify_mosaic,
+)
+from mosaic_lab.lattice_core import check_om_equivalences, from_leq, is_modular, is_orthomodular
+from mosaic_lab.nakano import (
+    NakanoMosaic,
+    additive_nakano,
+    check_lms3_inclusion,
+    multiplicative_nakano,
+    nakano_property_reports,
+)
 
 from oracles import (
     associativity_loops,
@@ -37,12 +67,30 @@ from oracles import (
 FLAVORS = ((True, additive_nakano), (False, multiplicative_nakano))
 
 
-def assert_reports_agree(l, additive, nm):
+def fresh(nm):
+    """nm on a new copy of its table, from which nothing is derived yet."""
     op = nm.mosaic.op
-    assert verify_mosaic(op).reports == mosaic_reports_loops(op.table)
-    assert verify_lmosaic(nm.mosaic) == lmosaic_reports_loops(op.table, nm.mosaic.neutral)
-    assert is_associative(op) == associativity_loops(op.table)
-    assert nakano_property_reports(nm) == nakano_property_loops(l, additive, op.table)
+    return replace(nm, mosaic=replace(nm.mosaic, op=Multioperation(op.size, op.table)))
+
+
+def verify_battery(nm, lemmas_first=False):
+    """The checks the verify workload runs on one table, the section-4 lemma
+    battery last or first."""
+    m, op = nm.mosaic, nm.mosaic.op
+    if lemmas_first:
+        lemmas = nakano_property_reports(nm)
+        return verify_lmosaic(m), is_associative(op), lemmas
+    return verify_lmosaic(m), is_associative(op), nakano_property_reports(nm)
+
+
+def assert_reports_agree(l, additive, nm):
+    """The kernels' reports equal the references, in both orders on a new
+    copy of the table each."""
+    table, e = nm.mosaic.op.table, nm.mosaic.neutral
+    assert verify_mosaic(nm.mosaic.op).reports == mosaic_reports_loops(table)
+    want = (lmosaic_reports_loops(table, e), associativity_loops(table), nakano_property_loops(l, additive, table))
+    for lemmas_first in (False, True):
+        assert verify_battery(fresh(nm), lemmas_first) == want
 
 
 def edits(nm, rng, count):
@@ -132,6 +180,73 @@ def test_plane_kernels_match_on_wide_tables(wide_lattices):
                     failed["triple-bound"] += 1
                     failed["triple-bound past 64 bits"] += n * triple.witness[0] >= 64
     assert len(failed) == 4 and all(failed.values()), failed
+
+
+def test_rows_derived_from_a_table_do_not_follow_its_edits(lattices_upto_6):
+    """The rows a battery derived from a Nakano table stay with that table:
+    an edit of it whose Lms3 fails reports the reference's witness, from
+    verify_lmosaic and from the lemma battery, and the original still
+    reports what it did."""
+    rng = random.Random(3301)
+    leaks = 0
+    for l in lattices_upto_6:
+        if l.size < 3:
+            continue
+        for additive, build in FLAVORS:
+            nm = build(l)
+            before = verify_battery(nm)
+            for bad in edits(nm, rng, 12):
+                table = bad.mosaic.op.table
+                lms3 = lmosaic_reports_loops(table, bad.mosaic.neutral)[2]
+                if lms3.holds:
+                    continue
+                leaks += 1
+                assert verify_lmosaic(bad.mosaic)[2] == lms3
+                assert check_lms3_inclusion(bad).witness == lms3.witness
+                assert nakano_property_reports(bad) == nakano_property_loops(l, additive, table)
+            assert verify_battery(nm) == before
+    assert leaks
+
+
+def test_batteries_store_nothing_on_the_lattice_or_the_pair(lattices_upto_6, ortholattices_upto_8):
+    """The derived rows live on the tables, which each command builds anew;
+    the lattices and ortholattice pairs that the benchmark builds once and
+    reuses are left as they were.  Each is rebuilt here, so that nothing an
+    earlier test ran on the shared fixtures hides what this battery adds."""
+    for l in lattices_upto_6:
+        l = from_leq(l.names, l.leq)
+        before = deepcopy(vars(l))
+        for nm in (additive_nakano(l), multiplicative_nakano(l)):
+            verify_battery(nm)
+        assert vars(l) == before
+    for p in ortholattices_upto_8:
+        p = OrthoPair(from_leq(p.lattice.names, p.lattice.leq), p.pi)
+        before, lattice_before = deepcopy(vars(p)), deepcopy(vars(p.lattice))
+        d = functor_E(p)
+        reconstruct_lattice(d)
+        is_orthomodular_mosaic(d)
+        check_om_equivalences(p.lattice, p.pi)
+        if is_orthomodular(p.lattice, p.pi).holds:
+            for x in range(p.size):
+                for y in range(p.size):
+                    generated_polygroup_check(d, x, y)
+        assert vars(p) == before and vars(p.lattice) == lattice_before
+
+
+def test_reach_rows_are_no_part_of_a_nakano_mosaic(lattices_upto_6):
+    """The constructors hand over the reach rows the table was built from;
+    they take no part in ==, hash or repr, and a NakanoMosaic built without
+    them, as edits() builds one, gives the same reports."""
+    reach = next(f for f in fields(NakanoMosaic) if f.name == "reach")
+    assert not reach.compare and not reach.repr and not reach.hash  # hash follows compare
+    for l in lattices_upto_6:
+        for additive, build in FLAVORS:
+            nm = build(l)
+            bare = NakanoMosaic(nm.base, nm.flavor, nm.mosaic)
+            assert nm.reach is not None and bare.reach is None
+            assert bare == nm and repr(bare) == repr(nm)
+            want = nakano_property_loops(l, additive, nm.mosaic.op.table)
+            assert nakano_property_reports(fresh(bare)) == nakano_property_reports(fresh(nm)) == want
 
 
 def test_order_of_an_lmosaic_is_a_bounded_partial_order(lattices_upto_6):
