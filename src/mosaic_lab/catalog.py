@@ -209,17 +209,18 @@ def _has_greatest(common: int, closed: list[int]) -> bool:
 
 
 def _bounded_lattice_candidates(n: int):
-    """Up-mask rows of the naturally-labeled n-element bounded lattices whose
-    down-set sizes never decrease: among them the canonical key of every
-    class.  A finite meet-semilattice with a top is a lattice."""
+    """(up, down) rows of the naturally-labeled n-element bounded lattices
+    whose down-set sizes never decrease: among them the canonical key of
+    every class.  A finite meet-semilattice with a top is a lattice."""
     if n == 1:
-        yield (1,)
+        yield (1,), (1,)
         return
-    top_bit = 1 << (n - 1)
+    full, top_bit = full_mask(n), 1 << (n - 1)
     for downs in _middle_posets(n - 2):
         # middle element i is element i + 1 of the lattice
-        middle = (top_bit | (above | 1 << i) << 1 for i, above in enumerate(transpose(downs)))
-        yield (full_mask(n), *middle, top_bit)
+        middle_up = (top_bit | (above | 1 << i) << 1 for i, above in enumerate(transpose(downs)))
+        middle_down = (1 | (below | 1 << i) << 1 for i, below in enumerate(downs))
+        yield (full, *middle_up, top_bit), (1, *middle_down, full)
 
 
 def _canonical_key(up: tuple[int, ...]) -> tuple[int, ...]:
@@ -227,12 +228,11 @@ def _canonical_key(up: tuple[int, ...]) -> tuple[int, ...]:
     return _least_relabeling(up, _key_invariants(up, transpose(up)))
 
 
-def _is_canonical(up: tuple[int, ...]) -> bool:
-    """up is its own canonical key.  The key lists its elements in invariant
-    order, so the test is staged: unsorted base pairs rule up out at once,
-    then an unsorted invariant sequence, and only then are relabelings
-    tried, up to the first whose key comes out below up."""
-    down = transpose(up)
+def _is_canonical(up: tuple[int, ...], down: tuple[int, ...]) -> bool:
+    """up, with down rows down, is its own canonical key.  The key lists its
+    elements in invariant order, so the test is staged: unsorted base pairs
+    rule up out at once, then an unsorted invariant sequence, and only then
+    are relabelings tried, up to the first whose key comes out below up."""
     base = _base_pairs(up, down)
     if base != sorted(base):
         return False
@@ -279,7 +279,7 @@ def enumerate_lattices(n: int) -> list[FiniteBoundedLattice]:
     in canonical-key order: the candidates that are their own key."""
     if not 1 <= n <= MAX_ENUM:
         raise SizeTooLarge(f"enumeration supports 1..{MAX_ENUM}, got {n}")
-    keys = sorted(up for up in _bounded_lattice_candidates(n) if _is_canonical(up))
+    keys = sorted(up for up, down in _bounded_lattice_candidates(n) if _is_canonical(up, down))
     names = [f"x{i}" for i in range(n)]
     return [from_leq(names, key) for key in keys]
 

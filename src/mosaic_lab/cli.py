@@ -94,6 +94,14 @@ def _load(source: str):
         _fail_input(str(exc))
 
 
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail_input(f"cannot write {path}: {exc}")
+
+
 def _witness_labels(l, report: AxiomReport):
     if report.witness is None:
         return None
@@ -162,8 +170,7 @@ def table(source, additive, fmt, diff_path, golden_path, quiet):
     nm = additive_nakano(l) if additive else multiplicative_nakano(l)
     doc = table_doc_from_mosaic(f"{name} {flavor}", l.names, nm.mosaic, provenance="recomputed")
     if golden_path:
-        with open(golden_path, "w", encoding="utf-8") as fh:
-            fh.write(table_doc_to_json(doc))
+        _write(golden_path, table_doc_to_json(doc))
         if not quiet:
             click.echo(f"wrote {golden_path}")
     if diff_path:
@@ -275,6 +282,8 @@ def check(source, checks, fmt, quiet):
             requested += ["orthomodular", "roundtrip"]
     else:
         requested = [c.strip() for c in checks.split(",") if c.strip()]
+        if not requested:
+            _fail_input(f"no checks named; choose from: {', '.join(ALL_CHECKS)}")
         unknown = [c for c in requested if c not in ALL_CHECKS]
         if unknown:
             _fail_input(f"unknown checks: {', '.join(unknown)}")
@@ -359,9 +368,7 @@ def catalog(name, enum_n, outdir, fmt):
         _fail_input(str(exc))
     doc = lattice_to_doc(entry.lattice, entry.ortho, entry.name)
     path = os.path.join(outdir, f"{entry.name}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write(path, json.dumps(doc, indent=2) + "\n")
     click.echo(f"wrote {path}")
     sys.exit(EXIT_OK)
 

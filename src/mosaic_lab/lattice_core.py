@@ -8,6 +8,7 @@ of the carrier are bitmask ints throughout (see bits.py).
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 
 from .bits import bits, elements, full_mask, image, mask_of, members_of, transpose
@@ -72,7 +73,7 @@ class Involution:
         return cls(tuple(range(n)))
 
 
-@dataclass
+@dataclass(unsafe_hash=True)
 class FiniteBoundedLattice:
     """Carrier of `size` indexed elements with order, join/meet tables and bounds.
 
@@ -83,17 +84,18 @@ class FiniteBoundedLattice:
     order, the common up row leq[i] & leq[j] is an element's up row exactly
     when that element is the join of i and j, so a join is one look-up of
     that row, and a miss means the pair lacks a join.  Meets likewise from
-    the down rows.  Immutable after construction by convention; all checks
-    are pure.
+    the down rows.  == and hash read names and leq, on which the rest
+    depends.  Immutable after construction by convention; all checks are
+    pure.
     """
 
-    size: int = field(init=False)
+    size: int = field(init=False, compare=False)
     names: tuple[str, ...]
     leq: tuple[int, ...]
-    join_table: tuple[tuple[int, ...], ...] = field(init=False)
-    meet_table: tuple[tuple[int, ...], ...] = field(init=False)
-    bottom: int = field(init=False)
-    top: int = field(init=False)
+    join_table: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    meet_table: tuple[tuple[int, ...], ...] = field(init=False, compare=False)
+    bottom: int = field(init=False, compare=False)
+    top: int = field(init=False, compare=False)
     down: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
 
@@ -213,20 +215,20 @@ def from_leq(names, leq_rows) -> FiniteBoundedLattice:
 
 
 def dual_lattice(l: FiniteBoundedLattice) -> FiniteBoundedLattice:
-    """Order reversed, join/meet swapped, bounds swapped; involutive."""
-    return FiniteBoundedLattice(l.names, l.down)
+    """Order reversed, join/meet swapped, bounds swapped; involutive.  The
+    dual of a lattice is a lattice, so l's own rows, tables and bounds are
+    swapped unchecked; tests/test_lattice_core.py checks the constructor
+    builds the same lattice from l.down."""
+    d = copy(l)
+    d.leq, d.down = l.down, l.leq
+    d.join_table, d.meet_table = l.meet_table, l.join_table
+    d.bottom, d.top = l.top, l.bottom
+    return d
 
 
 def structurally_equal(a: FiniteBoundedLattice, b: FiniteBoundedLattice) -> bool:
-    """Equality of order and tables on a shared carrier, ignoring labels."""
-    return (
-        a.size == b.size
-        and a.leq == b.leq
-        and a.join_table == b.join_table
-        and a.meet_table == b.meet_table
-        and a.bottom == b.bottom
-        and a.top == b.top
-    )
+    """Equality of order (the up rows) on a shared carrier, ignoring labels."""
+    return a.leq == b.leq
 
 
 # -- complements and orthocomplementations -----------------------------------

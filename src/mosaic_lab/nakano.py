@@ -2,7 +2,10 @@
 
 N_v(x,y) = {z : x v y = x v z = z v y} with neutral 0 (additive);
 N_^(x,y) = {z : x ^ y = x ^ z = z ^ y} with neutral 1 (multiplicative).
-Tables are materialized eagerly; every element is its own inverse.
+N_^ of L is N_v of the dual lattice, so the multiplicative mosaic is the
+additive mosaic of dual_lattice(L), and every check below reads the join
+side of its base.  Tables are materialized eagerly; every element is its own
+inverse.
 """
 
 from __future__ import annotations
@@ -12,29 +15,25 @@ from dataclasses import dataclass, field
 from .bits import bits, least, members_of
 from .errors import MissingBound, NoUniqueExtremum, NotASubmosaic
 from .hyperstructure import Mosaic, Multioperation, is_reproductive, principal_rows, verify_mosaic
-from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _require_closed
-
-ADDITIVE = "additive"
-MULTIPLICATIVE = "multiplicative"
+from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _require_closed, dual_lattice
 
 
 @dataclass(frozen=True)
 class NakanoMosaic:
-    """The Nakano mosaic of one flavor of a bounded lattice.
+    """The additive Nakano mosaic of the lattice base: its table is N_v of
+    base, with neutral base.bottom.  The multiplicative mosaic of a lattice
+    is this mosaic of its dual.
 
-    reach, when given, holds the rows reach[x][t] = {z : x o z = t} of the
-    flavor's junction o that the constructor built the table from, so that
-    check_triple_bound need not build them again; without it the check
-    builds them from the base.  It takes no part in ==, hash or repr."""
+    reach, when given, holds the rows reach[x][t] = {z : x v z = t} that the
+    constructor built the table from, so that check_triple_bound need not
+    build them again; without it the check builds them from the base.  It
+    takes no part in ==, hash or repr."""
 
     base: FiniteBoundedLattice
-    flavor: str
     mosaic: Mosaic
     reach: list[list[int]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.flavor not in (ADDITIVE, MULTIPLICATIVE):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.base.size != self.mosaic.size:
             raise ValueError("carrier sizes disagree")
 
@@ -46,47 +45,40 @@ class NakanoMosaic:
         return self.mosaic.cell(x, y)
 
 
-def _reach(table) -> list[list[int]]:
-    """reach[x][t] = {z : x o z = t} for a lattice operation table o."""
-    n = len(table)
+def _reach(join) -> list[list[int]]:
+    """reach[x][t] = {z : x v z = t} for a lattice's join table."""
+    n = len(join)
     reach = [[0] * n for _ in range(n)]
-    for x, row in enumerate(table):
+    for x, row in enumerate(join):
         rx = reach[x]
         for z, t in enumerate(row):
             rx[t] |= 1 << z
     return reach
 
 
-def _nakano_table(table, reach) -> Multioperation:
-    """N(x,y) = reach[x][t] & reach[y][t] with t = x o y; o is commutative
-    and reach = _reach(table)."""
-    return Multioperation(len(table), tuple(
-        tuple(rx[t] & reach[y][t] for y, t in enumerate(row))
-        for rx, row in zip(reach, table)
-    ))
-
-
 def additive_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
     """The mosaic (L, N_v, 0); commutative, total, reproductive, rho = id.
+    Its cells are N(x,y) = reach[x][t] & reach[y][t] with t = x v y.
 
     The paper proves that the table of any bounded lattice is an L-mosaic
     with these neutral and rho, so it is not run through verify_mosaic;
     tests/test_nakano.py checks the theorem on the enumerated lattices."""
     reach = _reach(l.join_table)
-    op = _nakano_table(l.join_table, reach)
-    return NakanoMosaic(l, ADDITIVE, Mosaic(op, l.bottom, Involution.identity(l.size)), reach)
+    op = Multioperation(l.size, tuple(
+        tuple(rx[t] & reach[y][t] for y, t in enumerate(row)) for rx, row in zip(reach, l.join_table)
+    ))
+    return NakanoMosaic(l, Mosaic(op, l.bottom, Involution.identity(l.size)), reach)
 
 
 def multiplicative_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
-    """The mosaic (L, N_^, 1); cell-for-cell the additive mosaic of the dual."""
-    reach = _reach(l.meet_table)
-    op = _nakano_table(l.meet_table, reach)
-    return NakanoMosaic(l, MULTIPLICATIVE, Mosaic(op, l.top, Involution.identity(l.size)), reach)
+    """The mosaic (L, N_^, 1): the additive mosaic of the dual lattice."""
+    return additive_nakano(dual_lattice(l))
 
 
 def extremum_by_characterization(m: NakanoMosaic) -> int:
-    """The unique u with: u in x+x implies x = u.  Top for additive mosaics,
-    bottom for multiplicative ones; anything else signals a corrupted table."""
+    """The unique u with: u in x+x implies x = u.  The base's top (the
+    lattice's bottom for a multiplicative mosaic); anything else signals a
+    corrupted table."""
     found = [u for u, xs in enumerate(principal_rows(m.mosaic)) if not xs & ~(1 << u)]
     if len(found) != 1:
         raise NoUniqueExtremum(f"candidates: {found}")
@@ -111,13 +103,13 @@ def _restricted_op(table, members: list[int]) -> Multioperation:
 
 def restrict_to_sublattice(m: NakanoMosaic, sub) -> Mosaic:
     """Cellwise intersection with a meet/join-closed subset containing the
-    flavor's neutral bound; index k of the result is the k-th least member
+    neutral, the base's bottom; index k of the result is the k-th least member
     (a repeated member counts once).  On a Nakano table this is the Nakano
     mosaic of the sublattice; the table comes from the caller, so the
     restriction runs through verify_mosaic, and NotASubmosaic is raised when
     it fails."""
     members = members_of(sub)
-    bound = m.base.bottom if m.flavor == ADDITIVE else m.base.top
+    bound = m.base.bottom
     if bound not in members:
         raise MissingBound(f"subset must contain element {m.base.names[bound]!r}")
     _require_closed(m.base, members)
@@ -148,32 +140,24 @@ def check_principal_idempotent(m: NakanoMosaic) -> AxiomReport:
     return AxiomReport("principal-idempotent", witness is None, witness, witness and "(x+x)+(x+x) != x+x")
 
 
-def _flavor_rows(m: NakanoMosaic):
-    """The flavor's junction table, and below[t] = {z : z <= t} in the
-    flavor's order (the lattice order, dualized for multiplicative)."""
-    if m.flavor == ADDITIVE:
-        return m.base.join_table, m.base.down
-    return m.base.meet_table, m.base.leq
-
-
 def check_bound_by_extremum(m: NakanoMosaic) -> AxiomReport:
-    """z in x+y implies z <= x v y (additive; order dualized for multiplicative)."""
-    junction, below = _flavor_rows(m)
+    """z in x+y implies z <= x v y."""
+    join, below = m.base.join_table, m.base.down
     for x, row in enumerate(m.mosaic.op.table):
         for y, cell in enumerate(row):
-            bad = cell & ~below[junction[x][y]]
+            bad = cell & ~below[join[x][y]]
             if bad:
                 return AxiomReport("bounded-by-junction", False, (x, y, least(bad)), "z not under x v y")
     return AxiomReport("bounded-by-junction", True)
 
 
 def check_junction_characterization(m: NakanoMosaic) -> AxiomReport:
-    """z = x v y iff (x,y in z+z and z in x+y); dual statement with meets."""
-    junction, _ = _flavor_rows(m)
+    """z = x v y iff (x,y in z+z and z in x+y)."""
+    join = m.base.join_table
     under = principal_rows(m.mosaic)  # under[x] = {z : x in z+z}
     for x, row in enumerate(m.mosaic.op.table):
         for y, cell in enumerate(row):
-            diff = (under[x] & under[y] & cell) ^ (1 << junction[x][y])
+            diff = (under[x] & under[y] & cell) ^ (1 << join[x][y])
             if diff:
                 return AxiomReport("junction-characterization", False, (x, y, least(diff)), "lemma sup/inf")
     return AxiomReport("junction-characterization", True)
@@ -192,26 +176,26 @@ def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
     The packed unions come from the table's view, which is_associative
     shares on a commutative table, and reach from the constructor when it
     handed them over."""
-    junction, below = _flavor_rows(m)
-    reach = m.reach if m.reach is not None else _reach(junction)
+    join, below = m.base.join_table, m.base.down
+    reach = m.reach if m.reach is not None else _reach(join)
     op = m.mosaic.op
     table = op.table
     n = m.size
     sums = op._view.column_unions  # sums[M]: x+M for every x
     bound = []
-    for s, (rs, js) in enumerate(zip(reach, junction)):  # js[x] = x v s
+    for s, (rs, js) in enumerate(zip(reach, join)):  # js[x] = x v s
         own = 0
         for t in reversed(js):
             own = own << n | rs[t]
         planes = {}
         for u in bits(below[s]):
             plane = 0
-            for a, t in zip(reversed(junction[u]), reversed(js)):
+            for a, t in zip(reversed(join[u]), reversed(js)):
                 plane = plane << n | reach[a][t]
             planes[u] = own & plane
         bound.append(planes)
     witness = None
-    for y, (jy, row) in enumerate(zip(junction, table)):
+    for y, (jy, row) in enumerate(zip(join, table)):
         for z, cell in enumerate(row):
             bs = bound[jy[z]]
             leak = sums[cell] & ~(bs[y] & bs[z])
@@ -244,7 +228,7 @@ def nakano_property_reports(m: NakanoMosaic) -> list[AxiomReport]:
         check_lms3_inclusion(m),
         is_reproductive(m.mosaic.op),
     ]
-    expected = m.base.top if m.flavor == ADDITIVE else m.base.bottom
+    expected = m.base.top
     try:
         ok = extremum_by_characterization(m) == expected
     except NoUniqueExtremum:

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from mosaic_lab.bits import transpose
 from mosaic_lab.catalog import _bounded_lattice_candidates, _canonical_key, _is_canonical, named
 from mosaic_lab.lattice_core import from_leq, lattice_automorphisms, lattice_isomorphisms
 
@@ -38,8 +39,9 @@ def seeded_relabelings(up, rng, count):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_is_canonical_agrees_on_every_candidate(n):
-    for up in _bounded_lattice_candidates(n):
-        assert _is_canonical(up) == is_canonical_unpruned(up), up
+    for up, down in _bounded_lattice_candidates(n):
+        assert down == tuple(transpose(up)), up
+        assert _is_canonical(up, down) == is_canonical_unpruned(up), up
 
 
 def test_canonical_key_agrees_on_seeded_relabelings(lattices_upto_8):

@@ -229,6 +229,16 @@ class TestCliCheck:
         res = runner.invoke(main, ["check", "pentagon", "--checks", "sparkles"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_no_named_check_is_input_error(self, runner, checks):
+        res = runner.invoke(main, ["check", "pentagon", "--checks", checks])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: no checks named; choose from: mosaic, lmosaic, polygroup, modular, "
+            "ortholattice, orthomodular, roundtrip, nakano-props\n"
+        )
+
     def test_unknown_name_is_input_error(self, runner):
         res = runner.invoke(main, ["check", "nonexistent_thing"])
         assert res.exit_code == 2
@@ -283,6 +293,17 @@ class TestCliOther:
         res = runner.invoke(main, ["validate", str(path)])
         assert res.exit_code == 0
         assert res.stdout == "ok: chain: 64 elements, bottom=c0, top=c63, ortho=no\n"
+
+    @pytest.mark.parametrize("args", [["catalog", "pentagon", "-o", "{missing}"],
+                                      ["table", "pentagon", "--golden", "{missing}/x.json"]])
+    def test_unwritable_output_is_input_error(self, runner, tmp_path, args):
+        missing = tmp_path / "missing"
+        res = runner.invoke(main, [a.format(missing=missing) for a in args])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: cannot write {missing}")
+        assert "No such file or directory" in res.stderr
+        assert not missing.exists()
 
     def test_directory_source_is_input_error(self, runner, tmp_path):
         res = runner.invoke(main, ["check", str(tmp_path)])

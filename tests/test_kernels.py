@@ -105,7 +105,7 @@ def edits(nm, rng, count):
         op = nm.mosaic.op.with_cell(x, y, zs)
         if k % 2:
             op = op.with_cell(y, x, zs)
-        yield NakanoMosaic(nm.base, nm.flavor, Mosaic(op, e, nm.mosaic.rho))
+        yield NakanoMosaic(nm.base, Mosaic(op, e, nm.mosaic.rho))
 
 
 def first_failure(reports):
@@ -242,7 +242,7 @@ def test_reach_rows_are_no_part_of_a_nakano_mosaic(lattices_upto_6):
     for l in lattices_upto_6:
         for additive, build in FLAVORS:
             nm = build(l)
-            bare = NakanoMosaic(nm.base, nm.flavor, nm.mosaic)
+            bare = NakanoMosaic(nm.base, nm.mosaic)
             assert nm.reach is not None and bare.reach is None
             assert bare == nm and repr(bare) == repr(nm)
             want = nakano_property_loops(l, additive, nm.mosaic.op.table)

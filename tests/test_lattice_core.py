@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from mosaic_lab.errors import (
 )
 from mosaic_lab.lattice_core import (
     AxiomReport,
+    FiniteBoundedLattice,
     Involution,
     build_from_covers,
     check_o1,
@@ -488,10 +490,26 @@ class TestDistributivity:
             is_distributive(pentagon.lattice, [1, 3])  # a,c: join 1 missing
 
 
+def all_fields(l):
+    """Every field of a lattice, the derived ones included."""
+    return {f.name: getattr(l, f.name) for f in fields(l)}
+
+
+DUAL_EXTRA = ("chain_16", "boolean_4", "MO_6", "hexagon")
+
+
 class TestDual:
-    def test_involutive(self, lattices_upto_6):
-        for l in lattices_upto_6:
-            assert structurally_equal(dual_lattice(dual_lattice(l)), l)
+    def test_equals_the_constructed_dual(self, lattices_upto_8):
+        """dual_lattice swaps l's rows, tables and bounds without running the
+        constructor; the dual of a lattice is a lattice, and the constructor
+        run on the down rows builds the same one, field for field.  The
+        multiplicative Nakano mosaic is the additive one of this dual."""
+        for l in lattices_upto_8 + [named(name).lattice for name in DUAL_EXTRA]:
+            assert all_fields(dual_lattice(l)) == all_fields(FiniteBoundedLattice(l.names, l.down)), l.names
+
+    def test_involutive(self, lattices_upto_8):
+        for l in lattices_upto_8 + [named(name).lattice for name in DUAL_EXTRA]:
+            assert all_fields(dual_lattice(dual_lattice(l))) == all_fields(l), l.names
 
     def test_chain_reversed(self):
         c = named("chain_3").lattice
@@ -509,6 +527,24 @@ class TestDual:
         for x in range(5):
             for y in range(5):
                 assert d.le(x, y) == p.le(sigma[x], sigma[y])
+
+
+class TestEqualityAndHash:
+    def test_eq_and_hash_read_names_and_leq(self, lattices_upto_6):
+        for l in lattices_upto_6:
+            same = from_leq(l.names, l.leq)
+            assert same == l and hash(same) == hash(l)
+            assert structurally_equal(same, l)
+            if l.size > 1:
+                assert dual_lattice(l) != l
+                assert from_leq(tuple(reversed(l.names)), l.leq) != l
+
+    def test_covers_and_leq_give_one_set_element(self, pentagon):
+        p = pentagon.lattice
+        by_covers = build_from_covers(p.names, [(p.names[i], p.names[j]) for i, j in p.covers()])
+        by_leq = from_leq(p.names, p.leq)
+        assert by_covers is not by_leq
+        assert {by_covers, by_leq, p} == {p}
 
 
 def test_sublattice_restriction(pentagon):

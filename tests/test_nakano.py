@@ -22,6 +22,7 @@ from mosaic_lab.nakano import (
     restrict_to_sublattice,
 )
 from mosaic_lab.catalog import named
+from mosaic_lab.equivalence import OrthoPair, functor_E
 from mosaic_lab.io import parse_table_json, table_doc_from_mosaic
 
 from oracles import mosaic_isomorphism, nakano_cell_oracle
@@ -71,8 +72,8 @@ class TestAdditive:
 @pytest.mark.parametrize("build", [additive_nakano, multiplicative_nakano])
 def test_nakano_table_is_the_mosaic_verify_mosaic_finds(build, lattices_upto_8):
     """The theorem the constructors rely on instead of verifying: the Nakano
-    table of a bounded lattice is an L-mosaic whose neutral is the flavor's
-    bound and whose rho is the identity."""
+    table of a bounded lattice is an L-mosaic whose neutral is its bottom
+    (additive) or top (multiplicative) and whose rho is the identity."""
     extra = ["chain_16", "boolean_4"] + [f"MO_{k}" for k in range(2, 7)]
     for l in lattices_upto_8 + [named(name).lattice for name in extra]:
         nm = build(l)
@@ -95,13 +96,6 @@ class TestMultiplicative:
             for x in range(l.size):
                 assert m.cell(l.top, x) == 1 << x
 
-    def test_equals_additive_of_dual(self, lattices_upto_6):
-        for l in lattices_upto_6:
-            assert (
-                multiplicative_nakano(l).mosaic.op.table
-                == additive_nakano(dual_lattice(l)).mosaic.op.table
-            )
-
 
 class TestExtremum:
     def test_pentagon(self, pentagon):
@@ -119,7 +113,6 @@ class TestExtremum:
         bad_cell = list(bits(nm.cell(a, a))) + [one]
         corrupted = NakanoMosaic(
             nm.base,
-            nm.flavor,
             type(nm.mosaic)(nm.mosaic.op.with_cell(a, a, bad_cell), nm.mosaic.neutral, nm.mosaic.rho),
         )
         with pytest.raises(NoUniqueExtremum):
@@ -166,7 +159,7 @@ class TestRestriction:
         nm = additive_nakano(p)
         a, c = p.index("a"), p.index("c")
         op = nm.mosaic.op.with_cell(a, c, [c, p.top])
-        corrupted = NakanoMosaic(p, nm.flavor, type(nm.mosaic)(op, nm.mosaic.neutral, nm.mosaic.rho))
+        corrupted = NakanoMosaic(p, type(nm.mosaic)(op, nm.mosaic.neutral, nm.mosaic.rho))
         with pytest.raises(NotASubmosaic) as exc:
             restrict_to_sublattice(corrupted, range(p.size))
         assert "commutative" in str(exc.value)
@@ -186,7 +179,7 @@ class TestLemmaBattery:
         for l in lattices_upto_6:
             for nm in (additive_nakano(l), multiplicative_nakano(l)):
                 for rep in nakano_property_reports(nm):
-                    assert rep.holds, (l.names, nm.flavor, rep)
+                    assert rep.holds, (l.names, nm.mosaic.neutral, rep)
 
     def test_antisym_witnessed_on_mutation(self, pentagon):
         nm = additive_nakano(pentagon.lattice)
@@ -194,7 +187,6 @@ class TestLemmaBattery:
         a, b = p.index("a"), p.index("b")
         edited = NakanoMosaic(
             nm.base,
-            nm.flavor,
             type(nm.mosaic)(
                 nm.mosaic.op.with_cell(a, b, [a, b]).with_cell(b, a, [a, b]),
                 nm.mosaic.neutral,
@@ -254,6 +246,19 @@ class TestConservativity:
         a = additive_nakano(named("chain_5").lattice).mosaic
         b = additive_nakano(pentagon.lattice).mosaic
         assert mosaic_isomorphism(a, b) is None
+
+
+def test_records_holding_a_lattice_hash(pentagon, hexagon):
+    """Equal records hash alike, and the multiplicative mosaic of a lattice
+    is one set element with the additive mosaic of its dual."""
+    p, h = pentagon.lattice, hexagon.lattice
+    pair = OrthoPair(h, hexagon.ortho)
+    records = [additive_nakano(p), multiplicative_nakano(p), pair, functor_E(pair)]
+    again = [additive_nakano(p), multiplicative_nakano(p), OrthoPair(h, hexagon.ortho), functor_E(pair)]
+    for a, b in zip(records, again):
+        assert a == b and hash(a) == hash(b)
+    assert len(set(records + again)) == len(records)
+    assert {multiplicative_nakano(p), additive_nakano(dual_lattice(p))} == {multiplicative_nakano(p)}
 
 
 def test_table_doc_roundtrip_through_mosaic(pentagon):
