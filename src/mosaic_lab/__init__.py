@@ -20,13 +20,9 @@ from .hyperstructure import (
     Mosaic,
     Multioperation,
     check_morphism,
-    dualize,
     find_neutral,
-    induced_order,
-    inverses,
     is_associative,
     is_reproductive,
-    strong_closure,
     verify_lmosaic,
     verify_mosaic,
 )
@@ -35,7 +31,6 @@ from .nakano import (
     additive_nakano,
     extremum_by_characterization,
     multiplicative_nakano,
-    restrict_to_sublattice,
 )
 from .equivalence import (
     DualizableLMosaicPair,

@@ -74,16 +74,21 @@ def _fail_input(message: str):
     sys.exit(EXIT_INPUT_ERROR)
 
 
+def _read(path: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be read or decoded is
+    unusable input."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail_input(f"cannot read {path}: {exc}")
+
+
 def _load(source: str):
     """Lattice file path or catalog name -> (lattice, ortho or None, name)."""
     try:
         if os.path.exists(source):
-            try:
-                with open(source, "r", encoding="utf-8") as fh:
-                    text = fh.read()
-            except (OSError, UnicodeDecodeError) as exc:
-                _fail_input(f"cannot read {source}: {exc}")
-            doc = _json_doc(text)
+            doc = _json_doc(_read(source))
             elements = doc.get("elements") if isinstance(doc, dict) else None
             if isinstance(elements, list) and len(elements) > _MAX_FILE_ELEMENTS:
                 raise SizeTooLarge(f"{len(elements)} elements; lattice files hold at most {_MAX_FILE_ELEMENTS}")
@@ -174,11 +179,10 @@ def table(source, additive, fmt, diff_path, golden_path, quiet):
         if not quiet:
             click.echo(f"wrote {golden_path}")
     if diff_path:
+        text = _read(diff_path)
         try:
-            with open(diff_path, "r", encoding="utf-8") as fh:
-                other = parse_table_json(fh.read())
-            diffs = diff_table_docs(doc, other)
-        except (OSError, MosaicLabError) as exc:
+            diffs = diff_table_docs(doc, parse_table_json(text))
+        except MosaicLabError as exc:
             _fail_input(str(exc))
         if fmt == "json":
             click.echo(json.dumps({"input": name, "diff": diffs}, indent=2))

@@ -27,6 +27,7 @@ from .errors import (
 from .hyperstructure import (
     Mosaic,
     Multioperation,
+    _carrier_map,
     check_morphism,
     is_associative,
     principal_rows,
@@ -40,6 +41,7 @@ from .lattice_core import (
     _generated_mask,
     from_leq,
     is_orthocomplementation,
+    orthocomplementations,
 )
 from .nakano import _restricted_op, additive_nakano
 
@@ -229,7 +231,10 @@ class MorphismTransferReport:
 
 
 def morphism_transfer_check(f, src: OrthoPair, dst: OrthoPair) -> MorphismTransferReport:
-    f = tuple(f)
+    """Whether f is a lattice morphism, a mosaic morphism of the Nakano
+    mosaics and intertwines the orthocomplements.  f is checked to be a map
+    between the carriers before either side is tested (SizeMismatch)."""
+    f = _carrier_map(f, src.size, dst.size)
     a, b = src.lattice, dst.lattice
     lattice_hom = all(
         f[a.join(x, y)] == b.join(f[x], f[y]) and f[a.meet(x, y)] == b.meet(f[x], f[y])
@@ -238,7 +243,7 @@ def morphism_transfer_check(f, src: OrthoPair, dst: OrthoPair) -> MorphismTransf
     )
     ma = additive_nakano(a).mosaic
     mb = additive_nakano(b).mosaic
-    mosaic_hom = check_morphism(f, ma, mb, "morphism").holds
+    mosaic_hom = check_morphism(f, ma, mb).holds
     intertwines = all(f[src.pi(x)] == dst.pi(f[x]) for x in range(a.size))
     return MorphismTransferReport(f, lattice_hom, mosaic_hom, intertwines)
 
@@ -295,14 +300,20 @@ def _lattices_with_bottom(n: int):
 def enumerate_dualizable_pairs(max_n: int):
     """Exhaustively discover (L-mosaic, pi) pairs on carriers up to max_n <= 4,
     generating only tables that satisfy the Lms1 diagonal constraints (and the
-    neutral row).  Each table is verified once, as a mosaic and an L-mosaic;
-    each involution then meets only the orthocomplement checks, the part of
-    is_genuinely_dualizable that depends on it."""
+    neutral row).  Each table is verified once, as a mosaic and an L-mosaic.
+    Its diagonal is the carrier's down rows, so the order it induces is the
+    carrier's, and with Lms4 an involution passes the orthocomplement checks
+    of is_genuinely_dualizable exactly when it orthocomplements the carrier:
+    the involutions are the carrier's orthocomplementations, found once per
+    carrier, and a carrier with none is skipped."""
     if max_n > 4:
         raise SizeTooLarge("raw table search is capped at carrier size 4")
     out = []
     for n in range(1, max_n + 1):
         for lattice in _lattices_with_bottom(n):
+            pis = orthocomplementations(lattice)
+            if not pis:
+                continue
             up, join = lattice.leq, lattice.join_table
             free_pairs = [(x, y) for x in range(1, n) for y in range(x + 1, n)]
             free_space = [
@@ -319,15 +330,6 @@ def enumerate_dualizable_pairs(max_n: int):
                     table[x][y] = table[y][x] = cell
                 op = Multioperation(n, tuple(tuple(r) for r in table))
                 got = verify_mosaic(op)
-                if not got.ok or not all(r.holds for r in verify_lmosaic(got.mosaic)):
-                    continue
-                for pi in _involutions(n):
-                    if _orthocomplement_failure(got.mosaic, pi) is None:
-                        out.append(DualizableLMosaicPair(got.mosaic, pi))
+                if got.ok and all(r.holds for r in verify_lmosaic(got.mosaic)):
+                    out.extend(DualizableLMosaicPair(got.mosaic, pi) for pi in pis)
     return out
-
-
-def _involutions(n: int):
-    for perm in itertools.permutations(range(n)):
-        if all(perm[perm[x]] == x for x in range(n)):
-            yield Involution(perm)

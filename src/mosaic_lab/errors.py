@@ -38,24 +38,7 @@ class NotASublattice(MosaicLabError):
     pass
 
 
-class NotASubmosaic(MosaicLabError):
-    pass
-
-
-class NotAnLMosaic(MosaicLabError):
-    """An L-mosaic axiom or the order its principal cells induce fails;
-    witness holds the failing element(s) when known."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class SizeMismatch(MosaicLabError):
-    pass
-
-
-class MissingBound(MosaicLabError):
     pass
 
 

@@ -1,6 +1,6 @@
 """Multivalued operations and the mosaic axiom stack: magmas, neutral elements,
-reversibility, mosaics, polygroups, morphisms, L-mosaic axioms, induced order,
-strong closure and pi-dualization.
+reversibility, mosaics, polygroups, morphisms, the L-mosaic axioms and the
+order that the principal cells of an L-mosaic induce.
 
 Table cells are bitmask subsets of the carrier; empty cells are representable
 (partial magma) but rejected by verify_mosaic.
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 
-from .bits import bits, elements, full_mask, image, least, mask_of, members_of, transpose
-from .errors import NotAnLMosaic, NotASubmosaic, SizeMismatch
+from .bits import bits, elements, full_mask, least, mask_of, transpose
+from .errors import SizeMismatch
 from .lattice_core import AxiomReport, Involution
 
 
@@ -41,18 +41,6 @@ class Multioperation:
 
     def cell_set(self, x: int, y: int) -> frozenset[int]:
         return elements(self.table[x][y])
-
-    def dual(self) -> "Multioperation":
-        return Multioperation(self.size, tuple(tuple(self.table[y][x] for y in range(self.size)) for x in range(self.size)))
-
-    def is_total(self) -> bool:
-        return all(c for r in self.table for c in r)
-
-    def is_deterministic(self) -> bool:
-        return all(bin(c).count("1") <= 1 for r in self.table for c in r)
-
-    def is_commutative(self) -> bool:
-        return all(self.table[x][y] == self.table[y][x] for x in range(self.size) for y in range(x))
 
     def left_extend(self, xmask: int, y: int) -> int:
         """X [.] y as a set union."""
@@ -118,14 +106,6 @@ def find_neutral(op: Multioperation):
         if row == units and all(op.table[x][e] == units[x] for x in range(op.size)):
             return e
     return None
-
-
-def inverses(op: Multioperation, neutral: int, x: int) -> frozenset[int]:
-    """All y with neutral in (x [.] y) & (y [.] x)."""
-    e = 1 << neutral
-    return frozenset(
-        y for y in range(op.size) if op.cell(x, y) & e and op.cell(y, x) & e
-    )
 
 
 @dataclass(frozen=True)
@@ -322,36 +302,27 @@ def is_associative(op: Multioperation) -> AxiomReport:
     return AxiomReport("associative", True)
 
 
-def check_morphism(f, a: Mosaic, b: Mosaic, kind: str = "morphism") -> AxiomReport:
-    """Morphism check per kind: inclusion f(x[.]y) <= f(x)[.]f(y), equality for
-    strong, the intersection-with-image equation for embedding.  Mosaic
-    morphisms are unitary; inverse preservation, which unitary morphisms of
-    invertible magmas cannot break, is verified alongside."""
-    if kind not in ("morphism", "strong", "embedding"):
-        raise ValueError(f"unknown morphism kind {kind!r}")
+def _carrier_map(f, source_size: int, target_size: int) -> tuple[int, ...]:
+    """f as a tuple, once it is checked to map every element of a carrier
+    of source_size into one of target_size; SizeMismatch otherwise."""
     f = tuple(f)
-    if len(f) != a.size or any(not 0 <= v < b.size for v in f):
+    if len(f) != source_size or any(not 0 <= v < target_size for v in f):
         raise SizeMismatch("f is not a map between the carriers")
-    name = f"{kind}-morphism"
+    return f
+
+
+def check_morphism(f, a: Mosaic, b: Mosaic) -> AxiomReport:
+    """Mosaic morphism: unitary, and f(x [.] y) inside f(x) [.] f(y) for every
+    cell.  Inverse preservation, which unitary morphisms of invertible magmas
+    cannot break, is verified alongside.  The report's axiom is
+    "morphism-morphism"."""
+    f = _carrier_map(f, a.size, b.size)
+    name = "morphism-morphism"
     if f[a.neutral] != b.neutral:
         return AxiomReport(name, False, (a.neutral,), "not unitary")
-    if kind == "embedding":
-        for x in range(a.size):
-            for y in range(x):
-                if f[x] == f[y]:
-                    return AxiomReport(name, False, (y, x), "not injective")
-    image = mask_of(f)
     for x in range(a.size):
         for y in range(a.size):
-            fcell = mask_of(f[z] for z in bits(a.cell(x, y)))
-            target = b.cell(f[x], f[y])
-            if kind == "morphism":
-                ok = fcell & ~target == 0
-            elif kind == "strong":
-                ok = fcell == target
-            else:
-                ok = fcell == target & image
-            if not ok:
+            if mask_of(f[z] for z in bits(a.cell(x, y))) & ~b.cell(f[x], f[y]):
                 return AxiomReport(name, False, (x, y), "cell condition fails")
     for x in range(a.size):
         if f[a.rho(x)] != b.rho(f[x]):
@@ -391,72 +362,15 @@ def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
     return (lms1, lms2, lms3, lms4)
 
 
-def induced_order(m: Mosaic) -> tuple[int, ...]:
-    """Order matrix of a verified L-mosaic (y <= x iff y in x+x), as up-set
-    bitmask rows in the lattice_core convention: bit j of row i iff i <= j.
-    Raises NotAnLMosaic, with the failing elements as its witness, when the
-    axioms fail.  When they hold the rows are a partial order with the neutral
-    element at the bottom: Lms1 makes the neutral the bottom and the order
-    reflexive, Lms4 at (x, x) makes it antisymmetric and Lms2 transitive."""
-    bad = [r for r in verify_lmosaic(m) if not r.holds]
-    if bad:
-        raise NotAnLMosaic(f"{bad[0].axiom} fails at {bad[0].witness}", bad[0].witness)
-    return principal_rows(m)
-
-
 def principal_rows(m: Mosaic) -> tuple[int, ...]:
     """The principal cells read as up-set rows (bit j of row i iff i in j+j),
-    unchecked: induced_order for a table already known to be an L-mosaic.
-    The rows are transposed once per table and shared with verify_lmosaic
-    and the section-4 lemma battery."""
+    unchecked: the order of a table already known to be an L-mosaic, a
+    partial order with the neutral at the bottom (Lms1 makes it reflexive
+    with the neutral least, Lms4 at (x, x) antisymmetric, Lms2 transitive).
+    A caller checks the table first, as reconstruct_from does.  The rows are
+    transposed once per table and shared with verify_lmosaic and the
+    section-4 lemma battery."""
     return m.op._view.under
-
-
-def strong_closure(m: Mosaic, subset) -> frozenset[int]:
-    """Union of the principal cells x+x over x in the subset: the least strong
-    submosaic containing it.  Requires Lms1 and Lms2.
-
-    The union is a strong submosaic when the input is join-closed enough (an
-    L-submosaic; principal cells and strong submosaics always are); otherwise
-    the input was no submosaic and NotASubmosaic is raised."""
-    members = members_of(subset)
-    if not members or any(not 0 <= x < m.size for x in members):
-        raise NotASubmosaic("need a nonempty subset of the carrier")
-    lms1, lms2, _, _ = verify_lmosaic(m)
-    if not (lms1.holds and lms2.holds):
-        raise NotAnLMosaic("strong closure needs Lms1 and Lms2")
-    acc = 0
-    for x in members:
-        acc |= m.cell(x, x)
-    if not is_strong_submosaic(m, acc):
-        raise NotASubmosaic("union of principal cells leaks: input is not a submosaic")
-    return elements(acc)
-
-
-def is_strong_submosaic(m: Mosaic, subset) -> bool:
-    """Contains the neutral element and no cell leaks out of the subset."""
-    members = members_of(subset)
-    mask = mask_of(members)
-    if not mask >> m.neutral & 1:
-        return False
-    return all(m.cell(x, y) & ~mask == 0 for x in members for y in members)
-
-
-def dualize(m: Mosaic, pi: Involution):
-    """pi-dual of a commutative mosaic: table (x,y) -> pi(pi(x) + pi(y)) with
-    neutral pi(0).  The outer pi is a deliberate correction: with the literal
-    form pi(x) + pi(y), pi(0) is neutral only when pi is the identity, and pi
-    would not be an isomorphism onto the dual (tests/oracles.dual_table_loops
-    keeps the literal form).  Returns the dual mosaic iff it verifies, None
-    otherwise."""
-    if pi.size != m.size:
-        raise SizeMismatch("involution size disagrees with the carrier")
-    p, cells = pi.map, m.op.table
-    table = tuple(tuple(image(cells[px][py], p) for py in p) for px in p)
-    got = verify_mosaic(Multioperation(m.size, table))
-    if got.mosaic is None or got.mosaic.neutral != pi(m.neutral):
-        return None
-    return got.mosaic
 
 
 def is_reproductive(op: Multioperation) -> AxiomReport:

@@ -1,4 +1,5 @@
-"""Finite bounded lattices: construction, order/join/meet queries, complements,
+"""Finite bounded lattices: construction, order/join/meet queries, complements
+(the complement multimap omega, which the orthocomplement search reads),
 orthocomplementations, modularity/orthomodularity/distributivity checks and
 forbidden-sublattice search.
 
@@ -248,35 +249,9 @@ def complement_mask(l: FiniteBoundedLattice, x: int) -> int:
 
 
 def omega_rows(l: FiniteBoundedLattice) -> tuple[int, ...]:
-    """The complement multimap as one bitmask row per element."""
+    """The complement multimap as one bitmask row per element: the
+    candidates of the orthocomplement search."""
     return tuple(complement_mask(l, x) for x in range(l.size))
-
-
-def check_o1(l: FiniteBoundedLattice) -> AxiomReport:
-    """omega(x) nonempty implies x in omega(omega(x))."""
-    om = omega_rows(l)
-    for x in range(l.size):
-        if om[x]:
-            sq = 0
-            for y in bits(om[x]):
-                sq |= om[y]
-            if not sq >> x & 1:
-                return AxiomReport("O1", False, (x,), "x not in omega^2(x)")
-    return AxiomReport("O1", True)
-
-
-def check_o2(l: FiniteBoundedLattice) -> AxiomReport:
-    """omega^3 = omega.  False on some complemented lattices (e.g. the diamond)."""
-    om = omega_rows(l)
-
-    def compose(f, g):
-        return tuple(mask_of(z for y in bits(f[x]) for z in bits(g[y])) for x in range(l.size))
-
-    om3 = compose(compose(om, om), om)
-    for x in range(l.size):
-        if om3[x] != om[x]:
-            return AxiomReport("O2", False, (x,), "omega^3(x) != omega(x)")
-    return AxiomReport("O2", True)
 
 
 def is_order_reversing(l: FiniteBoundedLattice, pi: Involution) -> bool:

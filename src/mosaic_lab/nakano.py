@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bits import bits, least, members_of
-from .errors import MissingBound, NoUniqueExtremum, NotASubmosaic
-from .hyperstructure import Mosaic, Multioperation, is_reproductive, principal_rows, verify_mosaic
-from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _require_closed, dual_lattice
+from .bits import bits, least
+from .errors import NoUniqueExtremum
+from .hyperstructure import Mosaic, Multioperation, is_reproductive, principal_rows
+from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, dual_lattice
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,10 @@ def extremum_by_characterization(m: NakanoMosaic) -> int:
 
 def _restricted_op(table, members: list[int]) -> Multioperation:
     """The table's rows and columns at the sorted members, each cell
-    intersected with them; index k is the k-th member."""
+    intersected with them; index k is the k-th member.  On the Nakano table
+    of a lattice and the members of a sublattice this is the Nakano table of
+    the sublattice (generated_polygroup_check restricts to the generated
+    subalgebra this way; tests/test_nakano.py checks the identity)."""
     pos = [0] * len(table)
     for k, x in enumerate(members):
         pos[x] = 1 << k
@@ -99,25 +102,6 @@ def _restricted_op(table, members: list[int]) -> Multioperation:
         return out
 
     return Multioperation(len(members), tuple(tuple(relabel(table[x][y]) for y in members) for x in members))
-
-
-def restrict_to_sublattice(m: NakanoMosaic, sub) -> Mosaic:
-    """Cellwise intersection with a meet/join-closed subset containing the
-    neutral, the base's bottom; index k of the result is the k-th least member
-    (a repeated member counts once).  On a Nakano table this is the Nakano
-    mosaic of the sublattice; the table comes from the caller, so the
-    restriction runs through verify_mosaic, and NotASubmosaic is raised when
-    it fails."""
-    members = members_of(sub)
-    bound = m.base.bottom
-    if bound not in members:
-        raise MissingBound(f"subset must contain element {m.base.names[bound]!r}")
-    _require_closed(m.base, members)
-    got = verify_mosaic(_restricted_op(m.mosaic.op.table, members))
-    if not got.ok:
-        failed = next(r for r in got.reports if not r.holds)
-        raise NotASubmosaic(f"restriction is no mosaic: {failed.axiom} fails at {failed.witness}")
-    return got.mosaic
 
 
 # -- the section-4 lemma battery, as runnable checks ---------------------------

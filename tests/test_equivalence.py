@@ -36,7 +36,7 @@ from mosaic_lab.lattice_core import (
 from mosaic_lab.nakano import additive_nakano, extremum_by_characterization
 from mosaic_lab.catalog import named
 
-from oracles import nakano_table_loops
+from oracles import all_involutions, dualizability_failure_loops, nakano_table_loops
 
 NAMED_ORTHO = [f"boolean_{k}" for k in range(1, 5)] + [f"MO_{k}" for k in range(2, 7)] + [
     "hexagon", "chain_1", "chain_2"]
@@ -80,8 +80,6 @@ class TestPairValidation:
             reconstruct_from(m, Involution.identity(5))
 
     def test_pentagon_admits_no_dualizing_involution(self, pentagon):
-        from oracles import all_involutions
-
         m = additive_nakano(pentagon.lattice).mosaic
         passing = [pi for pi in all_involutions(5) if is_genuinely_dualizable(m, Involution(pi))]
         assert passing == []
@@ -139,11 +137,26 @@ class TestEssentialSurjectivity:
 
     def test_search_verifies_each_table_once(self, call_counts):
         """verify_mosaic runs once per candidate table and verify_lmosaic at
-        most once; an involution meets only the orthocomplement checks."""
-        counts = call_counts(equivalence, "Multioperation", "verify_mosaic", "verify_lmosaic")
+        most once; the involutions are searched once per carrier."""
+        counts = call_counts(
+            equivalence, "Multioperation", "verify_mosaic", "verify_lmosaic", "orthocomplementations"
+        )
         assert len(enumerate_dualizable_pairs(4)) == 5
         assert counts["verify_mosaic"] == counts["Multioperation"] > 0
         assert 0 < counts["verify_lmosaic"] <= counts["Multioperation"]
+        carriers = sum(1 for n in range(1, 5) for _ in equivalence._lattices_with_bottom(n))
+        assert counts["orthocomplementations"] == carriers
+
+    def test_search_pairs_each_table_with_its_dualizing_involutions(self):
+        """The involutions found for each table are exactly those that pass
+        the element-at-a-time dualizability check, in permutation order."""
+        found = {}
+        for p in enumerate_dualizable_pairs(4):
+            found.setdefault((p.mosaic.op.table, p.mosaic.neutral), []).append(p.pi.map)
+        for (table, e), pis in found.items():
+            want = [pi for pi in all_involutions(len(table))
+                    if dualizability_failure_loops(table, e, Involution(pi)) is None]
+            assert pis == want
 
     def test_search_finds_only_nakano_tables(self):
         for p in enumerate_dualizable_pairs(3):
@@ -190,6 +203,12 @@ class TestMorphismTransfer:
                     assert rep.agree
                     if rep.intertwines:
                         assert rep.lattice_hom == rep.mosaic_hom
+
+    @pytest.mark.parametrize("f", [(0, 1), (0, 1, 2, 3, 4, 9)])
+    def test_map_off_the_carriers_is_a_size_mismatch(self, hexagon_pair, f):
+        # checked before the lattice side is tested, which would index f
+        with pytest.raises(SizeMismatch, match="f is not a map between the carriers"):
+            morphism_transfer_check(f, hexagon_pair, hexagon_pair)
 
     def test_as_report(self, hexagon_pair):
         assert morphism_transfer_check(range(6), hexagon_pair, hexagon_pair).as_report().holds

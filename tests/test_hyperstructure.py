@@ -3,27 +3,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mosaic_lab.bits import bits, full_mask, mask_of
-from mosaic_lab.errors import NotAnLMosaic, NotASubmosaic, SizeMismatch
+from mosaic_lab.equivalence import reconstruct_from
+from mosaic_lab.errors import ReconstructionFailure, SizeMismatch
 from mosaic_lab.hyperstructure import (
     Mosaic,
     Multioperation,
     check_morphism,
-    dualize,
     find_neutral,
-    induced_order,
-    inverses,
     is_associative,
     is_reproductive,
-    is_strong_submosaic,
-    strong_closure,
+    principal_rows,
     verify_lmosaic,
     verify_mosaic,
 )
-from mosaic_lab.lattice_core import Involution
-from mosaic_lab.nakano import additive_nakano, multiplicative_nakano
+from mosaic_lab.lattice_core import AxiomReport, Involution
+from mosaic_lab.nakano import _restricted_op, additive_nakano, multiplicative_nakano
 from mosaic_lab.catalog import named
 
-from oracles import Multimap, compose_relations, table_of
+from oracles import Multimap, all_involutions, compose_relations, dual_table_loops, table_of
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +68,6 @@ class TestComposeRelations:
 
 
 class TestMultioperation:
-    def test_classifications(self):
-        op = Multioperation(2, ((0b01, 0b10), (0b01, 0b00)))
-        assert not op.is_total()
-        assert op.is_deterministic()
-        assert not op.is_commutative()
-        assert op.dual().table == ((0b01, 0b01), (0b10, 0b00))
-        total = Multioperation(2, ((0b01, 0b11), (0b11, 0b10)))
-        assert total.is_total() and not total.is_deterministic() and total.is_commutative()
-
     def test_cell_out_of_range(self):
         with pytest.raises(ValueError):
             Multioperation(1, ((0b10,),))
@@ -102,17 +90,21 @@ class TestFindNeutral:
 
 
 class TestInverses:
-    def test_nakano_self_inverse(self, pv):
-        for x in range(pv.size):
-            assert inverses(pv.op, pv.neutral, x) == {x}
+    def test_nakano_self_inverse(self, lattices_upto_6):
+        # verify_mosaic finds the unique inverses: each element is its own
+        for l in lattices_upto_6:
+            got = verify_mosaic(additive_nakano(l).mosaic.op)
+            assert got.ok and got.mosaic.rho == Involution.identity(l.size)
 
     def test_neutral_inverse(self, pv):
-        assert inverses(pv.op, pv.neutral, pv.neutral) == {pv.neutral}
+        assert verify_mosaic(pv.op).mosaic.rho(pv.neutral) == pv.neutral
 
     def test_edited_cell_drops_inverse(self, pv, pentagon):
         a = pentagon.lattice.index("a")
         edited = pv.op.with_cell(a, a, [a, 2])  # drop 0 from a+a
-        assert inverses(edited, pv.neutral, a) == frozenset()
+        got = verify_mosaic(edited)
+        assert got.mosaic is None
+        assert got.reports[-1] == AxiomReport("unique-inverses", False, (a,), "no inverse")
 
 
 class TestVerifyMosaic:
@@ -199,49 +191,48 @@ class TestAssociativity:
 
 
 class TestMorphisms:
-    def test_identity_strong(self, pv):
-        assert check_morphism(range(5), pv, pv, "strong").holds
+    def test_identity_is_a_morphism(self, pv):
+        assert check_morphism(range(5), pv, pv) == AxiomReport("morphism-morphism", True)
 
     def test_rho_iso_to_dual(self, pv):
-        # commutative, so the dual operation coincides and rho = id works
-        got = verify_mosaic(pv.op.dual())
-        assert check_morphism(pv.rho.map, pv, got.mosaic, "strong").holds
+        # the dual operation (x, y) -> y + x; commutative, so it coincides
+        # with the operation and rho = id is an isomorphism onto it
+        n = pv.size
+        dual = Multioperation(n, tuple(tuple(pv.cell(y, x) for y in range(n)) for x in range(n)))
+        got = verify_mosaic(dual)
+        assert got.ok and got.mosaic.rho == pv.rho
+        assert check_morphism(pv.rho.map, pv, got.mosaic).holds
+        assert check_morphism(pv.rho.map, got.mosaic, pv).holds
 
-    def test_constant_to_neutral_is_strong_morphism(self, pv):
-        const = [pv.neutral] * 5
-        assert check_morphism(const, pv, pv, "morphism").holds
-        assert check_morphism(const, pv, pv, "strong").holds
+    def test_constant_to_neutral_is_a_morphism(self, pv):
+        assert check_morphism([pv.neutral] * 5, pv, pv).holds
 
     def test_constant_elsewhere_not_unitary(self, pv):
-        rep = check_morphism([1] * 5, pv, pv, "morphism")
-        assert not rep.holds and rep.reason == "not unitary"
+        rep = check_morphism([1] * 5, pv, pv)
+        assert rep == AxiomReport("morphism-morphism", False, (pv.neutral,), "not unitary")
 
     def test_restriction_inclusion_is_embedding(self, hv, hexagon):
-        from mosaic_lab.nakano import restrict_to_sublattice
-
+        # the inclusion of a sublattice's Nakano mosaic is a morphism whose
+        # cells are the target's cells cut down to the image
         h = hexagon.lattice
         members = sorted([0, h.index("b"), h.index("a"), h.index("a'"), h.index("1")])
-        restricted = restrict_to_sublattice(additive_nakano(h), members)
-        rep = check_morphism(members, restricted, hv, "embedding")
-        assert rep.holds
-
-    def test_non_injective_embedding_rejected(self, pv):
-        rep = check_morphism([0, 0, 0, 0, 0], pv, pv, "embedding")
-        assert not rep.holds and rep.reason == "not injective"
+        restricted = Mosaic(_restricted_op(hv.op.table, members), 0, Involution.identity(5))
+        assert check_morphism(members, restricted, hv).holds
+        image = mask_of(members)
+        for x in range(5):
+            for y in range(5):
+                cell = mask_of(members[z] for z in bits(restricted.cell(x, y)))
+                assert cell == hv.cell(members[x], members[y]) & image
 
     def test_z3_automorphism_preserves_inverses(self):
         op = Multioperation(3, table_of(3, lambda x, y: 1 << ((x + y) % 3)))
         m = verify_mosaic(op).mosaic
-        assert check_morphism((0, 2, 1), m, m, "strong").holds
+        assert check_morphism((0, 2, 1), m, m).holds
 
-    def test_kinds_are_nested(self, pv):
-        """embedding > strong > morphism: a map satisfies exactly the kinds
-        up to its strongest one."""
-        kinds = ("morphism", "strong", "embedding")
-        # the identity is an embedding; constant-to-neutral is strong but not
-        # injective; a constant elsewhere is not even unitary
-        for f, strongest in ((range(5), 3), ([pv.neutral] * 5, 2), ([1] * 5, 0)):
-            assert [check_morphism(f, pv, pv, kind).holds for kind in kinds] == [k < strongest for k in range(3)]
+    @pytest.mark.parametrize("f", [(0, 1), (0, 1, 2, 3, 4, 9)])
+    def test_map_off_the_carriers_is_a_size_mismatch(self, hv, f):
+        with pytest.raises(SizeMismatch, match="f is not a map between the carriers"):
+            check_morphism(f, hv, hv)
 
 
 class TestLMosaic:
@@ -292,42 +283,69 @@ class TestLMosaic:
 
 
 class TestInducedOrder:
+    """The order of an L-mosaic is read off its principal cells once
+    verify_lmosaic has passed."""
+
     def test_pentagon_order_recovered(self, pv, pentagon):
-        assert induced_order(pv) == pentagon.lattice.leq
+        assert all(r.holds for r in verify_lmosaic(pv))
+        assert principal_rows(pv) == pentagon.lattice.leq
 
     def test_hexagon_order_recovered(self, hv, hexagon):
-        assert induced_order(hv) == hexagon.lattice.leq
+        assert all(r.holds for r in verify_lmosaic(hv))
+        assert principal_rows(hv) == hexagon.lattice.leq
 
     def test_neutral_is_bottom(self, lattices_upto_6):
         for l in lattices_upto_6[:8]:
             m = additive_nakano(l).mosaic
-            assert induced_order(m)[m.neutral] == full_mask(m.size)
+            assert all(r.holds for r in verify_lmosaic(m))
+            assert principal_rows(m)[m.neutral] == full_mask(m.size)
 
     def test_not_lmosaic_raises(self, pv, pentagon):
+        # the order is read only after the table check: reconstruct_from
+        # refuses a table that fails it
         one = pentagon.lattice.index("1")
         m = Mosaic(pv.op.with_cell(one, one, [one]), pv.neutral, pv.rho)
-        with pytest.raises(NotAnLMosaic):
-            induced_order(m)
+        bad = [r for r in verify_lmosaic(m) if not r.holds]
+        assert bad
+        with pytest.raises(ReconstructionFailure) as err:
+            reconstruct_from(m, Involution.identity(5))
+        assert err.value.witness == bad[0].witness
+
+
+def is_strong_submosaic(m, mask: int) -> bool:
+    """Holds the neutral, and no cell of two members leaks out of it."""
+    return bool(mask >> m.neutral & 1) and all(m.cell(x, y) & ~mask == 0 for x in bits(mask) for y in bits(mask))
+
+
+def strong_closure_mask(m, mask: int) -> int:
+    """The least strong submosaic holding mask: the meet of all that do."""
+    acc = full_mask(m.size)
+    for sup in range(1 << m.size):
+        if sup | mask == sup and is_strong_submosaic(m, sup):
+            acc &= sup
+    return acc
 
 
 class TestStrongClosure:
+    """The strong submosaics of a Nakano mosaic, and the least one that
+    holds a subset, which is the union of the subset's principal cells
+    whenever that union is itself a strong submosaic."""
+
     def test_principal(self, pv, pentagon):
         p = pentagon.lattice
         a = p.index("a")
-        assert strong_closure(pv, [a]) == {p.index("0"), p.index("b"), a}
+        want = mask_of([p.index("0"), p.index("b"), a])
+        assert strong_closure_mask(pv, 1 << a) == want == pv.cell(a, a)
 
     def test_neutral_alone(self, pv):
-        assert strong_closure(pv, [0]) == {0}
+        assert strong_closure_mask(pv, 1 << pv.neutral) == 1 << pv.neutral
 
     def test_whole_carrier(self, pv):
-        assert strong_closure(pv, range(5)) == set(range(5))
-
-    def test_empty_rejected(self, pv):
-        with pytest.raises(NotASubmosaic):
-            strong_closure(pv, [])
+        assert strong_closure_mask(pv, full_mask(5)) == full_mask(5)
 
     def test_closure_properties_exhaustive(self, hv):
         n = hv.size
+        strong = [s for s in range(1 << n) if is_strong_submosaic(hv, s)]
 
         def union(mask):
             acc = 0
@@ -335,31 +353,26 @@ class TestStrongClosure:
                 acc |= hv.cell(x, x)
             return acc
 
-        def closure_mask(mask):
-            try:
-                return mask_of(strong_closure(hv, mask))
-            except NotASubmosaic:
-                # raised exactly when the principal-cell union leaks
-                assert not is_strong_submosaic(hv, union(mask))
-                return None
+        def closure(mask):
+            acc = full_mask(n)
+            for s in strong:
+                if s | mask == s:
+                    acc &= s
+            return acc
 
         for mask in range(1, 1 << n):
-            cmask = closure_mask(mask)
-            # minimality holds regardless: the union sits inside every strong
-            # submosaic containing the subset
-            for sup in range(1, 1 << n):
-                if sup | mask == sup and is_strong_submosaic(hv, sup):
-                    assert union(mask) & ~sup == 0
-            if cmask is None:
-                continue
+            cmask = closure(mask)
+            # the union sits inside every strong submosaic holding the subset
+            for s in strong:
+                if s | mask == s:
+                    assert union(mask) & ~s == 0
+            assert (cmask == union(mask)) == is_strong_submosaic(hv, union(mask))
             assert cmask | mask == cmask  # extensive
-            assert closure_mask(cmask) == cmask  # idempotent
+            assert closure(cmask) == cmask  # idempotent
             assert is_strong_submosaic(hv, cmask)
             for sup in range(1, 1 << n):
                 if sup | mask == sup:
-                    smask = closure_mask(sup)
-                    if smask is not None:
-                        assert smask | cmask == smask  # monotone
+                    assert closure(sup) | cmask == closure(sup)  # monotone
 
     def test_principal_cells_are_strong_submosaics(self, lattices_upto_6):
         for l in lattices_upto_6:
@@ -369,51 +382,46 @@ class TestStrongClosure:
 
 
 class TestDualize:
+    """The pi-dual table (x, y) -> pi(pi(x) + pi(y)), with neutral pi(0)."""
+
     def test_hexagon_dual_is_multiplicative(self, hexagon):
         h = hexagon.lattice
         hv = additive_nakano(h).mosaic
-        dual = dualize(hv, hexagon.ortho)
-        assert dual is not None
-        assert dual.op.table == multiplicative_nakano(h).mosaic.op.table
-        assert dual.neutral == h.top
+        pi = hexagon.ortho
+        assert dual_table_loops(hv.op.table, hv.neutral, pi) == multiplicative_nakano(h).mosaic.op.table
+        assert pi(hv.neutral) == h.top
 
     def test_literal_formula_fails(self, hexagon):
         # the paper's erratum: (x, y) -> pi(x) + pi(y), without the outer pi,
-        # gives no mosaic on the hexagon, while dualize's corrected form does
-        from oracles import dual_table_loops
-
+        # gives no mosaic on the hexagon, while the corrected form does
         hv = additive_nakano(hexagon.lattice).mosaic
         pi = hexagon.ortho
         assert dual_table_loops(hv.op.table, hv.neutral, pi, literal=True) is None
         literal = Multioperation(hv.size, tuple(tuple(hv.cell(pi(x), pi(y)) for y in range(hv.size))
                                                 for x in range(hv.size)))
         assert not verify_mosaic(literal).ok
-        assert dualize(hv, pi) is not None
+        assert dual_table_loops(hv.op.table, hv.neutral, pi) is not None
 
     def test_identity_dualization(self, pv):
-        dual = dualize(pv, Involution.identity(5))
-        assert dual is not None and dual.op.table == pv.op.table
+        assert dual_table_loops(pv.op.table, pv.neutral, Involution.identity(5)) == pv.op.table
 
     def test_double_dual_restores(self, hexagon):
         hv = additive_nakano(hexagon.lattice).mosaic
-        once = dualize(hv, hexagon.ortho)
-        twice = dualize(once, hexagon.ortho)
-        assert twice.op.table == hv.op.table
+        pi = hexagon.ortho
+        once = dual_table_loops(hv.op.table, hv.neutral, pi)
+        assert dual_table_loops(once, pi(hv.neutral), pi) == hv.op.table
 
     def test_double_dual_restores_over_corpus(self, ortholattices_upto_8):
         for p in ortholattices_upto_8:
             m = additive_nakano(p.lattice).mosaic
-            once = dualize(m, p.pi)
+            once = dual_table_loops(m.op.table, m.neutral, p.pi)
             assert once is not None
-            twice = dualize(once, p.pi)
-            assert twice.op.table == m.op.table
+            assert dual_table_loops(once, p.pi(m.neutral), p.pi) == m.op.table
 
     def test_every_involution_transports_pentagon(self, pv):
         # the corrected table is transport of structure, so every involution
         # yields a mosaic; genuine dualizability is a pair-level matter
-        from oracles import all_involutions
-
-        passing = [pi for pi in all_involutions(5) if dualize(pv, Involution(pi)) is not None]
+        passing = [pi for pi in all_involutions(5) if dual_table_loops(pv.op.table, pv.neutral, Involution(pi))]
         assert len(passing) == 26  # all involutions on 5 elements
 
 

@@ -192,6 +192,18 @@ class TestCliTable:
         assert res.stdout == ""
         assert res.stderr == "error: duplicate element names\n"
 
+    @pytest.mark.parametrize("kind", ["directory", "missing", "undecodable"])
+    def test_diff_against_an_unreadable_file_is_input_error(self, runner, tmp_path, kind):
+        path = tmp_path / "golden.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "undecodable":
+            path.write_bytes(b"\xff\xfe")
+        res = runner.invoke(main, ["table", "pentagon", "--diff", str(path)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"error: cannot read {path}: ")
+
     def test_one_element_grid(self, runner):
         res = runner.invoke(main, ["table", "chain_1", "--additive"])
         assert res.exit_code == 0

@@ -35,18 +35,19 @@ from mosaic_lab.equivalence import (
     functor_E,
     generated_polygroup_check,
     is_orthomodular_mosaic,
+    reconstruct_from,
     reconstruct_lattice,
 )
-from mosaic_lab.errors import NotAnLMosaic
+from mosaic_lab.errors import ReconstructionFailure
 from mosaic_lab.hyperstructure import (
     Mosaic,
     Multioperation,
-    induced_order,
     is_associative,
+    principal_rows,
     verify_lmosaic,
     verify_mosaic,
 )
-from mosaic_lab.lattice_core import check_om_equivalences, from_leq, is_modular, is_orthomodular
+from mosaic_lab.lattice_core import Involution, check_om_equivalences, from_leq, is_modular, is_orthomodular
 from mosaic_lab.nakano import (
     NakanoMosaic,
     additive_nakano,
@@ -251,8 +252,9 @@ def test_reach_rows_are_no_part_of_a_nakano_mosaic(lattices_upto_6):
 
 def test_order_of_an_lmosaic_is_a_bounded_partial_order(lattices_upto_6):
     """Lms1 makes the principal cells reflexive with the neutral at the bottom,
-    Lms4 at (x, x) makes them antisymmetric and Lms2 transitive, so an edited
-    table that passes verify_lmosaic always yields an order."""
+    Lms4 at (x, x) makes them antisymmetric and Lms2 transitive, so the
+    principal rows of an edited table that passes verify_lmosaic are always
+    an order."""
     rng = random.Random(7)
     passed = 0
     for l in lattices_upto_6:
@@ -263,7 +265,7 @@ def test_order_of_an_lmosaic_is_a_bounded_partial_order(lattices_upto_6):
                 if not all(r.holds for r in verify_lmosaic(bad.mosaic)):
                     continue
                 passed += 1
-                rows = induced_order(bad.mosaic)
+                rows = principal_rows(bad.mosaic)
                 names = list(range(l.size))
                 covers = [(i, j) for i in names for j in names if i != j and rows[i] >> j & 1]
                 up = closure_oracle(names, covers)
@@ -275,14 +277,14 @@ def test_order_of_an_lmosaic_is_a_bounded_partial_order(lattices_upto_6):
 def test_induced_order_raises_a_typed_error(pentagon):
     """Putting a into b+b (b < a, so b is in a+a already) breaks antisymmetry
     of the principal cells; Lms4 then finds two join candidates, a and b, at
-    (a, a), and induced_order raises NotAnLMosaic with that pair, under -O as
-    well."""
+    (a, a), and reconstruct_from, which checks the table before it reads the
+    order, raises ReconstructionFailure with that pair, under -O as well."""
     p = pentagon.lattice
     nm = additive_nakano(p)
     a, b = p.index("a"), p.index("b")
     op = nm.mosaic.op.with_cell(b, b, [p.bottom, a, b])
     assert op.cell(a, a) >> b & 1 and op.cell(b, b) >> a & 1
-    with pytest.raises(NotAnLMosaic) as err:
-        induced_order(Mosaic(op, nm.mosaic.neutral, nm.mosaic.rho))
+    with pytest.raises(ReconstructionFailure) as err:
+        reconstruct_from(Mosaic(op, nm.mosaic.neutral, nm.mosaic.rho), Involution.identity(p.size))
     assert str(err.value) == f"Lms4 fails at {(a, a)}"
     assert err.value.witness == (a, a)

@@ -24,8 +24,6 @@ from mosaic_lab.lattice_core import (
     FiniteBoundedLattice,
     Involution,
     build_from_covers,
-    check_o1,
-    check_o2,
     check_om_equivalences,
     complements,
     dual_lattice,
@@ -53,6 +51,15 @@ from oracles import (
     complement_selecting_involutions,
     least_closed_superset,
 )
+
+
+def omega(l) -> dict:
+    return {x: complements(l, x) for x in range(l.size)}
+
+
+def omega_cubed(l) -> dict:
+    om = omega(l)
+    return {x: {t for y in om[x] for z in om[y] for t in om[z]} for x in range(l.size)}
 
 
 def test_axiom_report_witness_discipline():
@@ -264,37 +271,33 @@ class TestComplements:
         h = hexagon.lattice
         assert complements(h, h.index("b")) == {h.index("a'"), h.index("b'")}
 
+    # O1 and O2 by relation chasing over omega, the complement multimap
+
     def test_o1_everywhere(self, lattices_upto_6):
+        # omega(x) nonempty implies x in omega(omega(x))
         for l in lattices_upto_6:
-            assert check_o1(l).holds
+            for x in range(l.size):
+                om = complements(l, x)
+                assert not om or any(x in complements(l, y) for y in om)
 
     def test_o2_fails_exactly_where_frozen(self, lattices_upto_6):
         # the omega^3 = omega claim is false in general; frozen from this
         # corpus: exactly three counterexample classes up to 6 elements (the
         # diamond M3, the 4-atom diamond M4, and the pentagon with a doubled
-        # atom), and each failure re-derives by direct relation chasing
-        failing = [l for l in lattices_upto_6 if not check_o2(l).holds]
+        # atom)
+        failing = [l for l in lattices_upto_6 if omega_cubed(l) != omega(l)]
         assert len(failing) == 3
         m3 = named("diamond_M3").lattice
         assert any(lattice_isomorphism(l, m3) for l in failing)
-        for l in failing:
-            om = {x: complements(l, x) for x in range(l.size)}
-            om3 = {
-                x: {t for y in om[x] for z in om[y] for t in om[z]} for x in range(l.size)
-            }
-            assert om3 != om
 
     def test_o2_counterexample_diamond(self):
+        # in M3, omega(a) = {b, c} but omega^3(a) is all three atoms
         m3 = named("diamond_M3").lattice
-        rep = check_o2(m3)
-        assert not rep.holds
-        x = rep.witness[0]
-        om = complements(m3, x)
-        om3 = set()
-        for y in om:
-            for z in complements(m3, y):
-                om3 |= complements(m3, z)
-        assert om3 != om
+        om, om3 = omega(m3), omega_cubed(m3)
+        atoms = {x for x in range(m3.size) if x not in (m3.bottom, m3.top)}
+        assert {x for x in range(m3.size) if om3[x] != om[x]} == atoms
+        for x in atoms:
+            assert om[x] == atoms - {x} and om3[x] == atoms
 
     def test_non_involutive_complement_selector_exists_on_diamond(self):
         # pi(a)=b, pi(b)=c, pi(c)=a picks complements but is not an involution

@@ -4,11 +4,12 @@ from pathlib import Path
 import pytest
 
 from mosaic_lab.bits import bits, mask_of
-from mosaic_lab.errors import MissingBound, NoUniqueExtremum, NotASublattice, NotASubmosaic
-from mosaic_lab.hyperstructure import induced_order, is_associative, verify_lmosaic, verify_mosaic
-from mosaic_lab.lattice_core import dual_lattice, is_modular, lattice_isomorphism
+from mosaic_lab.errors import NoUniqueExtremum, NotASublattice
+from mosaic_lab.hyperstructure import is_associative, principal_rows, verify_lmosaic, verify_mosaic
+from mosaic_lab.lattice_core import dual_lattice, is_modular, lattice_isomorphism, sublattice
 from mosaic_lab.nakano import (
     NakanoMosaic,
+    _restricted_op,
     additive_nakano,
     check_antisym,
     check_bound_by_extremum,
@@ -19,7 +20,6 @@ from mosaic_lab.nakano import (
     extremum_by_characterization,
     multiplicative_nakano,
     nakano_property_reports,
-    restrict_to_sublattice,
 )
 from mosaic_lab.catalog import named
 from mosaic_lab.equivalence import OrthoPair, functor_E
@@ -120,58 +120,38 @@ class TestExtremum:
 
 
 class TestRestriction:
+    """_restricted_op, the restriction that generated_polygroup_check runs:
+    on a Nakano table and the sorted members of a sublattice it gives the
+    Nakano table of the sublattice."""
+
     def test_pentagon_copy_inside_hexagon(self, hexagon, pentagon):
         h = hexagon.lattice
         sub = sorted([h.index(x) for x in ("0", "a", "b", "a'", "1")])
-        restricted = restrict_to_sublattice(additive_nakano(h), sub)
-        assert restricted.op.table == additive_nakano(pentagon.lattice).mosaic.op.table
+        restricted = _restricted_op(additive_nakano(h).mosaic.op.table, sub)
+        assert restricted.table == additive_nakano(pentagon.lattice).mosaic.op.table
 
     def test_full_carrier(self, pentagon):
         nm = additive_nakano(pentagon.lattice)
-        assert restrict_to_sublattice(nm, range(5)).op.table == nm.mosaic.op.table
+        assert _restricted_op(nm.mosaic.op.table, list(range(5))) == nm.mosaic.op
 
     def test_bounds_pair(self, pentagon):
         p = pentagon.lattice
-        nm = additive_nakano(p)
-        two = restrict_to_sublattice(nm, [p.bottom, p.top])
+        two = _restricted_op(additive_nakano(p).mosaic.op.table, [p.bottom, p.top])
         want = additive_nakano(named("chain_2").lattice).mosaic
-        assert two.op.table == want.op.table
+        assert two.table == want.op.table
 
-    def test_repeated_members_count_once(self, pentagon):
-        p = pentagon.lattice
-        nm = additive_nakano(p)
-        once = restrict_to_sublattice(nm, [p.bottom, p.top])
-        assert restrict_to_sublattice(nm, [p.bottom, p.bottom, p.top]) == once
-
-    def test_missing_bound(self, pentagon):
-        p = pentagon.lattice
-        with pytest.raises(MissingBound):
-            restrict_to_sublattice(additive_nakano(p), [p.index("a"), p.top])
-
-    def test_not_closed(self, pentagon):
-        p = pentagon.lattice
-        with pytest.raises(NotASublattice):
-            restrict_to_sublattice(additive_nakano(p), [p.bottom, p.index("a"), p.index("c")])
-
-    def test_restriction_that_is_no_mosaic_is_a_typed_error(self, pentagon):
-        # an asymmetric cell survives the restriction to the whole carrier
-        p = pentagon.lattice
-        nm = additive_nakano(p)
-        a, c = p.index("a"), p.index("c")
-        op = nm.mosaic.op.with_cell(a, c, [c, p.top])
-        corrupted = NakanoMosaic(p, type(nm.mosaic)(op, nm.mosaic.neutral, nm.mosaic.rho))
-        with pytest.raises(NotASubmosaic) as exc:
-            restrict_to_sublattice(corrupted, range(p.size))
-        assert "commutative" in str(exc.value)
-
-    def test_restriction_equals_sublattice_mosaic(self, hexagon):
-        from mosaic_lab.lattice_core import sublattice
-
-        h = hexagon.lattice
-        sub = sorted([h.index(x) for x in ("0", "a", "b", "a'", "1")])
-        restricted = restrict_to_sublattice(additive_nakano(h), sub)
-        sl, _ = sublattice(h, sub)
-        assert restricted.op.table == additive_nakano(sl).mosaic.op.table
+    def test_restriction_equals_sublattice_mosaic(self, hexagon, lattices_upto_6):
+        closed = 0
+        for l in [hexagon.lattice, *lattices_upto_6]:
+            table = additive_nakano(l).mosaic.op.table
+            for mask in range(1, 1 << l.size):
+                try:
+                    sl, members = sublattice(l, mask)
+                except NotASublattice:
+                    continue
+                closed += 1
+                assert _restricted_op(table, list(members)).table == additive_nakano(sl).mosaic.op.table
+        assert closed
 
 
 class TestLemmaBattery:
@@ -218,7 +198,9 @@ def test_fact4_nakano_equivalence(lattices_upto_6):
 
 def test_induced_order_is_base_order(lattices_upto_6):
     for l in lattices_upto_6:
-        assert induced_order(additive_nakano(l).mosaic) == l.leq
+        m = additive_nakano(l).mosaic
+        assert all(r.holds for r in verify_lmosaic(m))
+        assert principal_rows(m) == l.leq
 
 
 class TestConservativity:
