@@ -105,9 +105,10 @@ def _require_in_catalog(family: str, n: int, largest: int) -> None:
 
 
 def named(name: str) -> CatalogEntry:
-    chain = re.fullmatch(r"chain_(\d+)", name)
-    boolean = re.fullmatch(r"boolean_(\d+)", name)
-    mo = re.fullmatch(r"[Mm][Oo]_(\d+)", name)
+    # one spelling per entry: ASCII digits, no leading zero
+    chain = re.fullmatch(r"chain_(0|[1-9][0-9]*)", name)
+    boolean = re.fullmatch(r"boolean_(0|[1-9][0-9]*)", name)
+    mo = re.fullmatch(r"[Mm][Oo]_(0|[1-9][0-9]*)", name)
     if name == "pentagon":
         return CatalogEntry(
             name, pentagon_pattern(), None,

@@ -120,10 +120,10 @@ class DualizableLMosaicPair:
     A plain record, like Mosaic: construction checks nothing.  functor_E
     builds pairs that the paper proves dualizable, and a table from outside
     is checked by reconstruct_from or is_genuinely_dualizable.  The
-    reconstruction, the orthomodularity verdict and the associativity
-    verdict of each generated subalgebra are computed at most once per pair,
-    on first use, and live as long as the pair.  They take no part in ==,
-    hash or repr.
+    reconstruction, the orthomodularity verdict, the subalgebra that each
+    pi-closed seed set generates and the associativity verdict of each
+    generated subalgebra are computed at most once per pair, on first use,
+    and live as long as the pair.  They take no part in ==, hash or repr.
     """
 
     mosaic: Mosaic
@@ -145,16 +145,25 @@ class DualizableLMosaicPair:
 
     @cached_property
     def orthomodular(self) -> AxiomReport:
-        """Criterion: x in y+y and 1 in x + pi(y) imply x = y, with 1 = pi(0)."""
-        one = self.one
-        m, pi = self.mosaic, self.pi
-        for x in range(self.size):
-            for y in range(self.size):
-                if x == y:
-                    continue
-                if m.cell(y, y) >> x & 1 and m.cell(x, pi(y)) >> one & 1:
+        """Criterion: x in y+y and 1 in x + pi(y) imply x = y, with 1 = pi(0).
+
+        Read row by row: the y with x in y+y are the principal row of x,
+        read off the diagonal as it stands, and for each of them, in
+        ascending order, the cell x + pi(y) is tested for 1.  That is the
+        order of the pairwise scan, so the witness is the least (x, y)."""
+        one, table, p = self.one, self.mosaic.op.table, self.pi.map
+        for x, above in enumerate(principal_rows(self.mosaic)):
+            row = table[x]
+            for y in bits(above & ~(1 << x)):
+                if row[p[y]] >> one & 1:
                     return AxiomReport("orthomodular-mosaic", False, (x, y), "criterion violated")
         return AxiomReport("orthomodular-mosaic", True)
+
+    @cached_property
+    def _generated_subalgebras(self) -> dict[int, int]:
+        """pi-closed seed set -> the mask it generates in the reconstructed
+        lattice; filled by generated_polygroup_check."""
+        return {}
 
     @cached_property
     def _associative_subalgebras(self) -> dict[int, bool]:
@@ -261,16 +270,21 @@ def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> Axiom
     p.mosaic is the Nakano mosaic of the rebuilt lattice (the paper's main
     theorem), and the generated subset is a sublattice holding 0, so the
     restriction is the Nakano mosaic of that sublattice: a mosaic by
-    theorem, of which only associativity is checked.  Many (x, y)
-    generate the same subalgebra (two elements of an orthomodular lattice
-    generate an image of MO_2 x 2^4), so the verdict is computed once per
-    distinct generated subset of the pair; a failing report carries its own
-    (x, y)."""
+    theorem, of which only associativity is checked.  {x, y} generates
+    what its pi-closed seed set {x, y, pi(x), pi(y), 0, 1} generates, so
+    each distinct seed set is closed once per pair.  Many (x, y) generate
+    the same subalgebra (two elements of an orthomodular lattice generate
+    an image of MO_2 x 2^4), so the verdict is computed once per distinct
+    generated subset of the pair; a failing report carries its own (x, y)."""
     if not is_orthomodular_mosaic(p).holds:
         raise PreconditionFailed("mosaic is not orthomodular")
     ortho = reconstruct_lattice(p)
-    seeds = mask_of((x, y, p.mosaic.neutral, p.one))
-    generated = _generated_mask(ortho.lattice, seeds, p.pi)
+    pm = p.pi.map
+    seeds = mask_of((x, y, pm[x], pm[y], p.mosaic.neutral, p.one))
+    closures = p._generated_subalgebras
+    generated = closures.get(seeds)
+    if generated is None:
+        generated = closures[seeds] = _generated_mask(ortho.lattice, seeds, p.pi)
     verdicts = p._associative_subalgebras
     if generated not in verdicts:
         restricted = _restricted_op(p.mosaic.op.table, list(bits(generated)))

@@ -38,8 +38,16 @@ class NotASublattice(MosaicLabError):
     pass
 
 
-class SizeMismatch(MosaicLabError):
-    pass
+class SizeMismatch(MosaicLabError, ValueError):
+    """Carriers, tables or maps whose sizes disagree, or a cell that names
+    an element past its carrier.  Also a ValueError, which some of these
+    raised before they were typed."""
+
+
+class InvalidStructure(MosaicLabError, ValueError):
+    """Parts that do not make the structure a constructor was asked for: a
+    map that is no involution, a neutral element that is not neutral.  Also
+    a ValueError, which these raised before this class existed."""
 
 
 class NoUniqueExtremum(MosaicLabError):

@@ -13,7 +13,7 @@ from functools import cached_property, reduce
 from operator import or_
 
 from .bits import bits, elements, full_mask, least, mask_of, transpose
-from .errors import SizeMismatch
+from .errors import InvalidStructure, SizeMismatch
 from .lattice_core import AxiomReport, Involution
 
 
@@ -34,7 +34,7 @@ class Multioperation:
         if len(self.table) != self.size or any(len(r) != self.size for r in self.table):
             raise SizeMismatch("table is not size x size")
         if any(c & ~full for r in self.table for c in r):
-            raise ValueError("cell not a subset of the carrier")
+            raise SizeMismatch("cell not a subset of the carrier")
 
     def cell(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -87,9 +87,9 @@ class Mosaic:
         e = self.neutral
         for x in range(n):
             if self.op.cell(e, x) != 1 << x or self.op.cell(x, e) != 1 << x:
-                raise ValueError(f"{e} is not neutral at {x}")
+                raise InvalidStructure(f"{e} is not neutral at {x}")
         if self.rho(e) != e:
-            raise ValueError("rho does not fix the neutral element")
+            raise InvalidStructure("rho does not fix the neutral element")
 
     @property
     def size(self) -> int:

@@ -16,6 +16,7 @@ from .bits import bits, elements, full_mask, image, mask_of, members_of, transpo
 from .errors import (
     CyclicCovers,
     DuplicateLabel,
+    InvalidStructure,
     NotALattice,
     NotAnOrder,
     NotAnOrthocomplementation,
@@ -57,10 +58,10 @@ class Involution:
     def __post_init__(self):
         n = len(self.map)
         if sorted(self.map) != list(range(n)):
-            raise ValueError("not a permutation")
+            raise InvalidStructure("not a permutation")
         for x, y in enumerate(self.map):
             if self.map[y] != x:
-                raise ValueError(f"not an involution at {x}")
+                raise InvalidStructure(f"not an involution at {x}")
 
     @property
     def size(self) -> int:
@@ -241,9 +242,10 @@ def complements(l: FiniteBoundedLattice, x: int) -> frozenset[int]:
 
 
 def complement_mask(l: FiniteBoundedLattice, x: int) -> int:
-    m = 0
-    for y in range(l.size):
-        if l.join(x, y) == l.top and l.meet(x, y) == l.bottom:
+    """complements(l, x) as a mask, read off the join and meet rows of x."""
+    top, bottom, meets, m = l.top, l.bottom, l.meet_table[x], 0
+    for y, j in enumerate(l.join_table[x]):
+        if j == top and meets[y] == bottom:
             m |= 1 << y
     return m
 
@@ -420,17 +422,32 @@ def find_sublattice_copy(l: FiniteBoundedLattice, pattern: FiniteBoundedLattice)
 
     Pattern elements are placed in index order, each on the least free
     element of l that passes the checks, so the copy found is the least in
-    that order.  The elements that agree in order with everything placed so
-    far are one mask of up and down rows; joins and meets are checked on
-    those alone."""
+    that order.  An embedding sends the elements above and below u to
+    distinct elements above and below the image of u, so u is placed only
+    on an element with at least as many of each; these masks are built once
+    per call from the row popcounts, and a pattern element that fits
+    nowhere ends the search before it starts.  They drop only placements
+    that no embedding uses, so the copy found is unchanged.  The elements
+    that agree in order with everything placed so far are one mask of up
+    and down rows; joins and meets are checked on those alone."""
     if pattern.size > l.size:
         return None
     k = pattern.size
     up, down, join, meet = l.leq, l.down, l.join_table, l.meet_table
+    ups, downs = [row.bit_count() for row in up], [row.bit_count() for row in down]
+    fits = []  # fits[u]: the elements of l with room above and below for u
+    for above, below in zip(pattern.leq, pattern.down):
+        need_up, need_down, mask = above.bit_count(), below.bit_count(), 0
+        for v, room in enumerate(ups):
+            if room >= need_up and downs[v] >= need_down:
+                mask |= 1 << v
+        fits.append(mask)
+    if not all(fits):
+        return None
     assign = [-1] * k
 
     def order_candidates(u: int, free: int) -> int:
-        mask, above, below = free, pattern.leq[u], pattern.down[u]
+        mask, above, below = free & fits[u], pattern.leq[u], pattern.down[u]
         for u2 in range(u):
             v2 = assign[u2]
             mask &= down[v2] if above >> u2 & 1 else ~down[v2]
@@ -496,9 +513,14 @@ def check_om_equivalences(l: FiniteBoundedLattice, pi: Involution) -> list[Axiom
     """OM1 (definition), OM2, OM3 (hexagon-freeness), OM4 (generated distributivity).
 
     The four reports agree in truth value on every ortholattice.  pi is
-    checked to be an orthocomplementation once, on entry.  OM4 closes
-    {x, y} for every x <= y and tests each distinct closure for
-    distributivity once per call; the first failing (x, y) is the witness.
+    checked to be an orthocomplementation once, on entry.  OM4 scans x <= y
+    in lexicographic order; the first (x, y) whose generated pi-closed
+    sublattice is not distributive is the witness.  A pair with x = 0,
+    x = y or y = 1 generates {0, 1, u, pi(u)}, which is Boolean and so never
+    the witness; those pairs are skipped.  Every other pair generates what
+    its pi-closed seed set {x, y, pi(x), pi(y)} generates, so each distinct
+    seed set is closed once per call, and each distinct closure tested for
+    distributivity once per call.
     """
     _require_ortho(l, pi)
     om1 = _orthomodular_law(l, pi, "OM1")
@@ -523,10 +545,15 @@ def check_om_equivalences(l: FiniteBoundedLattice, pi: Involution) -> list[Axiom
         om3 = AxiomReport("OM3", False, copy, "hexagon sublattice")
 
     om4 = AxiomReport("OM4", True)
-    distributive = {}
+    p, closures, distributive = pi.map, {}, {}
     for x in range(l.size):
-        for y in bits(l.leq[x]):
-            sub = _generated_mask(l, 1 << x | 1 << y, pi)
+        if x == l.bottom:
+            continue
+        for y in bits(l.leq[x] & ~(1 << x | 1 << l.top)):
+            seeds = 1 << x | 1 << y | 1 << p[x] | 1 << p[y]
+            sub = closures.get(seeds)
+            if sub is None:
+                sub = closures[seeds] = _generated_mask(l, seeds, pi)
             if sub not in distributive:
                 distributive[sub] = _distributive_law(l, list(bits(sub))).holds
             if not distributive[sub]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bits import bits, least
-from .errors import NoUniqueExtremum
+from .errors import NoUniqueExtremum, SizeMismatch
 from .hyperstructure import Mosaic, Multioperation, is_reproductive, principal_rows
 from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, dual_lattice
 
@@ -35,7 +35,7 @@ class NakanoMosaic:
 
     def __post_init__(self):
         if self.base.size != self.mosaic.size:
-            raise ValueError("carrier sizes disagree")
+            raise SizeMismatch("carrier sizes disagree")
 
     @property
     def size(self) -> int:

@@ -623,6 +623,15 @@ def om_reports_loops(l, pi, hexagon):
     return [om1, om2, om3, om4]
 
 
+def orthomodular_criterion_loops(table, e, pi) -> AxiomReport:
+    """The mosaic-side orthomodularity criterion for every pair: x in y+y
+    and pi(e) in x + pi(y) imply x = y."""
+    n, one = len(table), pi(e)
+    w = next(((x, y) for x in range(n) for y in range(n)
+              if x != y and table[y][y] >> x & 1 and table[x][pi(y)] >> one & 1), None)
+    return _report("orthomodular-mosaic", w, w and "criterion violated")
+
+
 def dual_table_loops(table, e, pi, literal=False):
     """The pi-dual table, cell by cell, when it is a mosaic with neutral
     pi(e); None otherwise."""

@@ -102,6 +102,22 @@ class TestNamed:
             named(name)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("name", [
+        "chain_01", "boolean_02", "MO_03", "mo_03", "chain_00", "chain_\u0663", "boolean_\uff12",
+        "chain_+3", "chain_3 ", "chain_",
+    ])
+    def test_one_spelling_per_entry(self, name):
+        """Sizes are ASCII digits without a leading zero; any other
+        spelling of a size is an unknown name, not a second name of the
+        entry."""
+        with pytest.raises(UnknownName, match="unknown catalog name"):
+            named(name)
+
+    def test_entry_names_are_canonical(self):
+        assert named("chain_3").name == "chain_3"
+        assert named("boolean_2").name == "boolean_2"
+        assert named("mo_3").name == named("MO_3").name == "MO_3"
+
 
 def natural_middle_posets(m):
     """Every naturally-labeled poset on 0..m-1, as strict down-set rows."""

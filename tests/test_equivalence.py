@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mosaic_lab import equivalence
-from mosaic_lab.bits import full_mask
+from mosaic_lab.bits import full_mask, mask_of
 from mosaic_lab.errors import (
     NotAnOrthocomplementation,
     PreconditionFailed,
@@ -291,6 +291,24 @@ class TestGeneratedPolygroup:
                 for y in range(p.size):
                     assert generated_polygroup_check(d, x, y).holds
             assert counts == {"is_associative": expected}
+
+    def test_each_seed_set_closed_once_per_pair(self, call_counts):
+        """{x, y} generates what its pi-closed seed set {x, y, pi(x),
+        pi(y), 0, 1} generates; over the 144 (x, y) of MO_5 each of the 16
+        distinct seed sets is closed once per pair, and another pair closes
+        its own."""
+        counts = call_counts(equivalence, "_generated_mask")
+        e = named("MO_5")
+        p = OrthoPair(e.lattice, e.ortho)
+        ends = mask_of((e.lattice.bottom, e.lattice.top))
+        seed_sets = {mask_of((x, y, p.pi(x), p.pi(y))) | ends for x in range(p.size) for y in range(p.size)}
+        assert len(seed_sets) == 16
+        for expected in (16, 32):
+            d = functor_E(p)
+            for x in range(p.size):
+                for y in range(p.size):
+                    assert generated_polygroup_check(d, x, y).holds
+            assert counts == {"_generated_mask": expected}
 
     def test_failing_report_carries_its_own_pair(self, monkeypatch):
         """A verdict reused from an earlier (x, y) is reported with the

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from mosaic_lab.bits import bits, full_mask, mask_of
 from mosaic_lab.equivalence import reconstruct_from
-from mosaic_lab.errors import ReconstructionFailure, SizeMismatch
+from mosaic_lab.errors import InvalidStructure, MosaicLabError, ReconstructionFailure, SizeMismatch
 from mosaic_lab.hyperstructure import (
     Mosaic,
     Multioperation,
@@ -17,7 +17,7 @@ from mosaic_lab.hyperstructure import (
     verify_mosaic,
 )
 from mosaic_lab.lattice_core import AxiomReport, Involution
-from mosaic_lab.nakano import _restricted_op, additive_nakano, multiplicative_nakano
+from mosaic_lab.nakano import NakanoMosaic, _restricted_op, additive_nakano, multiplicative_nakano
 from mosaic_lab.catalog import named
 
 from oracles import Multimap, all_involutions, compose_relations, dual_table_loops, table_of
@@ -71,6 +71,27 @@ class TestMultioperation:
     def test_cell_out_of_range(self):
         with pytest.raises(ValueError):
             Multioperation(1, ((0b10,),))
+
+
+def test_bad_parts_raise_typed_errors(pentagon, hexagon):
+    """Each constructor refuses parts that do not make its structure with a
+    MosaicLabError (exit code 2 in the CLI) that is still a ValueError."""
+    chain2 = Multioperation(2, ((0b01, 0b10), (0b10, 0b11)))
+    cases = [
+        (lambda: Involution((1, 2, 0)), InvalidStructure, "not an involution at 0"),
+        (lambda: Involution((0, 0)), InvalidStructure, "not a permutation"),
+        (lambda: Involution((1, 2, 1)), InvalidStructure, "not a permutation"),
+        (lambda: Multioperation(1, ((0b10,),)), SizeMismatch, "cell not a subset of the carrier"),
+        (lambda: Mosaic(chain2, 1, Involution.identity(2)), InvalidStructure, "1 is not neutral at 0"),
+        (lambda: Mosaic(chain2, 0, Involution((1, 0))), InvalidStructure, "rho does not fix the neutral element"),
+        (lambda: NakanoMosaic(pentagon.lattice, additive_nakano(hexagon.lattice).mosaic), SizeMismatch,
+         "carrier sizes disagree"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
+        assert isinstance(exc.value, MosaicLabError) and isinstance(exc.value, ValueError)
 
 
 class TestFindNeutral:

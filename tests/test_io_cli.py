@@ -461,6 +461,15 @@ class TestCliOther:
         l, pi, _ = parse_lattice_json((tmp_path / "chain_1.json").read_text())
         assert l.size == 1 and pi is not None
 
+    @pytest.mark.parametrize("name", ["chain_01", "boolean_02", "chain_\u0663"])
+    def test_catalog_refuses_a_second_spelling(self, runner, tmp_path, name):
+        """Another spelling of chain_1's size would write a second file for
+        the same entry; it is refused as an unknown name."""
+        res = runner.invoke(main, ["catalog", name, "-o", str(tmp_path)])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: unknown catalog name {name!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_catalog_enumerate(self, runner):
         res = runner.invoke(main, ["catalog", "--enumerate", "5"])
         assert res.exit_code == 0

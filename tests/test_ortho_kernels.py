@@ -2,14 +2,16 @@
 the inverse direction of the paper's main theorem.
 
 OC1, the orthocomplement search, OM1-OM4 with the sublattice-copy search
-and the generated closures, the dualizability check and the pi-dual table
-read whole bitmask rows; tests/oracles.py keeps each one element at a time.
+and the generated closures, the mosaic-side orthomodularity criterion, the
+dualizability check and the pi-dual table read whole bitmask rows;
+tests/oracles.py keeps each one element at a time.
 Results must agree exactly, map order and least witness included, on every
 lattice with at most 6 elements, the lattices of the ortholattices with at
 most 8, MO_2 to MO_6, boolean_1 to boolean_4 and the hexagon, and on seeded
 cell edits of their Nakano tables.  OM1-OM4 run on every orthocomplementation
 of these lattices except MO_5 and MO_6, where a seeded sample of their 945
-and 10 395 maps keeps the references quick.
+and 10 395 maps keeps the references quick; the criterion runs on all of
+them.
 
 The reconstruction checks nothing: it reads the order off the principal
 cells and takes pi as orthocomplement.  That this is right is the theorem,
@@ -21,10 +23,12 @@ order.
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from mosaic_lab import equivalence
+from mosaic_lab import equivalence, lattice_core
+from mosaic_lab.bits import bits, mask_of
 from mosaic_lab.catalog import named
 from mosaic_lab.errors import SizeTooLarge
 from mosaic_lab.hyperstructure import Mosaic, verify_mosaic
@@ -50,6 +54,7 @@ from oracles import (
     generated_sublattice_loops,
     om_reports_loops,
     order_reversing_loops,
+    orthomodular_criterion_loops,
     orthocomplementations_loops,
     reconstruction_failure_loops,
     sublattice_copy_loops,
@@ -125,17 +130,62 @@ def test_om_reports_match(corpus):
     assert failing
 
 
+def test_om4_closes_each_seed_set_once(call_counts):
+    """OM4 skips the pairs with x = 0, x = y or y = 1, which generate the
+    Boolean {0, 1, u, pi(u)}, and closes every other pair once per distinct
+    pi-closed seed set {x, y, pi(x), pi(y)}: never on MO_4, whose pairs
+    x <= y are all of those kinds, and once per seed set on boolean_3, each
+    distinct closure then tested for distributivity once."""
+    counts = call_counts(lattice_core, "_generated_mask", "_distributive_law")
+    mo4 = named("MO_4").lattice
+    for pi in orthocomplementations(mo4):
+        assert all(r.holds for r in check_om_equivalences(mo4, pi))
+    assert counts == Counter()
+    e = named("boolean_3")
+    l, pi = e.lattice, e.ortho
+    pairs = [(x, y) for x in range(l.size) for y in bits(l.leq[x])
+             if x not in (l.bottom, y) and y != l.top]
+    seed_sets = {mask_of((x, y, pi(x), pi(y))) for x, y in pairs}
+    closures = {generated_sublattice_loops(l, [x, y], pi) for x, y in pairs}
+    assert all(r.holds for r in check_om_equivalences(l, pi))
+    assert counts == {"_generated_mask": len(seed_sets), "_distributive_law": len(closures)}
+    assert len(closures) < len(seed_sets) < len(pairs)
+
+
+def test_orthomodular_criterion_matches(corpus):
+    """The row-by-row mosaic-side criterion against the pairwise scan,
+    witness included, on the Nakano mosaic of every lattice of the corpus
+    with each of its orthocomplementations, and on every pair of the raw
+    table search."""
+    verdicts = Counter()
+
+    def pairs():
+        for _, l in corpus:
+            m = additive_nakano(l).mosaic
+            for pi in orthocomplementations(l):
+                yield equivalence.DualizableLMosaicPair(m, pi)
+        yield from equivalence.enumerate_dualizable_pairs(4)
+
+    for p in pairs():
+        got = equivalence.is_orthomodular_mosaic(p)
+        assert got == orthomodular_criterion_loops(p.mosaic.op.table, p.mosaic.neutral, p.pi)
+        verdicts[got.holds] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
 def test_sublattice_copies_match(corpus):
-    patterns = (hexagon_pattern(), pentagon_pattern())
-    found = 0
+    patterns = {"hexagon": hexagon_pattern(), "pentagon": pentagon_pattern()}
+    patterns.update((name, named(name).lattice) for name in ("diamond_M3", "boolean_3", "chain_3"))
+    found = Counter()
     for _, l in corpus:
-        for pattern in patterns:
+        for name, pattern in patterns.items():
             got = find_sublattice_copy(l, pattern)
             assert got == sublattice_copy_loops(l, pattern)
             if l.size <= 6:
                 assert got == brute_sublattice_copy(l, pattern)
-            found += got is not None
-    assert found
+            found[name] += got is not None
+    # each pattern sits in some lattice of the corpus and not in others
+    assert all(0 < found[name] < len(corpus) for name in patterns), found
 
 
 def test_generated_sublattices_and_distributivity_match(corpus):
