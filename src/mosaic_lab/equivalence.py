@@ -242,19 +242,29 @@ class MorphismTransferReport:
 def morphism_transfer_check(f, src: OrthoPair, dst: OrthoPair) -> MorphismTransferReport:
     """Whether f is a lattice morphism, a mosaic morphism of the Nakano
     mosaics and intertwines the orthocomplements.  f is checked to be a map
-    between the carriers before either side is tested (SizeMismatch)."""
+    between the carriers before either side is tested (SizeMismatch).
+
+    f preserves joins when the join row of x, mapped through f, is the join
+    row of f(x) read at the images; meets likewise.  The Nakano table
+    depends on the order alone, so when source and target have the same up
+    rows it is built once and read on both sides."""
     f = _carrier_map(f, src.size, dst.size)
     a, b = src.lattice, dst.lattice
-    lattice_hom = all(
-        f[a.join(x, y)] == b.join(f[x], f[y]) and f[a.meet(x, y)] == b.meet(f[x], f[y])
-        for x in range(a.size)
-        for y in range(a.size)
-    )
+    lattice_hom = _preserves(f, a.join_table, b.join_table) and _preserves(f, a.meet_table, b.meet_table)
     ma = additive_nakano(a).mosaic
-    mb = additive_nakano(b).mosaic
+    mb = ma if b.leq == a.leq else additive_nakano(b).mosaic
     mosaic_hom = check_morphism(f, ma, mb).holds
     intertwines = all(f[src.pi(x)] == dst.pi(f[x]) for x in range(a.size))
     return MorphismTransferReport(f, lattice_hom, mosaic_hom, intertwines)
+
+
+def _preserves(f: tuple[int, ...], rows, target_rows) -> bool:
+    """Whether f(rows[x][y]) = target_rows[f(x)][f(y)] for every x and y."""
+    for row, fx in zip(rows, f):
+        images = target_rows[fx]
+        if [f[z] for z in row] != [images[v] for v in f]:
+            return False
+    return True
 
 
 def is_orthomodular_mosaic(p: DualizableLMosaicPair) -> AxiomReport:

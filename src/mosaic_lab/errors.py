@@ -34,8 +34,10 @@ class NotAnOrthocomplementation(MosaicLabError):
     pass
 
 
-class NotASublattice(MosaicLabError):
-    pass
+class NotASublattice(MosaicLabError, ValueError):
+    """A subset that is empty or not closed under join and meet, or an empty
+    seed set for generated_sublattice.  Also a ValueError, which the empty
+    seed set raised before it was typed."""
 
 
 class SizeMismatch(MosaicLabError, ValueError):

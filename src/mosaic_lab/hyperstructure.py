@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
 
-from .bits import bits, elements, full_mask, least, mask_of, transpose
+from .bits import bits, elements, full_mask, image, least, mask_of, transpose
 from .errors import InvalidStructure, SizeMismatch
 from .lattice_core import AxiomReport, Involution
 
@@ -320,9 +320,11 @@ def check_morphism(f, a: Mosaic, b: Mosaic) -> AxiomReport:
     name = "morphism-morphism"
     if f[a.neutral] != b.neutral:
         return AxiomReport(name, False, (a.neutral,), "not unitary")
-    for x in range(a.size):
-        for y in range(a.size):
-            if mask_of(f[z] for z in bits(a.cell(x, y))) & ~b.cell(f[x], f[y]):
+    target = b.op.table
+    for x, row in enumerate(a.op.table):
+        images = target[f[x]]  # images[v] = f(x) [.] v
+        for y, cell in enumerate(row):
+            if image(cell, f) & ~images[f[y]]:
                 return AxiomReport(name, False, (x, y), "cell condition fails")
     for x in range(a.size):
         if f[a.rho(x)] != b.rho(f[x]):

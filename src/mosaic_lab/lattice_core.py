@@ -12,7 +12,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field
 
-from .bits import bits, elements, full_mask, image, mask_of, members_of, transpose
+from .bits import bits, elements, full_mask, image, least, mask_of, members_of, transpose
 from .errors import (
     CyclicCovers,
     DuplicateLabel,
@@ -288,32 +288,45 @@ def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> 
 
 def _orthocomplementation_search(l: FiniteBoundedLattice):
     """The search of orthocomplementations, yielding each map as it is
-    found: next() of it stops at the first."""
+    found: next() of it stops at the first.
+
+    One generator frame runs the whole search.  frames holds, per pair
+    assigned on the way down, its element x, the elements assigned before
+    it and the complements of x not yet tried; the candidates of the least
+    unassigned x are om[x] & ~done, so an assigned element is never
+    scanned."""
     n, up, down = l.size, l.leq, l.down
-    om = omega_rows(l)
+    om, full = omega_rows(l), full_mask(n)
     assign = [-1] * n
-
-    def reverses(u: int, done: int) -> bool:
-        # OC1 between u and every assigned element: those above u are the
-        # images of those below pi(u).  A pair (v, u) is the pair
-        # (pi(u), pi(v)) of OC1, so the rows of the new elements cover it.
-        return up[u] & done == image(down[assign[u]] & done, assign)
-
-    def rec(x: int, done: int):
-        while x < n and assign[x] != -1:
-            x += 1
-        if x == n:
-            yield Involution(tuple(assign))
+    frames = []
+    x, done, cands = 0, 0, om[0]
+    while True:
+        if cands:
+            low = cands & -cands
+            cands ^= low
+            y = low.bit_length() - 1
+            assign[x], assign[y] = y, x
+            pair = done | 1 << x | low
+            # OC1 between each new element u in {x, y} and every assigned
+            # element: those above u are the images of those below pi(u).  A
+            # pair (v, u) is the pair (pi(u), pi(v)) of OC1, so the rows of
+            # the new elements cover it.
+            if (up[x] & pair == image(down[y] & pair, assign)
+                    and up[y] & pair == image(down[x] & pair, assign)):
+                if pair == full:
+                    yield Involution(tuple(assign))
+                else:
+                    frames.append((x, done, cands))
+                    x, done = least(full & ~pair), pair
+                    cands = om[x] & ~pair
+                    continue
+            assign[x] = assign[y] = -1
+        elif frames:
+            x, done, cands = frames.pop()
+            assign[assign[x]] = -1
+            assign[x] = -1
+        else:
             return
-        for y in bits(om[x]):
-            if assign[y] == -1:
-                assign[x], assign[y] = y, x
-                pair = done | 1 << x | 1 << y
-                if reverses(x, pair) and reverses(y, pair):
-                    yield from rec(x + 1, pair)
-                assign[x] = assign[y] = -1
-
-    return rec(0, 0)
 
 
 def is_orthocomplementation(l: FiniteBoundedLattice, pi: Involution) -> bool:
@@ -391,7 +404,7 @@ def generated_sublattice(l: FiniteBoundedLattice, seeds, close_under_pi: Involut
     """Least subset containing seeds closed under meet, join (and pi if given)."""
     seeds = list(seeds)
     if not seeds:
-        raise ValueError("seeds must be nonempty")
+        raise NotASublattice("seeds must be nonempty")
     return elements(_generated_mask(l, mask_of(seeds), close_under_pi))
 
 

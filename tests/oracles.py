@@ -468,6 +468,26 @@ def associativity_loops(table):
     return _report("associative")
 
 
+def morphism_loops(f, a, b):
+    """check_morphism's report for the map f between the mosaics a and b:
+    unitary, then the least (x, y) in row-major order with an element z of
+    x.y whose image is not in f(x).f(y), each z tested on its own, then
+    inverse preservation."""
+    name = "morphism-morphism"
+    if f[a.neutral] != b.neutral:
+        return _report(name, (a.neutral,), "not unitary")
+    n = a.size
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if a.cell(x, y) >> z & 1 and not b.cell(f[x], f[y]) >> f[z] & 1:
+                    return _report(name, (x, y), "cell condition fails")
+    for x in range(n):
+        if f[a.rho(x)] != b.rho(f[x]):
+            return _report(name, (x,), "inverse preservation fails")
+    return _report(name)
+
+
 def lmosaic_reports_loops(table, e):
     """Lms1-Lms4, with the join candidates of Lms4 listed one z at a time."""
     n = len(table)

@@ -13,6 +13,7 @@ from mosaic_lab.errors import (
     SizeTooLarge,
 )
 from mosaic_lab.equivalence import (
+    MorphismTransferReport,
     OrthoPair,
     enumerate_dualizable_pairs,
     functor_E,
@@ -23,13 +24,15 @@ from mosaic_lab.equivalence import (
     reconstruct_from,
     reconstruct_lattice,
 )
-from mosaic_lab.hyperstructure import Mosaic, is_associative
+from mosaic_lab.hyperstructure import Mosaic, check_morphism, is_associative
 from mosaic_lab.lattice_core import (
     AxiomReport,
     Involution,
+    from_leq,
     generated_sublattice,
     is_modular,
     is_orthomodular,
+    orthocomplementations,
     structurally_equal,
     sublattice,
 )
@@ -177,6 +180,56 @@ class TestMorphismTransfer:
                     assert rep.agree, (src.size, dst.size, f)
                     if rep.intertwines:
                         assert rep.lattice_hom == rep.mosaic_hom
+
+    def test_builds_one_table_per_distinct_lattice(self, call_counts, hexagon_pair):
+        counts = call_counts(equivalence, "additive_nakano")
+        h, mo2 = hexagon_pair.lattice, named("MO_2").lattice
+        mo2_pairs = [OrthoPair(mo2, pi) for pi in orthocomplementations(mo2)]
+        # one lattice, the same lattice built twice, one lattice under two pis
+        same = [(hexagon_pair, hexagon_pair), (hexagon_pair, OrthoPair(from_leq(h.names, h.leq), hexagon_pair.pi)),
+                *itertools.product(mo2_pairs, repeat=2)]
+        # two lattices of one size, and of two sizes
+        b3 = named("boolean_3")
+        b3_pair = OrthoPair(b3.lattice, b3.ortho)
+        other = [(hexagon_pair, mo2_pairs[0]), (mo2_pairs[0], hexagon_pair), (hexagon_pair, b3_pair)]
+        assert len(mo2_pairs) == 3 and mo2.size == h.size
+        for pairs, tables in ((same, 1), (other, 2)):
+            for src, dst in pairs:
+                counts.clear()
+                morphism_transfer_check([dst.lattice.bottom] * src.size, src, dst)
+                assert counts["additive_nakano"] == tables
+
+    def test_report_matches_separately_built_mosaics(self, ortholattices_upto_4, hexagon_pair):
+        """The report computed from the definitions, with a Nakano mosaic
+        built for each side: every map among the ortholattices with at most
+        4 elements, and seeded maps between the hexagon and MO_2, two
+        lattices of one size."""
+        mo2 = named("MO_2")
+        rng = random.Random(7301)  # fixed: results must be deterministic
+        cases = [
+            (src, dst, list(itertools.product(range(dst.size), repeat=src.size)))
+            for src, dst in itertools.product(ortholattices_upto_4, repeat=2)
+        ] + [
+            (src, dst, [[dst.lattice.bottom] * 6] + [[rng.randrange(6) for _ in range(6)] for _ in range(200)])
+            for src, dst in itertools.product([hexagon_pair, OrthoPair(mo2.lattice, mo2.ortho)], repeat=2)
+        ]
+        arrows = 0
+        for src, dst, maps in cases:
+            a, b = src.lattice, dst.lattice
+            ma, mb = additive_nakano(a).mosaic, additive_nakano(b).mosaic
+            pairs = list(itertools.product(range(a.size), repeat=2))
+            for f in maps:
+                f = tuple(f)
+                want = MorphismTransferReport(
+                    f,
+                    all(f[a.join(x, y)] == b.join(f[x], f[y]) and f[a.meet(x, y)] == b.meet(f[x], f[y])
+                        for x, y in pairs),
+                    check_morphism(f, ma, mb).holds,
+                    all(f[src.pi(x)] == dst.pi(f[x]) for x in range(a.size)),
+                )
+                assert morphism_transfer_check(f, src, dst) == want
+                arrows += want.lattice_arrow
+        assert arrows
 
     def test_frozen_raw_counterexample(self):
         # unitary join-preserving map 2^2 -> 2-chain that breaks meets:

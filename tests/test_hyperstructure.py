@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +19,11 @@ from mosaic_lab.hyperstructure import (
     verify_lmosaic,
     verify_mosaic,
 )
-from mosaic_lab.lattice_core import AxiomReport, Involution
+from mosaic_lab.lattice_core import AxiomReport, Involution, lattice_automorphisms
 from mosaic_lab.nakano import NakanoMosaic, _restricted_op, additive_nakano, multiplicative_nakano
-from mosaic_lab.catalog import named
+from mosaic_lab.catalog import enumerate_lattices, named
 
-from oracles import Multimap, all_involutions, compose_relations, dual_table_loops, table_of
+from oracles import Multimap, all_involutions, compose_relations, dual_table_loops, morphism_loops, table_of
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +257,72 @@ class TestMorphisms:
     def test_map_off_the_carriers_is_a_size_mismatch(self, hv, f):
         with pytest.raises(SizeMismatch, match="f is not a map between the carriers"):
             check_morphism(f, hv, hv)
+
+
+class TestMorphismReference:
+    """check_morphism's whole report, witness and reason included, against
+    the element-at-a-time tests/oracles.morphism_loops."""
+
+    def test_every_map_between_small_nakano_mosaics(self):
+        mosaics = [
+            build(l).mosaic
+            for n in range(1, 4)
+            for l in enumerate_lattices(n)
+            for build in (additive_nakano, multiplicative_nakano)
+        ]
+        reasons = set()
+        for a in mosaics:
+            for b in mosaics:
+                for f in itertools.product(range(b.size), repeat=a.size):
+                    rep = check_morphism(f, a, b)
+                    assert rep == morphism_loops(f, a, b), (a, b, f)
+                    reasons.add(rep.reason)
+        assert reasons == {None, "not unitary", "cell condition fails"}
+
+    def test_seeded_maps_among_ortholattices(self, ortholattices_upto_8):
+        mosaics = [additive_nakano(p.lattice).mosaic for p in ortholattices_upto_8]
+        rng = random.Random(1607)  # fixed: results must be deterministic
+        reasons = set()
+        for a in mosaics:
+            for b in mosaics:
+                maps = [[b.neutral] * a.size]  # a morphism onto the neutral
+                for _ in range(8):
+                    f = [rng.randrange(b.size) for _ in range(a.size)]
+                    if rng.random() < 0.75:
+                        f[a.neutral] = b.neutral
+                    maps.append(f)
+                for f in maps:
+                    rep = check_morphism(f, a, b)
+                    assert rep == morphism_loops(f, a, b), (a, b, f)
+                    reasons.add(rep.reason)
+        assert reasons == {None, "not unitary", "cell condition fails"}
+
+    def test_seeded_cell_edits_of_the_target(self, ortholattices_upto_8):
+        """An automorphism f into a copy of the table with cell (x, y) cut
+        down fails exactly at the preimage of (x, y), which lies past (0, 0):
+        neither x nor y is the neutral, the bottom 0."""
+        rng = random.Random(2911)  # fixed: results must be deterministic
+        edits = 0
+        for p in ortholattices_upto_8:
+            m = additive_nakano(p.lattice).mosaic
+            inner = [x for x in range(m.size) if x != m.neutral]
+            if not inner:
+                continue
+            automorphisms = lattice_automorphisms(p.lattice)
+            for _ in range(6):
+                x, y = rng.choice(inner), rng.choice(inner)
+                cell = list(bits(m.cell(x, y)))
+                kept = [z for z in cell if rng.random() < 0.5]
+                if len(kept) == len(cell):
+                    kept.remove(rng.choice(kept))
+                target = Mosaic(m.op.with_cell(x, y, kept), m.neutral, m.rho)
+                f = rng.choice(automorphisms)
+                rep = check_morphism(f, m, target)
+                assert rep == morphism_loops(f, m, target), (p, f, x, y, kept)
+                assert rep.witness == (f.index(x), f.index(y))
+                assert rep.witness != (0, 0)
+                edits += 1
+        assert edits
 
 
 class TestLMosaic:

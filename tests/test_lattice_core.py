@@ -463,6 +463,13 @@ class TestGeneratedSublattice:
         got = generated_sublattice(h, [h.index("b"), h.index("a")], hexagon.ortho)
         assert got == set(range(h.size))
 
+    def test_empty_seeds_are_a_typed_error(self, pentagon):
+        for seeds in ([], iter(())):
+            with pytest.raises(NotASublattice, match="^seeds must be nonempty$") as info:
+                generated_sublattice(pentagon.lattice, seeds)
+            assert isinstance(info.value, MosaicLabError)
+            assert isinstance(info.value, ValueError)
+
     def test_agrees_with_intersection_oracle(self, hexagon):
         h = hexagon.lattice
         for x in range(h.size):

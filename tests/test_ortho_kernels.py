@@ -34,6 +34,7 @@ from mosaic_lab.errors import SizeTooLarge
 from mosaic_lab.hyperstructure import Mosaic, verify_mosaic
 from mosaic_lab.lattice_core import (
     Involution,
+    _orthocomplementation_search,
     check_om_equivalences,
     find_sublattice_copy,
     generated_sublattice,
@@ -113,6 +114,16 @@ def test_search_budget():
     assert len(orthocomplementations(mo5, limit=945)) == 945
     with pytest.raises(SizeTooLarge, match="more than 944 orthocomplementations"):
         orthocomplementations(mo5, limit=944)
+
+
+def test_search_yields_from_one_frame():
+    """The search runs in one generator frame, with no chain of nested
+    frames below it, and yields the listed maps one at a time."""
+    l = named("MO_6").lattice
+    search = _orthocomplementation_search(l)
+    first = list(itertools.islice(search, 3))
+    assert search.gi_yieldfrom is None
+    assert first == orthocomplementations(l)[:3]
 
 
 def test_om_reports_match(corpus):
