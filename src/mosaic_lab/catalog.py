@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .bits import bits, full_mask, least, mask_of, transpose
 from .equivalence import OrthoPair
-from .errors import SizeTooLarge, UnknownName
+from .errors import InvalidStructure, SizeTooLarge, UnknownName
 from .lattice_core import (
     FiniteBoundedLattice,
     Involution,
@@ -53,7 +53,7 @@ class CatalogEntry:
     def __post_init__(self):
         for key in ("modular", "ortholattice", "orthomodular"):
             if key not in self.expected_flags:
-                raise ValueError(f"missing flag {key}")
+                raise InvalidStructure(f"missing flag {key}")
 
 
 def _letters(k: int) -> list[str]:

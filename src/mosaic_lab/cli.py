@@ -216,7 +216,8 @@ def _run_checks(l, pis, names):
     """Results of the named checks; pis are the orthocomplementations that
     ORTHO_CHECKS run against."""
     results = []
-    add = additive_nakano(l)
+    reads_table = {"mosaic", "lmosaic", "polygroup", "nakano-props"} & set(names)
+    add = additive_nakano(l) if reads_table else None
     if "mosaic" in names:
         got = verify_mosaic(add.mosaic.op)
         for r in got.reports:

@@ -9,7 +9,7 @@ Table cells are bitmask subsets of the carrier; empty cells are representable
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import or_
 
 from .bits import bits, elements, full_mask, image, least, mask_of, transpose
@@ -21,10 +21,10 @@ from .lattice_core import AxiomReport, Involution
 class Multioperation:
     """n x n table of carrier subsets.
 
-    The rows that several checks read (packed rows, their unions, the
-    principal rows, the Lms2 and Lms3 witnesses) are derived once per
-    table, on first use, in the private _view.  They depend on the cells
-    alone and take no part in ==, hash or repr."""
+    What several checks read (the packed cube, packed rows, their unions,
+    the principal rows, the Lms2 and Lms3 witnesses) is derived once per
+    table, on first use, in the private _view.  It depends on the cells
+    alone and takes no part in ==, hash or repr."""
 
     size: int
     table: tuple[tuple[int, ...], ...]
@@ -33,7 +33,7 @@ class Multioperation:
         full = full_mask(self.size)
         if len(self.table) != self.size or any(len(r) != self.size for r in self.table):
             raise SizeMismatch("table is not size x size")
-        if any(c & ~full for r in self.table for c in r):
+        if self.size and not 0 <= min(map(min, self.table)) <= max(map(max, self.table)) <= full:
             raise SizeMismatch("cell not a subset of the carrier")
 
     def cell(self, x: int, y: int) -> int:
@@ -132,10 +132,13 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
     equivalences); tests/oracles.py checks them on every table the kernel
     tests pass.
 
-    Past the commutativity stage every check reads one transpose of the table,
-    T[v][u] = {w : u in v.w}: the inverses of x are T[x][e], and with
-    commutativity "x in z.rho(y)" is "z in T[rho(y)][x]", so reversibility
-    at (x, y) compares three masks over all z."""
+    Past the commutativity stage the checks read the table's cube C (see
+    _TableView) with its axes 1 and 2 swapped: slot (v, u) of T holds
+    {t : u in v.t}.  The inverses of x are slot (x, e) of T.  With
+    commutativity "x in z.rho(y)" is "z in T[rho(y)][x]", so with T1 the
+    cube whose block y is block rho(y) of T, the cells that break
+    reversibility are C & ~(T1 & T1 with axes 0 and 1 swapped), and the
+    lowest set bit is the least witness (x, y, z)."""
     n = op.size
     table = op.table
     reports = []
@@ -157,10 +160,12 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
         return MosaicVerification(tuple(reports), None)
     reports.append(AxiomReport("neutral", True))
 
-    tr = [transpose(row) for row in table]
+    view = op._view
+    w, masks, cube = view.width, view.masks, view.cube
+    flip = _swap(cube, masks.swap12)
     inv = []
     for x in range(n):
-        ys = tr[x][e]
+        ys = flip >> w * (w * x + e) & masks.slot
         if not ys or ys & (ys - 1):
             reason = "no inverse" if not ys else "multiple inverses"
             reports.append(AxiomReport("unique-inverses", False, (x,), reason))
@@ -169,13 +174,14 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
     reports.append(AxiomReport("unique-inverses", True))
     rho = Involution(tuple(inv))
 
-    for x, row in enumerate(table):
-        trx = tr[inv[x]]
-        for y, cell in enumerate(row):
-            bad = cell & ~(tr[inv[y]][x] & trx[y])
-            if bad:
-                reports.append(AxiomReport("reversible", False, (x, y, least(bad)), "RE fails"))
-                return MosaicVerification(tuple(reports), None)
+    if inv != list(range(n)):
+        block = (1 << w * w) - 1
+        flip = _pack([flip >> w * w * v & block for v in inv], w * w)
+    bad = cube & ~(flip & _swap(flip, masks.swap01))
+    if bad:
+        slot, z = divmod(least(bad), w)
+        reports.append(AxiomReport("reversible", False, (*divmod(slot, w), z), "RE fails"))
+        return MosaicVerification(tuple(reports), None)
     reports.append(AxiomReport("reversible", True))
     reports.append(AxiomReport("lemma1-consequences", True))
 
@@ -187,6 +193,88 @@ def _pack(cells, width: int) -> int:
     out = 0
     for cell in reversed(cells):
         out = out << width | cell
+    return out
+
+
+def _repeat(pattern: int, stride: int, count: int) -> int:
+    """count copies of pattern, copy k at bit offset stride*k; the copies
+    must not overlap.  pattern doubles its copies at each step, and the
+    steps at the set bits of count go into the result."""
+    out = offset = 0
+    while count:
+        if count & 1:
+            out |= pattern << offset
+            offset += stride
+        count >>= 1
+        if count:
+            pattern |= pattern << stride
+            stride *= 2
+    return out
+
+
+def _transpose_steps(w: int, unit: int, copies: int):
+    """(shift, mask) steps that transpose each of copies w x w matrices of
+    unit-bit entries, laid out row-major one after the other.  Step k swaps
+    bit k of the row and column indices: the entries (r, c) with bit k of r
+    clear and of c set trade places with (r + k, c - k), k * (w - 1)
+    entries further up (Warren, Hacker's Delight, 2nd ed., section 7-3)."""
+    steps = []
+    k = w // 2
+    while k:
+        columns = _repeat(((1 << unit * k) - 1) << unit * k, 2 * k * unit, w // (2 * k))
+        rows = _repeat(_repeat(1, w * unit, k), 2 * k * w * unit, w // (2 * k))
+        steps.append((k * (w - 1) * unit, _repeat(columns * rows, w * w * unit, copies)))
+        k //= 2
+    return tuple(steps)
+
+
+def _swap(cube: int, steps) -> int:
+    """cube with two axes swapped by the steps of _transpose_steps."""
+    for shift, mask in steps:
+        t = (cube ^ cube >> shift) & mask
+        cube ^= t | t << shift
+    return cube
+
+
+class _Masks:
+    """The constant masks of every cube of slot width w (see _TableView):
+    the transpose steps that swap axes 1 and 2 (swap12) and axes 0 and 1
+    (swap01), one full slot (slot), bit 0 of every slot of one block
+    (slots) and of every block (blocks), the low and the top bit of every
+    slot of the cube, and bit x and bit y of every slot (x, y)."""
+
+    def __init__(self, w: int):
+        self.width, self.slot = w, (1 << w) - 1
+        self.swap12 = _transpose_steps(w, 1, w)
+        self.swap01 = _transpose_steps(w, w, 1)
+        self.slots = _repeat(1, w, w)
+        self.blocks = _repeat(1, w * w, w)
+        self.low = self.slots * self.blocks
+        self.high = self.low << w - 1
+        self.own_x = _repeat(1, w * w + 1, w) * self.slots  # bit x of slot (x, y)
+        self.own_y = _repeat(1, w + 1, w) * self.blocks  # bit y of slot (x, y)
+
+
+_masks = cache(_Masks)
+
+
+def _nonzero(v: int, masks: _Masks) -> int:
+    """The top bit of every slot of the cube v that is not empty: the low
+    bits of a slot, plus all ones below the top, carry into the top bit
+    iff one of them is set."""
+    high = masks.high
+    return ((v & ~high) + (high - masks.low) | v) & high
+
+
+def _square(cube: int, n: int, masks: _Masks) -> int:
+    """Per block x, the Boolean square of the relation y -> x.y: slot (x, y)
+    holds the union of x.u over the members u of x.y.  For each u, cell x.u
+    of every block x is copied to all slots of its block and kept in the
+    slots whose cell holds u."""
+    w, first = masks.width, masks.blocks * masks.slot  # slot 0 of every block
+    out = 0
+    for u in range(n):
+        out |= (cube >> w * u & first) * masks.slots & (cube >> u & masks.low) * masks.slot
     return out
 
 
@@ -210,6 +298,15 @@ class _PackedUnions(dict):
 class _TableView:
     """What the checks read off one table, each part derived on first use.
 
+    The whole table is one integer, the cube: with the slot width w, the
+    least power of two >= n, bit w*(w*x + y) + z is set iff z is in x.y.
+    Axis 0 is x, axis 1 is y, axis 2 is z; block x is the w*w bits of one
+    row of the table and slot (x, y) the w bits of one cell.  Swapping two
+    axes is a bit-matrix transpose of log2(w) shift-xor-mask steps, with
+    masks built once per width, so a check over all cells takes a fixed
+    number of integer operations.  The packed rows and their unions use the
+    same slot width.
+
     Multioperation._view holds the one view of a table, so every part lives
     exactly as long as the table: with_cell makes a new table, with a new
     view.  The view keeps the cells, not the Multioperation, so the two form
@@ -217,12 +314,21 @@ class _TableView:
 
     def __init__(self, table):
         self.table = table
+        self.width = 1 << max(len(table) - 1, 0).bit_length()
+
+    @property
+    def masks(self) -> _Masks:
+        return _masks(self.width)
 
     @cached_property
     def packed_rows(self) -> list[int]:
-        """Row x as one integer, the cell x.y at bit offset n*y."""
-        n = len(self.table)
-        return [_pack(row, n) for row in self.table]
+        """Row x as one integer, the cell x.y at bit offset w*y."""
+        w = self.width
+        return [_pack(row, w) for row in self.table]
+
+    @cached_property
+    def cube(self) -> int:
+        return _pack(self.packed_rows, self.width ** 2)
 
     @cached_property
     def row_unions(self) -> _PackedUnions:
@@ -236,8 +342,8 @@ class _TableView:
         columns = tuple(zip(*self.table))
         if columns == self.table:
             return self.row_unions
-        n = len(self.table)
-        return _PackedUnions([_pack(col, n) for col in columns])
+        w = self.width
+        return _PackedUnions([_pack(col, w) for col in columns])
 
     @cached_property
     def under(self) -> tuple[int, ...]:
@@ -263,42 +369,51 @@ class _TableView:
     def lms3_witness(self):
         """The least (x, y) with (x+(x+y)) & ((x+y)+y) not inside x+y, or None.
 
-        x+(x+y) is slot x of the column union of x+y, and (x+y)+y slot y of
-        its row union: the unions that is_associative and the triple
-        junction bound read."""
-        n = len(self.table)
-        full = (1 << n) - 1
-        lefts, rights = self.column_unions, self.row_unions
-        for x, row in enumerate(self.table):
-            for y, cell in enumerate(row):
-                if lefts[cell] >> n * x & rights[cell] >> n * y & full & ~cell:
-                    return (x, y)
-        return None
+        x+(x+y) is slot (x, y) of the per-block square of the cube, and
+        (x+y)+y slot (x, y) of the square of the cube with axes 0 and 1
+        swapped, swapped back; on a commutative table the two squares are
+        one."""
+        n, w, masks, cube = len(self.table), self.width, self.masks, self.cube
+        left = _square(cube, n, masks)
+        flipped = _swap(cube, masks.swap01)
+        right = left if flipped == cube else _square(flipped, n, masks)
+        bad = left & _swap(right, masks.swap01) & ~cube
+        return divmod(least(bad) // w, w) if bad else None
+
+    def antisym_witness(self):
+        """The least (x, y) where x and y both lie in x.y but x != y, or
+        where x is not in x.x; None if there is none.  Bit x and bit y of
+        every slot (x, y) are masked and tested slot-wise for nonzero, and
+        the slots where both are set must be the n diagonal slots."""
+        n, w, masks, cube = len(self.table), self.width, self.masks, self.cube
+        both = _nonzero(cube & masks.own_x, masks) & _nonzero(cube & masks.own_y, masks)
+        bad = both ^ _repeat(1 << w - 1, w * w + w, n)
+        return divmod(least(bad) // w, w) if bad else None
 
 
 def is_associative(op: Multioperation) -> AxiomReport:
     """(x [.] y) [.] z = x [.] (y [.] z), set-extended on both sides.
 
-    One integer holds the whole plane of a fixed x: the n-bit cell of slot
-    (y, z) sits at bit offset n*(n*y + z).  The left side x.(y.z) is the OR
-    over w of x.w times marks[w], which has a 1 at the low bit of every slot
-    whose cell y.z holds w.  The right side (x.y).z places, for each y, the
-    union of the packed rows of the members of x.y at offset n*n*y.  The
-    lowest bit where the two differ is the least (y, z).  The packed rows
-    and their unions come from the table's view."""
+    For a fixed x both sides over all (y, z) fill one integer laid out as
+    the table's cube (see _TableView): the w-bit cell of slot (y, z) at bit
+    offset w*(w*y + z).  The left side x.(y.z) is the OR over u of x.u
+    times the cube's bit u of every slot, moved to the slot's low bit.  The
+    right side (x.y).z places, for each y, the union of the packed rows of
+    the members of x.y in block y.  The lowest bit where the two differ is
+    the least (y, z).  The cube, the packed rows and their unions come from
+    the table's view."""
     n, table, view = op.size, op.table, op._view
-    cells = _pack(view.packed_rows, n * n)
-    low = ((1 << n ** 3) - 1) // ((1 << n) - 1) if n else 0  # bit 0 of every slot
-    marks = [cells >> w & low for w in range(n)]
+    w, cube, low = view.width, view.cube, view.masks.low
+    marks = [cube >> u & low for u in range(n)]
     unions = view.row_unions  # unions[M]: M.z for every z
     for x, row in enumerate(table):
         left = 0
         for cell, mark in zip(row, marks):
             left |= cell * mark
-        diff = left ^ _pack([unions[xy] for xy in row], n * n)
+        diff = left ^ _pack([unions[xy] for xy in row], w * w)
         if diff:
-            slot = least(diff) // n
-            return AxiomReport("associative", False, (x, slot // n, slot % n), "associativity")
+            slot = least(diff) // w
+            return AxiomReport("associative", False, (x, *divmod(slot, w)), "associativity")
     return AxiomReport("associative", True)
 
 
@@ -339,7 +454,13 @@ def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
     """The four L-mosaic axioms; Lms4 failures report zero or multiple join
     candidates at the witness pair.  Lms2, Lms3 and the principal rows that
     Lms4 reads come from the table's view, which the section-4 lemma battery
-    shares: whichever runs first derives them, once per table."""
+    shares: whichever runs first derives them, once per table.
+
+    Lms4 runs on the whole cube (see _TableView) at once: the cube masked
+    by under[x] in every slot of block x and by under[y] in slot y of every
+    block holds the join candidates of each (x, y), and two slot-wise
+    tests, nonzero and "more than one bit", find the pairs without exactly
+    one among the n x n slots in use."""
     e, table, view = m.neutral, m.op.table, m.op._view
     lms1 = AxiomReport("Lms1", True)
     for x, row in enumerate(table):
@@ -350,17 +471,18 @@ def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
     lms2 = AxiomReport("Lms2", witness is None, witness, witness and "(x+x)+(x+x) != x+x")
     witness = view.lms3_witness
     lms3 = AxiomReport("Lms3", witness is None, witness, witness and "intersection leaks")
-    lms4 = AxiomReport("Lms4", True)
+    n, w, masks = m.size, view.width, view.masks
     under = view.under  # under[x] = {z : x in z+z}
-    for x, row in enumerate(table):
-        for y, cell in enumerate(row):
-            cands = under[x] & under[y] & cell
-            if not cands or cands & (cands - 1):
-                reason = "no join candidate" if not cands else "multiple join candidates"
-                lms4 = AxiomReport("Lms4", False, (x, y), reason)
-                break
-        if not lms4.holds:
-            break
+    cands = view.cube & _pack(under, w * w) * masks.slots & _pack(under, w) * masks.blocks
+    high = masks.high
+    multiple = _nonzero(cands & (cands | high) - masks.low, masks)
+    bad = _repeat(_repeat(1 << w - 1, w, n), w * w, n) & ~_nonzero(cands, masks) | multiple
+    if bad:
+        slot = least(bad) // w
+        reason = "multiple join candidates" if multiple >> w * slot & masks.slot else "no join candidate"
+        lms4 = AxiomReport("Lms4", False, divmod(slot, w), reason)
+    else:
+        lms4 = AxiomReport("Lms4", True)
     return (lms1, lms2, lms3, lms4)
 
 

@@ -44,9 +44,9 @@ class AxiomReport:
 
     def __post_init__(self):
         if self.holds and self.witness is not None:
-            raise ValueError("passing report must not carry a witness")
+            raise InvalidStructure("passing report must not carry a witness")
         if not self.holds and self.witness is None:
-            raise ValueError(f"failing report for {self.axiom!r} needs a witness")
+            raise InvalidStructure(f"failing report for {self.axiom!r} needs a witness")
 
 
 @dataclass(frozen=True)

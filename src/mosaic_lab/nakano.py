@@ -108,13 +108,9 @@ def _restricted_op(table, members: list[int]) -> Multioperation:
 
 
 def check_antisym(m: NakanoMosaic) -> AxiomReport:
-    """x,y in x+y iff x = y."""
-    for x, row in enumerate(m.mosaic.op.table):
-        for y, cell in enumerate(row):
-            both = cell >> x & 1 and cell >> y & 1
-            if both != (x == y):
-                return AxiomReport("antisym", False, (x, y), "x,y in x+y iff x=y")
-    return AxiomReport("antisym", True)
+    """x,y in x+y iff x = y; read off the table's cube by the view."""
+    witness = m.mosaic.op._view.antisym_witness()
+    return AxiomReport("antisym", witness is None, witness, witness and "x,y in x+y iff x=y")
 
 
 def check_principal_idempotent(m: NakanoMosaic) -> AxiomReport:
@@ -150,12 +146,15 @@ def check_junction_characterization(m: NakanoMosaic) -> AxiomReport:
 def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
     """x+(y+z) stays in {t : t v x v y = t v x v z = t v y v z = x v y v z}.
 
-    For each (y, z) both sides are packed over x, the n-bit cell of x at bit
-    offset n*x.  x+(y+z) is the packed union of the columns of the members
-    of y+z.  With s = y v z the allowed set is bound[s][y] & bound[s][z],
-    where bound[s][u] (u <= s) packs {t : t v x v u = t v s = x v s}: it
-    depends on the lattice alone.  The least failing x over all (y, z), then
-    the first (y, z) at that x and the lowest leaking t make the witness.
+    For each (y, z) both sides are packed over x, the cell of x at bit
+    offset w*x, with w the slot width of the table's cube (see
+    hyperstructure._TableView).  x+(y+z) is the packed union of the columns
+    of the members of y+z.  With s = y v z the allowed set is
+    bound[s][y] & bound[s][z], where bound[s][u] (u <= s) packs
+    {t : t v x v u = t v s = x v s}: it depends on the lattice alone, and
+    bound[s][s] is {t : t v s = x v s}, since then t v x v s = x v s.  The
+    least failing x over all (y, z), then the first (y, z) at that x and the
+    lowest leaking t make the witness.
 
     The packed unions come from the table's view, which is_associative
     shares on a commutative table, and reach from the constructor when it
@@ -164,18 +163,18 @@ def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
     reach = m.reach if m.reach is not None else _reach(join)
     op = m.mosaic.op
     table = op.table
-    n = m.size
+    w = op._view.width
     sums = op._view.column_unions  # sums[M]: x+M for every x
     bound = []
     for s, (rs, js) in enumerate(zip(reach, join)):  # js[x] = x v s
         own = 0
         for t in reversed(js):
-            own = own << n | rs[t]
-        planes = {}
-        for u in bits(below[s]):
+            own = own << w | rs[t]
+        planes = {s: own}
+        for u in bits(below[s] & ~(1 << s)):
             plane = 0
             for a, t in zip(reversed(join[u]), reversed(js)):
-                plane = plane << n | reach[a][t]
+                plane = plane << w | reach[a][t]
             planes[u] = own & plane
         bound.append(planes)
     witness = None
@@ -184,7 +183,7 @@ def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
             bs = bound[jy[z]]
             leak = sums[cell] & ~(bs[y] & bs[z])
             if leak:
-                x, t = divmod(least(leak), n)
+                x, t = divmod(least(leak), w)
                 if witness is None or x < witness[0]:
                     witness = (x, y, z, t)
     return AxiomReport("triple-bound", witness is None, witness, witness and "triple junction bound")
@@ -198,11 +197,11 @@ def check_lms3_inclusion(m: NakanoMosaic) -> AxiomReport:
 
 
 def nakano_property_reports(m: NakanoMosaic) -> list[AxiomReport]:
-    """The section-4 lemma battery, one report per lemma.  The principal
-    rows, the Lms2 and Lms3 witnesses and the packed unions are read from
-    the table's view, so a table that verify_lmosaic or is_associative has
-    already checked does not derive them again, and no order of the calls
-    changes a report."""
+    """The section-4 lemma battery, one report per lemma.  The cube, the
+    principal rows, the Lms2 and Lms3 witnesses and the packed unions are
+    read from the table's view, so a table that verify_mosaic,
+    verify_lmosaic or is_associative has already checked does not derive
+    them again, and no order of the calls changes a report."""
     reports = [
         check_antisym(m),
         check_principal_idempotent(m),

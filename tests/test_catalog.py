@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from mosaic_lab.errors import SizeTooLarge, UnknownName
+from mosaic_lab.errors import InvalidStructure, MosaicLabError, SizeTooLarge, UnknownName
 from mosaic_lab.lattice_core import (
     find_sublattice_copy,
     hexagon_pattern,
@@ -16,6 +16,7 @@ from mosaic_lab.lattice_core import (
 )
 from mosaic_lab.catalog import (
     CATALOG_NAMES,
+    CatalogEntry,
     _bounded_lattice_candidates,
     _canonical_key,
     census,
@@ -270,6 +271,15 @@ class TestClassifierClosure:
         for pair in ortholattices_upto_8:
             om = is_orthomodular(pair.lattice, pair.pi).holds
             assert om == (find_sublattice_copy(pair.lattice, h) is None)
+
+
+def test_catalog_entry_without_a_flag_raises_a_typed_error():
+    entry = named("boolean_2")
+    flags = {key: entry.expected_flags[key] for key in ("modular", "ortholattice")}
+    with pytest.raises(InvalidStructure) as exc:
+        CatalogEntry("boolean_2", entry.lattice, entry.ortho, flags)
+    assert str(exc.value) == "missing flag orthomodular"
+    assert isinstance(exc.value, MosaicLabError) and isinstance(exc.value, ValueError)
 
 
 def test_census_shape_and_determinism():

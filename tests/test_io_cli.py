@@ -375,6 +375,19 @@ class TestCliOther:
         assert "PASS roundtrip[pi14]" in res.output
         assert counts == {"orthocomplementations": 1, "functor_E": 15}
 
+    @pytest.mark.parametrize("checks, tables", [("ortholattice", 0), ("modular", 0), (None, 1)])
+    def test_check_builds_the_nakano_table_only_for_checks_that_read_it(
+        self, runner, call_counts, checks, tables
+    ):
+        """The order-side checks read no Nakano table, so none is built for
+        them; a default check builds the additive table once."""
+        import mosaic_lab.cli as cli
+
+        counts = call_counts(cli, "additive_nakano")
+        args = ["check", "MO_5"] + (["--checks", checks] if checks else [])
+        assert runner.invoke(main, args).exit_code == 0
+        assert counts["additive_nakano"] == tables
+
     def test_check_refuses_inputs_with_too_many_orthocomplementations(self, runner, tmp_path):
         """MO_6 has 10 395 orthocomplementations; without an ortho block,
         check and roundtrip stop the search past the budget and exit 2."""

@@ -1,19 +1,22 @@
 """The table kernels against their element-at-a-time references.
 
-The Nakano table, verify_mosaic, verify_lmosaic and most of the section-4
-lemma battery read whole rows of bitmasks; is_associative and the triple
-junction bound read whole planes of the table packed into one integer.
-tests/oracles.py keeps the same checks one element at a time.  Their reports
-must agree exactly, least witness and reason included, on every lattice with
-at most 6 elements and on seeded cell edits of those lattices' tables, and
-the plane kernels also on larger lattices, where one plane spans thousands
-of bits.
+The Nakano table and most of the section-4 lemma battery read whole rows
+of bitmasks; verify_mosaic, verify_lmosaic, the antisym lemma,
+is_associative and the triple junction bound read the whole table, or
+whole planes of it, packed into one integer of w-bit slots, w the least
+power of two >= n.  tests/oracles.py keeps the same checks one element at
+a time.  Their reports must agree exactly, least witness and reason
+included, on every lattice with at most 6 elements and on seeded cell edits
+of those lattices' tables, on larger and padded lattices, where one plane
+spans thousands of bits, and on random commutative tables that no lattice
+gives.
 
-The rows these checks share (packed rows and their unions, the principal
-rows, the Lms2 and Lms3 witnesses) are derived once per table, by whichever
-check runs first, and kept with the table.  So the reports are compared in
-both orders in which the checks can run on a new table, the derived rows
-must follow an edited table rather than the one it was edited from, and a
+What these checks share (the packed cube, packed rows and their unions,
+the principal rows, the Lms2 and Lms3 witnesses) is derived once per
+table, by whichever check runs first, and kept with the table.  So the
+reports are compared in both orders in which the checks can run on a new
+table, the derived rows must follow an edited table rather than the one it
+was edited from, and a
 verify or ortho battery must leave the lattice and the ortholattice pair it
 ran on as they were.
 
@@ -28,7 +31,10 @@ from copy import deepcopy
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mosaic_lab.bits import full_mask
 from mosaic_lab.catalog import named
 from mosaic_lab.equivalence import (
     OrthoPair,
@@ -183,6 +189,50 @@ def test_plane_kernels_match_on_wide_tables(wide_lattices):
     assert len(failed) == 4 and all(failed.values()), failed
 
 
+def cube_bit(witness, n: int) -> int:
+    """Where a witness (x, y) or (x, y, z) of an n-element table lies in the
+    table's cube: slot (x, y) at bit w * (w * x + y), w the least power of
+    two >= n."""
+    w = 1 << (n - 1).bit_length()
+    x, y, *z = witness
+    return w * (w * x + y) + sum(z)
+
+
+def test_cube_kernels_match_on_wide_tables(wide_lattices, lattices_upto_6):
+    """verify_mosaic and verify_lmosaic read the table as one cube of w-bit
+    slots.  The sizes cover n = w = 16 (chain_16, boolean_4) and n = w = 8,
+    where an element's bit is the top bit of its slot, the padded cubes of
+    n = 7 and of MO_6 (n = 14, w = 16), and n = 1 and 2, where w = n.  The
+    edits make reversibility, Lms3 and Lms4 fail with witnesses past the
+    first 64 bits of the cube, and the one-sided ones make Lms3 fail on
+    tables that are not commutative."""
+    rng = random.Random(5120)
+    smallest = [l for l in lattices_upto_6 if l.size <= 2]
+    failed, sizes = Counter(), set()
+    for l in smallest + wide_lattices:
+        n = l.size
+        sizes.add(n)
+        for additive, build in FLAVORS:
+            nm = build(l)
+            for m in (nm, *(edits(nm, rng, 8) if n > 1 else ())):
+                op = m.mosaic.op
+                table = op.table
+                reports = verify_mosaic(op).reports
+                assert reports == mosaic_reports_loops(table)
+                lms = verify_lmosaic(m.mosaic)
+                assert lms == lmosaic_reports_loops(table, m.mosaic.neutral)
+                stage = first_failure(reports)
+                if stage == "reversible":
+                    failed["reversible past 64 bits"] += cube_bit(reports[-1].witness, n) >= 64
+                for r in lms[2:]:
+                    if not r.holds:
+                        failed[f"{r.axiom} past 64 bits"] += cube_bit(r.witness, n) >= 64
+                if not lms[2].holds and stage == "commutative":
+                    failed["Lms3 one-sided"] += 1
+    assert {1, 2, 7, 8, 14, 16} <= sizes
+    assert len(failed) == 4 and all(failed.values()), failed
+
+
 def test_rows_derived_from_a_table_do_not_follow_its_edits(lattices_upto_6):
     """The rows a battery derived from a Nakano table stay with that table:
     an edit of it whose Lms3 fails reports the reference's witness, from
@@ -288,3 +338,46 @@ def test_induced_order_raises_a_typed_error(pentagon):
         reconstruct_from(Mosaic(op, nm.mosaic.neutral, nm.mosaic.rho), Involution.identity(p.size))
     assert str(err.value) == f"Lms4 fails at {(a, a)}"
     assert err.value.witness == (a, a)
+
+
+@st.composite
+def commutative_tables(draw):
+    """A commutative table on n <= 10 elements with neutral 0.  Each cell
+    off the neutral row and column is drawn at random or is the complete
+    cell, every element but 0.  In most tables 0 is then put in x.y exactly
+    where y is x's partner under a drawn involution, so that the inverses
+    are unique and not all the identity; the complete cells alone then make
+    a mosaic, and the draws reach every stage of verify_mosaic."""
+    n = draw(st.integers(1, 10))
+    full = full_mask(n)
+    order = draw(st.permutations(range(1, n)))
+    pairs = draw(st.integers(0, len(order) // 2))
+    rho = list(range(n))
+    for a, b in zip(order[: 2 * pairs : 2], order[1 : 2 * pairs : 2]):
+        rho[a], rho[b] = b, a
+    inverses = draw(st.integers(0, 3)) > 0
+    table = [[1 << x + y if 0 in (x, y) else 0 for y in range(n)] for x in range(n)]
+    for x in range(1, n):
+        for y in range(x, n):
+            cell = draw(st.one_of(st.none(), st.integers(0, full)))
+            if cell is None:
+                cell = full & ~1
+            if inverses:
+                cell = cell & ~1 | (rho[x] == y)
+            table[x][y] = table[y][x] = cell
+    return tuple(map(tuple, table))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(commutative_tables())
+def test_cube_kernels_match_the_oracles_on_random_commutative_tables(table):
+    """A differential test over tables that no lattice gives: verify_mosaic,
+    verify_lmosaic and is_associative against the element-at-a-time oracles,
+    witnesses included."""
+    n = len(table)
+    op = Multioperation(n, table)
+    got = verify_mosaic(op)
+    assert got.reports == mosaic_reports_loops(table)
+    mosaic = got.mosaic or Mosaic(op, 0, Involution.identity(n))
+    assert verify_lmosaic(mosaic) == lmosaic_reports_loops(table, 0)
+    assert is_associative(Multioperation(n, table)) == associativity_loops(table)

@@ -10,6 +10,7 @@ from mosaic_lab.bits import bits, mask_of
 from mosaic_lab.errors import (
     CyclicCovers,
     DuplicateLabel,
+    InvalidStructure,
     MosaicLabError,
     NotALattice,
     NotAnOrder,
@@ -69,6 +70,17 @@ def test_axiom_report_witness_discipline():
         AxiomReport("x", False)
     r = AxiomReport("x", False, (0, 1), "why")
     assert r.witness == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "holds, witness, message",
+    [(True, (1,), "passing report must not carry a witness"), (False, None, "failing report for 'x' needs a witness")],
+)
+def test_axiom_report_that_contradicts_its_verdict_raises_a_typed_error(holds, witness, message):
+    with pytest.raises(InvalidStructure) as exc:
+        AxiomReport("x", holds, witness)
+    assert str(exc.value) == message
+    assert isinstance(exc.value, MosaicLabError) and isinstance(exc.value, ValueError)
 
 
 def test_involution_validation():
