@@ -27,8 +27,6 @@ from .errors import InvalidStructure, SizeTooLarge, UnknownName
 from .lattice_core import (
     FiniteBoundedLattice,
     Involution,
-    _base_pairs,
-    _key_invariants,
     build_from_covers,
     complement_mask,
     from_leq,
@@ -222,6 +220,27 @@ def _bounded_lattice_candidates(n: int):
         middle_up = (top_bit | (above | 1 << i) << 1 for i, above in enumerate(transpose(downs)))
         middle_down = (1 | (below | 1 << i) << 1 for i, below in enumerate(downs))
         yield (full, *middle_up, top_bit), (1, *middle_down, full)
+
+
+def _base_pairs(up, down) -> list:
+    """Per element of the order with up-set rows up and down-set rows down:
+    (down-set size, up-set size), the first field of its key invariant."""
+    return [(d.bit_count(), u.bit_count()) for u, d in zip(up, down)]
+
+
+def _key_invariants(up, down) -> list:
+    """Per element of the order with up-set rows up and down-set rows down:
+    its base pair, and the sorted base pairs of the elements above and below
+    it.  The sort key of the canonical form."""
+    base = _base_pairs(up, down)
+    return [
+        (
+            base[i],
+            tuple(sorted(base[j] for j in bits(up[i]))),
+            tuple(sorted(base[j] for j in bits(down[i]))),
+        )
+        for i in range(len(up))
+    ]
 
 
 def _canonical_key(up: tuple[int, ...]) -> tuple[int, ...]:

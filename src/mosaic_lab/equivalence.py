@@ -39,6 +39,7 @@ from .lattice_core import (
     FiniteBoundedLattice,
     Involution,
     _generated_mask,
+    _preserves,
     from_leq,
     is_orthocomplementation,
     orthocomplementations,
@@ -117,7 +118,8 @@ class DualizableLMosaicPair:
     order.  The paper's main theorem makes that order a pi-ortholattice
     and the table its Nakano mosaic.
 
-    A plain record, like Mosaic: construction checks nothing.  functor_E
+    Construction checks nothing; its Mosaic was checked, when built, only
+    for a neutral that is neutral and a rho that fixes it.  functor_E
     builds pairs that the paper proves dualizable, and a table from outside
     is checked by reconstruct_from or is_genuinely_dualizable.  The
     reconstruction, the orthomodularity verdict, the subalgebra that each
@@ -244,27 +246,18 @@ def morphism_transfer_check(f, src: OrthoPair, dst: OrthoPair) -> MorphismTransf
     mosaics and intertwines the orthocomplements.  f is checked to be a map
     between the carriers before either side is tested (SizeMismatch).
 
-    f preserves joins when the join row of x, mapped through f, is the join
-    row of f(x) read at the images; meets likewise.  The Nakano table
+    The lattice side is lattice_core._preserves, the join and meet test
+    that the sublattice-copy search runs on each full map.  The Nakano table
     depends on the order alone, so when source and target have the same up
     rows it is built once and read on both sides."""
     f = _carrier_map(f, src.size, dst.size)
     a, b = src.lattice, dst.lattice
-    lattice_hom = _preserves(f, a.join_table, b.join_table) and _preserves(f, a.meet_table, b.meet_table)
+    lattice_hom = _preserves(f, a, b)
     ma = additive_nakano(a).mosaic
     mb = ma if b.leq == a.leq else additive_nakano(b).mosaic
     mosaic_hom = check_morphism(f, ma, mb).holds
     intertwines = all(f[src.pi(x)] == dst.pi(f[x]) for x in range(a.size))
     return MorphismTransferReport(f, lattice_hom, mosaic_hom, intertwines)
-
-
-def _preserves(f: tuple[int, ...], rows, target_rows) -> bool:
-    """Whether f(rows[x][y]) = target_rows[f(x)][f(y)] for every x and y."""
-    for row, fx in zip(rows, f):
-        images = target_rows[fx]
-        if [f[z] for z in row] != [images[v] for v in f]:
-            return False
-    return True
 
 
 def is_orthomodular_mosaic(p: DualizableLMosaicPair) -> AxiomReport:

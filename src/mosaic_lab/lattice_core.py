@@ -158,18 +158,11 @@ class FiniteBoundedLattice:
     def meet(self, i: int, j: int) -> int:
         return self.meet_table[i][j]
 
-    @property
-    def full(self) -> int:
-        return full_mask(self.size)
-
     def index(self, label) -> int:
         try:
             return self._index[label]
         except KeyError:
             raise UnknownName(f"unknown element {label!r}") from None
-
-    def label(self, i: int) -> str:
-        return self.names[i]
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) with i covered by j."""
@@ -431,74 +424,9 @@ def _generated_mask(l: FiniteBoundedLattice, seeds: int, pi: Involution | None) 
 
 
 def find_sublattice_copy(l: FiniteBoundedLattice, pattern: FiniteBoundedLattice):
-    """Injective map embedding pattern into l preserving meet and join, or None.
-
-    Pattern elements are placed in index order, each on the least free
-    element of l that passes the checks, so the copy found is the least in
-    that order.  An embedding sends the elements above and below u to
-    distinct elements above and below the image of u, so u is placed only
-    on an element with at least as many of each; these masks are built once
-    per call from the row popcounts, and a pattern element that fits
-    nowhere ends the search before it starts.  They drop only placements
-    that no embedding uses, so the copy found is unchanged.  The elements
-    that agree in order with everything placed so far are one mask of up
-    and down rows; joins and meets are checked on those alone."""
-    if pattern.size > l.size:
-        return None
-    k = pattern.size
-    up, down, join, meet = l.leq, l.down, l.join_table, l.meet_table
-    ups, downs = [row.bit_count() for row in up], [row.bit_count() for row in down]
-    fits = []  # fits[u]: the elements of l with room above and below for u
-    for above, below in zip(pattern.leq, pattern.down):
-        need_up, need_down, mask = above.bit_count(), below.bit_count(), 0
-        for v, room in enumerate(ups):
-            if room >= need_up and downs[v] >= need_down:
-                mask |= 1 << v
-        fits.append(mask)
-    if not all(fits):
-        return None
-    assign = [-1] * k
-
-    def order_candidates(u: int, free: int) -> int:
-        mask, above, below = free & fits[u], pattern.leq[u], pattern.down[u]
-        for u2 in range(u):
-            v2 = assign[u2]
-            mask &= down[v2] if above >> u2 & 1 else ~down[v2]
-            mask &= up[v2] if below >> u2 & 1 else ~up[v2]
-        return mask
-
-    def keeps_bounds(u: int, v: int) -> bool:
-        joins, meets = join[v], meet[v]
-        for u2 in range(u):
-            v2 = assign[u2]
-            ju, mu = assign[pattern.join(u, u2)], assign[pattern.meet(u, u2)]
-            if ju >= 0 and joins[v2] != ju or mu >= 0 and meets[v2] != mu:
-                return False
-        return True
-
-    def complete() -> bool:
-        for u in range(k):
-            joins, meets = join[assign[u]], meet[assign[u]]
-            for u2 in range(k):
-                if assign[pattern.join(u, u2)] != joins[assign[u2]]:
-                    return False
-                if assign[pattern.meet(u, u2)] != meets[assign[u2]]:
-                    return False
-        return True
-
-    def rec(u: int, free: int):
-        if u == k:
-            return tuple(assign) if complete() else None
-        for v in bits(order_candidates(u, free)):
-            if keeps_bounds(u, v):
-                assign[u] = v
-                got = rec(u + 1, free & ~(1 << v))
-                if got:
-                    return got
-                assign[u] = -1
-        return None
-
-    return rec(0, l.full)
+    """The least injective map embedding pattern into l preserving meet and
+    join, or None."""
+    return next(_lattice_embeddings(pattern, l), None)
 
 
 def hexagon_pattern() -> FiniteBoundedLattice:
@@ -607,59 +535,11 @@ def _require_closed(l: FiniteBoundedLattice, members: list[int]):
                 raise NotASublattice(f"subset not closed at ({x},{y})")
 
 
-def _base_pairs(up, down) -> list:
-    """Per element of the order with up-set rows up and down-set rows down:
-    (down-set size, up-set size), the first field of its key invariant."""
-    return [(d.bit_count(), u.bit_count()) for u, d in zip(up, down)]
-
-
-def _key_invariants(up, down) -> list:
-    """Per element of the order with up-set rows up and down-set rows down:
-    its base pair, and the sorted base pairs of the elements above and below
-    it.  Sound for any isomorphism search, and the sort key of catalog's
-    canonical form."""
-    base = _base_pairs(up, down)
-    return [
-        (
-            base[i],
-            tuple(sorted(base[j] for j in bits(up[i]))),
-            tuple(sorted(base[j] for j in bits(down[i]))),
-        )
-        for i in range(len(up))
-    ]
-
-
 def lattice_isomorphisms(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
-    """Yield every order isomorphism a -> b as an index tuple, in
-    lexicographic order.
-
-    The search assigns a's elements in index order, each to the b-elements
-    of equal invariant in ascending order.  A candidate v for i is kept when
-    two row identities hold: the images of the assigned elements above i are
-    b.leq[v] & used, and those below i are b.down[v] & used, where used holds
-    the images assigned so far.  As the map is injective, that is the test
-    of both orders between i and every assigned element."""
-    if a.size != b.size:
-        return
-    a_up, a_down, b_up, b_down = a.leq, a.down, b.leq, b.down
-    inva, invb = _key_invariants(a_up, a_down), _key_invariants(b_up, b_down)
-    if sorted(inva) != sorted(invb):
-        return
-    cand = [[j for j in range(b.size) if invb[j] == inva[i]] for i in range(a.size)]
-    assign = [0] * a.size
-
-    def rec(i: int, used: int):
-        if i == a.size:
-            yield tuple(assign)
-            return
-        done = (1 << i) - 1
-        above, below = image(a_up[i] & done, assign), image(a_down[i] & done, assign)
-        for v in cand[i]:
-            if not used >> v & 1 and b_up[v] & used == above and b_down[v] & used == below:
-                assign[i] = v
-                yield from rec(i + 1, used | 1 << v)
-
-    yield from rec(0, 0)
+    """Yield every isomorphism a -> b as an index tuple, in lexicographic
+    order: the embeddings of a into a lattice of its own size."""
+    if a.size == b.size:
+        yield from _lattice_embeddings(a, b)
 
 
 def lattice_isomorphism(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
@@ -669,3 +549,85 @@ def lattice_isomorphism(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
 
 def lattice_automorphisms(l: FiniteBoundedLattice) -> list[tuple[int, ...]]:
     return list(lattice_isomorphisms(l, l))
+
+
+def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
+    """Yield every injective map a -> b that preserves joins and meets, as an
+    index tuple, in lexicographic order.
+
+    a's elements are placed in index order, each on the free elements of b
+    in ascending order.  An embedding sends the elements above and below i
+    to distinct elements above and below the image of i, so i goes only on
+    an element with at least as many of each (fits[i]); an element that
+    fits nowhere ends the search before it starts.  A candidate v is kept
+    when two row identities hold: the images of the placed elements above i
+    are b.leq[v] & used, and those below i are b.down[v] & used, where used
+    holds the images placed so far.  As the map is injective, that tests
+    both orders between i and every placed element.  When a is the smaller,
+    the join and the meet of i with each placed element it is incomparable
+    to are checked too, where their images are placed (between comparable
+    elements the rows decide them), and a full map once more by _preserves.
+    When the sizes are equal, a bijective order embedding is an order
+    isomorphism and preserves joins and meets, so only the rows are
+    compared."""
+    k = a.size
+    if k > b.size:
+        return
+    a_up, a_down, b_up, b_down = a.leq, a.down, b.leq, b.down
+    rooms = list(zip(map(int.bit_count, b_up), map(int.bit_count, b_down)))
+    fits = []  # fits[i]: the elements of b with room above and below for i
+    for need_up, need_down in zip(map(int.bit_count, a_up), map(int.bit_count, a_down)):
+        mask = 0
+        for v, (up, down) in enumerate(rooms):
+            if up >= need_up and down >= need_down:
+                mask |= 1 << v
+        fits.append(mask)
+    if not all(fits):
+        return
+    partial = k < b.size
+    # bounds[i] of a smaller a: (table of b, u, w) for each u < i that i is
+    # incomparable to, whose join (meet) w with i comes before i
+    bounds = [
+        [(b.join_table, u, j) for u, j in enumerate(a.join_table[i][:i]) if u != j < i]
+        + [(b.meet_table, u, m) for u, m in enumerate(a.meet_table[i][:i]) if u != m < i]
+        for i in range(k)
+    ] if partial else [()] * k
+    assign = [0] * k
+    frames = []  # per element placed on the way down: its untried candidates and row images
+    i, used, free, above, below = 0, 0, fits[0], 0, 0
+    while True:
+        if free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            if b_up[v] & used != above or b_down[v] & used != below:
+                continue
+            if bounds[i] and any(table[v][assign[u]] != assign[w] for table, u, w in bounds[i]):
+                continue
+            assign[i] = v
+            if i + 1 < k:
+                frames.append((free, above, below))
+                i, used = i + 1, used | low
+                done = (1 << i) - 1
+                above, below = image(a_up[i] & done, assign), image(a_down[i] & done, assign)
+                free = fits[i] & ~used
+            elif not partial or _preserves(assign, a, b):
+                yield tuple(assign)
+        elif frames:
+            free, above, below = frames.pop()
+            i -= 1
+            used ^= 1 << assign[i]
+        else:
+            return
+
+
+def _preserves(f, a: FiniteBoundedLattice, b: FiniteBoundedLattice) -> bool:
+    """Whether the map f: a -> b preserves joins and meets: the join row of
+    each x, mapped through f, is the join row of f(x) read at the images,
+    and likewise the meet row."""
+    for rows, targets in ((a.join_table, b.join_table), (a.meet_table, b.meet_table)):
+        for row, fx in zip(rows, f):
+            images = targets[fx]
+            if [f[z] for z in row] != [images[v] for v in f]:
+                return False
+    return True

@@ -168,8 +168,10 @@ def least_closed_superset(l, seeds, pi=None) -> frozenset:
     return best
 
 
-def brute_sublattice_copy(l, pattern):
-    """Search all injections for a meet/join-preserving embedding."""
+def brute_lattice_embeddings(pattern, l):
+    """Yield every injective map pattern -> l that preserves joins and meets,
+    in lexicographic order: a sweep over all injections, each tested pair by
+    pair, with no order rows and no pruning."""
     k = pattern.size
     for image in itertools.permutations(range(l.size), k):
         if all(
@@ -178,8 +180,12 @@ def brute_sublattice_copy(l, pattern):
             for u in range(k)
             for v in range(k)
         ):
-            return image
-    return None
+            yield image
+
+
+def brute_sublattice_copy(l, pattern):
+    """The least meet/join-preserving embedding of pattern into l, or None."""
+    return next(brute_lattice_embeddings(pattern, l), None)
 
 
 def brute_poset_iso(up1, up2):

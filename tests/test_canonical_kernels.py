@@ -1,14 +1,15 @@
-"""The pruned canonical form and isomorphism search against their unpruned
+"""The pruned canonical form and lattice-map search against their unpruned
 references.
 
 catalog's canonicity test stages its invariants and cuts each relabeling at
-its first row that differs from the best key so far; lattice_isomorphisms
-tests each candidate image by two row identities.  tests/oracles.py keeps
-the unpruned relabeling sweep and a pairwise backtracking search with no
-invariants.  Keys, verdicts and isomorphism lists, their order included,
-must agree on every lattice and candidate with at most 8 elements, on the
-8 892 candidates with 9 (only agreement is checked there, no count), and on
-seeded relabelings.
+its first row that differs from the best key so far; the lattice-map search
+behind lattice_isomorphisms and find_sublattice_copy tests each candidate
+image by two row identities.  tests/oracles.py keeps the unpruned
+relabeling sweep, a pairwise backtracking search with no invariants and a
+sweep over all injections.  Keys, verdicts, isomorphism lists and
+embedding lists, their order included, must agree on every lattice and
+candidate with at most 8 elements, on the 8 892 candidates with 9 (only
+agreement is checked there, no count), and on seeded relabelings.
 """
 
 import random
@@ -17,9 +18,21 @@ import pytest
 
 from mosaic_lab.bits import transpose
 from mosaic_lab.catalog import _bounded_lattice_candidates, _canonical_key, _is_canonical, named
-from mosaic_lab.lattice_core import from_leq, lattice_automorphisms, lattice_isomorphisms
+from mosaic_lab.lattice_core import (
+    _lattice_embeddings,
+    from_leq,
+    hexagon_pattern,
+    lattice_automorphisms,
+    lattice_isomorphisms,
+    pentagon_pattern,
+)
 
-from oracles import canonical_key_unpruned, is_canonical_unpruned, order_isomorphisms_loops
+from oracles import (
+    brute_lattice_embeddings,
+    canonical_key_unpruned,
+    is_canonical_unpruned,
+    order_isomorphisms_loops,
+)
 
 
 def relabeled(up, perm):
@@ -82,3 +95,22 @@ def test_automorphism_lists_agree_upto_8(lattices_upto_8):
         (up,) = seeded_relabelings(l.leq, rng, 1)
         for m in (l, from_leq(l.names, up)):
             assert lattice_automorphisms(m) == order_isomorphisms_loops(m.leq, m.leq), m.leq
+
+
+def test_embedding_lists_agree_with_the_sweep_over_injections(lattices_upto_6):
+    """Every lattice with at most 4 elements, the pentagon and the hexagon,
+    embedded into every lattice with at most 6 elements and a seeded
+    relabeled copy of each: the full listing, not only the least copy."""
+    rng = random.Random(18)
+    patterns = [l for l in lattices_upto_6 if l.size <= 4] + [pentagon_pattern(), hexagon_pattern()]
+    hosts = []
+    for l in lattices_upto_6:
+        (up,) = seeded_relabelings(l.leq, rng, 1)
+        hosts += [l, from_leq(l.names, up)]
+    longest = 0
+    for pattern in patterns:
+        for host in hosts:
+            want = list(brute_lattice_embeddings(pattern, host))
+            assert list(_lattice_embeddings(pattern, host)) == want, (pattern.leq, host.leq)
+            longest = max(longest, len(want))
+    assert longest > 1

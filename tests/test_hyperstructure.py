@@ -85,6 +85,10 @@ def test_bad_parts_raise_typed_errors(pentagon, hexagon):
         (lambda: Involution((0, 0)), InvalidStructure, "not a permutation"),
         (lambda: Involution((1, 2, 1)), InvalidStructure, "not a permutation"),
         (lambda: Multioperation(1, ((0b10,),)), SizeMismatch, "cell not a subset of the carrier"),
+        (lambda: Multioperation(2, ((1, 2),)), SizeMismatch, "table is not size x size"),
+        (lambda: Multioperation(2, ((1, 2), (2,))), SizeMismatch, "table is not size x size"),
+        (lambda: Multioperation(1, ((1,), (1,))), SizeMismatch, "table is not size x size"),
+        (lambda: Mosaic(chain2, 0, Involution.identity(3)), SizeMismatch, "carrier sizes disagree"),
         (lambda: Mosaic(chain2, 1, Involution.identity(2)), InvalidStructure, "1 is not neutral at 0"),
         (lambda: Mosaic(chain2, 0, Involution((1, 0))), InvalidStructure, "rho does not fix the neutral element"),
         (lambda: NakanoMosaic(pentagon.lattice, additive_nakano(hexagon.lattice).mosaic), SizeMismatch,

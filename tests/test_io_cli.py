@@ -184,6 +184,13 @@ class TestCliTable:
         assert res.exit_code == 0
         assert "0 differing cell(s)" in res.output
 
+    def test_diff_self_in_json_is_an_empty_list(self, runner, tmp_path):
+        out = tmp_path / "golden.json"
+        assert runner.invoke(main, ["table", "pentagon", "--golden", str(out), "--quiet"]).exit_code == 0
+        res = runner.invoke(main, ["table", "pentagon", "--diff", str(out), "--format", "json"])
+        assert res.exit_code == 0
+        assert json.loads(res.stdout) == {"input": "pentagon", "diff": []}
+
     def test_diff_refuses_a_table_with_repeated_element_names(self, runner, tmp_path, pentagon):
         path = tmp_path / "dup.json"
         path.write_text(json.dumps(duplicate_name_table(pentagon)))
@@ -460,6 +467,12 @@ class TestCliOther:
     def test_roundtrip_command(self, runner):
         res = runner.invoke(main, ["roundtrip", "hexagon"])
         assert res.exit_code == 0 and "PASS roundtrip" in res.output
+
+    def test_roundtrip_without_an_orthocomplementation_is_input_error(self, runner):
+        res = runner.invoke(main, ["roundtrip", "pentagon"])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: input has no ortho block and no discoverable orthocomplementation\n"
 
     def test_catalog_export_roundtrips(self, runner, tmp_path):
         res = runner.invoke(main, ["catalog", "hexagon", "-o", str(tmp_path)])

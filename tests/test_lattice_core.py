@@ -35,6 +35,7 @@ from mosaic_lab.lattice_core import (
     is_distributive,
     is_modular,
     is_order_reversing,
+    is_orthocomplementation,
     is_orthomodular,
     lattice_automorphisms,
     lattice_isomorphism,
@@ -131,6 +132,10 @@ class TestBuildFromCovers:
     def test_unknown_cover_label(self):
         with pytest.raises(UnknownName):
             build_from_covers(["x"], [("x", "y")])
+
+    def test_index_of_an_unknown_label(self, pentagon):
+        with pytest.raises(UnknownName, match="^unknown element 'z'$"):
+            pentagon.lattice.index("z")
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10))
@@ -244,6 +249,11 @@ class TestFromLeq:
         assert str(exc.value) == message
         assert isinstance(exc.value, MosaicLabError) and isinstance(exc.value, ValueError)
 
+    def test_duplicate_labels_raise_a_typed_error(self):
+        for names, rows in ((["x", "x"], [0b11, 0b10]), (["a", "b", "a"], [0b111, 0b110, 0b100])):
+            with pytest.raises(DuplicateLabel, match="^duplicate element labels$"):
+                from_leq(names, rows)
+
     def test_row_count_must_match_label_count(self):
         for names, rows in ((["a"], []), (["a", "b"], [3]), ([], [1]), (["a"], [3])):
             with pytest.raises(SizeMismatch):
@@ -343,6 +353,12 @@ class TestOrthocomplementations:
 
     def test_pentagon_none(self, pentagon):
         assert orthocomplementations(pentagon.lattice) == []
+
+    def test_pi_of_another_size_is_no_orthocomplementation(self, hexagon):
+        h = hexagon.lattice
+        for pi in (Involution.identity(h.size - 1), Involution((*hexagon.ortho.map, h.size))):
+            assert not is_orthocomplementation(h, pi)
+        assert is_orthocomplementation(h, hexagon.ortho)
 
     def test_boolean_2_set_complement(self):
         b2 = named("boolean_2")
@@ -576,6 +592,9 @@ def test_sublattice_restriction(pentagon):
     assert sub.size == 4 and sub.names == ("0", "a", "b", "1")
     with pytest.raises(NotASublattice):
         sublattice(p, [1, 3])
+    for empty in ([], 0):
+        with pytest.raises(NotASublattice, match="^empty subset$"):
+            sublattice(p, empty)
     # a repeated member counts once
     sub, members = sublattice(p, [0, 0, 4])
     assert members == (0, 4) and sub.names == ("0", "1") and sub.leq == (0b11, 0b10)
