@@ -12,11 +12,6 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
-def members_of(subset) -> list[int]:
-    """Sorted distinct members of a bitmask or of an iterable of elements."""
-    return list(bits(subset)) if isinstance(subset, int) else sorted(set(subset))
-
-
 def transpose(rows) -> list[int]:
     """The converse relation of bitmask rows on 0..len(rows)-1: bit i of
     out[j] is set iff bit j of rows[i] is set."""

@@ -9,9 +9,10 @@ at a time, in which every new element has a meet with every earlier one and
 the down-set sizes never decrease.  The canonicity test is staged from cheap
 to dear: unsorted base pairs (down-set size, up-set size) rule a candidate
 out, then an unsorted invariant sequence, and only the rest try relabelings.
-Each relabeling's key is built one row at a time and dropped at its first
-row above the best key so far; the test stops at the first relabeling that
-comes out below the candidate.  Counts are never copied from external
+Each relabeling's rows are built one at a time and compared with the
+candidate's; the test stops at the first relabeling that comes out below
+the candidate.  No other routine computes a canonical form: the test only
+decides whether a candidate is one.  Counts are never copied from external
 sources; tests freeze what the independent oracle and this generator produce.
 """
 
@@ -27,6 +28,7 @@ from .errors import InvalidStructure, SizeTooLarge, UnknownName
 from .lattice_core import (
     FiniteBoundedLattice,
     Involution,
+    _base_pairs,
     build_from_covers,
     complement_mask,
     from_leq,
@@ -222,76 +224,41 @@ def _bounded_lattice_candidates(n: int):
         yield (full, *middle_up, top_bit), (1, *middle_down, full)
 
 
-def _base_pairs(up, down) -> list:
-    """Per element of the order with up-set rows up and down-set rows down:
-    (down-set size, up-set size), the first field of its key invariant."""
-    return [(d.bit_count(), u.bit_count()) for u, d in zip(up, down)]
-
-
-def _key_invariants(up, down) -> list:
-    """Per element of the order with up-set rows up and down-set rows down:
-    its base pair, and the sorted base pairs of the elements above and below
-    it.  The sort key of the canonical form."""
-    base = _base_pairs(up, down)
-    return [
-        (
-            base[i],
-            tuple(sorted(base[j] for j in bits(up[i]))),
-            tuple(sorted(base[j] for j in bits(down[i]))),
-        )
-        for i in range(len(up))
-    ]
-
-
-def _canonical_key(up: tuple[int, ...]) -> tuple[int, ...]:
-    """Minimal leq bit matrix over invariant-class-respecting relabelings."""
-    return _least_relabeling(up, _key_invariants(up, transpose(up)))
-
-
 def _is_canonical(up: tuple[int, ...], down: tuple[int, ...]) -> bool:
-    """up, with down rows down, is its own canonical key.  The key lists its
-    elements in invariant order, so the test is staged: unsorted base pairs
-    rule up out at once, then an unsorted invariant sequence, and only then
-    are relabelings tried, up to the first whose key comes out below up."""
+    """up, with down rows down, is its own canonical key: no relabeling that
+    lists the elements in sorted invariant order has a lesser up-row matrix.
+
+    An element's invariant is its base pair and the sorted base pairs of
+    the elements above and below it.  The test is staged: unsorted base
+    pairs rule up out at once, then an unsorted invariant sequence, and only
+    then are relabelings tried.  Each relabeling's rows are built one at a
+    time against up's: the first row that differs decides, and a row below
+    up's ends the test."""
     base = _base_pairs(up, down)
     if base != sorted(base):
         return False
-    inv = _key_invariants(up, down)
-    return inv == sorted(inv) and _least_relabeling(up, inv, up) == up
-
-
-def _least_relabeling(up: tuple[int, ...], inv: list, below: tuple[int, ...] | None = None) -> tuple[int, ...]:
-    """Least up-row matrix over the relabelings that list the elements in
-    sorted invariant order.
-
-    Each relabeling's key is built one row at a time against the best key so
-    far: a row above the best key's row drops the relabeling, and a row
-    below it makes the relabeling the new best.  Given below, the key of one
-    of these relabelings, the search returns the first key that comes out
-    below it, or below itself when none does."""
-    n = len(up)
+    inv = [
+        (b, tuple(sorted(base[j] for j in bits(u))), tuple(sorted(base[j] for j in bits(d))))
+        for b, u, d in zip(base, up, down)
+    ]
+    if inv != sorted(inv):
+        return False
     groups: dict = {}
-    for i in range(n):
-        groups.setdefault(inv[i], []).append(i)
+    for i, key in enumerate(inv):
+        groups.setdefault(key, []).append(i)
     above = [list(bits(row)) for row in up]
-    bit = [0] * n  # old element -> the bit of its new position
-    best = below
-    for parts in itertools.product(*(itertools.permutations(groups[key]) for key in sorted(groups))):
+    bit = [0] * len(up)  # old element -> the bit of its new position
+    for parts in itertools.product(*map(itertools.permutations, groups.values())):
         old_at = [i for part in parts for i in part]  # new position -> old element
         for p, old in enumerate(old_at):
             bit[old] = 1 << p
-        rows = (sum(map(bit.__getitem__, above[old])) for old in old_at)
-        if best is None:
-            best = tuple(rows)
-            continue
-        for p, row in enumerate(rows):
-            if row != best[p]:
-                if row < best[p]:
-                    best = (*best[:p], row, *rows)
-                    if below is not None:
-                        return best
+        for row, old in zip(up, old_at):
+            new = sum(map(bit.__getitem__, above[old]))
+            if new != row:
+                if new < row:
+                    return False
                 break
-    return best
+    return True
 
 
 def enumerate_lattices(n: int) -> list[FiniteBoundedLattice]:
@@ -312,23 +279,24 @@ def enumerate_ortholattices(n: int) -> list[OrthoPair]:
 
 def _ortho_classes(l: FiniteBoundedLattice) -> list[OrthoPair]:
     """l with each of its orthocomplementations, one per class of
-    automorphisms commuting with pi, in order of the least map.  The maps run
-    in sorted order; a map not yet seen is the least of its orbit, and its
-    whole orbit, the conjugates by every automorphism, is then seen."""
+    automorphisms commuting with pi, in order of the least map.
+    orthocomplementations lists the maps in lexicographic order, so a map
+    not yet seen is the least of its orbit, and its whole orbit, the
+    conjugates sigma pi sigma^-1 by every automorphism sigma, is then seen:
+    the conjugate maps sigma(x) to sigma(pi(x))."""
     pis = orthocomplementations(l)
     if not pis:
         return []
     auts = lattice_automorphisms(l)
-    # each automorphism with its inverse, the sort of range(n) by image
-    conjugators = [(sigma, sorted(range(l.size), key=sigma.__getitem__)) for sigma in auts]
+    conj = [0] * l.size
     seen = set()
     out = []
-    for pi in sorted(pis, key=lambda p: p.map):
+    for pi in pis:
         if pi.map not in seen:
-            seen.update(
-                tuple(sigma[pi(inverse[p])] for p in range(l.size))
-                for sigma, inverse in conjugators
-            )
+            for sigma in auts:
+                for x, px in enumerate(pi.map):
+                    conj[sigma[x]] = sigma[px]
+                seen.add(tuple(conj))
             out.append(OrthoPair(l, pi))
     return out
 

@@ -19,7 +19,7 @@ import click
 from . import catalog as cat
 from .bits import bits
 from .equivalence import OrthoPair, functor_E, is_orthomodular_mosaic, reconstruct_lattice
-from .errors import MissingOrtho, MosaicLabError, SizeTooLarge
+from .errors import MosaicLabError, SizeTooLarge
 from .hyperstructure import is_associative, verify_lmosaic, verify_mosaic
 from .io import (
     _json_doc,
@@ -214,7 +214,8 @@ def _ortho_list(l, ortho, first_only: bool = False):
 
 def _run_checks(l, pis, names):
     """Results of the named checks; pis are the orthocomplementations that
-    ORTHO_CHECKS run against."""
+    ORTHO_CHECKS run against.  orthomodular or roundtrip with no pi is
+    unusable input."""
     results = []
     reads_table = {"mosaic", "lmosaic", "polygroup", "nakano-props"} & set(names)
     add = additive_nakano(l) if reads_table else None
@@ -247,7 +248,7 @@ def _run_checks(l, pis, names):
             )
     if "orthomodular" in names or "roundtrip" in names:
         if not pis:
-            raise MissingOrtho("input has no ortho block and no discoverable orthocomplementation")
+            _fail_input("input has no ortho block and no discoverable orthocomplementation")
         for k, pi in enumerate(pis):
             tag = "" if len(pis) == 1 else f"[pi{k}]"
             mosaic_pair = functor_E(OrthoPair(l, pi))
@@ -295,11 +296,7 @@ def check(source, checks, fmt, quiet):
         ortho_checks = set(requested) & set(ORTHO_CHECKS)
         # the ortholattice check alone needs one map, not the listing
         pis = _ortho_list(l, ortho, ortho_checks == {"ortholattice"}) if ortho_checks else []
-    try:
-        results = _run_checks(l, pis, requested)
-    except MissingOrtho as exc:
-        _fail_input(str(exc))
-    _emit(results, l, fmt, quiet, name)
+    _emit(_run_checks(l, pis, requested), l, fmt, quiet, name)
 
 
 @main.command()
@@ -336,11 +333,7 @@ def orthocomplements(source, fmt):
 def roundtrip(source, fmt, quiet):
     """Reconstruct the lattice from its Nakano mosaic and compare."""
     l, ortho, name = _load(source)
-    try:
-        results = _run_checks(l, _ortho_list(l, ortho), ["roundtrip"])
-    except MissingOrtho as exc:
-        _fail_input(str(exc))
-    _emit(results, l, fmt, quiet, name)
+    _emit(_run_checks(l, _ortho_list(l, ortho), ["roundtrip"]), l, fmt, quiet, name)
 
 
 @main.command()

@@ -39,6 +39,7 @@ from .lattice_core import (
     FiniteBoundedLattice,
     Involution,
     _generated_mask,
+    _members,
     _preserves,
     from_leq,
     is_orthocomplementation,
@@ -278,7 +279,9 @@ def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> Axiom
     each distinct seed set is closed once per pair.  Many (x, y) generate
     the same subalgebra (two elements of an orthomodular lattice generate
     an image of MO_2 x 2^4), so the verdict is computed once per distinct
-    generated subset of the pair; a failing report carries its own (x, y)."""
+    generated subset of the pair; a failing report carries its own (x, y).
+    x and y past the carrier raise SizeMismatch."""
+    _members(p.mosaic.size, (x, y))
     if not is_orthomodular_mosaic(p).holds:
         raise PreconditionFailed("mosaic is not orthomodular")
     ortho = reconstruct_lattice(p)

@@ -76,9 +76,5 @@ class SizeTooLarge(MosaicLabError):
     pass
 
 
-class MissingOrtho(MosaicLabError):
-    pass
-
-
 class FormatError(MosaicLabError):
     """Malformed lattice / mosaic-table JSON."""

@@ -21,10 +21,21 @@ from .lattice_core import AxiomReport, Involution
 class Multioperation:
     """n x n table of carrier subsets.
 
-    What several checks read (the packed cube, packed rows, their unions,
-    the principal rows, the Lms2 and Lms3 witnesses) is derived once per
-    table, on first use, in the private _view.  It depends on the cells
-    alone and takes no part in ==, hash or repr."""
+    What several checks read off the table (the cube, the packed rows,
+    their unions, the principal rows, the Lms2 and Lms3 witnesses) is
+    derived once per table, on first use, in the private cached properties
+    below.  They depend on the cells alone, take no part in ==, hash or
+    repr, and live exactly as long as the table: with_cell makes a new
+    table.
+
+    The whole table is one integer, the cube: with the slot width w, the
+    least power of two >= n, bit w*(w*x + y) + z is set iff z is in x.y.
+    Axis 0 is x, axis 1 is y, axis 2 is z; block x is the w*w bits of one
+    row of the table and slot (x, y) the w bits of one cell.  Swapping two
+    axes is a bit-matrix transpose of log2(w) shift-xor-mask steps, with
+    masks built once per width, so a check over all cells takes a fixed
+    number of integer operations.  The packed rows and their unions use the
+    same slot width."""
 
     size: int
     table: tuple[tuple[int, ...], ...]
@@ -61,9 +72,80 @@ class Multioperation:
         table[x][y] = mask_of(zs)
         return Multioperation(self.size, tuple(tuple(r) for r in table))
 
+    @property
+    def _masks(self) -> "_Masks":
+        return _masks_of(1 << max(self.size - 1, 0).bit_length())
+
     @cached_property
-    def _view(self) -> "_TableView":
-        return _TableView(self.table)
+    def _packed_rows(self) -> list[int]:
+        """Row x as one integer, the cell x.y at bit offset w*y."""
+        w = self._masks.width
+        return [_pack(row, w) for row in self.table]
+
+    @cached_property
+    def _cube(self) -> int:
+        return _pack(self._packed_rows, self._masks.width ** 2)
+
+    @cached_property
+    def _row_unions(self) -> "_PackedUnions":
+        """_row_unions[M] packs M.z for every z."""
+        return _PackedUnions(self._packed_rows)
+
+    @cached_property
+    def _column_unions(self) -> "_PackedUnions":
+        """_column_unions[M] packs x.M for every x; the same object as
+        _row_unions when the table is commutative."""
+        columns = tuple(zip(*self.table))
+        if columns == self.table:
+            return self._row_unions
+        w = self._masks.width
+        return _PackedUnions([_pack(col, w) for col in columns])
+
+    @cached_property
+    def _under(self) -> tuple[int, ...]:
+        """_under[x] = {z : x in z.z}: the principal cells as up-set rows."""
+        return tuple(transpose([row[j] for j, row in enumerate(self.table)]))
+
+    @cached_property
+    def _lms2_witness(self):
+        """(x,) for the least x with (x+x)+(x+x) != x+x, or None."""
+        table = self.table
+        for x, row in enumerate(table):
+            cell, acc = row[x], 0
+            members = list(bits(cell))
+            for a in members:
+                ra = table[a]
+                for b in members:
+                    acc |= ra[b]
+            if acc != cell:
+                return (x,)
+        return None
+
+    @cached_property
+    def _lms3_witness(self):
+        """The least (x, y) with (x+(x+y)) & ((x+y)+y) not inside x+y, or None.
+
+        x+(x+y) is slot (x, y) of the per-block square of the cube, and
+        (x+y)+y slot (x, y) of the square of the cube with axes 0 and 1
+        swapped, swapped back; on a commutative table the two squares are
+        one."""
+        n, masks, cube = self.size, self._masks, self._cube
+        left = _square(cube, n, masks)
+        flipped = _swap(cube, masks.swap01)
+        right = left if flipped == cube else _square(flipped, n, masks)
+        bad = left & _swap(right, masks.swap01) & ~cube
+        return divmod(least(bad) // masks.width, masks.width) if bad else None
+
+    def _antisym_witness(self):
+        """The least (x, y) where x and y both lie in x.y but x != y, or
+        where x is not in x.x; None if there is none.  Bit x and bit y of
+        every slot (x, y) are masked and tested slot-wise for nonzero, and
+        the slots where both are set must be the n diagonal slots."""
+        n, masks, cube = self.size, self._masks, self._cube
+        w = masks.width
+        both = _nonzero(cube & masks.own_x, masks) & _nonzero(cube & masks.own_y, masks)
+        bad = both ^ _repeat(1 << w - 1, w * w + w, n)
+        return divmod(least(bad) // w, w) if bad else None
 
 
 @dataclass(frozen=True)
@@ -133,7 +215,7 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
     tests pass.
 
     Past the commutativity stage the checks read the table's cube C (see
-    _TableView) with its axes 1 and 2 swapped: slot (v, u) of T holds
+    Multioperation) with its axes 1 and 2 swapped: slot (v, u) of T holds
     {t : u in v.t}.  The inverses of x are slot (x, e) of T.  With
     commutativity "x in z.rho(y)" is "z in T[rho(y)][x]", so with T1 the
     cube whose block y is block rho(y) of T, the cells that break
@@ -160,8 +242,8 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
         return MosaicVerification(tuple(reports), None)
     reports.append(AxiomReport("neutral", True))
 
-    view = op._view
-    w, masks, cube = view.width, view.masks, view.cube
+    masks, cube = op._masks, op._cube
+    w = masks.width
     flip = _swap(cube, masks.swap12)
     inv = []
     for x in range(n):
@@ -237,7 +319,7 @@ def _swap(cube: int, steps) -> int:
 
 
 class _Masks:
-    """The constant masks of every cube of slot width w (see _TableView):
+    """The constant masks of every cube of slot width w (see Multioperation):
     the transpose steps that swap axes 1 and 2 (swap12) and axes 0 and 1
     (swap01), one full slot (slot), bit 0 of every slot of one block
     (slots) and of every block (blocks), the low and the top bit of every
@@ -255,7 +337,7 @@ class _Masks:
         self.own_y = _repeat(1, w + 1, w) * self.blocks  # bit y of slot (x, y)
 
 
-_masks = cache(_Masks)
+_masks_of = cache(_Masks)
 
 
 def _nonzero(v: int, masks: _Masks) -> int:
@@ -295,117 +377,21 @@ class _PackedUnions(dict):
         return acc
 
 
-class _TableView:
-    """What the checks read off one table, each part derived on first use.
-
-    The whole table is one integer, the cube: with the slot width w, the
-    least power of two >= n, bit w*(w*x + y) + z is set iff z is in x.y.
-    Axis 0 is x, axis 1 is y, axis 2 is z; block x is the w*w bits of one
-    row of the table and slot (x, y) the w bits of one cell.  Swapping two
-    axes is a bit-matrix transpose of log2(w) shift-xor-mask steps, with
-    masks built once per width, so a check over all cells takes a fixed
-    number of integer operations.  The packed rows and their unions use the
-    same slot width.
-
-    Multioperation._view holds the one view of a table, so every part lives
-    exactly as long as the table: with_cell makes a new table, with a new
-    view.  The view keeps the cells, not the Multioperation, so the two form
-    no reference cycle."""
-
-    def __init__(self, table):
-        self.table = table
-        self.width = 1 << max(len(table) - 1, 0).bit_length()
-
-    @property
-    def masks(self) -> _Masks:
-        return _masks(self.width)
-
-    @cached_property
-    def packed_rows(self) -> list[int]:
-        """Row x as one integer, the cell x.y at bit offset w*y."""
-        w = self.width
-        return [_pack(row, w) for row in self.table]
-
-    @cached_property
-    def cube(self) -> int:
-        return _pack(self.packed_rows, self.width ** 2)
-
-    @cached_property
-    def row_unions(self) -> _PackedUnions:
-        """row_unions[M] packs M.z for every z."""
-        return _PackedUnions(self.packed_rows)
-
-    @cached_property
-    def column_unions(self) -> _PackedUnions:
-        """column_unions[M] packs x.M for every x; the same object as
-        row_unions when the table is commutative."""
-        columns = tuple(zip(*self.table))
-        if columns == self.table:
-            return self.row_unions
-        w = self.width
-        return _PackedUnions([_pack(col, w) for col in columns])
-
-    @cached_property
-    def under(self) -> tuple[int, ...]:
-        """under[x] = {z : x in z.z}: the principal cells as up-set rows."""
-        return tuple(transpose([row[j] for j, row in enumerate(self.table)]))
-
-    @cached_property
-    def lms2_witness(self):
-        """(x,) for the least x with (x+x)+(x+x) != x+x, or None."""
-        table = self.table
-        for x, row in enumerate(table):
-            cell, acc = row[x], 0
-            members = list(bits(cell))
-            for a in members:
-                ra = table[a]
-                for b in members:
-                    acc |= ra[b]
-            if acc != cell:
-                return (x,)
-        return None
-
-    @cached_property
-    def lms3_witness(self):
-        """The least (x, y) with (x+(x+y)) & ((x+y)+y) not inside x+y, or None.
-
-        x+(x+y) is slot (x, y) of the per-block square of the cube, and
-        (x+y)+y slot (x, y) of the square of the cube with axes 0 and 1
-        swapped, swapped back; on a commutative table the two squares are
-        one."""
-        n, w, masks, cube = len(self.table), self.width, self.masks, self.cube
-        left = _square(cube, n, masks)
-        flipped = _swap(cube, masks.swap01)
-        right = left if flipped == cube else _square(flipped, n, masks)
-        bad = left & _swap(right, masks.swap01) & ~cube
-        return divmod(least(bad) // w, w) if bad else None
-
-    def antisym_witness(self):
-        """The least (x, y) where x and y both lie in x.y but x != y, or
-        where x is not in x.x; None if there is none.  Bit x and bit y of
-        every slot (x, y) are masked and tested slot-wise for nonzero, and
-        the slots where both are set must be the n diagonal slots."""
-        n, w, masks, cube = len(self.table), self.width, self.masks, self.cube
-        both = _nonzero(cube & masks.own_x, masks) & _nonzero(cube & masks.own_y, masks)
-        bad = both ^ _repeat(1 << w - 1, w * w + w, n)
-        return divmod(least(bad) // w, w) if bad else None
-
-
 def is_associative(op: Multioperation) -> AxiomReport:
     """(x [.] y) [.] z = x [.] (y [.] z), set-extended on both sides.
 
     For a fixed x both sides over all (y, z) fill one integer laid out as
-    the table's cube (see _TableView): the w-bit cell of slot (y, z) at bit
+    the table's cube (see Multioperation): the w-bit cell of slot (y, z) at bit
     offset w*(w*y + z).  The left side x.(y.z) is the OR over u of x.u
     times the cube's bit u of every slot, moved to the slot's low bit.  The
     right side (x.y).z places, for each y, the union of the packed rows of
     the members of x.y in block y.  The lowest bit where the two differ is
-    the least (y, z).  The cube, the packed rows and their unions come from
-    the table's view."""
-    n, table, view = op.size, op.table, op._view
-    w, cube, low = view.width, view.cube, view.masks.low
+    the least (y, z).  The cube, the packed rows and their unions are the
+    table's own, derived once per table."""
+    n, table, masks, cube = op.size, op.table, op._masks, op._cube
+    w, low = masks.width, masks.low
     marks = [cube >> u & low for u in range(n)]
-    unions = view.row_unions  # unions[M]: M.z for every z
+    unions = op._row_unions  # unions[M]: M.z for every z
     for x, row in enumerate(table):
         left = 0
         for cell, mark in zip(row, marks):
@@ -453,27 +439,28 @@ def check_morphism(f, a: Mosaic, b: Mosaic) -> AxiomReport:
 def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
     """The four L-mosaic axioms; Lms4 failures report zero or multiple join
     candidates at the witness pair.  Lms2, Lms3 and the principal rows that
-    Lms4 reads come from the table's view, which the section-4 lemma battery
+    Lms4 reads are the table's own, which the section-4 lemma battery
     shares: whichever runs first derives them, once per table.
 
-    Lms4 runs on the whole cube (see _TableView) at once: the cube masked
+    Lms4 runs on the whole cube (see Multioperation) at once: the cube masked
     by under[x] in every slot of block x and by under[y] in slot y of every
     block holds the join candidates of each (x, y), and two slot-wise
     tests, nonzero and "more than one bit", find the pairs without exactly
     one among the n x n slots in use."""
-    e, table, view = m.neutral, m.op.table, m.op._view
+    e, op = m.neutral, m.op
     lms1 = AxiomReport("Lms1", True)
-    for x, row in enumerate(table):
+    for x, row in enumerate(op.table):
         if not (row[x] >> e & 1 and row[x] >> x & 1):
             lms1 = AxiomReport("Lms1", False, (x,), "0,x not both in x+x")
             break
-    witness = view.lms2_witness
+    witness = op._lms2_witness
     lms2 = AxiomReport("Lms2", witness is None, witness, witness and "(x+x)+(x+x) != x+x")
-    witness = view.lms3_witness
+    witness = op._lms3_witness
     lms3 = AxiomReport("Lms3", witness is None, witness, witness and "intersection leaks")
-    n, w, masks = m.size, view.width, view.masks
-    under = view.under  # under[x] = {z : x in z+z}
-    cands = view.cube & _pack(under, w * w) * masks.slots & _pack(under, w) * masks.blocks
+    n, masks = m.size, op._masks
+    w = masks.width
+    under = op._under  # under[x] = {z : x in z+z}
+    cands = op._cube & _pack(under, w * w) * masks.slots & _pack(under, w) * masks.blocks
     high = masks.high
     multiple = _nonzero(cands & (cands | high) - masks.low, masks)
     bad = _repeat(_repeat(1 << w - 1, w, n), w * w, n) & ~_nonzero(cands, masks) | multiple
@@ -494,7 +481,7 @@ def principal_rows(m: Mosaic) -> tuple[int, ...]:
     A caller checks the table first, as reconstruct_from does.  The rows are
     transposed once per table and shared with verify_lmosaic and the
     section-4 lemma battery."""
-    return m.op._view.under
+    return m.op._under
 
 
 def is_reproductive(op: Multioperation) -> AxiomReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field
 
-from .bits import bits, elements, full_mask, image, least, mask_of, members_of, transpose
+from .bits import bits, elements, full_mask, image, least, mask_of, transpose
 from .errors import (
     CyclicCovers,
     DuplicateLabel,
@@ -229,8 +229,23 @@ def structurally_equal(a: FiniteBoundedLattice, b: FiniteBoundedLattice) -> bool
 # -- complements and orthocomplementations -----------------------------------
 
 
+def _members(size: int, subset) -> list[int]:
+    """The sorted distinct members of a bitmask or of an iterable of
+    elements, checked once to lie in the carrier 0..size-1; SizeMismatch
+    otherwise."""
+    if isinstance(subset, int):
+        if subset < 0 or subset >> size:
+            raise SizeMismatch(f"subset mask {subset} is not a subset of a {size}-element carrier")
+        return list(bits(subset))
+    members = sorted(set(subset))
+    if members and not 0 <= members[0] <= members[-1] < size:
+        raise SizeMismatch(f"elements must lie in 0..{size - 1}, got {members}")
+    return members
+
+
 def complements(l: FiniteBoundedLattice, x: int) -> frozenset[int]:
     """{y : x v y = 1 and x ^ y = 0}."""
+    _members(l.size, (x,))
     return elements(complement_mask(l, x))
 
 
@@ -360,7 +375,7 @@ def is_distributive(l: FiniteBoundedLattice, subset=None) -> AxiomReport:
     if subset is None:
         members = list(range(l.size))
     else:
-        members = members_of(subset)
+        members = _members(l.size, subset)
         _require_closed(l, members)
     return _distributive_law(l, members)
 
@@ -395,7 +410,7 @@ def _orthomodular_law(l: FiniteBoundedLattice, pi: Involution, axiom: str) -> Ax
 
 def generated_sublattice(l: FiniteBoundedLattice, seeds, close_under_pi: Involution | None = None) -> frozenset[int]:
     """Least subset containing seeds closed under meet, join (and pi if given)."""
-    seeds = list(seeds)
+    seeds = _members(l.size, list(seeds))
     if not seeds:
         raise NotASublattice("seeds must be nonempty")
     return elements(_generated_mask(l, mask_of(seeds), close_under_pi))
@@ -515,7 +530,7 @@ def sublattice(l: FiniteBoundedLattice, subset) -> tuple[FiniteBoundedLattice, t
     index map sends new indices to old ones (elements in ascending old order;
     a repeated member counts once).
     """
-    members = members_of(subset)
+    members = _members(l.size, subset)
     if not members:
         raise NotASublattice("empty subset")
     _require_closed(l, members)
@@ -551,6 +566,15 @@ def lattice_automorphisms(l: FiniteBoundedLattice) -> list[tuple[int, ...]]:
     return list(lattice_isomorphisms(l, l))
 
 
+def _base_pairs(up, down) -> list[tuple[int, int]]:
+    """Per element of the order with up-set rows up and down-set rows down:
+    (down-set size, up-set size).  The invariant that lattice maps and the
+    enumeration's canonical form read: an embedding sends an element only
+    to one with at least as many elements above and below it, and the
+    canonical form lists the elements in order of it."""
+    return [(d.bit_count(), u.bit_count()) for u, d in zip(up, down)]
+
+
 def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
     """Yield every injective map a -> b that preserves joins and meets, as an
     index tuple, in lexicographic order.
@@ -574,11 +598,11 @@ def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
     if k > b.size:
         return
     a_up, a_down, b_up, b_down = a.leq, a.down, b.leq, b.down
-    rooms = list(zip(map(int.bit_count, b_up), map(int.bit_count, b_down)))
+    rooms = _base_pairs(b_up, b_down)
     fits = []  # fits[i]: the elements of b with room above and below for i
-    for need_up, need_down in zip(map(int.bit_count, a_up), map(int.bit_count, a_down)):
+    for need_down, need_up in _base_pairs(a_up, a_down):
         mask = 0
-        for v, (up, down) in enumerate(rooms):
+        for v, (down, up) in enumerate(rooms):
             if up >= need_up and down >= need_down:
                 mask |= 1 << v
         fits.append(mask)

@@ -108,15 +108,15 @@ def _restricted_op(table, members: list[int]) -> Multioperation:
 
 
 def check_antisym(m: NakanoMosaic) -> AxiomReport:
-    """x,y in x+y iff x = y; read off the table's cube by the view."""
-    witness = m.mosaic.op._view.antisym_witness()
+    """x,y in x+y iff x = y; read off the table's cube."""
+    witness = m.mosaic.op._antisym_witness()
     return AxiomReport("antisym", witness is None, witness, witness and "x,y in x+y iff x=y")
 
 
 def check_principal_idempotent(m: NakanoMosaic) -> AxiomReport:
-    """(x+x)+(x+x) = x+x; the Lms2 witness of the table's view, shared with
+    """(x+x)+(x+x) = x+x; the table's Lms2 witness, shared with
     verify_lmosaic."""
-    witness = m.mosaic.op._view.lms2_witness
+    witness = m.mosaic.op._lms2_witness
     return AxiomReport("principal-idempotent", witness is None, witness, witness and "(x+x)+(x+x) != x+x")
 
 
@@ -148,7 +148,7 @@ def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
 
     For each (y, z) both sides are packed over x, the cell of x at bit
     offset w*x, with w the slot width of the table's cube (see
-    hyperstructure._TableView).  x+(y+z) is the packed union of the columns
+    hyperstructure.Multioperation).  x+(y+z) is the packed union of the columns
     of the members of y+z.  With s = y v z the allowed set is
     bound[s][y] & bound[s][z], where bound[s][u] (u <= s) packs
     {t : t v x v u = t v s = x v s}: it depends on the lattice alone, and
@@ -156,15 +156,15 @@ def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
     least failing x over all (y, z), then the first (y, z) at that x and the
     lowest leaking t make the witness.
 
-    The packed unions come from the table's view, which is_associative
-    shares on a commutative table, and reach from the constructor when it
-    handed them over."""
+    The packed unions are the table's own, which is_associative shares on
+    a commutative table, and reach from the constructor when it handed
+    them over."""
     join, below = m.base.join_table, m.base.down
     reach = m.reach if m.reach is not None else _reach(join)
     op = m.mosaic.op
     table = op.table
-    w = op._view.width
-    sums = op._view.column_unions  # sums[M]: x+M for every x
+    w = op._masks.width
+    sums = op._column_unions  # sums[M]: x+M for every x
     bound = []
     for s, (rs, js) in enumerate(zip(reach, join)):  # js[x] = x v s
         own = 0
@@ -190,16 +190,16 @@ def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
 
 
 def check_lms3_inclusion(m: NakanoMosaic) -> AxiomReport:
-    """(x+(x+y)) & ((x+y)+y) <= x+y; the Lms3 witness of the table's view,
-    shared with verify_lmosaic."""
-    witness = m.mosaic.op._view.lms3_witness
+    """(x+(x+y)) & ((x+y)+y) <= x+y; the table's Lms3 witness, shared
+    with verify_lmosaic."""
+    witness = m.mosaic.op._lms3_witness
     return AxiomReport("lms3-inclusion", witness is None, witness, witness and "intersection leaks")
 
 
 def nakano_property_reports(m: NakanoMosaic) -> list[AxiomReport]:
     """The section-4 lemma battery, one report per lemma.  The cube, the
     principal rows, the Lms2 and Lms3 witnesses and the packed unions are
-    read from the table's view, so a table that verify_mosaic,
+    the table's own, so a table that verify_mosaic,
     verify_lmosaic or is_associative has already checked does not derive
     them again, and no order of the calls changes a report."""
     reports = [

@@ -1,12 +1,12 @@
-"""The pruned canonical form and lattice-map search against their unpruned
+"""The pruned canonicity test and lattice-map search against their unpruned
 references.
 
 catalog's canonicity test stages its invariants and cuts each relabeling at
-its first row that differs from the best key so far; the lattice-map search
+its first row that differs from the candidate's; the lattice-map search
 behind lattice_isomorphisms and find_sublattice_copy tests each candidate
 image by two row identities.  tests/oracles.py keeps the unpruned
 relabeling sweep, a pairwise backtracking search with no invariants and a
-sweep over all injections.  Keys, verdicts, isomorphism lists and
+sweep over all injections.  Verdicts, isomorphism lists and
 embedding lists, their order included, must agree on every lattice and
 candidate with at most 8 elements, on the 8 892 candidates with 9 (only
 agreement is checked there, no count), and on seeded relabelings.
@@ -17,7 +17,7 @@ import random
 import pytest
 
 from mosaic_lab.bits import transpose
-from mosaic_lab.catalog import _bounded_lattice_candidates, _canonical_key, _is_canonical, named
+from mosaic_lab.catalog import _bounded_lattice_candidates, _is_canonical, named
 from mosaic_lab.lattice_core import (
     _lattice_embeddings,
     from_leq,
@@ -31,6 +31,7 @@ from oracles import (
     brute_lattice_embeddings,
     canonical_key_unpruned,
     is_canonical_unpruned,
+    key_invariants_loops,
     order_isomorphisms_loops,
 )
 
@@ -57,18 +58,42 @@ def test_is_canonical_agrees_on_every_candidate(n):
         assert _is_canonical(up, down) == is_canonical_unpruned(up), up
 
 
+def is_canonical(up):
+    return _is_canonical(up, tuple(transpose(up)))
+
+
 def test_canonical_key_agrees_on_seeded_relabelings(lattices_upto_8):
+    """Each class is listed as its key, and a relabeled copy is canonical
+    exactly when it is that key."""
     rng = random.Random(20141)
+    rejected = 0
     for l in lattices_upto_8:
+        assert is_canonical(l.leq), l.leq
         for up in seeded_relabelings(l.leq, rng, 3):
-            assert _canonical_key(up) == canonical_key_unpruned(up) == l.leq, up
+            assert canonical_key_unpruned(up) == l.leq, up
+            assert is_canonical(up) == (up == l.leq), up
+            rejected += up != l.leq
+    assert rejected > 0
 
 
 @pytest.mark.parametrize("name", ["MO_2", "MO_3", "boolean_3"])
 def test_canonical_key_agrees_on_named_lattices(name):
-    """Large invariant classes: the atoms of MO_3 form one class of six."""
+    """Large invariant classes: the atoms of MO_3 form one class of six.  The
+    key is canonical; of the named lattice, copies of the key with each
+    invariant class shuffled (which only relabelings can rule out) and
+    seeded relabeled copies, exactly those equal to the key are."""
     up = named(name).lattice.leq
-    assert _canonical_key(up) == canonical_key_unpruned(up)
+    key = canonical_key_unpruned(up)
+    assert is_canonical(key)
+    inv, rng = key_invariants_loops(key), random.Random(5)
+    shuffled = []
+    for _ in range(4):
+        old_at = sorted(range(len(key)), key=lambda i: (inv[i], rng.random()))
+        shuffled.append(relabeled(key, sorted(range(len(key)), key=old_at.__getitem__)))
+    relabelings = list(seeded_relabelings(up, rng, 4))
+    for copy in [up, *shuffled, *relabelings]:
+        assert is_canonical(copy) == (copy == key), copy
+    assert not any(map(is_canonical, relabelings))
 
 
 def test_isomorphism_lists_agree_on_pairs_upto_6(lattices_upto_6):

@@ -18,7 +18,7 @@ from mosaic_lab.catalog import (
     CATALOG_NAMES,
     CatalogEntry,
     _bounded_lattice_candidates,
-    _canonical_key,
+    _is_canonical,
     census,
     enumerate_lattices,
     enumerate_ortholattices,
@@ -175,8 +175,9 @@ class TestEnumerateLattices:
 
     def test_each_class_is_listed_as_its_canonical_key_in_order(self):
         for n in range(1, 9):
-            ups = [l.leq for l in enumerate_lattices(n)]
-            assert all(_canonical_key(up) == up for up in ups), n
+            ls = enumerate_lattices(n)
+            assert all(_is_canonical(l.leq, l.down) and canonical_key_unpruned(l.leq) == l.leq for l in ls), n
+            ups = [l.leq for l in ls]
             assert ups == sorted(set(ups)), n
 
     def test_counts_match_frozen_fixture(self):

@@ -309,6 +309,13 @@ class TestGeneratedPolygroup:
         with pytest.raises(PreconditionFailed):
             generated_polygroup_check(functor_E(hexagon_pair), 0, 1)
 
+    @pytest.mark.parametrize("x, y", [(6, 0), (0, 6), (-1, 0)])
+    def test_elements_past_the_carrier_are_a_typed_error(self, x, y):
+        e = named("MO_2")
+        p = functor_E(OrthoPair(e.lattice, e.ortho))
+        with pytest.raises(SizeMismatch):
+            generated_polygroup_check(p, x, y)
+
     def test_lattice_side_fact6(self, ortholattices_upto_8, monkeypatch):
         """The generated pi-closed sublattice is modular, and the table that
         generated_polygroup_check restricts, and checks only for

@@ -241,8 +241,11 @@ class TestCliCheck:
         assert "witness=(b,a)" in res.output
 
     def test_missing_ortho_is_input_error(self, runner):
-        res = runner.invoke(main, ["check", "chain_3", "--checks", "orthomodular"])
-        assert res.exit_code == 2
+        for args in (["check", "chain_3", "--checks", "orthomodular"], ["check", "pentagon", "--checks", "roundtrip"]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 2, args
+            assert res.stdout == "", args
+            assert res.stderr == "error: input has no ortho block and no discoverable orthocomplementation\n", args
 
     def test_unknown_check_is_input_error(self, runner):
         res = runner.invoke(main, ["check", "pentagon", "--checks", "sparkles"])

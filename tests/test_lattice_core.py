@@ -261,6 +261,28 @@ class TestFromLeq:
         assert issubclass(SizeMismatch, MosaicLabError)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda l: sublattice(l, [0, l.size]),
+        lambda l: sublattice(l, 1 << l.size | 1),
+        lambda l: sublattice(l, -1),
+        lambda l: is_distributive(l, [-1, 0]),
+        lambda l: generated_sublattice(l, [l.size]),
+        lambda l: generated_sublattice(l, [-1, 0]),
+        lambda l: complements(l, l.size),
+        lambda l: complements(l, -1),
+    ],
+    ids=["sublattice", "sublattice-mask", "sublattice-negative-mask", "is_distributive",
+         "generated_sublattice", "generated_sublattice-negative", "complements", "complements-negative"],
+)
+def test_elements_past_the_carrier_raise_size_mismatch(call):
+    """Checked once on entry: no bare IndexError, no negative shift count,
+    no answer for the element that a negative index wraps around to."""
+    with pytest.raises(SizeMismatch):
+        call(named("MO_2").lattice)
+
+
 def test_join_meet_tables_equal_a_scan(lattices_upto_8):
     """The joins and meets the constructor reads off the rows are the bounds
     a scan of the whole carrier finds."""
@@ -391,6 +413,18 @@ class TestOrthocomplementations:
                         assert pi(l.join(x, y)) == l.meet(pi(x), pi(y)), "OC2"
                         assert pi(l.meet(x, y)) == l.join(pi(x), pi(y)), "OC3"
         assert maps
+
+
+def test_orthocomplementations_are_listed_in_lexicographic_order(lattices_upto_8):
+    """catalog._ortho_classes takes the first map of each conjugacy class
+    as its least, so the listing must come sorted."""
+    extra = [f"MO_{k}" for k in range(2, 6)] + [f"boolean_{k}" for k in range(1, 5)] + ["hexagon"]
+    longest = 0
+    for l in lattices_upto_8 + [named(name).lattice for name in extra]:
+        maps = [pi.map for pi in orthocomplementations(l)]
+        assert maps == sorted(maps), l.names
+        longest = max(longest, len(maps))
+    assert longest == 945  # MO_5
 
 
 class TestModularity:

@@ -175,6 +175,22 @@ class TestLemmaBattery:
         )
         assert not check_antisym(edited).holds
 
+    def test_checks_of_one_table_share_its_derived_parts(self, call_counts):
+        """verify_mosaic, verify_lmosaic, is_associative and the battery read
+        the cube, its square and the principal rows that the table derives
+        once, whichever check runs first; a second verify_lmosaic derives
+        nothing."""
+        import mosaic_lab.hyperstructure as hs
+
+        counts = call_counts(hs, "_square", "transpose")
+        nm = additive_nakano(named("MO_3").lattice)
+        assert verify_mosaic(nm.mosaic.op).ok
+        first = verify_lmosaic(nm.mosaic)
+        assert is_associative(nm.mosaic.op).holds
+        assert all(r.holds for r in nakano_property_reports(nm))
+        assert verify_lmosaic(nm.mosaic) == first
+        assert counts == {"_square": 1, "transpose": 1}
+
     def test_individual_checks_pass(self, hexagon):
         nm = additive_nakano(hexagon.lattice)
         for check in (
