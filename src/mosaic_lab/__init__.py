@@ -5,6 +5,7 @@ from .lattice_core import (
     AxiomReport,
     FiniteBoundedLattice,
     Involution,
+    OrthoPair,
     build_from_covers,
     check_om_equivalences,
     complements,
@@ -34,7 +35,6 @@ from .nakano import (
 )
 from .equivalence import (
     DualizableLMosaicPair,
-    OrthoPair,
     functor_E,
     generated_polygroup_check,
     is_orthomodular_mosaic,

@@ -23,18 +23,18 @@ import re
 from dataclasses import dataclass
 
 from .bits import bits, full_mask, least, mask_of, transpose
-from .equivalence import OrthoPair
 from .errors import InvalidStructure, SizeTooLarge, UnknownName
 from .lattice_core import (
     FiniteBoundedLattice,
     Involution,
+    OrthoPair,
     _base_pairs,
+    _orthomodular_law,
     build_from_covers,
     complement_mask,
     from_leq,
     hexagon_pattern,
     is_modular,
-    is_orthomodular,
     lattice_automorphisms,
     orthocomplementations,
     pentagon_pattern,
@@ -313,7 +313,7 @@ def census(n: int) -> list[dict]:
                 "modular": is_modular(l).holds,
                 "ortholattice": bool(pairs),
                 "ortho_count": len(pairs),
-                "orthomodular": [is_orthomodular(p.lattice, p.pi).holds for p in pairs],
+                "orthomodular": [_orthomodular_law(l, p.pi, "orthomodular").holds for p in pairs],
                 "covers": [[l.names[a], l.names[b]] for a, b in l.covers()],
             }
         )

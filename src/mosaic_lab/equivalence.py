@@ -1,12 +1,14 @@
 """The ortholattice <-> dualizable L-mosaic equivalence: functor, inverse
 reconstruction, morphism transfer and the mosaic-side orthomodularity test.
 
+The ortholattice side is lattice_core.OrthoPair, whose constructor checks pi.
 Both directions build what the paper's main theorem proves: functor_E the
 Nakano mosaic of an ortholattice, the reconstruction the order that the
 principal cells of a dualizable table induce, with pi as orthocomplement.
 Neither re-checks the theorem; the test suite does.  A table from outside
 the program is checked once, by _dualizability_failure, before it is
-reconstructed.
+reconstructed.  A pair's reconstruction and orthomodularity verdict have one
+public name each: reconstruct_lattice and is_orthomodular_mosaic.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from functools import cached_property
 from .bits import bits, full_mask, image, least, mask_of, subsets, transpose
 from .errors import (
     MosaicLabError,
-    NotAnOrthocomplementation,
     PreconditionFailed,
     ReconstructionFailure,
     SizeMismatch,
@@ -36,49 +37,29 @@ from .hyperstructure import (
 )
 from .lattice_core import (
     AxiomReport,
-    FiniteBoundedLattice,
     Involution,
+    OrthoPair,
     _generated_mask,
     _members,
     _preserves,
     from_leq,
-    is_orthocomplementation,
     orthocomplementations,
 )
 from .nakano import _restricted_op, additive_nakano
 
 
-@dataclass(frozen=True)
-class OrthoPair:
-    """An ortholattice: a bounded lattice together with one orthocomplementation."""
-
-    lattice: FiniteBoundedLattice
-    pi: Involution
-
-    def __post_init__(self):
-        if not is_orthocomplementation(self.lattice, self.pi):
-            raise NotAnOrthocomplementation("pi does not orthocomplement the lattice")
-
-    @property
-    def size(self) -> int:
-        return self.lattice.size
-
-
 def _dualizability_failure(mosaic: Mosaic, pi: Involution):
-    """Why (mosaic, pi) is not a dualizable L-mosaic pair; None when it is:
-    the table checks, then the orthocomplement checks."""
-    return _table_failure(mosaic, pi) or _orthocomplement_failure(mosaic, pi)
+    """Why (mosaic, pi) is not a dualizable L-mosaic pair, as (reason,
+    witness); None when it is.
 
-
-def _table_failure(mosaic: Mosaic, pi: Involution):
-    """Why the table is no L-mosaic and mosaic; None when it is.
-
-    pi maps the pi-dual table isomorphically onto the table, so the pi-dual
-    is a mosaic exactly when the table is, and its L-mosaic axioms are the
-    table's own; the table is checked in its place
-    (tests/oracles.dualizability_failure_loops keeps the literal pi-dual
-    route).  An involution of another size is a SizeMismatch once the table
-    is an L-mosaic.
+    The table checks come first.  pi maps the pi-dual table isomorphically
+    onto the table, so the pi-dual is a mosaic exactly when the table is,
+    and its L-mosaic axioms are the table's own; the table is checked in its
+    place (tests/oracles.dualizability_failure_loops keeps the literal
+    pi-dual route).  An involution of another size is a SizeMismatch once
+    the table is an L-mosaic.  Then pi must orthocomplement the induced
+    order: reverse it, with pi(0) in x + pi(x) for every x.  Without these
+    the reconstructed structure is no pi-ortholattice.
     """
     bad = [r for r in verify_lmosaic(mosaic) if not r.holds]
     if bad:
@@ -87,14 +68,6 @@ def _table_failure(mosaic: Mosaic, pi: Involution):
         raise SizeMismatch("involution size disagrees with the carrier")
     if not verify_mosaic(mosaic.op).ok:
         return "pi-dual table is not a mosaic", ()
-    return None
-
-
-def _orthocomplement_failure(mosaic: Mosaic, pi: Involution):
-    """Why pi does not orthocomplement the order induced by an L-mosaic of
-    its own size; None when it does: order-reversing, with pi(0) in x + pi(x)
-    for every x.  Without these the reconstructed structure is no
-    pi-ortholattice."""
     # the elements below x (its principal cell x+x) must be the pi-images of
     # the elements above pi(x)
     up = principal_rows(mosaic)
@@ -109,10 +82,6 @@ def _orthocomplement_failure(mosaic: Mosaic, pi: Involution):
     return None
 
 
-def is_genuinely_dualizable(mosaic: Mosaic, pi: Involution) -> bool:
-    return _dualizability_failure(mosaic, pi) is None
-
-
 @dataclass(frozen=True)
 class DualizableLMosaicPair:
     """An L-mosaic with an involution that orthocomplements its induced
@@ -122,10 +91,10 @@ class DualizableLMosaicPair:
     Construction checks nothing; its Mosaic was checked, when built, only
     for a neutral that is neutral and a rho that fixes it.  functor_E
     builds pairs that the paper proves dualizable, and a table from outside
-    is checked by reconstruct_from or is_genuinely_dualizable.  The
-    reconstruction, the orthomodularity verdict, the subalgebra that each
-    pi-closed seed set generates and the associativity verdict of each
-    generated subalgebra are computed at most once per pair, on first use,
+    is checked by reconstruct_from.  The reconstruction, the
+    orthomodularity verdict, the subalgebra that each pi-closed seed set
+    generates and the associativity verdict of each generated subalgebra
+    are computed at most once per pair, on first use,
     and live as long as the pair.  They take no part in ==, hash or repr.
     """
 
@@ -141,13 +110,13 @@ class DualizableLMosaicPair:
         return self.pi(self.mosaic.neutral)
 
     @cached_property
-    def reconstruction(self) -> "OrthoPair":
+    def _reconstruction(self) -> OrthoPair:
         """The pi-ortholattice on the carrier, with names x0, x1, ...: the
         induced order and pi, read off the table unchecked."""
         return _reconstruct(self.mosaic, self.pi)
 
     @cached_property
-    def orthomodular(self) -> AxiomReport:
+    def _orthomodular(self) -> AxiomReport:
         """Criterion: x in y+y and 1 in x + pi(y) imply x = y, with 1 = pi(0).
 
         Read row by row: the y with x in y+y are the principal row of x,
@@ -198,7 +167,7 @@ def reconstruct_lattice(p: DualizableLMosaicPair) -> OrthoPair:
     """The pi-ortholattice of a dualizable pair (an image of functor_E, or a
     table that passed the dualizability check): the pair's own
     reconstruction, built on first use."""
-    return p.reconstruction
+    return p._reconstruction
 
 
 def _reconstruct(mosaic: Mosaic, pi: Involution) -> OrthoPair:
@@ -217,7 +186,8 @@ def _reconstruct(mosaic: Mosaic, pi: Involution) -> OrthoPair:
 class MorphismTransferReport:
     """Raw lattice/mosaic morphism status of one map plus the pi-intertwining
     flag.  The provable coincidence is between the arrow statuses (morphism
-    and intertwining), not the raw ones."""
+    and intertwining), not the raw ones: they agree when the map does not
+    intertwine, or is a morphism on both sides or on neither."""
 
     map: tuple[int, ...]
     lattice_hom: bool
@@ -225,21 +195,8 @@ class MorphismTransferReport:
     intertwines: bool
 
     @property
-    def lattice_arrow(self) -> bool:
-        return self.lattice_hom and self.intertwines
-
-    @property
-    def mosaic_arrow(self) -> bool:
-        return self.mosaic_hom and self.intertwines
-
-    @property
     def agree(self) -> bool:
-        return self.lattice_arrow == self.mosaic_arrow
-
-    def as_report(self) -> AxiomReport:
-        if self.agree:
-            return AxiomReport("morphism-transfer", True)
-        return AxiomReport("morphism-transfer", False, self.map, "arrow statuses disagree")
+        return not self.intertwines or self.lattice_hom == self.mosaic_hom
 
 
 def morphism_transfer_check(f, src: OrthoPair, dst: OrthoPair) -> MorphismTransferReport:
@@ -263,7 +220,7 @@ def morphism_transfer_check(f, src: OrthoPair, dst: OrthoPair) -> MorphismTransf
 
 def is_orthomodular_mosaic(p: DualizableLMosaicPair) -> AxiomReport:
     """The pair's mosaic-side orthomodularity verdict, computed once per pair."""
-    return p.orthomodular
+    return p._orthomodular
 
 
 def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> AxiomReport:
@@ -323,7 +280,7 @@ def enumerate_dualizable_pairs(max_n: int):
     neutral row).  Each table is verified once, as a mosaic and an L-mosaic.
     Its diagonal is the carrier's down rows, so the order it induces is the
     carrier's, and with Lms4 an involution passes the orthocomplement checks
-    of is_genuinely_dualizable exactly when it orthocomplements the carrier:
+    of _dualizability_failure exactly when it orthocomplements the carrier:
     the involutions are the carrier's orthocomplementations, found once per
     carrier, and a carrier with none is skipped."""
     if max_n > 4:

@@ -199,12 +199,6 @@ class MosaicVerification:
     def ok(self) -> bool:
         return self.mosaic is not None
 
-    def report(self, axiom: str) -> AxiomReport:
-        for r in self.reports:
-            if r.axiom == axiom:
-                return r
-        raise KeyError(axiom)
-
 
 def verify_mosaic(op: Multioperation) -> MosaicVerification:
     """Full pipeline: commutative, total, neutral, unique inverses, rho := inverse

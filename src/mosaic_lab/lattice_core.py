@@ -1,6 +1,7 @@
 """Finite bounded lattices: construction, order/join/meet queries, complements
 (the complement multimap omega, which the orthocomplement search reads),
-orthocomplementations, modularity/orthomodularity/distributivity checks and
+orthocomplementations, the ortholattice type OrthoPair (its constructor is
+the one test of pi), modularity/orthomodularity/distributivity checks and
 forbidden-sublattice search.
 
 Elements are canonical indices 0..n-1; labels are presentation-only.  Subsets
@@ -221,11 +222,6 @@ def dual_lattice(l: FiniteBoundedLattice) -> FiniteBoundedLattice:
     return d
 
 
-def structurally_equal(a: FiniteBoundedLattice, b: FiniteBoundedLattice) -> bool:
-    """Equality of order (the up rows) on a shared carrier, ignoring labels."""
-    return a.leq == b.leq
-
-
 # -- complements and orthocomplementations -----------------------------------
 
 
@@ -258,12 +254,6 @@ def complement_mask(l: FiniteBoundedLattice, x: int) -> int:
     return m
 
 
-def omega_rows(l: FiniteBoundedLattice) -> tuple[int, ...]:
-    """The complement multimap as one bitmask row per element: the
-    candidates of the orthocomplement search."""
-    return tuple(complement_mask(l, x) for x in range(l.size))
-
-
 def is_order_reversing(l: FiniteBoundedLattice, pi: Involution) -> bool:
     """OC1: x <= y iff pi(y) <= pi(x), one up-set row at a time: the elements
     above x are the pi-images of the elements below pi(x)."""
@@ -279,8 +269,8 @@ def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> 
     complement), and a branch is cut as soon as the pair breaks OC1 against
     the elements assigned so far.  The maps come out in the order in which
     the same search without the cut lists the complement-selecting
-    involutions (tests/oracles.py keeps it).  With a limit, the search stops
-    with SizeTooLarge once it finds more than limit maps.
+    involutions (tests/oracles.py keeps it).  SizeTooLarge stops it past
+    _MAX_PLACEMENTS pairs tried, and with a limit past limit maps found.
 
     The De Morgan laws (OC2/OC3) follow from OC1 for an involution, so they
     are not tested here; tests/test_lattice_core.py checks them on every
@@ -294,22 +284,35 @@ def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> 
     return out
 
 
+# pairs the orthocomplement search tries at most (about 2 s): MO_5's full
+# listing tries 2 278, MO_7's first 20 001 maps 48 219
+_MAX_PLACEMENTS = 1_000_000
+
+
 def _orthocomplementation_search(l: FiniteBoundedLattice):
     """The search of orthocomplementations, yielding each map as it is
-    found: next() of it stops at the first.
+    found: next() of it stops at the first.  pi has no fixed point (x = pi(x)
+    gives x = x v pi(x) = 1 and x = x ^ pi(x) = 0), so an odd carrier with
+    n > 1 has none.
 
-    One generator frame runs the whole search.  frames holds, per pair
-    assigned on the way down, its element x, the elements assigned before
-    it and the complements of x not yet tried; the candidates of the least
-    unassigned x are om[x] & ~done, so an assigned element is never
-    scanned."""
+    One generator frame runs the whole search, and raises SizeTooLarge
+    past _MAX_PLACEMENTS pairs tried.  frames holds, per pair assigned on
+    the way down, its element x, the elements assigned before it and the
+    complements of x not yet tried; the candidates of the least unassigned x
+    are om[x] & ~done, so an assigned element is never scanned."""
     n, up, down = l.size, l.leq, l.down
-    om, full = omega_rows(l), full_mask(n)
+    if n > 1 and n % 2:
+        return
+    om, full = [complement_mask(l, x) for x in range(n)], full_mask(n)
     assign = [-1] * n
     frames = []
+    budget = _MAX_PLACEMENTS
     x, done, cands = 0, 0, om[0]
     while True:
         if cands:
+            if not budget:
+                raise SizeTooLarge(f"orthocomplement search past {_MAX_PLACEMENTS} placements")
+            budget -= 1
             low = cands & -cands
             cands ^= low
             y = low.bit_length() - 1
@@ -346,9 +349,22 @@ def is_orthocomplementation(l: FiniteBoundedLattice, pi: Involution) -> bool:
     ) and is_order_reversing(l, pi)
 
 
-def _require_ortho(l: FiniteBoundedLattice, pi: Involution):
-    if not is_orthocomplementation(l, pi):
-        raise NotAnOrthocomplementation("pi is not an orthocomplementation of l")
+@dataclass(frozen=True)
+class OrthoPair:
+    """An ortholattice: a bounded lattice together with one orthocomplementation
+    (Kalmbach, Orthomodular Lattices, 1983).  Construction raises
+    NotAnOrthocomplementation otherwise."""
+
+    lattice: FiniteBoundedLattice
+    pi: Involution
+
+    def __post_init__(self):
+        if not is_orthocomplementation(self.lattice, self.pi):
+            raise NotAnOrthocomplementation("pi does not orthocomplement the lattice")
+
+    @property
+    def size(self) -> int:
+        return self.lattice.size
 
 
 # -- modularity, orthomodularity, distributivity ------------------------------
@@ -393,8 +409,8 @@ def _distributive_law(l: FiniteBoundedLattice, members: list[int]) -> AxiomRepor
 
 
 def is_orthomodular(l: FiniteBoundedLattice, pi: Involution) -> AxiomReport:
-    """x <= y implies x v (pi(x) ^ y) = y."""
-    _require_ortho(l, pi)
+    """x <= y implies x v (pi(x) ^ y) = y; pi is checked by OrthoPair."""
+    OrthoPair(l, pi)
     return _orthomodular_law(l, pi, "orthomodular")
 
 
@@ -410,6 +426,8 @@ def _orthomodular_law(l: FiniteBoundedLattice, pi: Involution, axiom: str) -> Ax
 
 def generated_sublattice(l: FiniteBoundedLattice, seeds, close_under_pi: Involution | None = None) -> frozenset[int]:
     """Least subset containing seeds closed under meet, join (and pi if given)."""
+    if close_under_pi is not None and close_under_pi.size != l.size:
+        raise SizeMismatch("involution size disagrees with the carrier")
     seeds = _members(l.size, list(seeds))
     if not seeds:
         raise NotASublattice("seeds must be nonempty")
@@ -469,7 +487,7 @@ def check_om_equivalences(l: FiniteBoundedLattice, pi: Involution) -> list[Axiom
     """OM1 (definition), OM2, OM3 (hexagon-freeness), OM4 (generated distributivity).
 
     The four reports agree in truth value on every ortholattice.  pi is
-    checked to be an orthocomplementation once, on entry.  OM4 scans x <= y
+    checked once, on entry, by OrthoPair.  OM4 scans x <= y
     in lexicographic order; the first (x, y) whose generated pi-closed
     sublattice is not distributive is the witness.  A pair with x = 0,
     x = y or y = 1 generates {0, 1, u, pi(u)}, which is Boolean and so never
@@ -478,7 +496,7 @@ def check_om_equivalences(l: FiniteBoundedLattice, pi: Involution) -> list[Axiom
     seed set is closed once per call, and each distinct closure tested for
     distributivity once per call.
     """
-    _require_ortho(l, pi)
+    OrthoPair(l, pi)
     om1 = _orthomodular_law(l, pi, "OM1")
 
     # x <= y and x v pi(y) = 1 imply x = y; the section-3 print swaps the
@@ -555,11 +573,6 @@ def lattice_isomorphisms(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
     order: the embeddings of a into a lattice of its own size."""
     if a.size == b.size:
         yield from _lattice_embeddings(a, b)
-
-
-def lattice_isomorphism(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
-    """Some isomorphism a -> b, or None."""
-    return next(lattice_isomorphisms(a, b), None)
 
 
 def lattice_automorphisms(l: FiniteBoundedLattice) -> list[tuple[int, ...]]:

@@ -18,7 +18,6 @@ from mosaic_lab.equivalence import (
     enumerate_dualizable_pairs,
     functor_E,
     generated_polygroup_check,
-    is_genuinely_dualizable,
     is_orthomodular_mosaic,
     morphism_transfer_check,
     reconstruct_from,
@@ -33,7 +32,6 @@ from mosaic_lab.lattice_core import (
     is_modular,
     is_orthomodular,
     orthocomplementations,
-    structurally_equal,
     sublattice,
 )
 from mosaic_lab.nakano import additive_nakano, extremum_by_characterization
@@ -62,7 +60,7 @@ class TestPairValidation:
     def test_identity_involution_on_chain_rejected(self):
         m = additive_nakano(named("chain_2").lattice).mosaic
         pi = Involution.identity(2)
-        assert not is_genuinely_dualizable(m, pi)
+        assert equivalence._dualizability_failure(m, pi) is not None
         with pytest.raises(ReconstructionFailure):
             reconstruct_from(m, pi)
 
@@ -72,7 +70,7 @@ class TestPairValidation:
         b2 = named("boolean_2")
         m = additive_nakano(b2.lattice).mosaic
         swap_bounds = Involution((3, 1, 2, 0))
-        assert not is_genuinely_dualizable(m, swap_bounds)
+        assert equivalence._dualizability_failure(m, swap_bounds) is not None
         with pytest.raises(ReconstructionFailure) as exc:
             reconstruct_from(m, swap_bounds)
         assert "complement" in str(exc.value)
@@ -84,7 +82,7 @@ class TestPairValidation:
 
     def test_pentagon_admits_no_dualizing_involution(self, pentagon):
         m = additive_nakano(pentagon.lattice).mosaic
-        passing = [pi for pi in all_involutions(5) if is_genuinely_dualizable(m, Involution(pi))]
+        passing = [pi for pi in all_involutions(5) if equivalence._dualizability_failure(m, Involution(pi)) is None]
         assert passing == []
 
 
@@ -92,7 +90,7 @@ class TestReconstruction:
     def test_roundtrip_all_ortholattices(self, ortholattices_upto_8):
         for p in ortholattices_upto_8:
             r = reconstruct_lattice(functor_E(p))
-            assert structurally_equal(r.lattice, p.lattice)
+            assert r.lattice.leq == p.lattice.leq
             assert r.pi == p.pi
 
     def test_boolean_3_tables_equal(self):
@@ -228,7 +226,7 @@ class TestMorphismTransfer:
                     all(f[src.pi(x)] == dst.pi(f[x]) for x in range(a.size)),
                 )
                 assert morphism_transfer_check(f, src, dst) == want
-                arrows += want.lattice_arrow
+                arrows += want.lattice_hom and want.intertwines
         assert arrows
 
     def test_frozen_raw_counterexample(self):
@@ -263,8 +261,15 @@ class TestMorphismTransfer:
         with pytest.raises(SizeMismatch, match="f is not a map between the carriers"):
             morphism_transfer_check(f, hexagon_pair, hexagon_pair)
 
-    def test_as_report(self, hexagon_pair):
-        assert morphism_transfer_check(range(6), hexagon_pair, hexagon_pair).as_report().holds
+    def test_identity_map_agrees(self, hexagon_pair):
+        assert morphism_transfer_check(range(6), hexagon_pair, hexagon_pair).agree
+
+    def test_agree_compares_the_arrow_statuses(self):
+        """An arrow is a morphism that intertwines pi; the two arrow
+        statuses are compared, not the raw morphism statuses."""
+        for lattice_hom, mosaic_hom, intertwines in itertools.product((False, True), repeat=3):
+            rep = MorphismTransferReport((0,), lattice_hom, mosaic_hom, intertwines)
+            assert rep.agree == ((lattice_hom and intertwines) == (mosaic_hom and intertwines))
 
 
 class TestOrthomodularMosaic:

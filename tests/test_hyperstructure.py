@@ -158,18 +158,18 @@ class TestVerifyMosaic:
         edited = pv.op.with_cell(a, a, [1, 2])  # {a,b}: 0 dropped
         got = verify_mosaic(edited)
         assert not got.ok
-        assert got.report("unique-inverses").witness == (a,)
+        assert {r.axiom: r for r in got.reports}["unique-inverses"].witness == (a,)
 
     def test_partial_rejected(self, pv):
         edited = pv.op.with_cell(1, 2, [])
         got = verify_mosaic(edited)
         assert not got.ok
-        assert not got.report("total").holds
+        assert not {r.axiom: r for r in got.reports}["total"].holds
 
     def test_noncommutative_rejected(self):
         op = Multioperation(2, ((0b01, 0b10), (0b11, 0b10)))
         got = verify_mosaic(op)
-        assert not got.report("commutative").holds
+        assert not {r.axiom: r for r in got.reports}["commutative"].holds
 
     def test_reversibility_failure_witnessed(self, pv, pentagon):
         p = pentagon.lattice
@@ -177,7 +177,7 @@ class TestVerifyMosaic:
         edited = pv.op.with_cell(a, c, [c, 4]).with_cell(c, a, [c, 4])
         got = verify_mosaic(edited)
         assert not got.ok
-        assert not got.report("reversible").holds
+        assert not {r.axiom: r for r in got.reports}["reversible"].holds
 
     def test_three_way_equivalences_on_corpus(self, lattices_upto_6):
         for l in lattices_upto_6[:10]:
@@ -344,7 +344,7 @@ class TestLMosaic:
         a, c, one = p.index("a"), p.index("c"), p.index("1")
         edited = pv.op.with_cell(a, c, [one, c]).with_cell(c, a, [one, c])
         got = verify_mosaic(edited)
-        assert not got.ok and not got.report("reversible").holds
+        assert not got.ok and not {r.axiom: r for r in got.reports}["reversible"].holds
 
     def test_mutating_top_cell_breaks_lms1(self, pv, pentagon):
         one = pentagon.lattice.index("1")

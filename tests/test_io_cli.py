@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from mosaic_lab import lattice_core
 from mosaic_lab.cli import _MAX_FILE_ELEMENTS, main
 from mosaic_lab.errors import FormatError, NotAnOrthocomplementation
 from mosaic_lab.io import (
@@ -16,7 +17,6 @@ from mosaic_lab.io import (
     table_doc_from_mosaic,
     table_doc_to_json,
 )
-from mosaic_lab.lattice_core import structurally_equal
 from mosaic_lab.nakano import additive_nakano, multiplicative_nakano
 from mosaic_lab.catalog import named
 
@@ -51,6 +51,16 @@ def chain_2_doc(**changes):
     return dict({"name": "chain_2", "elements": ["0", "1"], "covers": [["0", "1"]]}, **changes)
 
 
+def atoms_and_chain_doc(atoms: int, chain: int = 0) -> dict:
+    """0 < a1..a{atoms} < 1, the atoms listed first, plus a chain
+    0 < c1 < ... < c{chain} < 1 beside them, as a lattice document."""
+    names = [f"a{i}" for i in range(1, atoms + 1)]
+    steps = ["0", *(f"c{i}" for i in range(1, chain + 1)), "1"]
+    covers = [[x, y] for a in names for x, y in (("0", a), (a, "1"))] + [list(s) for s in zip(steps, steps[1:])]
+    return {"name": f"atoms_{atoms}" + (f"_chain_{chain}" if chain else ""),
+            "elements": ["0", *names, *steps[1:-1], "1"], "covers": covers}
+
+
 def chain_doc(n: int) -> dict:
     """The chain c0 < c1 < ... < c(n-1) as a lattice document."""
     elements = [f"c{i}" for i in range(n)]
@@ -66,7 +76,7 @@ class TestLatticeFormat:
     def test_roundtrip(self, hexagon):
         doc = lattice_to_doc(hexagon.lattice, hexagon.ortho, "hexagon")
         l, pi, name = lattice_from_doc(doc)
-        assert structurally_equal(l, hexagon.lattice)
+        assert l.leq == hexagon.lattice.leq
         assert pi == hexagon.ortho
         assert name == "hexagon"
 
@@ -441,6 +451,36 @@ class TestCliOther:
         res = runner.invoke(main, ["orthocomplements", "MO_6", "--format", "json"])
         assert res.exit_code == 0 and json.loads(res.stdout)["count"] == 10395
 
+    def test_odd_file_fails_the_ortholattice_check_at_once(self, runner, tmp_path):
+        """0 < 17 atoms < 1 has 19 elements, so no orthocomplementation:
+        an orthocomplementation has no fixed point, and the search answers
+        without pairing the atoms off."""
+        path = tmp_path / "atoms_17.json"
+        path.write_text(json.dumps(atoms_and_chain_doc(17)))
+        res = runner.invoke(main, ["check", str(path), "--checks", "ortholattice"])
+        assert (res.exit_code, res.stdout) == (1, "FAIL ortholattice witness=() reason=no orthocomplementation\n")
+        res = runner.invoke(main, ["orthocomplements", str(path)])
+        assert (res.exit_code, res.stdout) == (0, "atoms_17: 0 orthocomplementation(s)\n")
+
+    def test_search_past_its_placement_budget_is_input_error(self, runner, tmp_path, monkeypatch):
+        """0 < a1..a16 < 1 beside 0 < c1 < c2 < 1 has 20 elements and no
+        orthocomplementation, and the search pairs atoms for over a minute
+        before it finds that out.  Every command that searches stops at the budget of
+        pairs tried and exits 2: the first-map search of the ortholattice
+        check with the library's budget, the others with a smaller one."""
+        path = tmp_path / "atoms_16_chain_2.json"
+        path.write_text(json.dumps(atoms_and_chain_doc(16, chain=2)))
+        res = runner.invoke(main, ["check", str(path), "--checks", "ortholattice"])
+        assert (res.exit_code, res.stdout) == (2, "")
+        assert res.stderr == ("error: orthocomplement search past 1000000 placements;"
+                              " give the input an ortho block\n")
+        monkeypatch.setattr(lattice_core, "_MAX_PLACEMENTS", 20000)
+        for args, advice in ((["check"], True), (["roundtrip"], True), (["orthocomplements"], False)):
+            res = runner.invoke(main, [*args, str(path)])
+            assert (res.exit_code, res.stdout) == (2, "")
+            assert res.stderr == ("error: orthocomplement search past 20000 placements"
+                                  + ("; give the input an ortho block" if advice else "") + "\n")
+
     @pytest.mark.parametrize(
         "stem, args, exit_code",
         [
@@ -482,7 +522,7 @@ class TestCliOther:
         assert res.exit_code == 0
         l, pi, name = parse_lattice_json((tmp_path / "hexagon.json").read_text())
         e = named("hexagon")
-        assert structurally_equal(l, e.lattice) and pi == e.ortho
+        assert l.leq == e.lattice.leq and pi == e.ortho
 
     def test_catalog_one_element_export(self, runner, tmp_path):
         res = runner.invoke(main, ["catalog", "chain_1", "-o", str(tmp_path)])

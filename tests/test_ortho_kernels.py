@@ -35,6 +35,7 @@ from mosaic_lab.hyperstructure import Mosaic, verify_mosaic
 from mosaic_lab.lattice_core import (
     Involution,
     _orthocomplementation_search,
+    build_from_covers,
     check_om_equivalences,
     find_sublattice_copy,
     generated_sublattice,
@@ -124,6 +125,41 @@ def test_search_yields_from_one_frame():
     first = list(itertools.islice(search, 3))
     assert search.gi_yieldfrom is None
     assert first == orthocomplementations(l)[:3]
+
+
+def atoms_and_chain(atoms: int, chain: int = 0):
+    """0 < a1..a{atoms} < 1, the atoms listed first, plus a chain
+    0 < c1 < ... < c{chain} < 1 beside them."""
+    names = [f"a{i}" for i in range(1, atoms + 1)]
+    steps = ["0", *(f"c{i}" for i in range(1, chain + 1)), "1"]
+    covers = [(x, y) for a in names for x, y in (("0", a), (a, "1"))] + list(zip(steps, steps[1:]))
+    return build_from_covers(["0", *names, *steps[1:-1], "1"], covers)
+
+
+def test_odd_carriers_are_answered_without_a_placement(lattices_upto_8, monkeypatch):
+    """An orthocomplementation has no fixed point, so a carrier of odd size
+    past one element has none, and the search tries no pair to say so."""
+    monkeypatch.setattr(lattice_core, "_MAX_PLACEMENTS", 0)
+    odd = [l for l in lattices_upto_8 if l.size % 2 and l.size > 1] + [atoms_and_chain(17)]
+    assert len(odd) == 1 + 5 + 53 + 1
+    for l in odd:
+        assert orthocomplementations(l) == []
+
+
+def test_search_stops_past_its_placement_budget(monkeypatch):
+    """A budget of pairs tried bounds the search whether it finds maps or
+    not: the first-map search on 0 < a1..a16 < 1 beside 0 < c1 < c2 < 1,
+    which has no orthocomplementation (c1 and c2 would go to comparable
+    atoms) but pairs atoms for over a minute, stops with SizeTooLarge; MO_5's full
+    listing tries exactly 2 278 pairs."""
+    with pytest.raises(SizeTooLarge, match="orthocomplement search past 1000000 placements"):
+        next(_orthocomplementation_search(atoms_and_chain(16, chain=2)), None)
+    mo5 = named("MO_5").lattice
+    monkeypatch.setattr(lattice_core, "_MAX_PLACEMENTS", 2278)
+    assert len(orthocomplementations(mo5)) == 945
+    monkeypatch.setattr(lattice_core, "_MAX_PLACEMENTS", 2277)
+    with pytest.raises(SizeTooLarge, match="past 2277 placements"):
+        orthocomplementations(mo5)
 
 
 def test_om_reports_match(corpus):
