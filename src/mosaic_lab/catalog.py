@@ -5,15 +5,17 @@ canonical form of their class (minimal leq bit matrix over
 invariant-class-respecting relabelings) and keeps those that are their own
 canonical form, so no class is generated as a duplicate that must be removed.
 The candidates are naturally-labeled bounded posets, grown one middle element
-at a time, in which every new element has a meet with every earlier one and
-the down-set sizes never decrease.  The canonicity test is staged from cheap
-to dear: unsorted base pairs (down-set size, up-set size) rule a candidate
-out, then an unsorted invariant sequence, and only the rest try relabelings.
-Each relabeling's rows are built one at a time and compared with the
-candidate's; the test stops at the first relabeling that comes out below
-the candidate.  No other routine computes a canonical form: the test only
-decides whether a candidate is one.  Counts are never copied from external
-sources; tests freeze what the independent oracle and this generator produce.
+at a time from the order ideals of the poset so far, in which every new
+element has a meet with every earlier one and the base pairs (down-set size,
+up-set size) are sorted.  The canonicity test is staged from cheap to dear:
+unsorted base pairs rule a candidate out, then an unsorted invariant
+sequence, and only the rest try relabelings, in which twins (elements whose
+swap is an automorphism) keep their order.  Each relabeling's rows are built
+one at a time and compared with the candidate's; the test stops at the first
+relabeling that comes out below the candidate.  No other routine computes a
+canonical form: the test only decides whether a candidate is one.  Counts
+are never copied from external sources; tests freeze what the independent
+oracle and this generator produce.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .lattice_core import (
     pentagon_pattern,
 )
 
-MAX_ENUM = 8
+MAX_ENUM = 9
 
 
 @dataclass(frozen=True)
@@ -175,33 +177,51 @@ CATALOG_NAMES = ("pentagon", "hexagon", "diamond_M3", "chain_1", "chain_2", "cha
 def _middle_posets(m: int):
     """Naturally-labeled posets on 0..m-1 as strict down-set bitmask rows, in
     which every two elements have a meet (or no common lower bound) and the
-    down-set sizes never decrease.
+    base pairs (down-set size, up-set size) are sorted.
 
-    The first field of the canonical key's invariant is the down-set size, so
-    every canonical key has non-decreasing sizes; labels are natural, so the
-    common down-set of two elements is fixed once the later one is added."""
+    The first field of the canonical key's invariant is the base pair, so
+    every canonical key lists its elements with sorted base pairs; labels
+    are natural, so the common down-set of two elements is fixed once the
+    later one is added.  The down-set of each new element is one of the
+    order ideals of the poset so far that meet every principal ideal in the
+    empty set or a principal ideal; they are carried down in ascending
+    order.  Adding element i with down-set D keeps each such ideal I whose
+    meet I & D with the new principal ideal passes, and adds I | 1 << i for
+    each I containing D, which meets the new principal ideal in D | 1 << i.
+    An ideal that fails once fails for good, so none is carried.  Down-set
+    sizes are fixed when an element is added and never decrease; up-set
+    sizes grow with the later elements, so they are compared at the leaf."""
     downs = []
     closed = []
+    above = [0] * m  # above[j]: how many of the elements so far lie above j
 
-    def rec(i: int):
+    def rec(i: int, ideals: list[int]):
         if i == m:
-            yield tuple(downs)
+            if all(
+                above[j] <= above[j + 1]
+                for j in range(m - 1)
+                if downs[j].bit_count() == downs[j + 1].bit_count()
+            ):
+                yield tuple(downs)
             return
         least_size = downs[-1].bit_count() if downs else 0
-        for cand in range(1 << i):
+        for cand in ideals:
             if cand.bit_count() < least_size:
-                continue
-            if any(downs[j] & ~cand for j in bits(cand)):
-                continue
-            if not all(_has_greatest(cand & c, closed) for c in closed):
                 continue
             downs.append(cand)
             closed.append(cand | 1 << i)
-            yield from rec(i + 1)
+            for j in bits(cand):
+                above[j] += 1
+            nxt = [] if i + 1 == m else [
+                ideal for ideal in ideals if _has_greatest(ideal & cand, closed)
+            ] + [ideal | 1 << i for ideal in ideals if cand & ~ideal == 0]
+            yield from rec(i + 1, nxt)
+            for j in bits(cand):
+                above[j] -= 1
             downs.pop()
             closed.pop()
 
-    yield from rec(0)
+    yield from rec(0, [0])
 
 
 def _has_greatest(common: int, closed: list[int]) -> bool:
@@ -211,8 +231,8 @@ def _has_greatest(common: int, closed: list[int]) -> bool:
 
 def _bounded_lattice_candidates(n: int):
     """(up, down) rows of the naturally-labeled n-element bounded lattices
-    whose down-set sizes never decrease: among them the canonical key of
-    every class.  A finite meet-semilattice with a top is a lattice."""
+    whose base pairs are sorted: among them the canonical key of every
+    class.  A finite meet-semilattice with a top is a lattice."""
     if n == 1:
         yield (1,), (1,)
         return
@@ -230,10 +250,11 @@ def _is_canonical(up: tuple[int, ...], down: tuple[int, ...]) -> bool:
 
     An element's invariant is its base pair and the sorted base pairs of
     the elements above and below it.  The test is staged: unsorted base
-    pairs rule up out at once, then an unsorted invariant sequence, and only
-    then are relabelings tried.  Each relabeling's rows are built one at a
-    time against up's: the first row that differs decides, and a row below
-    up's ends the test."""
+    pairs rule up out at once (the generator yields none, but the test takes
+    any rows), then an unsorted invariant sequence, and only then are
+    relabelings tried, with twins in their relative order.  Each
+    relabeling's rows are built one at a time against up's: the first row
+    that differs decides, and a row below up's ends the test."""
     base = _base_pairs(up, down)
     if base != sorted(base):
         return False
@@ -248,7 +269,11 @@ def _is_canonical(up: tuple[int, ...], down: tuple[int, ...]) -> bool:
         groups.setdefault(key, []).append(i)
     above = [list(bits(row)) for row in up]
     bit = [0] * len(up)  # old element -> the bit of its new position
-    for parts in itertools.product(*map(itertools.permutations, groups.values())):
+    orders = [
+        _twin_respecting_orders(group, up, down) if len(group) > 1 else (group,)
+        for group in groups.values()
+    ]
+    for parts in itertools.product(*orders):
         old_at = [i for part in parts for i in part]  # new position -> old element
         for p, old in enumerate(old_at):
             bit[old] = 1 << p
@@ -259,6 +284,37 @@ def _is_canonical(up: tuple[int, ...], down: tuple[int, ...]) -> bool:
                     return False
                 break
     return True
+
+
+def _twin_respecting_orders(group: list[int], up, down):
+    """The orders of an invariant class in which twins keep their relative
+    order, each built by taking the next element of one twin class at a
+    time.  Twins are elements whose up and down rows agree apart from their
+    own bits; every permutation of twins is an automorphism, so these orders
+    give the same relabeled matrices as all orders of the class (M_6's six
+    atoms: 1 order instead of 720)."""
+    twins: dict = {}
+    for i in group:
+        twins.setdefault((up[i] ^ 1 << i, down[i] ^ 1 << i), []).append(i)
+    classes = list(twins.values())
+    if len(classes) == len(group):
+        return itertools.permutations(group)
+    taken = [0] * len(classes)
+    order = []
+
+    def rec():
+        if len(order) == len(group):
+            yield tuple(order)
+            return
+        for k, twin_class in enumerate(classes):
+            if taken[k] < len(twin_class):
+                order.append(twin_class[taken[k]])
+                taken[k] += 1
+                yield from rec()
+                taken[k] -= 1
+                order.pop()
+
+    return rec()
 
 
 def enumerate_lattices(n: int) -> list[FiniteBoundedLattice]:

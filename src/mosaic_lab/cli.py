@@ -18,7 +18,7 @@ import click
 
 from . import catalog as cat
 from .bits import bits
-from .equivalence import functor_E, is_orthomodular_mosaic, reconstruct_lattice
+from .equivalence import DualizableLMosaicPair, is_orthomodular_mosaic, reconstruct_lattice
 from .errors import MosaicLabError, SizeTooLarge
 from .hyperstructure import is_associative, verify_lmosaic, verify_mosaic
 from .io import (
@@ -216,9 +216,12 @@ def _ortho_list(l, ortho, first_only: bool = False):
 def _run_checks(l, pis, names):
     """Results of the named checks; pis are the orthocomplementations that
     ORTHO_CHECKS run against.  orthomodular or roundtrip with no pi is
-    unusable input."""
+    unusable input.  The additive Nakano table depends on the order alone,
+    so it is built once and each pi's dualizable pair reads it."""
     results = []
-    reads_table = {"mosaic", "lmosaic", "polygroup", "nakano-props"} & set(names)
+    reads_table = {"mosaic", "lmosaic", "polygroup", "nakano-props"} & set(names) or (
+        pis and {"orthomodular", "roundtrip"} & set(names)
+    )
     add = additive_nakano(l) if reads_table else None
     if "mosaic" in names:
         got = verify_mosaic(add.mosaic.op)
@@ -252,7 +255,7 @@ def _run_checks(l, pis, names):
             _fail_input("input has no ortho block and no discoverable orthocomplementation")
         for k, pi in enumerate(pis):
             tag = "" if len(pis) == 1 else f"[pi{k}]"
-            mosaic_pair = functor_E(OrthoPair(l, pi))
+            mosaic_pair = DualizableLMosaicPair(add.mosaic, OrthoPair(l, pi).pi)
             if "orthomodular" in names:
                 results.append((f"orthomodular{tag}", _orthomodular_law(l, pi, "orthomodular")))
                 results.append((f"orthomodular-mosaic{tag}", is_orthomodular_mosaic(mosaic_pair)))

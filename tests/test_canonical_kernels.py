@@ -8,18 +8,30 @@ image by two row identities.  tests/oracles.py keeps the unpruned
 relabeling sweep, a pairwise backtracking search with no invariants and a
 sweep over all injections.  Verdicts, isomorphism lists and
 embedding lists, their order included, must agree on every lattice and
-candidate with at most 8 elements, on the 8 892 candidates with 9 (only
-agreement is checked there, no count), and on seeded relabelings.
+candidate with at most 8 elements, on the 1 833 candidates with 9 (only
+agreement is checked there, no count), and on seeded relabelings.  The
+generator drops candidates with unsorted base pairs, so the canonicity test
+is also run on the candidates of test_catalog.py's filter route, which
+drops none, and twins are checked on the diamonds and on a lattice whose
+invariant class mixes twins and non-twins.
 """
 
+import itertools
 import random
 
 import pytest
 
 from mosaic_lab.bits import transpose
-from mosaic_lab.catalog import _bounded_lattice_candidates, _is_canonical, named
+from mosaic_lab.catalog import (
+    _bounded_lattice_candidates,
+    _is_canonical,
+    _twin_respecting_orders,
+    enumerate_lattices,
+    named,
+)
 from mosaic_lab.lattice_core import (
     _lattice_embeddings,
+    build_from_covers,
     from_leq,
     hexagon_pattern,
     lattice_automorphisms,
@@ -34,6 +46,7 @@ from oracles import (
     key_invariants_loops,
     order_isomorphisms_loops,
 )
+from test_catalog import generate_filter_dedup
 
 
 def relabeled(up, perm):
@@ -62,6 +75,99 @@ def is_canonical(up):
     return _is_canonical(up, tuple(transpose(up)))
 
 
+def unpruned_candidates(n):
+    """The naturally-labeled n-element lattices whose down-set sizes never
+    decrease, from the filter route of test_catalog.py, each with whether
+    its base pairs are sorted: the candidates before the generator dropped
+    those with unsorted base pairs."""
+    lattices, _ = generate_filter_dedup(n)
+    out = []
+    for up in sorted(lattices):
+        base = [inv[0] for inv in key_invariants_loops(up)]
+        if [d for d, _ in base] == sorted(d for d, _ in base):
+            out.append((up, base == sorted(base)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_generator_yields_exactly_the_unpruned_candidates_with_sorted_base_pairs(n):
+    candidates = unpruned_candidates(n)
+    generated = [up for up, _ in _bounded_lattice_candidates(n)]
+    assert len(generated) == len(set(generated))
+    assert set(generated) == {up for up, base_sorted in candidates if base_sorted}
+    for up, _ in candidates:
+        assert is_canonical(up) == is_canonical_unpruned(up), up
+
+
+def class_shuffled(key, rng, count):
+    """Copies of key with each invariant class shuffled, which only
+    relabelings can rule out."""
+    inv = key_invariants_loops(key)
+    for _ in range(count):
+        old_at = sorted(range(len(key)), key=lambda i: (inv[i], rng.random()))
+        yield relabeled(key, sorted(range(len(key)), key=old_at.__getitem__))
+
+
+def diamond(k):
+    """The up rows of M_k: a bottom, k atoms and a top, naturally labeled."""
+    top = 1 << (k + 1)
+    return ((1 << (k + 2)) - 1, *(1 << i | top for i in range(1, k + 1)), top)
+
+
+def assert_agrees_with_the_oracle(up, rng):
+    """up's key is canonical, and of up, class-shuffled copies of the key and
+    seeded relabeled copies, exactly the key is, with the key as their
+    unpruned key."""
+    key = canonical_key_unpruned(up)
+    copies = [up, key, *class_shuffled(key, rng, 4), *seeded_relabelings(up, rng, 4)]
+    for copy in dict.fromkeys(copies):
+        assert canonical_key_unpruned(copy) == key, copy
+        assert is_canonical(copy) == is_canonical_unpruned(copy) == (copy == key), copy
+    return key
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_twins_keep_their_order_on_the_diamonds(k):
+    """The atoms of M_k are one invariant class of twins: one order of them
+    is tried instead of k!."""
+    key = assert_agrees_with_the_oracle(diamond(k), random.Random(k))
+    atoms = list(range(1, k + 1))
+    assert list(_twin_respecting_orders(atoms, key, tuple(transpose(key)))) == [tuple(atoms)]
+
+
+def test_twins_keep_their_order_in_a_class_that_mixes_twins_and_non_twins():
+    """Two atoms, each below two coatoms of its own: the four coatoms are one
+    invariant class, twins in pairs, so 4!/(2! 2!) = 6 orders are tried."""
+    names = ["0", "a", "b", "c", "d", "e", "f", "1"]
+    covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "e"), ("b", "f")]
+    l = build_from_covers(names, covers + [(x, "1") for x in "cdef"])
+    key = assert_agrees_with_the_oracle(l.leq, random.Random(65))
+    assert key in {m.leq for m in enumerate_lattices(8)}
+    coatoms = [i for i, row in enumerate(key) if row.bit_count() == 2]
+    inv = key_invariants_loops(key)
+    assert len(coatoms) == 4 and len({inv[i] for i in coatoms}) == 1
+    orders = list(_twin_respecting_orders(coatoms, key, tuple(transpose(key))))
+    assert len(set(orders)) == len(orders) == 6
+
+
+def test_twin_orders_give_every_relabeled_matrix(lattices_upto_8):
+    """Over each enumerated class, the relabelings that keep twins in order
+    give the same set of up-row matrices as all relabelings within the
+    invariant classes."""
+    def matrices(up, orders_of):
+        inv = key_invariants_loops(up)
+        groups = [[i for i in range(len(up)) if inv[i] == key] for key in sorted(set(inv))]
+        out = set()
+        for parts in itertools.product(*map(orders_of, groups)):
+            old_at = [i for part in parts for i in part]
+            out.add(relabeled(up, sorted(range(len(up)), key=old_at.__getitem__)))
+        return out
+
+    for l in lattices_upto_8:
+        twin_orders = matrices(l.leq, lambda group: _twin_respecting_orders(group, l.leq, l.down))
+        assert twin_orders == matrices(l.leq, itertools.permutations), l.leq
+
+
 def test_canonical_key_agrees_on_seeded_relabelings(lattices_upto_8):
     """Each class is listed as its key, and a relabeled copy is canonical
     exactly when it is that key."""
@@ -85,11 +191,8 @@ def test_canonical_key_agrees_on_named_lattices(name):
     up = named(name).lattice.leq
     key = canonical_key_unpruned(up)
     assert is_canonical(key)
-    inv, rng = key_invariants_loops(key), random.Random(5)
-    shuffled = []
-    for _ in range(4):
-        old_at = sorted(range(len(key)), key=lambda i: (inv[i], rng.random()))
-        shuffled.append(relabeled(key, sorted(range(len(key)), key=old_at.__getitem__)))
+    rng = random.Random(5)
+    shuffled = list(class_shuffled(key, rng, 4))
     relabelings = list(seeded_relabelings(up, rng, 4))
     for copy in [up, *shuffled, *relabelings]:
         assert is_canonical(copy) == (copy == key), copy

@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -143,13 +144,15 @@ def least_of_common(rows, i, j):
     return next((k for k in range(len(rows)) if common >> k & 1 and common & ~rows[k] == 0), None)
 
 
+@functools.cache
 def generate_filter_dedup(n):
     """The route the enumerator replaced: every naturally-labeled bounded
     poset on n elements, kept when every pair has a join and a meet, then
     deduplicated by the unpruned canonical key of tests/oracles.py, so that
-    no pruning of the library's is shared.  Returns (lattices, keys)."""
+    no pruning of the library's is shared.  Returns (lattices, keys) as
+    frozensets, since the result is cached for every test that reads it."""
     if n == 1:
-        return {(1,)}, {(1,)}
+        return frozenset({(1,)}), frozenset({(1,)})
     m, full, top = n - 2, (1 << n) - 1, 1 << (n - 1)
     lattices = set()
     for downs in natural_middle_posets(m):
@@ -163,7 +166,7 @@ def generate_filter_dedup(n):
             for i in range(n) for j in range(i + 1, n)
         ):
             lattices.add(tuple(up))
-    return lattices, {canonical_key_unpruned(up) for up in lattices}
+    return frozenset(lattices), frozenset(canonical_key_unpruned(up) for up in lattices)
 
 
 class TestEnumerateLattices:
@@ -213,7 +216,7 @@ class TestEnumerateLattices:
 
     def test_size_guard(self):
         with pytest.raises(SizeTooLarge):
-            enumerate_lattices(9)
+            enumerate_lattices(10)
         with pytest.raises(SizeTooLarge):
             enumerate_lattices(0)
 

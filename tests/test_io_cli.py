@@ -385,15 +385,18 @@ class TestCliOther:
         assert res.stderr == f"error: {message}\n"
 
     def test_check_searches_orthocomplements_once(self, runner, tmp_path, call_counts):
+        """MO_3 without an ortho block has 15 orthocomplementations: one
+        search finds them all, and one additive Nakano table serves every
+        pi's orthomodular and roundtrip checks."""
         import mosaic_lab.cli as cli
 
-        counts = call_counts(cli, "orthocomplementations", "functor_E")
+        counts = call_counts(cli, "orthocomplementations", "additive_nakano")
         path = tmp_path / "mo3.json"
         path.write_text(json.dumps(lattice_to_doc(named("MO_3").lattice, None, "MO_3")))
         res = runner.invoke(main, ["check", str(path)])
         assert res.exit_code == 0
         assert "PASS roundtrip[pi14]" in res.output
-        assert counts == {"orthocomplementations": 1, "functor_E": 15}
+        assert counts == {"orthocomplementations": 1, "additive_nakano": 1}
 
     @pytest.mark.parametrize("checks, tables", [("ortholattice", 0), ("modular", 0), (None, 1)])
     def test_check_builds_the_nakano_table_only_for_checks_that_read_it(
