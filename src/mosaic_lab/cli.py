@@ -33,7 +33,6 @@ from .io import (
 )
 from .lattice_core import (
     AxiomReport,
-    OrthoPair,
     _orthocomplementation_search,
     _orthomodular_law,
     is_modular,
@@ -215,9 +214,11 @@ def _ortho_list(l, ortho, first_only: bool = False):
 
 def _run_checks(l, pis, names):
     """Results of the named checks; pis are the orthocomplementations that
-    ORTHO_CHECKS run against.  orthomodular or roundtrip with no pi is
-    unusable input.  The additive Nakano table depends on the order alone,
-    so it is built once and each pi's dualizable pair reads it."""
+    ORTHO_CHECKS run against, each already checked: by the ortho block's
+    check in io or by the orthocomplement search.  orthomodular or roundtrip
+    with no pi is unusable input.  The additive Nakano table depends on the
+    order alone, so it is built once and each pi's dualizable pair reads
+    it; their reconstructions share one rebuilt lattice."""
     results = []
     reads_table = {"mosaic", "lmosaic", "polygroup", "nakano-props"} & set(names) or (
         pis and {"orthomodular", "roundtrip"} & set(names)
@@ -255,7 +256,7 @@ def _run_checks(l, pis, names):
             _fail_input("input has no ortho block and no discoverable orthocomplementation")
         for k, pi in enumerate(pis):
             tag = "" if len(pis) == 1 else f"[pi{k}]"
-            mosaic_pair = DualizableLMosaicPair(add.mosaic, OrthoPair(l, pi).pi)
+            mosaic_pair = DualizableLMosaicPair(add.mosaic, pi)
             if "orthomodular" in names:
                 results.append((f"orthomodular{tag}", _orthomodular_law(l, pi, "orthomodular")))
                 results.append((f"orthomodular-mosaic{tag}", is_orthomodular_mosaic(mosaic_pair)))

@@ -9,11 +9,20 @@ Neither re-checks the theorem; the test suite does.  A table from outside
 the program is checked once, by _dualizability_failure, before it is
 reconstructed.  A pair's reconstruction and orthomodularity verdict have one
 public name each: reconstruct_lattice and is_orthomodular_mosaic.
+
+The table depends on the order alone, and the rebuilt order on the table
+alone, so one lattice carrying many orthocomplementations (MO_5 has 945)
+needs one of each.  functor_E and morphism_transfer_check read the additive
+Nakano table of a lattice from _NAKANO, and every reconstruction of a table
+reads its lattice from _REBUILT.  Both are weak maps: an entry lives as long
+as its key, and no value holds its own key.  additive_nakano itself still
+builds a new table on every call.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +55,19 @@ from .lattice_core import (
     orthocomplementations,
 )
 from .nakano import _restricted_op, additive_nakano
+
+# lattice -> the Mosaic of its additive Nakano table
+_NAKANO = weakref.WeakKeyDictionary()
+# table -> the lattice its principal cells induce, on names x0, x1, ...
+_REBUILT = weakref.WeakKeyDictionary()
+
+
+def _nakano_mosaic(l) -> Mosaic:
+    """The additive Nakano mosaic of l, built once while l lives."""
+    mosaic = _NAKANO.get(l)
+    if mosaic is None:
+        mosaic = _NAKANO[l] = additive_nakano(l).mosaic
+    return mosaic
 
 
 def _dualizability_failure(mosaic: Mosaic, pi: Involution):
@@ -91,11 +113,13 @@ class DualizableLMosaicPair:
     Construction checks nothing; its Mosaic was checked, when built, only
     for a neutral that is neutral and a rho that fixes it.  functor_E
     builds pairs that the paper proves dualizable, and a table from outside
-    is checked by reconstruct_from.  The reconstruction, the
-    orthomodularity verdict, the subalgebra that each pi-closed seed set
-    generates and the associativity verdict of each generated subalgebra
-    are computed at most once per pair, on first use,
-    and live as long as the pair.  They take no part in ==, hash or repr.
+    is checked by reconstruct_from.  The orthomodularity verdict, the
+    subalgebra that each pi-closed seed set generates and the associativity
+    verdict of each generated subalgebra are computed at most once per pair,
+    on first use, and live as long as the pair; so does the reconstruction,
+    whose lattice every pair with the same table shares.  They take no part
+    in ==, hash or repr.  The pairs that functor_E builds from one lattice
+    share one Mosaic, and with it the table's cube and principal rows.
     """
 
     mosaic: Mosaic
@@ -146,10 +170,11 @@ class DualizableLMosaicPair:
 
 def functor_E(op: OrthoPair) -> DualizableLMosaicPair:
     """Object assignment of the equivalence: the additive Nakano mosaic with
-    the same orthocomplementation.  The paper's main theorem makes the pair
-    dualizable, so it is built unchecked; test_equivalence.py runs the full
-    check on the images of the corpus."""
-    return DualizableLMosaicPair(additive_nakano(op.lattice).mosaic, op.pi)
+    the same orthocomplementation.  The table is built once per lattice, so
+    the images of every pi on one lattice hold the same Mosaic.  The paper's
+    main theorem makes the pair dualizable, so it is built unchecked;
+    test_equivalence.py runs the full check on the images of the corpus."""
+    return DualizableLMosaicPair(_nakano_mosaic(op.lattice), op.pi)
 
 
 def reconstruct_from(mosaic: Mosaic, pi: Involution) -> OrthoPair:
@@ -176,10 +201,15 @@ def _reconstruct(mosaic: Mosaic, pi: Involution) -> OrthoPair:
     cells, and pi as its orthocomplementation.  The paper proves that this
     order is a lattice with bounds 0 and pi(0) and that the table is its
     Nakano mosaic, so neither is checked here; the lattice constructor and
-    OrthoPair keep their own input checks.  tests/test_ortho_kernels.py
-    checks the theorem on every dualizable input it has."""
-    names = [f"x{i}" for i in range(mosaic.size)]
-    return OrthoPair(from_leq(names, principal_rows(mosaic)), pi)
+    OrthoPair keep their own input checks.  The order depends on the table
+    alone, so its lattice is built once per table and each pi's OrthoPair
+    wraps it.  tests/test_ortho_kernels.py checks the theorem on every
+    dualizable input it has."""
+    lattice = _REBUILT.get(mosaic.op)
+    if lattice is None:
+        names = [f"x{i}" for i in range(mosaic.size)]
+        lattice = _REBUILT[mosaic.op] = from_leq(names, principal_rows(mosaic))
+    return OrthoPair(lattice, pi)
 
 
 @dataclass(frozen=True)
@@ -205,15 +235,13 @@ def morphism_transfer_check(f, src: OrthoPair, dst: OrthoPair) -> MorphismTransf
     between the carriers before either side is tested (SizeMismatch).
 
     The lattice side is lattice_core._preserves, the join and meet test
-    that the sublattice-copy search runs on each full map.  The Nakano table
-    depends on the order alone, so when source and target have the same up
-    rows it is built once and read on both sides."""
+    that the sublattice-copy search runs on each full map.  The mosaic side
+    reads the Nakano table of each lattice that functor_E reads, built once
+    per lattice over all calls."""
     f = _carrier_map(f, src.size, dst.size)
     a, b = src.lattice, dst.lattice
     lattice_hom = _preserves(f, a, b)
-    ma = additive_nakano(a).mosaic
-    mb = ma if b.leq == a.leq else additive_nakano(b).mosaic
-    mosaic_hom = check_morphism(f, ma, mb).holds
+    mosaic_hom = check_morphism(f, _nakano_mosaic(a), _nakano_mosaic(b)).holds
     intertwines = all(f[src.pi(x)] == dst.pi(f[x]) for x in range(a.size))
     return MorphismTransferReport(f, lattice_hom, mosaic_hom, intertwines)
 

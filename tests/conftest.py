@@ -1,4 +1,5 @@
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from mosaic_lab import equivalence
 from mosaic_lab.catalog import enumerate_lattices, enumerate_ortholattices, named
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -57,3 +59,12 @@ def call_counts(monkeypatch):
         return counts
 
     return wrap
+
+
+@pytest.fixture
+def fresh_maps(monkeypatch):
+    """Empty weak maps of Nakano tables and rebuilt lattices for one test:
+    an equal lattice or table that an earlier test keeps alive would
+    otherwise serve this test's builds."""
+    monkeypatch.setattr(equivalence, "_NAKANO", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(equivalence, "_REBUILT", weakref.WeakKeyDictionary())

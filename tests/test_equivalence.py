@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -23,10 +24,11 @@ from mosaic_lab.equivalence import (
     reconstruct_from,
     reconstruct_lattice,
 )
-from mosaic_lab.hyperstructure import Mosaic, check_morphism, is_associative
+from mosaic_lab.hyperstructure import Mosaic, check_morphism, is_associative, principal_rows
 from mosaic_lab.lattice_core import (
     AxiomReport,
     Involution,
+    dual_lattice,
     from_leq,
     generated_sublattice,
     is_modular,
@@ -179,23 +181,27 @@ class TestMorphismTransfer:
                     if rep.intertwines:
                         assert rep.lattice_hom == rep.mosaic_hom
 
-    def test_builds_one_table_per_distinct_lattice(self, call_counts, hexagon_pair):
+    def test_builds_one_table_per_distinct_lattice(self, call_counts, fresh_maps, hexagon_pair):
+        """Over a whole sequence of calls, each distinct lattice gets one
+        Nakano table: a map from a lattice to itself, to the same lattice
+        built twice, between the pis of one lattice, and between lattices
+        of one size and of two sizes."""
         counts = call_counts(equivalence, "additive_nakano")
         h, mo2 = hexagon_pair.lattice, named("MO_2").lattice
         mo2_pairs = [OrthoPair(mo2, pi) for pi in orthocomplementations(mo2)]
-        # one lattice, the same lattice built twice, one lattice under two pis
-        same = [(hexagon_pair, hexagon_pair), (hexagon_pair, OrthoPair(from_leq(h.names, h.leq), hexagon_pair.pi)),
-                *itertools.product(mo2_pairs, repeat=2)]
-        # two lattices of one size, and of two sizes
         b3 = named("boolean_3")
         b3_pair = OrthoPair(b3.lattice, b3.ortho)
-        other = [(hexagon_pair, mo2_pairs[0]), (mo2_pairs[0], hexagon_pair), (hexagon_pair, b3_pair)]
+        calls = [(hexagon_pair, hexagon_pair), (hexagon_pair, OrthoPair(from_leq(h.names, h.leq), hexagon_pair.pi)),
+                 *itertools.product(mo2_pairs, repeat=2),
+                 (hexagon_pair, mo2_pairs[0]), (mo2_pairs[0], hexagon_pair), (hexagon_pair, b3_pair)]
         assert len(mo2_pairs) == 3 and mo2.size == h.size
-        for pairs, tables in ((same, 1), (other, 2)):
-            for src, dst in pairs:
-                counts.clear()
-                morphism_transfer_check([dst.lattice.bottom] * src.size, src, dst)
-                assert counts["additive_nakano"] == tables
+        for src, dst in calls:
+            morphism_transfer_check([dst.lattice.bottom] * src.size, src, dst)
+        assert counts["additive_nakano"] == 3
+        # functor_E reads the same tables
+        images = [functor_E(p).mosaic for p in (hexagon_pair, mo2_pairs[0], b3_pair)]
+        assert counts["additive_nakano"] == 3
+        assert images == [additive_nakano(l).mosaic for l in (h, mo2, b3.lattice)]
 
     def test_report_matches_separately_built_mosaics(self, ortholattices_upto_4, hexagon_pair):
         """The report computed from the definitions, with a Nakano mosaic
@@ -386,6 +392,54 @@ class TestGeneratedPolygroup:
             rep = generated_polygroup_check(d, x, y)
             assert (rep.holds, rep.witness, rep.reason) == (False, (x, y), "restriction not associative")
         assert len(d._associative_subalgebras) == 1
+
+
+class TestBuiltOncePerOrder:
+    """The Nakano table depends on the lattice's order alone and the rebuilt
+    lattice on the table alone: each is built once, however many pis a
+    lattice carries."""
+
+    @pytest.fixture
+    def mo4_pairs(self):
+        mo4 = named("MO_4").lattice
+        return [OrthoPair(mo4, pi) for pi in orthocomplementations(mo4)]
+
+    def test_every_pi_reads_one_table(self, call_counts, fresh_maps, mo4_pairs):
+        counts = call_counts(equivalence, "additive_nakano")
+        images = [functor_E(p) for p in mo4_pairs]
+        assert len(images) == 105
+        assert counts["additive_nakano"] == 1
+        assert all(d.mosaic is images[0].mosaic for d in images)
+        assert images[0].mosaic == additive_nakano(mo4_pairs[0].lattice).mosaic
+
+    def test_reconstructions_share_one_lattice(self, call_counts, fresh_maps, mo4_pairs):
+        counts = call_counts(equivalence, "from_leq")
+        rebuilt = [reconstruct_lattice(functor_E(p)) for p in mo4_pairs]
+        assert counts["from_leq"] == 1
+        assert all(r.lattice is rebuilt[0].lattice for r in rebuilt)
+        mosaic = additive_nakano(mo4_pairs[0].lattice).mosaic
+        assert rebuilt[0].lattice == from_leq([f"x{i}" for i in range(mosaic.size)], principal_rows(mosaic))
+        assert [r.pi for r in rebuilt] == [p.pi for p in mo4_pairs]
+
+    def test_entries_die_with_their_keys(self, fresh_maps, mo4_pairs):
+        l = from_leq(mo4_pairs[0].lattice.names, mo4_pairs[0].lattice.leq)
+        pairs = [OrthoPair(l, p.pi) for p in mo4_pairs[:3]]
+        images = [functor_E(p) for p in pairs]
+        rebuilt = [reconstruct_lattice(d) for d in images]
+        morphism_transfer_check(range(l.size), pairs[0], pairs[1])
+        assert len(equivalence._NAKANO) == len(equivalence._REBUILT) == 1
+        del l, pairs, images, rebuilt
+        gc.collect()
+        assert len(equivalence._NAKANO) == len(equivalence._REBUILT) == 0
+
+    def test_a_dual_lattice_gets_its_own_table(self, fresh_maps, hexagon_pair):
+        h = hexagon_pair.lattice
+        d = dual_lattice(h)
+        own = functor_E(hexagon_pair).mosaic
+        dual = functor_E(OrthoPair(d, hexagon_pair.pi)).mosaic
+        assert own.op.table == additive_nakano(h).mosaic.op.table
+        assert dual.op.table == additive_nakano(d).mosaic.op.table != own.op.table
+        assert dual.neutral == d.bottom != own.neutral
 
 
 class TestVerifiedOnce:

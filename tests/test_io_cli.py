@@ -384,19 +384,39 @@ class TestCliOther:
         assert res.stdout == ""
         assert res.stderr == f"error: {message}\n"
 
-    def test_check_searches_orthocomplements_once(self, runner, tmp_path, call_counts):
+    def test_check_searches_orthocomplements_once(self, runner, tmp_path, call_counts, fresh_maps):
         """MO_3 without an ortho block has 15 orthocomplementations: one
-        search finds them all, and one additive Nakano table serves every
-        pi's orthomodular and roundtrip checks."""
+        search finds them all, one additive Nakano table serves every pi's
+        orthomodular and roundtrip checks, and every roundtrip reads one
+        lattice rebuilt from it."""
         import mosaic_lab.cli as cli
+        import mosaic_lab.equivalence as equivalence
 
         counts = call_counts(cli, "orthocomplementations", "additive_nakano")
+        call_counts(equivalence, "from_leq")
         path = tmp_path / "mo3.json"
         path.write_text(json.dumps(lattice_to_doc(named("MO_3").lattice, None, "MO_3")))
         res = runner.invoke(main, ["check", str(path)])
         assert res.exit_code == 0
         assert "PASS roundtrip[pi14]" in res.output
-        assert counts == {"orthocomplementations": 1, "additive_nakano": 1}
+        assert counts == {"orthocomplementations": 1, "additive_nakano": 1, "from_leq": 1}
+
+    @pytest.mark.parametrize("command", ["check", "roundtrip"])
+    def test_an_ortho_block_is_checked_once_before_its_reconstruction(
+        self, runner, tmp_path, call_counts, hexagon, command
+    ):
+        """The ortho block's pi is checked once by io and once more by the
+        OrthoPair of its reconstruction; _run_checks takes it as checked."""
+        import mosaic_lab.io as io
+
+        counts = call_counts(lattice_core, "is_orthocomplementation")
+        call_counts(io, "is_orthocomplementation")
+        path = tmp_path / "hexagon.json"
+        path.write_text(json.dumps(lattice_to_doc(hexagon.lattice, hexagon.ortho, "hexagon")))
+        res = runner.invoke(main, [command, str(path)])
+        assert res.exit_code == (1 if command == "check" else 0)
+        assert "PASS roundtrip" in res.output
+        assert counts["is_orthocomplementation"] == 2
 
     @pytest.mark.parametrize("checks, tables", [("ortholattice", 0), ("modular", 0), (None, 1)])
     def test_check_builds_the_nakano_table_only_for_checks_that_read_it(

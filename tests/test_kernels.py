@@ -260,10 +260,12 @@ def test_rows_derived_from_a_table_do_not_follow_its_edits(lattices_upto_6):
 
 
 def test_batteries_store_nothing_on_the_lattice_or_the_pair(lattices_upto_6, ortholattices_upto_8):
-    """The derived rows live on the tables, which each command builds anew;
-    the lattices and ortholattice pairs that the benchmark builds once and
-    reuses are left as they were.  Each is rebuilt here, so that nothing an
-    earlier test ran on the shared fixtures hides what this battery adds."""
+    """The derived rows live on the tables, and equivalence keeps each
+    lattice's table and each table's rebuilt lattice in weak maps beside
+    them; the lattices and ortholattice pairs that the benchmark builds
+    once and reuses are left as they were.  Each is rebuilt here, so that
+    nothing an earlier test ran on the shared fixtures hides what this
+    battery adds."""
     for l in lattices_upto_6:
         l = from_leq(l.names, l.leq)
         before = deepcopy(vars(l))
