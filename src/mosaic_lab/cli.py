@@ -3,8 +3,9 @@ render tables and reports.
 
 Inputs are lattice JSON files or catalog names.  Exit codes are stable per
 failure class: 0 all requested checks passed, 1 a check or table diff failed,
-2 unusable input (parse/validation errors, unknown names).  Everything is
-deterministic; the MOSAIC_LAB_SEED environment variable is ignored.
+2 unusable input: every typed error that a command meets, such as a parse
+or validation error or an unknown name.  Everything is deterministic; the
+MOSAIC_LAB_SEED environment variable is ignored.
 """
 
 from __future__ import annotations
@@ -86,17 +87,14 @@ def _read(path: str) -> str:
 
 def _load(source: str):
     """Lattice file path or catalog name -> (lattice, ortho or None, name)."""
-    try:
-        if os.path.exists(source):
-            doc = _json_doc(_read(source))
-            elements = doc.get("elements") if isinstance(doc, dict) else None
-            if isinstance(elements, list) and len(elements) > _MAX_FILE_ELEMENTS:
-                raise SizeTooLarge(f"{len(elements)} elements; lattice files hold at most {_MAX_FILE_ELEMENTS}")
-            return lattice_from_doc(doc)
-        entry = cat.named(source)
-        return entry.lattice, entry.ortho, entry.name
-    except MosaicLabError as exc:
-        _fail_input(str(exc))
+    if os.path.exists(source):
+        doc = _json_doc(_read(source))
+        elements = doc.get("elements") if isinstance(doc, dict) else None
+        if isinstance(elements, list) and len(elements) > _MAX_FILE_ELEMENTS:
+            raise SizeTooLarge(f"{len(elements)} elements; lattice files hold at most {_MAX_FILE_ELEMENTS}")
+        return lattice_from_doc(doc)
+    entry = cat.named(source)
+    return entry.lattice, entry.ortho, entry.name
 
 
 def _write(path: str, text: str):
@@ -140,7 +138,18 @@ def _emit(results, l, fmt: str, quiet: bool, header: str):
     sys.exit(EXIT_OK if ok else EXIT_CHECK_FAILED)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group.  A typed error that a command meets is unusable
+    input: it leaves through here, as one error line and exit 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MosaicLabError as exc:
+            _fail_input(str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Finite lattice / Nakano mosaic laboratory."""
 
@@ -154,7 +163,6 @@ def validate(source: str):
         f"ok: {name}: {l.size} elements, bottom={l.names[l.bottom]}, top={l.names[l.top]}, "
         f"ortho={'yes' if ortho is not None else 'no'}"
     )
-    sys.exit(EXIT_OK)
 
 
 def _set_str(l, mask: int) -> str:
@@ -179,11 +187,7 @@ def table(source, additive, fmt, diff_path, golden_path, quiet):
         if not quiet:
             click.echo(f"wrote {golden_path}")
     if diff_path:
-        text = _read(diff_path)
-        try:
-            diffs = diff_table_docs(doc, parse_table_json(text))
-        except MosaicLabError as exc:
-            _fail_input(str(exc))
+        diffs = diff_table_docs(doc, parse_table_json(_read(diff_path)))
         if fmt == "json":
             click.echo(json.dumps({"input": name, "diff": diffs}, indent=2))
         elif not quiet:
@@ -198,7 +202,6 @@ def table(source, additive, fmt, diff_path, golden_path, quiet):
         click.echo(table_doc_to_json(doc).rstrip("\n"))
     elif not quiet:
         click.echo(render_table_ascii(doc, "+" if additive else "*"), nl=False)
-    sys.exit(EXIT_OK)
 
 
 def _ortho_list(l, ortho, first_only: bool = False):
@@ -310,10 +313,7 @@ def check(source, checks, fmt, quiet):
 def orthocomplements(source, fmt):
     """List every orthocomplementation of the lattice."""
     l, _, name = _load(source)
-    try:
-        pis = orthocomplementations(l, limit=_MAX_LISTED_ORTHOCOMPLEMENTATIONS)
-    except SizeTooLarge as exc:
-        _fail_input(str(exc))
+    pis = orthocomplementations(l, limit=_MAX_LISTED_ORTHOCOMPLEMENTATIONS)
     if fmt == "json":
         doc = {
             "input": name,
@@ -328,7 +328,6 @@ def orthocomplements(source, fmt):
         for k, pi in enumerate(pis):
             pairs = " ".join(f"{l.names[x]}<->{l.names[pi(x)]}" for x in range(l.size) if x <= pi(x))
             click.echo(f"  pi{k}: {pairs}")
-    sys.exit(EXIT_OK)
 
 
 @main.command()
@@ -351,10 +350,7 @@ def catalog(name, enum_n, outdir, fmt):
     if (name is None) == (enum_n is None):
         _fail_input("need exactly one of NAME or --enumerate n")
     if enum_n is not None:
-        try:
-            rows = cat.census(enum_n)
-        except MosaicLabError as exc:
-            _fail_input(str(exc))
+        rows = cat.census(enum_n)
         if fmt == "json":
             click.echo(json.dumps({"n": enum_n, "classes": rows}, indent=2))
         else:
@@ -364,16 +360,12 @@ def catalog(name, enum_n, outdir, fmt):
                 om = ",".join(str(v) for v in r["orthomodular"]) or "-"
                 covers = " ".join(f"{a}<{b}" for a, b in r["covers"])
                 click.echo(f"{r['id']:<8} {str(r['modular']):<7} {r['ortho_count']:<5} {om:<7} {covers}")
-        sys.exit(EXIT_OK)
-    try:
-        entry = cat.named(name)
-    except MosaicLabError as exc:
-        _fail_input(str(exc))
+        return
+    entry = cat.named(name)
     doc = lattice_to_doc(entry.lattice, entry.ortho, entry.name)
     path = os.path.join(outdir, f"{entry.name}.json")
     _write(path, json.dumps(doc, indent=2) + "\n")
     click.echo(f"wrote {path}")
-    sys.exit(EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -13,10 +13,11 @@ public name each: reconstruct_lattice and is_orthomodular_mosaic.
 The table depends on the order alone, and the rebuilt order on the table
 alone, so one lattice carrying many orthocomplementations (MO_5 has 945)
 needs one of each.  functor_E and morphism_transfer_check read the additive
-Nakano table of a lattice from _NAKANO, and every reconstruction of a table
-reads its lattice from _REBUILT.  Both are weak maps: an entry lives as long
-as its key, and no value holds its own key.  additive_nakano itself still
-builds a new table on every call.
+Nakano table of a lattice from _NAKANO, a weak map: an entry lives as long
+as its lattice, and no table holds its own lattice.  additive_nakano itself
+still builds a new table on every call.  Every reconstruction of a table
+wraps the lattice that the table keeps with its other derived data,
+Multioperation._induced_lattice.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ from .nakano import _restricted_op, additive_nakano
 
 # lattice -> the Mosaic of its additive Nakano table
 _NAKANO = weakref.WeakKeyDictionary()
-# table -> the lattice its principal cells induce, on names x0, x1, ...
-_REBUILT = weakref.WeakKeyDictionary()
 
 
 def _nakano_mosaic(l) -> Mosaic:
@@ -117,9 +116,10 @@ class DualizableLMosaicPair:
     subalgebra that each pi-closed seed set generates and the associativity
     verdict of each generated subalgebra are computed at most once per pair,
     on first use, and live as long as the pair; so does the reconstruction,
-    whose lattice every pair with the same table shares.  They take no part
+    whose lattice the table keeps for every pair on it.  They take no part
     in ==, hash or repr.  The pairs that functor_E builds from one lattice
-    share one Mosaic, and with it the table's cube and principal rows.
+    share one Mosaic, and with it the table's cube, principal rows and
+    induced lattice.
     """
 
     mosaic: Mosaic
@@ -135,9 +135,16 @@ class DualizableLMosaicPair:
 
     @cached_property
     def _reconstruction(self) -> OrthoPair:
-        """The pi-ortholattice on the carrier, with names x0, x1, ...: the
-        induced order and pi, read off the table unchecked."""
-        return _reconstruct(self.mosaic, self.pi)
+        """The inverse functor: the pi-ortholattice on the carrier, with
+        names x0, x1, ..., of the order read off the principal cells and pi
+        as its orthocomplementation.  The paper proves that this order is a
+        lattice with bounds 0 and pi(0) and that the table is its Nakano
+        mosaic, so neither is checked; the lattice constructor and OrthoPair
+        keep their own input checks.  The lattice is the table's own, built
+        once per table, and each pi's OrthoPair wraps it.
+        tests/test_ortho_kernels.py checks the theorem on every dualizable
+        input it has."""
+        return OrthoPair(self.mosaic.op._induced_lattice, self.pi)
 
     @cached_property
     def _orthomodular(self) -> AxiomReport:
@@ -185,7 +192,7 @@ def reconstruct_from(mosaic: Mosaic, pi: Involution) -> OrthoPair:
     failure = _dualizability_failure(mosaic, pi)
     if failure is not None:
         raise ReconstructionFailure(*failure)
-    return _reconstruct(mosaic, pi)
+    return OrthoPair(mosaic.op._induced_lattice, pi)
 
 
 def reconstruct_lattice(p: DualizableLMosaicPair) -> OrthoPair:
@@ -193,23 +200,6 @@ def reconstruct_lattice(p: DualizableLMosaicPair) -> OrthoPair:
     table that passed the dualizability check): the pair's own
     reconstruction, built on first use."""
     return p._reconstruction
-
-
-def _reconstruct(mosaic: Mosaic, pi: Involution) -> OrthoPair:
-    """The inverse functor on a pair known to be dualizable, on the mosaic's
-    own carrier with names x0, x1, ...: the order read off the principal
-    cells, and pi as its orthocomplementation.  The paper proves that this
-    order is a lattice with bounds 0 and pi(0) and that the table is its
-    Nakano mosaic, so neither is checked here; the lattice constructor and
-    OrthoPair keep their own input checks.  The order depends on the table
-    alone, so its lattice is built once per table and each pi's OrthoPair
-    wraps it.  tests/test_ortho_kernels.py checks the theorem on every
-    dualizable input it has."""
-    lattice = _REBUILT.get(mosaic.op)
-    if lattice is None:
-        names = [f"x{i}" for i in range(mosaic.size)]
-        lattice = _REBUILT[mosaic.op] = from_leq(names, principal_rows(mosaic))
-    return OrthoPair(lattice, pi)
 
 
 @dataclass(frozen=True)

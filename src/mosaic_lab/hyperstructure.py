@@ -14,7 +14,7 @@ from operator import or_
 
 from .bits import bits, elements, full_mask, image, least, mask_of, transpose
 from .errors import InvalidStructure, SizeMismatch
-from .lattice_core import AxiomReport, Involution
+from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, from_leq
 
 
 @dataclass(frozen=True)
@@ -22,11 +22,11 @@ class Multioperation:
     """n x n table of carrier subsets.
 
     What several checks read off the table (the cube, the packed rows,
-    their unions, the principal rows, the Lms2 and Lms3 witnesses) is
-    derived once per table, on first use, in the private cached properties
-    below.  They depend on the cells alone, take no part in ==, hash or
-    repr, and live exactly as long as the table: with_cell makes a new
-    table.
+    their unions, the principal rows and the lattice they induce, the Lms2
+    and Lms3 witnesses) is derived once per table, on first use, in the
+    private cached properties below.  They depend on the cells alone, take
+    no part in ==, hash or repr, and live exactly as long as the table:
+    with_cell makes a new table.
 
     The whole table is one integer, the cube: with the slot width w, the
     least power of two >= n, bit w*(w*x + y) + z is set iff z is in x.y.
@@ -105,6 +105,14 @@ class Multioperation:
     def _under(self) -> tuple[int, ...]:
         """_under[x] = {z : x in z.z}: the principal cells as up-set rows."""
         return tuple(transpose([row[j] for j, row in enumerate(self.table)]))
+
+    @cached_property
+    def _induced_lattice(self) -> FiniteBoundedLattice:
+        """The lattice of _under on names x0, x1, ...: the inverse functor's
+        lattice, which every pi on this table shares.  Like principal_rows
+        it is read only off a table known to be an L-mosaic; from_leq
+        refuses rows that are no lattice order."""
+        return from_leq([f"x{i}" for i in range(self.size)], self._under)
 
     @cached_property
     def _lms2_witness(self):
@@ -408,9 +416,14 @@ def _carrier_map(f, source_size: int, target_size: int) -> tuple[int, ...]:
 
 def check_morphism(f, a: Mosaic, b: Mosaic) -> AxiomReport:
     """Mosaic morphism: unitary, and f(x [.] y) inside f(x) [.] f(y) for every
-    cell.  Inverse preservation, which unitary morphisms of invertible magmas
-    cannot break, is verified alongside.  The report's axiom is
-    "morphism-morphism"."""
+    cell.  Inverse preservation follows, so it is not tested: the neutral e
+    is in x.rho(x), so f(e), the neutral of b, is in f(x).f(rho(x)), and
+    f(rho(x)) is an inverse of f(x), whose one inverse in b is rho'(f(x)).
+    That needs each rho to be its mosaic's inverse map, as verify_mosaic and
+    the Nakano constructors build it; Mosaic itself checks only that rho
+    fixes the neutral, so for a hand-built rho the report says nothing about
+    inverses.  tests/oracles.morphism_loops keeps the literal test.  The
+    report's axiom is "morphism-morphism"."""
     f = _carrier_map(f, a.size, b.size)
     name = "morphism-morphism"
     if f[a.neutral] != b.neutral:
@@ -421,9 +434,6 @@ def check_morphism(f, a: Mosaic, b: Mosaic) -> AxiomReport:
         for y, cell in enumerate(row):
             if image(cell, f) & ~images[f[y]]:
                 return AxiomReport(name, False, (x, y), "cell condition fails")
-    for x in range(a.size):
-        if f[a.rho(x)] != b.rho(f[x]):
-            return AxiomReport(name, False, (x,), "inverse preservation fails")
     return AxiomReport(name, True)
 
 

@@ -29,11 +29,13 @@ def _require(cond: bool, message: str):
 
 def _json_doc(text: str):
     """The decoded JSON text; a FormatError with line info when it is
-    malformed."""
+    malformed, and one without when it nests too deep for the decoder."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FormatError("JSON nested too deep to decode") from exc
 
 
 def parse_lattice_json(text: str):

@@ -63,8 +63,7 @@ def call_counts(monkeypatch):
 
 @pytest.fixture
 def fresh_maps(monkeypatch):
-    """Empty weak maps of Nakano tables and rebuilt lattices for one test:
-    an equal lattice or table that an earlier test keeps alive would
-    otherwise serve this test's builds."""
+    """An empty weak map of Nakano tables for one test: an equal lattice
+    that an earlier test keeps alive would otherwise serve this test's
+    table, and with it the lattice that table induces."""
     monkeypatch.setattr(equivalence, "_NAKANO", weakref.WeakKeyDictionary())
-    monkeypatch.setattr(equivalence, "_REBUILT", weakref.WeakKeyDictionary())

@@ -1,10 +1,11 @@
 import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
-from mosaic_lab import equivalence
+from mosaic_lab import equivalence, hyperstructure
 from mosaic_lab.bits import full_mask, mask_of
 from mosaic_lab.errors import (
     NotAnOrthocomplementation,
@@ -413,7 +414,7 @@ class TestBuiltOncePerOrder:
         assert images[0].mosaic == additive_nakano(mo4_pairs[0].lattice).mosaic
 
     def test_reconstructions_share_one_lattice(self, call_counts, fresh_maps, mo4_pairs):
-        counts = call_counts(equivalence, "from_leq")
+        counts = call_counts(hyperstructure, "from_leq")
         rebuilt = [reconstruct_lattice(functor_E(p)) for p in mo4_pairs]
         assert counts["from_leq"] == 1
         assert all(r.lattice is rebuilt[0].lattice for r in rebuilt)
@@ -427,10 +428,12 @@ class TestBuiltOncePerOrder:
         images = [functor_E(p) for p in pairs]
         rebuilt = [reconstruct_lattice(d) for d in images]
         morphism_transfer_check(range(l.size), pairs[0], pairs[1])
-        assert len(equivalence._NAKANO) == len(equivalence._REBUILT) == 1
+        assert len(equivalence._NAKANO) == 1
+        induced = weakref.ref(rebuilt[0].lattice)
         del l, pairs, images, rebuilt
         gc.collect()
-        assert len(equivalence._NAKANO) == len(equivalence._REBUILT) == 0
+        assert len(equivalence._NAKANO) == 0
+        assert induced() is None
 
     def test_a_dual_lattice_gets_its_own_table(self, fresh_maps, hexagon_pair):
         h = hexagon_pair.lattice
@@ -443,14 +446,15 @@ class TestBuiltOncePerOrder:
 
 
 class TestVerifiedOnce:
-    def test_polygroup_checks_reconstruct_once(self, call_counts):
-        counts = call_counts(equivalence, "_reconstruct", "_dualizability_failure")
+    def test_polygroup_checks_reconstruct_once(self, call_counts, fresh_maps):
+        counts = call_counts(hyperstructure, "from_leq")
+        call_counts(equivalence, "_dualizability_failure")
         e = named("MO_3")
         p = functor_E(OrthoPair(e.lattice, e.ortho))
         for x in range(p.size):
             for y in range(p.size):
                 assert generated_polygroup_check(p, x, y).holds
-        assert counts == {"_reconstruct": 1}
+        assert counts == {"from_leq": 1}
 
     def test_verified_pair_matches_external_input(self, ortholattices_upto_8):
         """functor_E builds its pairs unchecked; the full dualizability check

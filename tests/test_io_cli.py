@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from mosaic_lab import lattice_core
 from mosaic_lab.cli import _MAX_FILE_ELEMENTS, main
-from mosaic_lab.errors import FormatError, NotAnOrthocomplementation
+from mosaic_lab.errors import FormatError, NotAnOrthocomplementation, SizeTooLarge
 from mosaic_lab.io import (
     diff_table_docs,
     lattice_from_doc,
@@ -32,6 +32,23 @@ MALFORMED_PAIRS = [
     ({"covers": [[["0"], "1"]]}, "bad cover [['0'], '1']"),
     ({"ortho": [[{"a": 1}, "1"]]}, "bad ortho pair [{'a': 1}, '1']"),
 ]
+# each command with a library call that it makes, patched below to raise a
+# typed error; {tmp} is the test's directory
+TYPED_ERROR_CALLS = [
+    (["validate", "{tmp}/chain_2.json"], "mosaic_lab.cli.lattice_from_doc"),
+    (["table", "pentagon"], "mosaic_lab.cli.additive_nakano"),
+    (["table", "hexagon", "--diff", str(DATA / "table3_hexagon_additive_printed.json")],
+     "mosaic_lab.cli.diff_table_docs"),
+    (["check", "pentagon"], "mosaic_lab.cli.is_modular"),
+    (["roundtrip", "hexagon"], "mosaic_lab.cli.reconstruct_lattice"),
+    (["orthocomplements", "MO_2"], "mosaic_lab.cli.orthocomplementations"),
+    (["catalog", "pentagon", "-o", "{tmp}"], "mosaic_lab.cli.lattice_to_doc"),
+    (["catalog", "--enumerate", "3"], "mosaic_lab.catalog.census"),
+]
+# a lattice document nested deeper than the JSON decoder's recursion limit on
+# every supported Python: 3.11 counts it against the 1 000-frame Python limit,
+# 3.12 and 3.13 against a C limit of 10 000
+DEEP_JSON = '{"name": "deep", "elements": ["0", "1"], "covers": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 
 def duplicate_name_table(pentagon) -> dict:
@@ -361,6 +378,28 @@ class TestCliOther:
         res = runner.invoke(main, ["validate", str(path)])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("args", [["validate", "{path}"], ["check", "{path}"],
+                                      ["table", "pentagon", "--diff", "{path}"]])
+    def test_json_nested_too_deep_is_input_error(self, runner, tmp_path, args):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        res = runner.invoke(main, [a.format(path=path) for a in args])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: JSON nested too deep to decode\n"
+
+    @pytest.mark.parametrize("args, call", TYPED_ERROR_CALLS)
+    def test_a_typed_error_in_any_command_is_input_error(self, runner, tmp_path, monkeypatch, args, call):
+        def refuse(*_args, **_kwargs):
+            raise SizeTooLarge("boom")
+
+        (tmp_path / "chain_2.json").write_text(json.dumps(chain_2_doc()))
+        monkeypatch.setattr(call, refuse)
+        res = runner.invoke(main, [a.format(tmp=tmp_path) for a in args])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: boom\n"
+
     @pytest.mark.parametrize(
         "args", [["validate"], ["check"], ["check", "--checks", "ortholattice"], ["roundtrip"]]
     )
@@ -390,10 +429,10 @@ class TestCliOther:
         orthomodular and roundtrip checks, and every roundtrip reads one
         lattice rebuilt from it."""
         import mosaic_lab.cli as cli
-        import mosaic_lab.equivalence as equivalence
+        import mosaic_lab.hyperstructure as hyperstructure
 
         counts = call_counts(cli, "orthocomplementations", "additive_nakano")
-        call_counts(equivalence, "from_leq")
+        call_counts(hyperstructure, "from_leq")
         path = tmp_path / "mo3.json"
         path.write_text(json.dumps(lattice_to_doc(named("MO_3").lattice, None, "MO_3")))
         res = runner.invoke(main, ["check", str(path)])
