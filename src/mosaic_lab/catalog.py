@@ -7,15 +7,18 @@ canonical form, so no class is generated as a duplicate that must be removed.
 The candidates are naturally-labeled bounded posets, grown one middle element
 at a time from the order ideals of the poset so far, in which every new
 element has a meet with every earlier one and the base pairs (down-set size,
-up-set size) are sorted.  The canonicity test is staged from cheap to dear:
+up-set size) are sorted; a branch whose base pairs can no longer end sorted
+is cut before its leaves.  The canonicity test is staged from cheap to dear:
 unsorted base pairs rule a candidate out, then an unsorted invariant
-sequence, and only the rest try relabelings, in which twins (elements whose
-swap is an automorphism) keep their order.  Each relabeling's rows are built
-one at a time and compared with the candidate's; the test stops at the first
-relabeling that comes out below the candidate.  No other routine computes a
-canonical form: the test only decides whether a candidate is one.  Counts
-are never copied from external sources; tests freeze what the independent
-oracle and this generator produce.
+sequence, built only where base pairs tie; a candidate whose invariant
+classes are all single elements is canonical at once, and only the rest try
+relabelings, in which twins (elements whose swap is an automorphism) keep
+their order.  Each relabeling's rows are built one at a time and compared
+with the candidate's; the test stops at the first relabeling that comes out
+below the candidate.  No other routine computes a canonical form: the test
+only decides whether a candidate is one.  Counts are never copied from
+external sources; tests freeze what the independent oracle and this
+generator produce.
 """
 
 from __future__ import annotations
@@ -189,37 +192,45 @@ def _middle_posets(m: int):
     meet I & D with the new principal ideal passes, and adds I | 1 << i for
     each I containing D, which meets the new principal ideal in D | 1 << i.
     An ideal that fails once fails for good, so none is carried.  Down-set
-    sizes are fixed when an element is added and never decrease; up-set
-    sizes grow with the later elements, so they are compared at the leaf."""
+    sizes are fixed when an element is added and never decrease.  Up-set
+    sizes only grow, and each of the m - 1 - i elements after i adds at most
+    one to a count, so a branch is cut once two adjacent elements j, j + 1
+    with equal down-set sizes have above[j] > above[j + 1] + m - 1 - i: no
+    leaf below it has sorted base pairs.  At the last element that cut is
+    the base-pair test itself, so every leaf reached is yielded."""
     downs = []
     closed = []
     above = [0] * m  # above[j]: how many of the elements so far lie above j
+    ties = []  # the j < i whose down-set is as large as that of j + 1
 
     def rec(i: int, ideals: list[int]):
         if i == m:
-            if all(
-                above[j] <= above[j + 1]
-                for j in range(m - 1)
-                if downs[j].bit_count() == downs[j + 1].bit_count()
-            ):
-                yield tuple(downs)
+            yield tuple(downs)
             return
         least_size = downs[-1].bit_count() if downs else 0
+        slack = m - 1 - i
         for cand in ideals:
-            if cand.bit_count() < least_size:
+            size = cand.bit_count()
+            if size < least_size:
                 continue
+            tied = i > 0 and size == least_size
+            if tied:
+                ties.append(i - 1)
             downs.append(cand)
             closed.append(cand | 1 << i)
             for j in bits(cand):
                 above[j] += 1
-            nxt = [] if i + 1 == m else [
-                ideal for ideal in ideals if _has_greatest(ideal & cand, closed)
-            ] + [ideal | 1 << i for ideal in ideals if cand & ~ideal == 0]
-            yield from rec(i + 1, nxt)
+            if all(above[j] <= above[j + 1] + slack for j in ties):
+                nxt = [] if slack == 0 else [
+                    ideal for ideal in ideals if _has_greatest(ideal & cand, closed)
+                ] + [ideal | 1 << i for ideal in ideals if cand & ~ideal == 0]
+                yield from rec(i + 1, nxt)
             for j in bits(cand):
                 above[j] -= 1
             downs.pop()
             closed.pop()
+            if tied:
+                ties.pop()
 
     yield from rec(0, [0])
 
@@ -252,21 +263,31 @@ def _is_canonical(up: tuple[int, ...], down: tuple[int, ...]) -> bool:
     the elements above and below it.  The test is staged: unsorted base
     pairs rule up out at once (the generator yields none, but the test takes
     any rows), then an unsorted invariant sequence, and only then are
-    relabelings tried, with twins in their relative order.  Each
-    relabeling's rows are built one at a time against up's: the first row
-    that differs decides, and a row below up's ends the test."""
+    relabelings tried, with twins in their relative order.  Once the base
+    pairs are sorted, equal ones are adjacent, and only an element whose
+    base pair equals a neighbour's has its sorted rows built; a lone
+    element's base pair decides every comparison it is in.  When every
+    invariant class is a single element the identity is the only
+    relabeling, and up is canonical.  Each relabeling's rows are built one
+    at a time against up's: the first row that differs decides, and a row
+    below up's ends the test."""
     base = _base_pairs(up, down)
     if base != sorted(base):
         return False
+    tied = {i for i in range(1, len(base)) if base[i - 1] == base[i]}
+    tied |= {i - 1 for i in tied}
     inv = [
-        (b, tuple(sorted(base[j] for j in bits(u))), tuple(sorted(base[j] for j in bits(d))))
-        for b, u, d in zip(base, up, down)
+        (b, tuple(sorted(base[j] for j in bits(up[i]))), tuple(sorted(base[j] for j in bits(down[i]))))
+        if i in tied else (b,)
+        for i, b in enumerate(base)
     ]
     if inv != sorted(inv):
         return False
     groups: dict = {}
     for i, key in enumerate(inv):
         groups.setdefault(key, []).append(i)
+    if len(groups) == len(inv):
+        return True
     above = [list(bits(row)) for row in up]
     bit = [0] * len(up)  # old element -> the bit of its new position
     orders = [

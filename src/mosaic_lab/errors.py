@@ -1,4 +1,14 @@
-"""Exception classes shared across the package."""
+"""Exception classes shared across the package, and the helper that cuts an
+input value short where their messages quote it."""
+
+_ECHO_LIMIT = 60
+
+
+def _echo(value) -> str:
+    """repr(value), cut after _ECHO_LIMIT characters and marked "...", so that
+    a message quoting a label or a malformed pair stays one short line."""
+    text = repr(value)
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
 
 
 class MosaicLabError(Exception):

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .bits import bits
-from .errors import FormatError, NotAnOrthocomplementation
+from .errors import FormatError, NotAnOrthocomplementation, _echo
 from .lattice_core import FiniteBoundedLattice, Involution, build_from_covers, is_orthocomplementation
 from .hyperstructure import Mosaic, Multioperation
 
@@ -57,7 +57,7 @@ def lattice_from_doc(doc):
     covers = []
     for pair in _label_pairs(doc["covers"], "covers", "bad cover"):
         for lab in pair:
-            _require(lab in known, f"unknown element {lab!r} in covers")
+            _require(lab in known, f"unknown element {_echo(lab)} in covers")
         covers.append(tuple(pair))
     lattice = build_from_covers(elements, covers)
     ortho = None
@@ -67,8 +67,8 @@ def lattice_from_doc(doc):
         for pair in _label_pairs(doc["ortho"], "ortho", "bad ortho pair"):
             # a self-pair [x, x] is legal only for the one-element lattice
             for lab in dict.fromkeys(pair):
-                _require(lab in known, f"unknown element {lab!r} in ortho")
-                _require(lab not in seen, f"element {lab!r} paired twice in ortho")
+                _require(lab in known, f"unknown element {_echo(lab)} in ortho")
+                _require(lab not in seen, f"element {_echo(lab)} paired twice in ortho")
                 seen.add(lab)
             i, j = lattice.index(pair[0]), lattice.index(pair[1])
             m[i], m[j] = j, i
@@ -83,7 +83,7 @@ def _label_pairs(pairs, key: str, bad: str) -> list:
     _require(isinstance(pairs, list), f"{key} must be a list of label pairs")
     for pair in pairs:
         _require(isinstance(pair, list) and len(pair) == 2 and all(isinstance(lab, str) for lab in pair),
-                 f"{bad} {pair!r}")
+                 f"{bad} {_echo(pair)}")
     return pairs
 
 
@@ -152,7 +152,7 @@ class TableDoc:
         return bad
 
     def to_multioperation(self) -> Multioperation:
-        _require(not self.foreign_labels(), f"table mentions foreign labels {sorted(self.foreign_labels())}")
+        _require(not self.foreign_labels(), f"table mentions foreign labels {_echo(sorted(self.foreign_labels()))}")
         pos = {lab: i for i, lab in enumerate(self.elements)}
         n = len(self.elements)
         return Multioperation(
@@ -190,7 +190,7 @@ def table_from_doc(doc) -> TableDoc:
             )
     neutral = doc.get("neutral")
     if neutral is not None:
-        _require(neutral in elements, f"neutral {neutral!r} is not an element")
+        _require(neutral in elements, f"neutral {_echo(neutral)} is not an element")
     return TableDoc(str(doc["name"]), tuple(elements), neutral, rows, doc.get("provenance"))
 
 

@@ -26,6 +26,7 @@ from .errors import (
     SizeMismatch,
     SizeTooLarge,
     UnknownName,
+    _echo,
 )
 
 
@@ -130,11 +131,11 @@ class FiniteBoundedLattice:
             for j in range(i, n):
                 m = above.get(up_i & up[j])
                 if m is None:
-                    raise NotALattice(f"{labels[i]!r} and {labels[j]!r} lack a join", (i, j))
+                    raise NotALattice(f"{_echo(labels[i])} and {_echo(labels[j])} lack a join", (i, j))
                 join[i][j] = join[j][i] = m
                 m = below.get(down_i & down[j])
                 if m is None:
-                    raise NotALattice(f"{labels[i]!r} and {labels[j]!r} lack a meet", (i, j))
+                    raise NotALattice(f"{_echo(labels[i])} and {_echo(labels[j])} lack a meet", (i, j))
                 meet[i][j] = meet[j][i] = m
         self.size = n
         self.names = tuple(str(x) for x in labels)
@@ -163,7 +164,7 @@ class FiniteBoundedLattice:
         try:
             return self._index[label]
         except KeyError:
-            raise UnknownName(f"unknown element {label!r}") from None
+            raise UnknownName(f"unknown element {_echo(label)}") from None
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover pairs (i, j) with i covered by j."""
@@ -181,16 +182,16 @@ def build_from_covers(names, covers) -> FiniteBoundedLattice:
     """Lattice from labels and cover pairs (lower, upper); validates eagerly."""
     names = list(names)
     if len(set(names)) != len(names):
-        raise DuplicateLabel(f"duplicate labels in {names}")
+        raise DuplicateLabel(f"duplicate labels in {_echo(names)}")
     n = len(names)
     idx = {x: i for i, x in enumerate(names)}
     up = [1 << i for i in range(n)]
     for lo, hi in covers:
         for lab in (lo, hi):
             if lab not in idx:
-                raise UnknownName(f"cover mentions unknown element {lab!r}")
+                raise UnknownName(f"cover mentions unknown element {_echo(lab)}")
         if lo == hi:
-            raise CyclicCovers(f"self-loop at {lo!r}")
+            raise CyclicCovers(f"self-loop at {_echo(lo)}")
         up[idx[lo]] |= 1 << idx[hi]
     # reflexive-transitive closure (Warshall's, on the rows), then cycle
     # detection via antisymmetry
@@ -201,7 +202,7 @@ def build_from_covers(names, covers) -> FiniteBoundedLattice:
     for i in range(n):
         for j in bits(up[i]):
             if i != j and up[j] >> i & 1:
-                raise CyclicCovers(f"cycle through {names[i]!r} and {names[j]!r}")
+                raise CyclicCovers(f"cycle through {_echo(names[i])} and {_echo(names[j])}")
     return FiniteBoundedLattice(names, up)
 
 

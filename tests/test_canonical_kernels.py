@@ -13,7 +13,8 @@ agreement is checked there, no count), and on seeded relabelings.  The
 generator drops candidates with unsorted base pairs, so the canonicity test
 is also run on the candidates of test_catalog.py's filter route, which
 drops none, and twins are checked on the diamonds and on a lattice whose
-invariant class mixes twins and non-twins.
+invariant class mixes twins and non-twins.  On the chains, whose invariant
+classes are single elements, no relabeling is tried at all.
 """
 
 import itertools
@@ -148,6 +149,18 @@ def test_twins_keep_their_order_in_a_class_that_mixes_twins_and_non_twins():
     assert len(coatoms) == 4 and len({inv[i] for i in coatoms}) == 1
     orders = list(_twin_respecting_orders(coatoms, key, tuple(transpose(key))))
     assert len(set(orders)) == len(orders) == 6
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_a_chain_is_canonical_without_a_relabeling(k, call_counts):
+    """A chain's invariant classes are single elements, so the identity is
+    the only relabeling and none is tried; a relabeled chain is rejected."""
+    key = named(f"chain_{k}").lattice.leq
+    counts = call_counts(itertools, "product")
+    assert is_canonical(key)
+    assert counts["product"] == 0
+    if k > 3:
+        assert not is_canonical(relabeled(key, [0, 2, 1, *range(3, k)]))
 
 
 def test_twin_orders_give_every_relabeled_matrix(lattices_upto_8):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from mosaic_lab.bits import transpose
 from mosaic_lab.errors import InvalidStructure, MosaicLabError, SizeTooLarge, UnknownName
 from mosaic_lab.lattice_core import (
     find_sublattice_copy,
@@ -20,6 +21,7 @@ from mosaic_lab.catalog import (
     CatalogEntry,
     _bounded_lattice_candidates,
     _is_canonical,
+    _middle_posets,
     census,
     enumerate_lattices,
     enumerate_ortholattices,
@@ -175,6 +177,21 @@ class TestEnumerateLattices:
             lattices, keys = generate_filter_dedup(n)
             assert {up for up, _ in _bounded_lattice_candidates(n)} <= lattices, n
             assert {l.leq for l in enumerate_lattices(n)} == keys, n
+
+    @pytest.mark.parametrize("m", range(8))
+    def test_middle_posets_keep_up_set_counts_sorted_within_each_down_set_size(self, m):
+        """The generator cuts a branch before its leaves and runs no leaf
+        test: every poset it yields still lists the elements of each run of
+        equal down-set sizes with non-decreasing up-set sizes."""
+        posets = list(_middle_posets(m))
+        assert posets and len(posets) == len(set(posets))
+        for downs in posets:
+            above = [row.bit_count() for row in transpose(downs)]
+            assert all(
+                above[j] <= above[j + 1]
+                for j in range(m - 1)
+                if downs[j].bit_count() == downs[j + 1].bit_count()
+            ), downs
 
     def test_each_class_is_listed_as_its_canonical_key_in_order(self):
         for n in range(1, 9):

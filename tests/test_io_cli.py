@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mosaic_lab
 from mosaic_lab import lattice_core
 from mosaic_lab.cli import _MAX_FILE_ELEMENTS, main
 from mosaic_lab.errors import FormatError, NotAnOrthocomplementation, SizeTooLarge
@@ -422,6 +426,31 @@ class TestCliOther:
         assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    @pytest.mark.parametrize(
+        "covers, start",
+        [
+            ("[" + "[" * 950 + "]" * 950 + "]", "error: bad cover [[[["),
+            (json.dumps([["0", "x" * 10_000]]), "error: unknown element 'xxxx"),
+        ],
+        ids=["cover_nested_950_deep", "label_of_10000_characters"],
+    )
+    def test_a_long_echoed_value_is_cut_to_one_short_line(self, tmp_path, command, covers, start):
+        """Run as its own process: the decoder reads 950 levels there, but
+        not under the test runner's deeper stack."""
+        path = tmp_path / "long.json"
+        path.write_text('{"name": "long", "elements": ["0", "1"], "covers": ' + covers + "}")
+        src = str(Path(mosaic_lab.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run(
+            [sys.executable, "-m", "mosaic_lab.cli", command, str(path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(start) and "..." in res.stderr
+        assert res.stderr.count("\n") == 1 and len(res.stderr) < 200
 
     def test_check_searches_orthocomplements_once(self, runner, tmp_path, call_counts, fresh_maps):
         """MO_3 without an ortho block has 15 orthocomplementations: one

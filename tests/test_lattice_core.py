@@ -136,6 +136,17 @@ class TestBuildFromCovers:
         with pytest.raises(UnknownName, match="^unknown element 'z'$"):
             pentagon.lattice.index("z")
 
+    def test_a_long_label_is_echoed_cut_short(self, pentagon):
+        """A message quotes at most 60 characters of a label, then "..."."""
+        long = "x" * 10_000
+        echoed = repr(long)[:60] + "..."
+        with pytest.raises(UnknownName) as exc:
+            pentagon.lattice.index(long)
+        assert str(exc.value) == f"unknown element {echoed}"
+        with pytest.raises(CyclicCovers) as exc:
+            build_from_covers(["0", long], [(long, long)])
+        assert str(exc.value) == f"self-loop at {echoed}"
+
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=10))
     def test_random_covers_agree_with_closure_oracle(self, pairs):
