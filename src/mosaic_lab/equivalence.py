@@ -17,7 +17,8 @@ Nakano table of a lattice from _NAKANO, a weak map: an entry lives as long
 as its lattice, and no table holds its own lattice.  additive_nakano itself
 still builds a new table on every call.  Every reconstruction of a table
 wraps the lattice that the table keeps with its other derived data,
-Multioperation._induced_lattice.
+Multioperation._induced_lattice, and the associativity verdicts of its
+generated subalgebras are kept there too.
 """
 
 from __future__ import annotations
@@ -112,14 +113,15 @@ class DualizableLMosaicPair:
     Construction checks nothing; its Mosaic was checked, when built, only
     for a neutral that is neutral and a rho that fixes it.  functor_E
     builds pairs that the paper proves dualizable, and a table from outside
-    is checked by reconstruct_from.  The orthomodularity verdict, the
-    subalgebra that each pi-closed seed set generates and the associativity
-    verdict of each generated subalgebra are computed at most once per pair,
-    on first use, and live as long as the pair; so does the reconstruction,
-    whose lattice the table keeps for every pair on it.  They take no part
-    in ==, hash or repr.  The pairs that functor_E builds from one lattice
-    share one Mosaic, and with it the table's cube, principal rows and
-    induced lattice.
+    is checked by reconstruct_from.  The orthomodularity verdict and the
+    subalgebra that each pi-closed seed set generates depend on pi, so they
+    are computed at most once per pair, on first use, and live as long as
+    the pair; so does the reconstruction, whose lattice the table keeps for
+    every pair on it.  They take no part in ==, hash or repr.  What depends
+    on the table alone is kept on the table: the pairs that functor_E
+    builds from one lattice share one Mosaic, and with it the table's cube,
+    principal rows, induced lattice and the associativity verdict of each
+    restriction that a generated subalgebra asks for.
     """
 
     mosaic: Mosaic
@@ -166,12 +168,6 @@ class DualizableLMosaicPair:
     def _generated_subalgebras(self) -> dict[int, int]:
         """pi-closed seed set -> the mask it generates in the reconstructed
         lattice; filled by generated_polygroup_check."""
-        return {}
-
-    @cached_property
-    def _associative_subalgebras(self) -> dict[int, bool]:
-        """Generated mask -> whether the table restricted to it is
-        associative; filled by generated_polygroup_check."""
         return {}
 
 
@@ -253,9 +249,10 @@ def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> Axiom
     what its pi-closed seed set {x, y, pi(x), pi(y), 0, 1} generates, so
     each distinct seed set is closed once per pair.  Many (x, y) generate
     the same subalgebra (two elements of an orthomodular lattice generate
-    an image of MO_2 x 2^4), so the verdict is computed once per distinct
-    generated subset of the pair; a failing report carries its own (x, y).
-    x and y past the carrier raise SizeMismatch."""
+    an image of MO_2 x 2^4), and the restriction to a subset depends on the
+    table alone, so the verdict is computed once per distinct generated
+    subset of the table, over every pair on it; a failing report carries
+    its own (x, y).  x and y past the carrier raise SizeMismatch."""
     _members(p.mosaic.size, (x, y))
     if not is_orthomodular_mosaic(p).holds:
         raise PreconditionFailed("mosaic is not orthomodular")
@@ -266,7 +263,7 @@ def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> Axiom
     generated = closures.get(seeds)
     if generated is None:
         generated = closures[seeds] = _generated_mask(ortho.lattice, seeds, p.pi)
-    verdicts = p._associative_subalgebras
+    verdicts = p.mosaic.op._associative_subalgebras
     if generated not in verdicts:
         restricted = _restricted_op(p.mosaic.op.table, list(bits(generated)))
         verdicts[generated] = is_associative(restricted).holds

@@ -23,10 +23,11 @@ class Multioperation:
 
     What several checks read off the table (the cube, the packed rows,
     their unions, the principal rows and the lattice they induce, the Lms2
-    and Lms3 witnesses) is derived once per table, on first use, in the
-    private cached properties below.  They depend on the cells alone, take
-    no part in ==, hash or repr, and live exactly as long as the table:
-    with_cell makes a new table.
+    and Lms3 witnesses, the associativity verdicts of its restrictions) is
+    derived once per table, on first use, in the private cached properties
+    below.  They depend on the cells alone, take no part in ==, hash or
+    repr, and live exactly as long as the table: with_cell makes a new
+    table.
 
     The whole table is one integer, the cube: with the slot width w, the
     least power of two >= n, bit w*(w*x + y) + z is set iff z is in x.y.
@@ -113,6 +114,13 @@ class Multioperation:
         it is read only off a table known to be an L-mosaic; from_leq
         refuses rows that are no lattice order."""
         return from_leq([f"x{i}" for i in range(self.size)], self._under)
+
+    @cached_property
+    def _associative_subalgebras(self) -> dict[int, bool]:
+        """Subset mask -> whether the table restricted to it is
+        associative; filled by equivalence.generated_polygroup_check, so
+        every pair on this table reads the verdicts of the others."""
+        return {}
 
     @cached_property
     def _lms2_witness(self):

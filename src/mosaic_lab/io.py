@@ -14,6 +14,7 @@ operation symbol in the corner, labelled rows/columns, set-valued cells.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .bits import bits
@@ -27,15 +28,39 @@ def _require(cond: bool, message: str):
         raise FormatError(message)
 
 
+# arrays and objects a JSON file may nest: a lattice file needs 3, a table
+# file 4.  The decoder recurses once per level, and on Python 3.10 and 3.11
+# its limit is what the caller's stack leaves of the 1 000-frame recursion
+# limit, so the bound is checked first and the verdict is the file's own.
+_MAX_NESTING = 64
+# a string literal, closed or not, whose brackets nest nothing
+_STRING = re.compile(r'"(?:[^"\\]|\\.)*"?', re.S)
+_NOT_BRACKET = re.compile(r"[^\[\]{}]+")
+
+
+def _nesting_exceeds(text: str, bound: int) -> bool:
+    """Whether the arrays and objects of the JSON text nest deeper than
+    bound, read off its brackets outside string literals."""
+    depth = 0
+    for c in _NOT_BRACKET.sub("", _STRING.sub("", text)):
+        if c in "[{":
+            depth += 1
+            if depth > bound:
+                return True
+        else:
+            depth -= 1
+    return False
+
+
 def _json_doc(text: str):
     """The decoded JSON text; a FormatError with line info when it is
-    malformed, and one without when it nests too deep for the decoder."""
+    malformed, and one without when it nests deeper than _MAX_NESTING."""
+    if _nesting_exceeds(text, _MAX_NESTING):
+        raise FormatError("JSON nested too deep to decode")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise FormatError("JSON nested too deep to decode") from exc
 
 
 def parse_lattice_json(text: str):

@@ -10,6 +10,7 @@ of the carrier are bitmask ints throughout (see bits.py).
 
 from __future__ import annotations
 
+import weakref
 from copy import copy
 from dataclasses import dataclass, field
 
@@ -294,7 +295,10 @@ def _orthocomplementation_search(l: FiniteBoundedLattice):
     """The search of orthocomplementations, yielding each map as it is
     found: next() of it stops at the first.  pi has no fixed point (x = pi(x)
     gives x = x v pi(x) = 1 and x = x ^ pi(x) = 0), so an odd carrier with
-    n > 1 has none.
+    n > 1 has none.  pi maps the elements below x onto the elements above
+    pi(x), so the base pairs (down-set size, up-set size) of the carrier,
+    swapped, are its base pairs again; a carrier where they are not has none
+    either, and neither answer builds a complement mask.
 
     One generator frame runs the whole search, and raises SizeTooLarge
     past _MAX_PLACEMENTS pairs tried.  frames holds, per pair assigned on
@@ -303,6 +307,9 @@ def _orthocomplementation_search(l: FiniteBoundedLattice):
     are om[x] & ~done, so an assigned element is never scanned."""
     n, up, down = l.size, l.leq, l.down
     if n > 1 and n % 2:
+        return
+    pairs = _base_pairs(up, down)
+    if sorted(pairs) != sorted((u, d) for d, u in pairs):
         return
     om, full = [complement_mask(l, x) for x in range(n)], full_mask(n)
     assign = [-1] * n
@@ -475,6 +482,21 @@ def hexagon_pattern() -> FiniteBoundedLattice:
 # get a lattice of their own
 _HEXAGON = hexagon_pattern()
 
+# lattice -> its least hexagon copy, or None
+_HEXAGON_COPIES = weakref.WeakKeyDictionary()
+
+
+def _hexagon_copy(l: FiniteBoundedLattice):
+    """The least copy of the hexagon in l, or None.  It depends on the
+    order alone, so it is searched once while l lives, however many pis l
+    carries: an entry of _HEXAGON_COPIES lives as long as its lattice, and
+    a dual lattice, whose order differs, is a key of its own."""
+    try:
+        return _HEXAGON_COPIES[l]
+    except KeyError:
+        found = _HEXAGON_COPIES[l] = find_sublattice_copy(l, _HEXAGON)
+        return found
+
 
 def pentagon_pattern() -> FiniteBoundedLattice:
     """The 5-element pentagon: 0<b<a<1 and 0<c<1."""
@@ -488,7 +510,10 @@ def check_om_equivalences(l: FiniteBoundedLattice, pi: Involution) -> list[Axiom
     """OM1 (definition), OM2, OM3 (hexagon-freeness), OM4 (generated distributivity).
 
     The four reports agree in truth value on every ortholattice.  pi is
-    checked once, on entry, by OrthoPair.  OM4 scans x <= y
+    checked once, on entry, by OrthoPair.  OM3's witness, the least hexagon
+    copy, depends on the order alone, so it is searched once per lattice
+    over all calls and all pis, and kept while the lattice lives
+    (_hexagon_copy).  OM4 scans x <= y
     in lexicographic order; the first (x, y) whose generated pi-closed
     sublattice is not distributive is the witness.  A pair with x = 0,
     x = y or y = 1 generates {0, 1, u, pi(u)}, which is Boolean and so never
@@ -513,11 +538,11 @@ def check_om_equivalences(l: FiniteBoundedLattice, pi: Involution) -> list[Axiom
         if not om2.holds:
             break
 
-    copy = find_sublattice_copy(l, _HEXAGON)
-    if copy is None:
+    found = _hexagon_copy(l)
+    if found is None:
         om3 = AxiomReport("OM3", True)
     else:
-        om3 = AxiomReport("OM3", False, copy, "hexagon sublattice")
+        om3 = AxiomReport("OM3", False, found, "hexagon sublattice")
 
     om4 = AxiomReport("OM4", True)
     p, closures, distributive = pi.map, {}, {}

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mosaic_lab import equivalence
+from mosaic_lab import equivalence, lattice_core
 from mosaic_lab.catalog import enumerate_lattices, enumerate_ortholattices, named
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -63,7 +63,9 @@ def call_counts(monkeypatch):
 
 @pytest.fixture
 def fresh_maps(monkeypatch):
-    """An empty weak map of Nakano tables for one test: an equal lattice
-    that an earlier test keeps alive would otherwise serve this test's
-    table, and with it the lattice that table induces."""
+    """Empty weak maps of Nakano tables and of hexagon copies for one test:
+    an equal lattice that an earlier test keeps alive would otherwise serve
+    this test's table, with the lattice that table induces and the
+    associativity verdicts kept on it, and its hexagon copy."""
     monkeypatch.setattr(equivalence, "_NAKANO", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(lattice_core, "_HEXAGON_COPIES", weakref.WeakKeyDictionary())

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from mosaic_lab import equivalence, hyperstructure
+from mosaic_lab import equivalence, hyperstructure, lattice_core
 from mosaic_lab.bits import full_mask, mask_of
 from mosaic_lab.errors import (
     NotAnOrthocomplementation,
@@ -29,9 +29,12 @@ from mosaic_lab.hyperstructure import Mosaic, check_morphism, is_associative, pr
 from mosaic_lab.lattice_core import (
     AxiomReport,
     Involution,
+    check_om_equivalences,
     dual_lattice,
+    find_sublattice_copy,
     from_leq,
     generated_sublattice,
+    hexagon_pattern,
     is_modular,
     is_orthomodular,
     orthocomplementations,
@@ -328,18 +331,20 @@ class TestGeneratedPolygroup:
         with pytest.raises(SizeMismatch):
             generated_polygroup_check(p, x, y)
 
-    def test_lattice_side_fact6(self, ortholattices_upto_8, monkeypatch):
+    def test_lattice_side_fact6(self, ortholattices_upto_8, monkeypatch, fresh_maps):
         """The generated pi-closed sublattice is modular, and the table that
         generated_polygroup_check restricts, and checks only for
-        associativity, is its Nakano table: one table per distinct generated
-        set of the pair, restricted when that set first occurs."""
+        associativity, is its Nakano table: one restriction per distinct
+        generated set of the table, made when that set first occurs for any
+        pair on the table."""
         restricted = []
         monkeypatch.setattr(equivalence, "is_associative", lambda op: restricted.append(op) or is_associative(op))
+        seen_by_table = {}  # id of a table, alive in _NAKANO -> the sets restricted on it
         for p in ortholattices_upto_8:
             if not is_orthomodular(p.lattice, p.pi).holds:
                 continue
             d = functor_E(p)
-            seen = set()
+            seen = seen_by_table.setdefault(id(d.mosaic.op), set())
             for x in range(p.size):
                 for y in range(p.size):
                     closed = generated_sublattice(p.lattice, [x, y], p.pi)
@@ -351,13 +356,14 @@ class TestGeneratedPolygroup:
                         assert restricted.pop().table == nakano_table_loops(sl)
                     assert restricted == []
 
-    def test_one_associativity_check_per_generated_subalgebra(self, call_counts):
+    def test_one_associativity_check_per_generated_subalgebra(self, call_counts, fresh_maps):
         """The 144 (x, y) of MO_5 generate 16 distinct subalgebras; each is
-        checked once per pair, and another pair checks its own."""
+        checked once per table, and another pair on the table reads the
+        verdicts of the first."""
         counts = call_counts(equivalence, "is_associative")
         e = named("MO_5")
         p = OrthoPair(e.lattice, e.ortho)
-        for expected in (16, 32):
+        for expected in (16, 16):
             d = functor_E(p)
             for x in range(p.size):
                 for y in range(p.size):
@@ -382,23 +388,25 @@ class TestGeneratedPolygroup:
                     assert generated_polygroup_check(d, x, y).holds
             assert counts == {"_generated_mask": expected}
 
-    def test_failing_report_carries_its_own_pair(self, monkeypatch):
-        """A verdict reused from an earlier (x, y) is reported with the
-        (x, y) of the call."""
+    def test_failing_report_carries_its_own_pair(self, monkeypatch, fresh_maps):
+        """A verdict reused from an earlier (x, y), of this pair or of
+        another pair on the table, is reported with the (x, y) of the
+        call."""
         e = named("MO_2")
-        d = functor_E(OrthoPair(e.lattice, e.ortho))
+        p = OrthoPair(e.lattice, e.ortho)
         monkeypatch.setattr(equivalence, "is_associative", lambda op: AxiomReport("associative", False, (0, 0, 0)))
         a, b = e.lattice.index("a"), e.lattice.index("b")
-        for x, y in ((a, b), (b, a)):
+        for d, (x, y) in ((functor_E(p), (a, b)), (functor_E(p), (b, a))):
             rep = generated_polygroup_check(d, x, y)
             assert (rep.holds, rep.witness, rep.reason) == (False, (x, y), "restriction not associative")
-        assert len(d._associative_subalgebras) == 1
+        assert len(d.mosaic.op._associative_subalgebras) == 1
 
 
 class TestBuiltOncePerOrder:
-    """The Nakano table depends on the lattice's order alone and the rebuilt
-    lattice on the table alone: each is built once, however many pis a
-    lattice carries."""
+    """The Nakano table and the least hexagon copy depend on the lattice's
+    order alone, and the rebuilt lattice and the associativity verdict of
+    a restriction on the table alone: each is built once, however many pis
+    a lattice carries."""
 
     @pytest.fixture
     def mo4_pairs(self):
@@ -435,6 +443,48 @@ class TestBuiltOncePerOrder:
         assert len(equivalence._NAKANO) == 0
         assert induced() is None
 
+    def test_every_pi_reads_one_hexagon_search(self, call_counts, fresh_maps, mo4_pairs):
+        counts = call_counts(lattice_core, "find_sublattice_copy")
+        reports = [check_om_equivalences(p.lattice, p.pi) for p in mo4_pairs]
+        assert len(reports) == 105
+        assert counts == {"find_sublattice_copy": 1}
+        assert all(r[2] == AxiomReport("OM3", True) for r in reports)
+
+    def test_a_second_pair_on_the_table_restricts_nothing(self, call_counts, fresh_maps, mo4_pairs):
+        counts = call_counts(equivalence, "_restricted_op")
+        first, second = functor_E(mo4_pairs[0]), functor_E(mo4_pairs[0])
+        assert first is not second and first.mosaic is second.mosaic
+        everything = [(x, y) for x in range(first.size) for y in range(first.size)]
+        reports = [generated_polygroup_check(first, x, y) for x, y in everything]
+        restrictions = counts["_restricted_op"]
+        assert restrictions > 0
+        assert [generated_polygroup_check(second, x, y) for x, y in everything] == reports
+        assert counts["_restricted_op"] == restrictions
+
+    def test_a_dual_lattice_gets_its_own_hexagon_search(self, fresh_maps, hexagon_pair):
+        h, pi = hexagon_pair.lattice, hexagon_pair.pi
+        own = check_om_equivalences(h, pi)[2]
+        d = dual_lattice(h)
+        dual = check_om_equivalences(d, pi)[2]
+        assert own == AxiomReport("OM3", False, find_sublattice_copy(h, hexagon_pattern()), "hexagon sublattice")
+        assert dual == AxiomReport("OM3", False, find_sublattice_copy(d, hexagon_pattern()), "hexagon sublattice")
+        assert dual != own
+
+    def test_hexagon_copies_and_table_verdicts_die_with_their_keys(self, fresh_maps, hexagon_pair):
+        l = named("MO_2").lattice
+        pairs = [OrthoPair(l, pi) for pi in orthocomplementations(l)]
+        for p in pairs:
+            check_om_equivalences(p.lattice, p.pi)
+            generated_polygroup_check(functor_E(p), 1, 2)
+        check_om_equivalences(hexagon_pair.lattice, hexagon_pair.pi)
+        assert len(lattice_core._HEXAGON_COPIES) == 2
+        table = weakref.ref(functor_E(pairs[0]).mosaic.op)
+        assert table()._associative_subalgebras
+        del l, pairs, p
+        gc.collect()
+        assert len(lattice_core._HEXAGON_COPIES) == 1
+        assert table() is None
+
     def test_a_dual_lattice_gets_its_own_table(self, fresh_maps, hexagon_pair):
         h = hexagon_pair.lattice
         d = dual_lattice(h)
@@ -464,20 +514,24 @@ class TestVerifiedOnce:
             d = functor_E(p)
             assert reconstruct_lattice(d) == reconstruct_from(d.mosaic, d.pi)
 
-    def test_memo_leaves_eq_hash_repr(self, hexagon_pair):
+    def test_memo_leaves_eq_hash_repr(self, hexagon_pair, fresh_maps):
+        """The memos of a pair and the verdicts kept on its table enter
+        neither the pair's nor the table's ==, hash or repr."""
         mo3 = named("MO_3")
         for p in (hexagon_pair, OrthoPair(mo3.lattice, mo3.ortho)):
             d = functor_E(p)
-            before = (hash(d), repr(d))
+            before = (hash(d), repr(d), hash(d.mosaic.op), repr(d.mosaic.op))
             reconstruct_lattice(d)
             if is_orthomodular_mosaic(d).holds:
                 for x in range(d.size):
                     for y in range(d.size):
                         generated_polygroup_check(d, x, y)
-                assert d._associative_subalgebras
-            assert (hash(d), repr(d)) == before
+                assert d.mosaic.op._associative_subalgebras
+            assert (hash(d), repr(d), hash(d.mosaic.op), repr(d.mosaic.op)) == before
             fresh = functor_E(p)
             assert d == fresh and hash(d) == hash(fresh)
+            table = additive_nakano(p.lattice).mosaic.op
+            assert d.mosaic.op == table and hash(d.mosaic.op) == hash(table)
 
     def test_table_with_wrong_bounds_is_a_typed_error(self):
         # 2^2 with its diagonal rewritten so that the atom a sits on top:

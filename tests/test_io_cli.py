@@ -1,13 +1,9 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-import mosaic_lab
 from mosaic_lab import lattice_core
 from mosaic_lab.cli import _MAX_FILE_ELEMENTS, main
 from mosaic_lab.errors import FormatError, NotAnOrthocomplementation, SizeTooLarge
@@ -51,7 +47,7 @@ TYPED_ERROR_CALLS = [
 ]
 # a lattice document nested deeper than the JSON decoder's recursion limit on
 # every supported Python: 3.11 counts it against the 1 000-frame Python limit,
-# 3.12 and 3.13 against a C limit of 10 000
+# 3.12 and 3.13 against a C limit of 10 000; io refuses it before decoding
 DEEP_JSON = '{"name": "deep", "elements": ["0", "1"], "covers": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 
@@ -431,26 +427,41 @@ class TestCliOther:
     @pytest.mark.parametrize(
         "covers, start",
         [
-            ("[" + "[" * 950 + "]" * 950 + "]", "error: bad cover [[[["),
+            ("[" + "[" * 62 + "]" * 62 + "]", "error: bad cover [[[["),
             (json.dumps([["0", "x" * 10_000]]), "error: unknown element 'xxxx"),
         ],
-        ids=["cover_nested_950_deep", "label_of_10000_characters"],
+        ids=["cover_nested_62_deep", "label_of_10000_characters"],
     )
-    def test_a_long_echoed_value_is_cut_to_one_short_line(self, tmp_path, command, covers, start):
-        """Run as its own process: the decoder reads 950 levels there, but
-        not under the test runner's deeper stack."""
+    def test_a_long_echoed_value_is_cut_to_one_short_line(self, runner, tmp_path, command, covers, start):
+        """The cover nested 62 deep sits at the file's 64-level nesting
+        bound, so it reaches the echo."""
         path = tmp_path / "long.json"
         path.write_text('{"name": "long", "elements": ["0", "1"], "covers": ' + covers + "}")
-        src = str(Path(mosaic_lab.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        res = subprocess.run(
-            [sys.executable, "-m", "mosaic_lab.cli", command, str(path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert res.returncode == 2
+        res = runner.invoke(main, [command, str(path)])
+        assert res.exit_code == 2
         assert res.stdout == ""
         assert res.stderr.startswith(start) and "..." in res.stderr
         assert res.stderr.count("\n") == 1 and len(res.stderr) < 200
+
+    @pytest.mark.parametrize("levels, refused", [(64, False), (65, True), (400, True)])
+    def test_nesting_verdict_is_the_files_own(self, levels, refused):
+        """A file is accepted or refused for its own nesting, at either side
+        of the bound: the verdict is the same from a shallow stack and from
+        one 600 frames deep.  On Python 3.10 and 3.11 the decoder alone
+        would read 400 levels from the first but not from the second."""
+        text = '{"name": "x", "elements": ["0", "1"], "covers": ' + "[" * (levels - 1) + "]" * (levels - 1) + "}"
+
+        def verdict(depth):
+            if depth:
+                return verdict(depth - 1)
+            try:
+                parse_lattice_json(text)
+            except FormatError as exc:
+                return str(exc)
+
+        shallow, deep = verdict(0), verdict(600)
+        assert shallow == deep
+        assert (shallow == "JSON nested too deep to decode") == refused
 
     def test_check_searches_orthocomplements_once(self, runner, tmp_path, call_counts, fresh_maps):
         """MO_3 without an ortho block has 15 orthocomplementations: one

@@ -29,7 +29,7 @@ import pytest
 
 from mosaic_lab import equivalence, lattice_core
 from mosaic_lab.bits import bits, mask_of
-from mosaic_lab.catalog import named
+from mosaic_lab.catalog import CATALOG_NAMES, named
 from mosaic_lab.errors import SizeTooLarge
 from mosaic_lab.hyperstructure import Mosaic, verify_mosaic
 from mosaic_lab.lattice_core import (
@@ -144,6 +144,32 @@ def test_odd_carriers_are_answered_without_a_placement(lattices_upto_8, monkeypa
     assert len(odd) == 1 + 5 + 53 + 1
     for l in odd:
         assert orthocomplementations(l) == []
+
+
+def test_asymmetric_base_pairs_are_answered_before_a_complement_mask(lattices_upto_8, call_counts, monkeypatch):
+    """pi maps the elements below x onto the elements above pi(x), so a
+    carrier whose base pairs (down-set size, up-set size), swapped, are not
+    its base pairs again has no orthocomplementation, and the search says so
+    before it builds a complement mask.  Every lattice with at most 8
+    elements gets the maps of the element-at-a-time reference in its order,
+    and every named catalog lattice those of the same search without the
+    cut (MO_6's 10 395 maps are held to the reference above)."""
+    masks = call_counts(lattice_core, "complement_mask")
+    cut = 0
+    for l in lattices_upto_8:
+        masks.clear()
+        assert orthocomplementations(l) == orthocomplementations_loops(l)
+        pairs = lattice_core._base_pairs(l.leq, l.down)
+        if sorted(pairs) != sorted((u, d) for d, u in pairs):
+            assert not masks
+            cut += l.size % 2 == 0
+    assert cut
+    names = [*CATALOG_NAMES, *(f"chain_{k}" for k in range(1, 17)), *(f"boolean_{k}" for k in range(1, 5)),
+             *(f"MO_{k}" for k in range(1, 7))]
+    lattices = [named(name).lattice for name in names]
+    got = [orthocomplementations(l) for l in lattices]
+    monkeypatch.setattr(lattice_core, "_base_pairs", lambda up, down: [])
+    assert got == [orthocomplementations(l) for l in lattices]
 
 
 def test_search_stops_past_its_placement_budget(monkeypatch):
