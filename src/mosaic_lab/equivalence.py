@@ -15,10 +15,11 @@ alone, so one lattice carrying many orthocomplementations (MO_5 has 945)
 needs one of each.  functor_E and morphism_transfer_check read the additive
 Nakano table of a lattice from _NAKANO, a weak map: an entry lives as long
 as its lattice, and no table holds its own lattice.  additive_nakano itself
-still builds a new table on every call.  Every reconstruction of a table
-wraps the lattice that the table keeps with its other derived data,
-Multioperation._induced_lattice, and the associativity verdicts of its
-generated subalgebras are kept there too.
+still builds a new table on every call.  A dualizable pair is a plain
+(table, pi) value that stores nothing: every reconstruction wraps the
+table's induced lattice, Multioperation._induced_lattice, and the
+orthomodularity verdict and the associativity verdicts of the generated
+subalgebras are kept on the table, keyed by pi.map.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 
 from .bits import bits, full_mask, image, least, mask_of, subsets, transpose
 from .errors import (
@@ -110,18 +110,16 @@ class DualizableLMosaicPair:
     order.  The paper's main theorem makes that order a pi-ortholattice
     and the table its Nakano mosaic.
 
-    Construction checks nothing; its Mosaic was checked, when built, only
-    for a neutral that is neutral and a rho that fixes it.  functor_E
-    builds pairs that the paper proves dualizable, and a table from outside
-    is checked by reconstruct_from.  The orthomodularity verdict and the
-    subalgebra that each pi-closed seed set generates depend on pi, so they
-    are computed at most once per pair, on first use, and live as long as
-    the pair; so does the reconstruction, whose lattice the table keeps for
-    every pair on it.  They take no part in ==, hash or repr.  What depends
-    on the table alone is kept on the table: the pairs that functor_E
-    builds from one lattice share one Mosaic, and with it the table's cube,
-    principal rows, induced lattice and the associativity verdict of each
-    restriction that a generated subalgebra asks for.
+    A plain value: construction checks nothing, and the pair stores
+    nothing.  Its Mosaic was checked, when built, only for a neutral that
+    is neutral and a rho that fixes it.  functor_E builds pairs that the
+    paper proves dualizable, and a table from outside is checked by
+    reconstruct_from.  What the equivalence derives from a pair depends on
+    its table and pi alone, so it is kept on the table, keyed by pi: the
+    pairs that functor_E builds from one lattice share one Mosaic, and with
+    it the table's induced lattice, the orthomodularity verdict of each pi
+    and the associativity verdict of each subalgebra that a pi-closed seed
+    set generates.
     """
 
     mosaic: Mosaic
@@ -134,41 +132,6 @@ class DualizableLMosaicPair:
     @property
     def one(self) -> int:
         return self.pi(self.mosaic.neutral)
-
-    @cached_property
-    def _reconstruction(self) -> OrthoPair:
-        """The inverse functor: the pi-ortholattice on the carrier, with
-        names x0, x1, ..., of the order read off the principal cells and pi
-        as its orthocomplementation.  The paper proves that this order is a
-        lattice with bounds 0 and pi(0) and that the table is its Nakano
-        mosaic, so neither is checked; the lattice constructor and OrthoPair
-        keep their own input checks.  The lattice is the table's own, built
-        once per table, and each pi's OrthoPair wraps it.
-        tests/test_ortho_kernels.py checks the theorem on every dualizable
-        input it has."""
-        return OrthoPair(self.mosaic.op._induced_lattice, self.pi)
-
-    @cached_property
-    def _orthomodular(self) -> AxiomReport:
-        """Criterion: x in y+y and 1 in x + pi(y) imply x = y, with 1 = pi(0).
-
-        Read row by row: the y with x in y+y are the principal row of x,
-        read off the diagonal as it stands, and for each of them, in
-        ascending order, the cell x + pi(y) is tested for 1.  That is the
-        order of the pairwise scan, so the witness is the least (x, y)."""
-        one, table, p = self.one, self.mosaic.op.table, self.pi.map
-        for x, above in enumerate(principal_rows(self.mosaic)):
-            row = table[x]
-            for y in bits(above & ~(1 << x)):
-                if row[p[y]] >> one & 1:
-                    return AxiomReport("orthomodular-mosaic", False, (x, y), "criterion violated")
-        return AxiomReport("orthomodular-mosaic", True)
-
-    @cached_property
-    def _generated_subalgebras(self) -> dict[int, int]:
-        """pi-closed seed set -> the mask it generates in the reconstructed
-        lattice; filled by generated_polygroup_check."""
-        return {}
 
 
 def functor_E(op: OrthoPair) -> DualizableLMosaicPair:
@@ -188,14 +151,21 @@ def reconstruct_from(mosaic: Mosaic, pi: Involution) -> OrthoPair:
     failure = _dualizability_failure(mosaic, pi)
     if failure is not None:
         raise ReconstructionFailure(*failure)
-    return OrthoPair(mosaic.op._induced_lattice, pi)
+    return reconstruct_lattice(DualizableLMosaicPair(mosaic, pi))
 
 
 def reconstruct_lattice(p: DualizableLMosaicPair) -> OrthoPair:
-    """The pi-ortholattice of a dualizable pair (an image of functor_E, or a
-    table that passed the dualizability check): the pair's own
-    reconstruction, built on first use."""
-    return p._reconstruction
+    """The inverse functor on a dualizable pair (an image of functor_E, or
+    a table that passed the dualizability check): the pi-ortholattice on
+    the carrier, with names x0, x1, ..., of the order read off the
+    principal cells and pi as its orthocomplementation.  The paper proves
+    that this order is a lattice with bounds 0 and pi(0) and that the table
+    is its Nakano mosaic, so neither is checked; the lattice constructor
+    and OrthoPair keep their own input checks.  The lattice is the table's
+    own, built once per table, and each pi's OrthoPair wraps it.
+    tests/test_ortho_kernels.py checks the theorem on every dualizable
+    input it has."""
+    return OrthoPair(p.mosaic.op._induced_lattice, p.pi)
 
 
 @dataclass(frozen=True)
@@ -233,8 +203,30 @@ def morphism_transfer_check(f, src: OrthoPair, dst: OrthoPair) -> MorphismTransf
 
 
 def is_orthomodular_mosaic(p: DualizableLMosaicPair) -> AxiomReport:
-    """The pair's mosaic-side orthomodularity verdict, computed once per pair."""
-    return p._orthomodular
+    """The pair's mosaic-side orthomodularity verdict.  It depends on the
+    table and pi alone, so it is kept on the table, keyed by pi.map, and
+    the criterion is scanned once per (table, pi) over every pair."""
+    reports = p.mosaic.op._orthomodular_reports
+    report = reports.get(p.pi.map)
+    if report is None:
+        report = reports[p.pi.map] = _orthomodular_criterion(p.mosaic, p.pi)
+    return report
+
+
+def _orthomodular_criterion(mosaic: Mosaic, pi: Involution) -> AxiomReport:
+    """Criterion: x in y+y and 1 in x + pi(y) imply x = y, with 1 = pi(0).
+
+    Read row by row: the y with x in y+y are the principal row of x, read
+    off the diagonal as it stands, and for each of them, in ascending
+    order, the cell x + pi(y) is tested for 1.  That is the order of the
+    pairwise scan, so the witness is the least (x, y)."""
+    one, table, p = pi(mosaic.neutral), mosaic.op.table, pi.map
+    for x, above in enumerate(principal_rows(mosaic)):
+        row = table[x]
+        for y in bits(above & ~(1 << x)):
+            if row[p[y]] >> one & 1:
+                return AxiomReport("orthomodular-mosaic", False, (x, y), "criterion violated")
+    return AxiomReport("orthomodular-mosaic", True)
 
 
 def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> AxiomReport:
@@ -242,32 +234,26 @@ def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> Axiom
     reconstructed lattice; its restricted multioperation must be an
     associative mosaic (a polygroup).
 
-    p.mosaic is the Nakano mosaic of the rebuilt lattice (the paper's main
-    theorem), and the generated subset is a sublattice holding 0, so the
-    restriction is the Nakano mosaic of that sublattice: a mosaic by
-    theorem, of which only associativity is checked.  {x, y} generates
-    what its pi-closed seed set {x, y, pi(x), pi(y), 0, 1} generates, so
-    each distinct seed set is closed once per pair.  Many (x, y) generate
-    the same subalgebra (two elements of an orthomodular lattice generate
-    an image of MO_2 x 2^4), and the restriction to a subset depends on the
-    table alone, so the verdict is computed once per distinct generated
-    subset of the table, over every pair on it; a failing report carries
-    its own (x, y).  x and y past the carrier raise SizeMismatch."""
+    p.mosaic is the Nakano mosaic of the table's induced lattice (the
+    paper's main theorem), and the generated subset is a sublattice holding
+    0, so the restriction is the Nakano mosaic of that sublattice: a mosaic
+    by theorem, of which only associativity is checked.  {x, y} generates
+    what its pi-closed seed set {x, y, pi(x), pi(y), 0, 1} generates, and
+    the closure and the restriction depend on the table, pi and that seed
+    set alone.  So the verdict is kept on the table, keyed by (pi.map, seed
+    set): each seed set is closed and restricted once per (table, pi), over
+    every pair on the table, and a failing report carries its own (x, y).
+    x and y past the carrier raise SizeMismatch."""
     _members(p.mosaic.size, (x, y))
     if not is_orthomodular_mosaic(p).holds:
         raise PreconditionFailed("mosaic is not orthomodular")
-    ortho = reconstruct_lattice(p)
-    pm = p.pi.map
+    op, pm = p.mosaic.op, p.pi.map
     seeds = mask_of((x, y, pm[x], pm[y], p.mosaic.neutral, p.one))
-    closures = p._generated_subalgebras
-    generated = closures.get(seeds)
-    if generated is None:
-        generated = closures[seeds] = _generated_mask(ortho.lattice, seeds, p.pi)
-    verdicts = p.mosaic.op._associative_subalgebras
-    if generated not in verdicts:
-        restricted = _restricted_op(p.mosaic.op.table, list(bits(generated)))
-        verdicts[generated] = is_associative(restricted).holds
-    if not verdicts[generated]:
+    verdicts = op._polygroup_verdicts
+    if (pm, seeds) not in verdicts:
+        generated = _generated_mask(op._induced_lattice, seeds, p.pi)
+        verdicts[pm, seeds] = is_associative(_restricted_op(op.table, list(bits(generated)))).holds
+    if not verdicts[pm, seeds]:
         return AxiomReport("generated-polygroup", False, (x, y), "restriction not associative")
     return AxiomReport("generated-polygroup", True)
 

@@ -23,11 +23,13 @@ class Multioperation:
 
     What several checks read off the table (the cube, the packed rows,
     their unions, the principal rows and the lattice they induce, the Lms2
-    and Lms3 witnesses, the associativity verdicts of its restrictions) is
-    derived once per table, on first use, in the private cached properties
-    below.  They depend on the cells alone, take no part in ==, hash or
-    repr, and live exactly as long as the table: with_cell makes a new
-    table.
+    and Lms3 witnesses) is derived once per table, on first use, in the
+    private cached properties below.  So are two dicts of what the
+    equivalence derives from the table and an orthocomplementation pi, keyed
+    by pi.map: the orthomodularity report, and the associativity verdict of
+    the subalgebra each pi-closed seed set generates.  They take no part in
+    ==, hash or repr, and live exactly as long as the table: with_cell
+    makes a new table.
 
     The whole table is one integer, the cube: with the slot width w, the
     least power of two >= n, bit w*(w*x + y) + z is set iff z is in x.y.
@@ -116,10 +118,16 @@ class Multioperation:
         return from_leq([f"x{i}" for i in range(self.size)], self._under)
 
     @cached_property
-    def _associative_subalgebras(self) -> dict[int, bool]:
-        """Subset mask -> whether the table restricted to it is
-        associative; filled by equivalence.generated_polygroup_check, so
-        every pair on this table reads the verdicts of the others."""
+    def _orthomodular_reports(self) -> dict:
+        """pi.map -> the orthomodularity report of (this table, pi); filled
+        by equivalence.is_orthomodular_mosaic."""
+        return {}
+
+    @cached_property
+    def _polygroup_verdicts(self) -> dict:
+        """(pi.map, pi-closed seed set) -> whether the table restricted to
+        the subalgebra it generates is associative; filled by
+        equivalence.generated_polygroup_check."""
         return {}
 
     @cached_property

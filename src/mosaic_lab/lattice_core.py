@@ -60,6 +60,8 @@ class Involution:
 
     def __post_init__(self):
         n = len(self.map)
+        if any(type(y) is not int for y in self.map):
+            raise InvalidStructure(f"involution entries must be ints, got {_echo(self.map)}")
         if sorted(self.map) != list(range(n)):
             raise InvalidStructure("not a permutation")
         for x, y in enumerate(self.map):
@@ -108,6 +110,8 @@ class FiniteBoundedLattice:
         labels, up = list(self.names), tuple(self.leq)
         n = len(labels)
         full = full_mask(n)
+        if any(type(row) is not int for row in up):
+            raise InvalidStructure(f"up-set rows must be int bitmasks, got {_echo(up)}")
         if len(up) != n or any(row & ~full for row in up):
             raise SizeMismatch(f"{len(up)} up-set rows over {n} labels")
         for i in range(n):

@@ -65,7 +65,7 @@ def call_counts(monkeypatch):
 def fresh_maps(monkeypatch):
     """Empty weak maps of Nakano tables and of hexagon copies for one test:
     an equal lattice that an earlier test keeps alive would otherwise serve
-    this test's table, with the lattice that table induces and the
-    associativity verdicts kept on it, and its hexagon copy."""
+    this test's table, with the lattice that table induces and the verdicts
+    of each pi kept on it, and its hexagon copy."""
     monkeypatch.setattr(equivalence, "_NAKANO", weakref.WeakKeyDictionary())
     monkeypatch.setattr(lattice_core, "_HEXAGON_COPIES", weakref.WeakKeyDictionary())

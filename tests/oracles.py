@@ -474,6 +474,16 @@ def associativity_loops(table):
     return _report("associative")
 
 
+def restricted_table_loops(table, members):
+    """The table's rows and columns at the members in ascending order, each
+    cell cut down to the members and renumbered by their rank."""
+    members = sorted(members)
+    return tuple(
+        tuple(mask_of(k for k, z in enumerate(members) if table[x][y] >> z & 1) for y in members)
+        for x in members
+    )
+
+
 def morphism_loops(f, a, b):
     """check_morphism's report for the map f between the mosaics a and b:
     unitary, then the least (x, y) in row-major order with an element z of

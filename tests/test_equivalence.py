@@ -4,8 +4,10 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mosaic_lab import equivalence, hyperstructure, lattice_core
+from mosaic_lab import equivalence, hyperstructure, io, lattice_core
 from mosaic_lab.bits import full_mask, mask_of
 from mosaic_lab.errors import (
     NotAnOrthocomplementation,
@@ -33,7 +35,6 @@ from mosaic_lab.lattice_core import (
     dual_lattice,
     find_sublattice_copy,
     from_leq,
-    generated_sublattice,
     hexagon_pattern,
     is_modular,
     is_orthomodular,
@@ -43,7 +44,15 @@ from mosaic_lab.lattice_core import (
 from mosaic_lab.nakano import additive_nakano, extremum_by_characterization
 from mosaic_lab.catalog import named
 
-from oracles import all_involutions, dualizability_failure_loops, nakano_table_loops
+from oracles import (
+    all_involutions,
+    associativity_loops,
+    dualizability_failure_loops,
+    generated_sublattice_loops,
+    nakano_table_loops,
+    orthomodular_criterion_loops,
+    restricted_table_loops,
+)
 
 NAMED_ORTHO = [f"boolean_{k}" for k in range(1, 5)] + [f"MO_{k}" for k in range(2, 7)] + [
     "hexagon", "chain_1", "chain_2"]
@@ -294,6 +303,19 @@ class TestOrthomodularMosaic:
             e = named(name)
             assert is_orthomodular_mosaic(functor_E(OrthoPair(e.lattice, e.ortho))).holds
 
+    def test_criterion_scanned_once_per_table_and_pi(self, call_counts, fresh_maps):
+        """The verdict is kept on the table, keyed by pi: a second pair with
+        the same pi scans nothing, and another pi on the table scans once."""
+        counts = call_counts(equivalence, "_orthomodular_criterion")
+        mo2 = named("MO_2").lattice
+        first, other = (OrthoPair(mo2, pi) for pi in orthocomplementations(mo2)[:2])
+        for p, expected in ((first, 1), (first, 1), (other, 2), (other, 2)):
+            d = functor_E(p)
+            assert is_orthomodular_mosaic(d).holds
+            assert generated_polygroup_check(d, 0, 1).holds
+            assert counts == {"_orthomodular_criterion": expected}
+        assert functor_E(first).mosaic is functor_E(other).mosaic
+
     def test_matches_lattice_side(self, ortholattices_upto_8):
         for p in ortholattices_upto_8:
             assert (
@@ -334,32 +356,39 @@ class TestGeneratedPolygroup:
     def test_lattice_side_fact6(self, ortholattices_upto_8, monkeypatch, fresh_maps):
         """The generated pi-closed sublattice is modular, and the table that
         generated_polygroup_check restricts, and checks only for
-        associativity, is its Nakano table: one restriction per distinct
-        generated set of the table, made when that set first occurs for any
-        pair on the table."""
+        associativity, is the Nakano table of what {x, y} generates under
+        the pair's own pi.  Every pi of MO_2 and boolean_3, and of each
+        ortholattice with at most 8 elements, runs over the table that the
+        pis of its lattice share: one restriction per (pi, pi-closed seed
+        set) of the table, made when that key first occurs."""
         restricted = []
         monkeypatch.setattr(equivalence, "is_associative", lambda op: restricted.append(op) or is_associative(op))
-        seen_by_table = {}  # id of a table, alive in _NAKANO -> the sets restricted on it
-        for p in ortholattices_upto_8:
+        lattices = [named(name).lattice for name in ("MO_2", "boolean_3")]
+        pairs = [OrthoPair(l, pi) for l in lattices for pi in orthocomplementations(l)]
+        assert len(pairs) == 4
+        seen = set()  # (id of a table, alive in _NAKANO, pi, seed set)
+        for p in pairs + ortholattices_upto_8:
             if not is_orthomodular(p.lattice, p.pi).holds:
                 continue
             d = functor_E(p)
-            seen = seen_by_table.setdefault(id(d.mosaic.op), set())
+            ends = (p.lattice.bottom, p.lattice.top)
             for x in range(p.size):
                 for y in range(p.size):
-                    closed = generated_sublattice(p.lattice, [x, y], p.pi)
+                    closed = generated_sublattice_loops(p.lattice, [x, y], p.pi)
                     sl, _ = sublattice(p.lattice, closed)
                     assert is_modular(sl).holds
                     assert generated_polygroup_check(d, x, y).holds
-                    if closed not in seen:
-                        seen.add(closed)
+                    key = (id(d.mosaic.op), p.pi.map, mask_of((x, y, p.pi(x), p.pi(y), *ends)))
+                    if key not in seen:
+                        seen.add(key)
                         assert restricted.pop().table == nakano_table_loops(sl)
                     assert restricted == []
 
     def test_one_associativity_check_per_generated_subalgebra(self, call_counts, fresh_maps):
-        """The 144 (x, y) of MO_5 generate 16 distinct subalgebras; each is
-        checked once per table, and another pair on the table reads the
-        verdicts of the first."""
+        """The 144 (x, y) of MO_5 have 16 pi-closed seed sets, which
+        generate 16 distinct subalgebras; each is checked once per (table,
+        pi), and another pair with that pi on the table reads the verdicts
+        of the first."""
         counts = call_counts(equivalence, "is_associative")
         e = named("MO_5")
         p = OrthoPair(e.lattice, e.ortho)
@@ -370,18 +399,18 @@ class TestGeneratedPolygroup:
                     assert generated_polygroup_check(d, x, y).holds
             assert counts == {"is_associative": expected}
 
-    def test_each_seed_set_closed_once_per_pair(self, call_counts):
+    def test_each_seed_set_closed_once_per_table_and_pi(self, call_counts, fresh_maps):
         """{x, y} generates what its pi-closed seed set {x, y, pi(x),
         pi(y), 0, 1} generates; over the 144 (x, y) of MO_5 each of the 16
-        distinct seed sets is closed once per pair, and another pair closes
-        its own."""
+        distinct seed sets is closed once per (table, pi), and another pair
+        with that pi on the table closes none."""
         counts = call_counts(equivalence, "_generated_mask")
         e = named("MO_5")
         p = OrthoPair(e.lattice, e.ortho)
         ends = mask_of((e.lattice.bottom, e.lattice.top))
         seed_sets = {mask_of((x, y, p.pi(x), p.pi(y))) | ends for x in range(p.size) for y in range(p.size)}
         assert len(seed_sets) == 16
-        for expected in (16, 32):
+        for expected in (16, 16):
             d = functor_E(p)
             for x in range(p.size):
                 for y in range(p.size):
@@ -399,14 +428,14 @@ class TestGeneratedPolygroup:
         for d, (x, y) in ((functor_E(p), (a, b)), (functor_E(p), (b, a))):
             rep = generated_polygroup_check(d, x, y)
             assert (rep.holds, rep.witness, rep.reason) == (False, (x, y), "restriction not associative")
-        assert len(d.mosaic.op._associative_subalgebras) == 1
+        assert len(d.mosaic.op._polygroup_verdicts) == 1
 
 
 class TestBuiltOncePerOrder:
     """The Nakano table and the least hexagon copy depend on the lattice's
-    order alone, and the rebuilt lattice and the associativity verdict of
-    a restriction on the table alone: each is built once, however many pis
-    a lattice carries."""
+    order alone, and the rebuilt lattice on the table alone: each is built
+    once, however many pis a lattice carries.  The verdicts of a pi are
+    built once per (table, pi)."""
 
     @pytest.fixture
     def mo4_pairs(self):
@@ -479,7 +508,7 @@ class TestBuiltOncePerOrder:
         check_om_equivalences(hexagon_pair.lattice, hexagon_pair.pi)
         assert len(lattice_core._HEXAGON_COPIES) == 2
         table = weakref.ref(functor_E(pairs[0]).mosaic.op)
-        assert table()._associative_subalgebras
+        assert table()._polygroup_verdicts and table()._orthomodular_reports
         del l, pairs, p
         gc.collect()
         assert len(lattice_core._HEXAGON_COPIES) == 1
@@ -515,8 +544,8 @@ class TestVerifiedOnce:
             assert reconstruct_lattice(d) == reconstruct_from(d.mosaic, d.pi)
 
     def test_memo_leaves_eq_hash_repr(self, hexagon_pair, fresh_maps):
-        """The memos of a pair and the verdicts kept on its table enter
-        neither the pair's nor the table's ==, hash or repr."""
+        """The rebuilt lattice and the verdicts that a pair's table keeps
+        enter neither the pair's nor the table's ==, hash or repr."""
         mo3 = named("MO_3")
         for p in (hexagon_pair, OrthoPair(mo3.lattice, mo3.ortho)):
             d = functor_E(p)
@@ -526,7 +555,8 @@ class TestVerifiedOnce:
                 for x in range(d.size):
                     for y in range(d.size):
                         generated_polygroup_check(d, x, y)
-                assert d.mosaic.op._associative_subalgebras
+                assert d.mosaic.op._polygroup_verdicts
+            assert d.mosaic.op._orthomodular_reports
             assert (hash(d), repr(d), hash(d.mosaic.op), repr(d.mosaic.op)) == before
             fresh = functor_E(p)
             assert d == fresh and hash(d) == hash(fresh)
@@ -547,3 +577,43 @@ class TestVerifiedOnce:
             reconstruct_from(m, b2.ortho)
         assert str(exc.value) == "Lms4 fails at (1, 2)"
         assert exc.value.witness == (1, 2)
+
+
+@pytest.fixture(scope="module")
+def relabeling_inputs(ortholattices_upto_8):
+    """The lattices of the ortholattices with at most 8 elements, MO_2 to
+    MO_5 and boolean_1 to boolean_4."""
+    lattices = list({id(p.lattice): p.lattice for p in ortholattices_upto_8}.values())
+    return lattices + [named(f"MO_{k}").lattice for k in range(2, 6)] + [
+        named(f"boolean_{k}").lattice for k in range(1, 5)]
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_pi_of_a_relabeled_input_agrees_with_the_oracles(relabeling_inputs, data):
+    """Each input lattice with its elements listed in a drawn order, as the
+    benchmark's relabeled inputs are built, and each of its pis: the
+    functor's table, the reconstruction, the orthomodularity verdict and
+    the generated-polygroup verdicts of drawn (x, y) against tests/oracles.py.
+    Every pi of a lattice runs over the one table they share."""
+    associative = {}  # restricted table -> associativity_loops verdict
+    for lattice in relabeling_inputs:
+        doc = io.lattice_to_doc(lattice, None, "input")
+        l, _, _ = io.lattice_from_doc(dict(doc, elements=data.draw(st.permutations(doc["elements"]))))
+        xs = st.integers(0, l.size - 1)
+        pairs = data.draw(st.lists(st.tuples(xs, xs), min_size=1, max_size=3))
+        table = nakano_table_loops(l)
+        for pi in orthocomplementations(l):
+            d = functor_E(OrthoPair(l, pi))
+            assert d.mosaic.op.table == table
+            rebuilt = reconstruct_lattice(d)
+            assert (rebuilt.lattice.leq, rebuilt.pi) == (l.leq, pi)
+            criterion = orthomodular_criterion_loops(table, l.bottom, pi)
+            assert is_orthomodular_mosaic(d) == criterion
+            if not criterion.holds:
+                continue
+            for x, y in pairs:
+                restricted = restricted_table_loops(table, generated_sublattice_loops(l, [x, y], pi))
+                if restricted not in associative:
+                    associative[restricted] = associativity_loops(restricted).holds
+                assert generated_polygroup_check(d, x, y).holds == associative[restricted]

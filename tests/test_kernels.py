@@ -260,12 +260,13 @@ def test_rows_derived_from_a_table_do_not_follow_its_edits(lattices_upto_6):
 
 
 def test_batteries_store_nothing_on_the_lattice_or_the_pair(lattices_upto_6, ortholattices_upto_8):
-    """The derived rows live on the tables, and equivalence keeps each
-    lattice's table and each table's rebuilt lattice in weak maps beside
-    them; the lattices and ortholattice pairs that the benchmark builds
-    once and reuses are left as they were.  Each is rebuilt here, so that
-    nothing an earlier test ran on the shared fixtures hides what this
-    battery adds."""
+    """The derived rows, the rebuilt lattice and the verdicts of each pi
+    live on the tables, and equivalence keeps each lattice's table in a
+    weak map beside it; the lattices and ortholattice pairs that the
+    benchmark builds once and reuses are left as they were, and a
+    dualizable pair holds its table and pi and nothing else.  Each lattice
+    is rebuilt here, so that nothing an earlier test ran on the shared
+    fixtures hides what this battery adds."""
     for l in lattices_upto_6:
         l = from_leq(l.names, l.leq)
         before = deepcopy(vars(l))
@@ -284,6 +285,7 @@ def test_batteries_store_nothing_on_the_lattice_or_the_pair(lattices_upto_6, ort
                 for y in range(p.size):
                     generated_polygroup_check(d, x, y)
         assert vars(p) == before and vars(p.lattice) == lattice_before
+        assert vars(d) == {"mosaic": d.mosaic, "pi": d.pi}
 
 
 def test_reach_rows_are_no_part_of_a_nakano_mosaic(lattices_upto_6):

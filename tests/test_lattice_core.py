@@ -91,6 +91,12 @@ def test_involution_validation():
         Involution((0, 0))
 
 
+@pytest.mark.parametrize("entries", [(0.0,), (1, 0.0), ("0",), (None,), (True, False), (1, False)])
+def test_involution_entries_that_are_no_ints_raise_a_typed_error(entries):
+    with pytest.raises(InvalidStructure, match=r"^involution entries must be ints, got \("):
+        Involution(entries)
+
+
 class TestBuildFromCovers:
     def test_pentagon_structure(self, pentagon):
         p = pentagon.lattice
@@ -269,6 +275,12 @@ class TestFromLeq:
             with pytest.raises(SizeMismatch):
                 from_leq(names, rows)
         assert issubclass(SizeMismatch, MosaicLabError)
+
+    @pytest.mark.parametrize("rows", [[1.0], ["1"], [None], [True], [0b11, 2.0], [0b11, "2"], [0b11, None]])
+    def test_rows_that_are_no_ints_raise_a_typed_error(self, rows):
+        with pytest.raises(InvalidStructure) as exc:
+            from_leq([f"x{i}" for i in range(len(rows))], rows)
+        assert str(exc.value) == f"up-set rows must be int bitmasks, got {tuple(rows)!r}"
 
 
 @pytest.mark.parametrize(
