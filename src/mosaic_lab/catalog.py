@@ -10,15 +10,17 @@ element has a meet with every earlier one and the base pairs (down-set size,
 up-set size) are sorted; a branch whose base pairs can no longer end sorted
 is cut before its leaves.  The canonicity test is staged from cheap to dear:
 unsorted base pairs rule a candidate out, then an unsorted invariant
-sequence, built only where base pairs tie; a candidate whose invariant
-classes are all single elements is canonical at once, and only the rest try
-relabelings, in which twins (elements whose swap is an automorphism) keep
-their order.  Each relabeling's rows are built one at a time and compared
-with the candidate's; the test stops at the first relabeling that comes out
-below the candidate.  No other routine computes a canonical form: the test
-only decides whether a candidate is one.  Counts are never copied from
-external sources; tests freeze what the independent oracle and this
-generator produce.
+sequence, built only where base pairs tie.  Relabelings keep twins
+(elements whose swap is an automorphism) in their order, so a candidate
+whose invariant classes are single elements or single classes of twins has
+the identity as its one relabeling and is canonical at once; only the rest
+build relabelings.  Each relabeling's rows are built one at a time and
+compared with the candidate's; the test stops at the first relabeling that
+comes out below the candidate.  No other routine computes a canonical form:
+the test only decides whether a candidate is one.  Orthocomplementations
+are classed by conjugating with the generators of the automorphism group,
+which is never listed.  Counts are never copied from external sources;
+tests freeze what the independent oracle and this generator produce.
 """
 
 from __future__ import annotations
@@ -33,14 +35,15 @@ from .lattice_core import (
     FiniteBoundedLattice,
     Involution,
     OrthoPair,
+    _automorphism_generators,
     _base_pairs,
+    _orbit,
     _orthomodular_law,
     build_from_covers,
     complement_mask,
     from_leq,
     hexagon_pattern,
     is_modular,
-    lattice_automorphisms,
     orthocomplementations,
     pentagon_pattern,
 )
@@ -267,10 +270,11 @@ def _is_canonical(up: tuple[int, ...], down: tuple[int, ...]) -> bool:
     pairs are sorted, equal ones are adjacent, and only an element whose
     base pair equals a neighbour's has its sorted rows built; a lone
     element's base pair decides every comparison it is in.  When every
-    invariant class is a single element the identity is the only
-    relabeling, and up is canonical.  Each relabeling's rows are built one
-    at a time against up's: the first row that differs decides, and a row
-    below up's ends the test."""
+    invariant class of two or more elements is one class of twins, twins
+    keeping their order leaves the identity as the only relabeling, and up
+    is canonical without building a row.  Each relabeling's rows are built
+    one at a time against up's: the first row that differs decides, and a
+    row below up's ends the test."""
     base = _base_pairs(up, down)
     if base != sorted(base):
         return False
@@ -286,7 +290,7 @@ def _is_canonical(up: tuple[int, ...], down: tuple[int, ...]) -> bool:
     groups: dict = {}
     for i, key in enumerate(inv):
         groups.setdefault(key, []).append(i)
-    if len(groups) == len(inv):
+    if all(len(group) == 1 or len(_twin_classes(group, up, down)) == 1 for group in groups.values()):
         return True
     above = [list(bits(row)) for row in up]
     bit = [0] * len(up)  # old element -> the bit of its new position
@@ -307,6 +311,15 @@ def _is_canonical(up: tuple[int, ...], down: tuple[int, ...]) -> bool:
     return True
 
 
+def _twin_classes(group: list[int], up, down) -> list[list[int]]:
+    """group split into classes of twins: elements whose up and down rows
+    agree apart from their own bits."""
+    twins: dict = {}
+    for i in group:
+        twins.setdefault((up[i] ^ 1 << i, down[i] ^ 1 << i), []).append(i)
+    return list(twins.values())
+
+
 def _twin_respecting_orders(group: list[int], up, down):
     """The orders of an invariant class in which twins keep their relative
     order, each built by taking the next element of one twin class at a
@@ -314,10 +327,7 @@ def _twin_respecting_orders(group: list[int], up, down):
     own bits; every permutation of twins is an automorphism, so these orders
     give the same relabeled matrices as all orders of the class (M_6's six
     atoms: 1 order instead of 720)."""
-    twins: dict = {}
-    for i in group:
-        twins.setdefault((up[i] ^ 1 << i, down[i] ^ 1 << i), []).append(i)
-    classes = list(twins.values())
+    classes = _twin_classes(group, up, down)
     if len(classes) == len(group):
         return itertools.permutations(group)
     taken = [0] * len(classes)
@@ -359,23 +369,29 @@ def _ortho_classes(l: FiniteBoundedLattice) -> list[OrthoPair]:
     automorphisms commuting with pi, in order of the least map.
     orthocomplementations lists the maps in lexicographic order, so a map
     not yet seen is the least of its orbit, and its whole orbit, the
-    conjugates sigma pi sigma^-1 by every automorphism sigma, is then seen:
-    the conjugate maps sigma(x) to sigma(pi(x))."""
+    conjugates sigma pi sigma^-1 by every automorphism sigma, is then seen.
+    The orbit is reached by a breadth-first search that conjugates by the
+    generators of the group only, so the group is never listed: MO_5's 945
+    maps are one orbit under 9 generators, not under 3 628 800 maps."""
     pis = orthocomplementations(l)
     if not pis:
         return []
-    auts = lattice_automorphisms(l)
-    conj = [0] * l.size
+    gens = _automorphism_generators(l)
     seen = set()
     out = []
     for pi in pis:
         if pi.map not in seen:
-            for sigma in auts:
-                for x, px in enumerate(pi.map):
-                    conj[sigma[x]] = sigma[px]
-                seen.add(tuple(conj))
+            seen |= _orbit(pi.map, gens, _conjugate)
             out.append(OrthoPair(l, pi))
     return out
+
+
+def _conjugate(sigma, pi) -> tuple[int, ...]:
+    """sigma pi sigma^-1, which maps sigma(x) to sigma(pi(x))."""
+    conj = [0] * len(pi)
+    for x, px in enumerate(pi):
+        conj[sigma[x]] = sigma[px]
+    return tuple(conj)
 
 
 def census(n: int) -> list[dict]:

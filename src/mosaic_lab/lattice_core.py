@@ -1,8 +1,8 @@
 """Finite bounded lattices: construction, order/join/meet queries, complements
 (the complement multimap omega, which the orthocomplement search reads),
 orthocomplementations, the ortholattice type OrthoPair (its constructor is
-the one test of pi), modularity/orthomodularity/distributivity checks and
-forbidden-sublattice search.
+the one test of pi), modularity/orthomodularity/distributivity checks,
+forbidden-sublattice search and the generators of the automorphism group.
 
 Elements are canonical indices 0..n-1; labels are presentation-only.  Subsets
 of the carrier are bitmask ints throughout (see bits.py).
@@ -618,9 +618,53 @@ def _base_pairs(up, down) -> list[tuple[int, int]]:
     return [(d.bit_count(), u.bit_count()) for u, d in zip(up, down)]
 
 
-def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
+def _automorphism_generators(l: FiniteBoundedLattice) -> list[tuple[int, ...]]:
+    """Generators of the automorphism group of l, found without listing it;
+    a rigid l gives none.
+
+    A stabilizer chain (Sims 1970): for i from the last element to the
+    first, the maps found so far fix 0..i-1 and generate every automorphism
+    that fixes 0..i.  Each v > i with the base pair of i that is not yet in
+    the orbit of i under them asks the embedding search for one automorphism
+    that fixes 0..i-1 and sends i to v; each one found is a new generator.
+    An automorphism g fixing 0..i-1 then agrees at i with some product h of
+    the generators, and h^-1 g fixes 0..i, so the generators give g.  Each
+    question stops with SizeTooLarge past _MAX_MAP_PLACEMENTS placements."""
+    n, pairs, gens = l.size, _base_pairs(l.leq, l.down), []
+    for i in reversed(range(n)):
+        orbit = {i}
+        for v in range(i + 1, n):
+            if pairs[v] == pairs[i] and v not in orbit:
+                sigma = next(_lattice_embeddings(l, l, (*range(i), v), _MAX_MAP_PLACEMENTS), None)
+                if sigma is not None:
+                    gens.append(sigma)
+                    orbit = _orbit(i, gens, tuple.__getitem__)
+    return gens
+
+
+def _orbit(start, gens, act) -> set:
+    """Every point that the maps gens, applied as act(g, point), reach from
+    start: the orbit of start under the group they generate."""
+    orbit, queue = {start}, [start]
+    for point in queue:
+        for g in gens:
+            moved = act(g, point)
+            if moved not in orbit:
+                orbit.add(moved)
+                queue.append(moved)
+    return orbit
+
+
+# placements one question of _automorphism_generators makes at most (about
+# 1 s: MO_5's full automorphism listing passes it)
+_MAX_MAP_PLACEMENTS = 1_000_000
+
+
+def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice, pinned=(), budget=None):
     """Yield every injective map a -> b that preserves joins and meets, as an
-    index tuple, in lexicographic order.
+    index tuple, in lexicographic order; with pinned, only those that send
+    each element i < len(pinned) to pinned[i].  With a budget, SizeTooLarge
+    stops the search past that many placements.
 
     a's elements are placed in index order, each on the free elements of b
     in ascending order.  An embedding sends the elements above and below i
@@ -649,6 +693,8 @@ def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
             if up >= need_up and down >= need_down:
                 mask |= 1 << v
         fits.append(mask)
+    for i, v in enumerate(pinned):
+        fits[i] &= 1 << v
     if not all(fits):
         return
     partial = k < b.size
@@ -660,6 +706,7 @@ def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
         for i in range(k)
     ] if partial else [()] * k
     assign = [0] * k
+    left = -1 if budget is None else budget  # -1 never runs out
     frames = []  # per element placed on the way down: its untried candidates and row images
     i, used, free, above, below = 0, 0, fits[0], 0, 0
     while True:
@@ -671,6 +718,9 @@ def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
                 continue
             if bounds[i] and any(table[v][assign[u]] != assign[w] for table, u, w in bounds[i]):
                 continue
+            if not left:
+                raise SizeTooLarge(f"lattice-map search past {budget} placements")
+            left -= 1
             assign[i] = v
             if i + 1 < k:
                 frames.append((free, above, below))

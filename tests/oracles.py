@@ -580,6 +580,26 @@ def orthocomplementations_loops(l):
     return [pi for pi in complement_selecting_involutions(l) if order_reversing_loops(l, pi)]
 
 
+def ortho_classes_loops(l) -> list:
+    """The classes of l's orthocomplementations under conjugation by
+    automorphisms, each as its maps in lexicographic order, in order of
+    their least maps: each map not yet met is conjugated by every order
+    automorphism, pi^sigma(y) = sigma(pi(sigma^-1(y))), and all its
+    conjugates are then met."""
+    pis = sorted(pi.map for pi in orthocomplementations_loops(l))
+    if not pis:
+        return []
+    n = l.size
+    inverses = [(sigma, sorted(range(n), key=sigma.__getitem__)) for sigma in order_isomorphisms_loops(l.leq, l.leq)]
+    classes, met = [], set()
+    for pi in pis:
+        if pi not in met:
+            conjugates = {tuple(sigma[pi[inverse[y]]] for y in range(n)) for sigma, inverse in inverses}
+            classes.append(sorted(conjugates))
+            met |= conjugates
+    return classes
+
+
 def generated_sublattice_loops(l, seeds, pi=None) -> frozenset:
     """Add every join and meet (and pi-image) of the current members until
     nothing changes."""

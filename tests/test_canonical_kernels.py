@@ -14,7 +14,10 @@ generator drops candidates with unsorted base pairs, so the canonicity test
 is also run on the candidates of test_catalog.py's filter route, which
 drops none, and twins are checked on the diamonds and on a lattice whose
 invariant class mixes twins and non-twins.  On the chains, whose invariant
-classes are single elements, no relabeling is tried at all.
+classes are single elements, and on the diamonds, whose atoms are one class
+of twins, no relabeling is tried at all.  The automorphism generators,
+found by the same search with a pinned prefix, must generate exactly the
+group the pairwise search lists.
 """
 
 import itertools
@@ -22,7 +25,9 @@ import random
 
 import pytest
 
+from mosaic_lab import lattice_core
 from mosaic_lab.bits import transpose
+from mosaic_lab.errors import SizeTooLarge
 from mosaic_lab.catalog import (
     _bounded_lattice_candidates,
     _is_canonical,
@@ -31,6 +36,7 @@ from mosaic_lab.catalog import (
     named,
 )
 from mosaic_lab.lattice_core import (
+    _automorphism_generators,
     _lattice_embeddings,
     build_from_covers,
     from_leq,
@@ -128,12 +134,16 @@ def assert_agrees_with_the_oracle(up, rng):
 
 
 @pytest.mark.parametrize("k", range(3, 8))
-def test_twins_keep_their_order_on_the_diamonds(k):
+def test_twins_keep_their_order_on_the_diamonds(k, call_counts):
     """The atoms of M_k are one invariant class of twins: one order of them
-    is tried instead of k!."""
+    is tried instead of k!, and as it is the identity, the key is canonical
+    without building a relabeling."""
     key = assert_agrees_with_the_oracle(diamond(k), random.Random(k))
     atoms = list(range(1, k + 1))
     assert list(_twin_respecting_orders(atoms, key, tuple(transpose(key)))) == [tuple(atoms)]
+    counts = call_counts(itertools, "product")
+    assert is_canonical(key)
+    assert counts["product"] == 0
 
 
 def test_twins_keep_their_order_in_a_class_that_mixes_twins_and_non_twins():
@@ -149,6 +159,17 @@ def test_twins_keep_their_order_in_a_class_that_mixes_twins_and_non_twins():
     assert len(coatoms) == 4 and len({inv[i] for i in coatoms}) == 1
     orders = list(_twin_respecting_orders(coatoms, key, tuple(transpose(key))))
     assert len(set(orders)) == len(orders) == 6
+
+
+def test_relabelings_are_built_for_64_candidates_at_8(call_counts):
+    """Of the 318 candidates with 8 elements, 55 are ruled out by their
+    invariants, 81 have only one-element invariant classes and 118 only
+    one-element classes and classes of twins; the other 64 build
+    relabelings."""
+    counts = call_counts(itertools, "product")
+    verdicts = [_is_canonical(up, down) for up, down in _bounded_lattice_candidates(8)]
+    assert (len(verdicts), sum(verdicts)) == (318, 222)
+    assert counts["product"] == 64
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -236,6 +257,50 @@ def test_automorphism_lists_agree_upto_8(lattices_upto_8):
         (up,) = seeded_relabelings(l.leq, rng, 1)
         for m in (l, from_leq(l.names, up)):
             assert lattice_automorphisms(m) == order_isomorphisms_loops(m.leq, m.leq), m.leq
+
+
+def closure(gens, n):
+    """Every map that composing the maps gens gives, the identity included."""
+    identity = tuple(range(n))
+    group, queue = {identity}, [identity]
+    for g in queue:
+        for sigma in gens:
+            h = tuple(sigma[x] for x in g)
+            if h not in group:
+                group.add(h)
+                queue.append(h)
+    return group
+
+
+def test_generators_generate_exactly_the_automorphism_group(lattices_upto_8):
+    """Over every enumerated class with at most 8 elements, the diamonds M_3
+    to M_7, MO_2 to MO_4, boolean_1 to boolean_4, the hexagon and the
+    pentagon: each generator is an automorphism, the maps they generate are
+    every order automorphism the oracle lists, and a rigid lattice gives no
+    generator."""
+    named_ones = [f"MO_{k}" for k in range(2, 5)] + [f"boolean_{k}" for k in range(1, 5)] + ["hexagon", "pentagon"]
+    diamonds = [from_leq([f"x{i}" for i in range(k + 2)], diamond(k)) for k in range(3, 8)]
+    rigid = 0
+    for l in lattices_upto_8 + diamonds + [named(name).lattice for name in named_ones]:
+        automorphisms = set(order_isomorphisms_loops(l.leq, l.leq))
+        gens = _automorphism_generators(l)
+        assert set(gens) <= automorphisms, l.leq
+        assert closure(gens, l.size) == automorphisms, l.leq
+        if len(automorphisms) == 1:
+            assert gens == [], l.leq
+            rigid += 1
+    assert rigid > 0
+
+
+def test_the_generator_search_stops_at_its_budget(monkeypatch):
+    """Every question on M_6 finds its map at once, placing each of the 8
+    elements one time: 8 placements a question pass, 7 stop the search."""
+    m6 = named("MO_3").lattice
+    monkeypatch.setattr(lattice_core, "_MAX_MAP_PLACEMENTS", 8)
+    assert len(_automorphism_generators(m6)) == 5
+    monkeypatch.setattr(lattice_core, "_MAX_MAP_PLACEMENTS", 7)
+    with pytest.raises(SizeTooLarge, match="past 7 placements"):
+        _automorphism_generators(m6)
 
 
 def test_embedding_lists_agree_with_the_sweep_over_injections(lattices_upto_6):

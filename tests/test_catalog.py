@@ -7,6 +7,8 @@ import pytest
 from mosaic_lab.bits import transpose
 from mosaic_lab.errors import InvalidStructure, MosaicLabError, SizeTooLarge, UnknownName
 from mosaic_lab.lattice_core import (
+    _automorphism_generators,
+    _orbit,
     find_sublattice_copy,
     hexagon_pattern,
     is_modular,
@@ -20,15 +22,17 @@ from mosaic_lab.catalog import (
     CATALOG_NAMES,
     CatalogEntry,
     _bounded_lattice_candidates,
+    _conjugate,
     _is_canonical,
     _middle_posets,
+    _ortho_classes,
     census,
     enumerate_lattices,
     enumerate_ortholattices,
     named,
 )
 
-from oracles import brute_bounded_lattices, brute_poset_iso, canonical_key_unpruned
+from oracles import brute_bounded_lattices, brute_poset_iso, canonical_key_unpruned, ortho_classes_loops
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COUNTS = json.loads((FIXTURES / "enumeration_counts.json").read_text())
@@ -273,6 +277,28 @@ class TestEnumerateOrtholattices:
             for i, a in enumerate(pairs):
                 for b in pairs[i + 1 :]:
                     assert not pi_compatible_isomorphic(a, b)
+
+    def test_classes_agree_with_conjugation_by_every_automorphism(self, lattices_upto_8):
+        """Over every enumerated class with at most 8 elements and MO_2 to
+        MO_4, the orbits reached from the automorphism generators are the
+        classes that conjugating by every automorphism gives, and the pairs
+        are their least maps, in order."""
+        lattices = lattices_upto_8 + [named(f"MO_{k}").lattice for k in range(2, 5)]
+        classes = 0
+        for l in lattices:
+            want = ortho_classes_loops(l)
+            pairs = _ortho_classes(l)
+            assert all(p.lattice is l for p in pairs)
+            assert [p.pi.map for p in pairs] == [maps[0] for maps in want], l.leq
+            gens = _automorphism_generators(l)
+            assert [sorted(_orbit(maps[0], gens, _conjugate)) for maps in want] == want, l.leq
+            classes += len(pairs)
+        assert classes == 13  # 10 up to 8 elements, and MO_2 to MO_4 once more
+
+    def test_mo5_is_one_class(self):
+        """MO_5's 945 orthocomplementations are one orbit, reached without
+        listing its 3 628 800 automorphisms."""
+        assert len(_ortho_classes(named("MO_5").lattice)) == 1
 
     def test_odd_sizes_above_one_are_empty(self):
         assert enumerate_ortholattices(3) == []
