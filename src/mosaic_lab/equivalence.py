@@ -52,6 +52,7 @@ from .lattice_core import (
     OrthoPair,
     _generated_mask,
     _members,
+    _passing,
     _preserves,
     from_leq,
     orthocomplementations,
@@ -226,7 +227,7 @@ def _orthomodular_criterion(mosaic: Mosaic, pi: Involution) -> AxiomReport:
         for y in bits(above & ~(1 << x)):
             if row[p[y]] >> one & 1:
                 return AxiomReport("orthomodular-mosaic", False, (x, y), "criterion violated")
-    return AxiomReport("orthomodular-mosaic", True)
+    return _passing("orthomodular-mosaic")
 
 
 def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> AxiomReport:
@@ -255,7 +256,7 @@ def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> Axiom
         verdicts[pm, seeds] = is_associative(_restricted_op(op.table, list(bits(generated)))).holds
     if not verdicts[pm, seeds]:
         return AxiomReport("generated-polygroup", False, (x, y), "restriction not associative")
-    return AxiomReport("generated-polygroup", True)
+    return _passing("generated-polygroup")
 
 
 # -- exhaustive search for dualizable pairs on tiny carriers -------------------

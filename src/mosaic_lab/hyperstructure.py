@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from operator import or_
+from operator import itemgetter, or_
 
 from .bits import bits, elements, full_mask, image, least, mask_of, transpose
 from .errors import InvalidStructure, SizeMismatch
-from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, from_leq
+from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _passing, _verdict, from_leq
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class Multioperation:
 
     def __post_init__(self):
         full = full_mask(self.size)
-        if len(self.table) != self.size or any(len(r) != self.size for r in self.table):
+        if len(self.table) != self.size or not set(map(len, self.table)) <= {self.size}:
             raise SizeMismatch("table is not size x size")
         if self.size and not 0 <= min(map(min, self.table)) <= max(map(max, self.table)) <= full:
             raise SizeMismatch("cell not a subset of the carrier")
@@ -132,15 +132,17 @@ class Multioperation:
 
     @cached_property
     def _lms2_witness(self):
-        """(x,) for the least x with (x+x)+(x+x) != x+x, or None."""
-        table = self.table
-        for x, row in enumerate(table):
+        """(x,) for the least x with (x+x)+(x+x) != x+x, or None.
+
+        With C = x+x, C+C is the union of the cells at the slots b in C of
+        _row_unions[C], which packs C.z for every z: |C| slot reads, not |C|^2
+        cell reads, and the unions are those is_associative reads."""
+        w, slot, unions = self._masks.width, self._masks.slot, self._row_unions
+        for x, row in enumerate(self.table):
             cell, acc = row[x], 0
-            members = list(bits(cell))
-            for a in members:
-                ra = table[a]
-                for b in members:
-                    acc |= ra[b]
+            packed = unions[cell]
+            for b in bits(cell):
+                acc |= packed >> w * b & slot
             if acc != cell:
                 return (x,)
         return None
@@ -180,6 +182,9 @@ class Mosaic:
     neutral is neutral and that rho fixes it: verify_mosaic builds a Mosaic
     from a table not yet known to be one, and a constructor whose tables are
     mosaics by theorem (the Nakano mosaics) passes the neutral and rho itself.
+    The neutral's row and column are each compared whole with the units
+    {x}, one tuple per n that find_neutral shares; only when one differs is
+    the least x where it does looked for, for the error.
     """
 
     op: Multioperation
@@ -190,10 +195,10 @@ class Mosaic:
         n = self.op.size
         if self.rho.size != n or not 0 <= self.neutral < n:
             raise SizeMismatch("carrier sizes disagree")
-        e = self.neutral
-        for x in range(n):
-            if self.op.cell(e, x) != 1 << x or self.op.cell(x, e) != 1 << x:
-                raise InvalidStructure(f"{e} is not neutral at {x}")
+        e, table, units = self.neutral, self.op.table, _units(n)
+        if table[e] != units or tuple(map(itemgetter(e), table)) != units:
+            x = next(x for x in range(n) if table[e][x] != units[x] or table[x][e] != units[x])
+            raise InvalidStructure(f"{e} is not neutral at {x}")
         if self.rho(e) != e:
             raise InvalidStructure("rho does not fix the neutral element")
 
@@ -205,11 +210,17 @@ class Mosaic:
         return self.op.cell(x, y)
 
 
+@cache
+def _units(n: int) -> tuple[int, ...]:
+    """The row and the column of a neutral element of an n-element table."""
+    return tuple(1 << x for x in range(n))
+
+
 def find_neutral(op: Multioperation):
     """The unique neutral element, or None."""
-    units = tuple(1 << x for x in range(op.size))
+    units = _units(op.size)
     for e, row in enumerate(op.table):
-        if row == units and all(op.table[x][e] == units[x] for x in range(op.size)):
+        if row == units and tuple(map(itemgetter(e), op.table)) == units:
             return e
     return None
 
@@ -248,9 +259,9 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
         if row != col:
             witness = (x, next(y for y in range(n) if row[y] != col[y]))
             break
-    reports.append(AxiomReport("commutative", witness is None, witness, witness and "cell asymmetry"))
+    reports.append(_verdict("commutative", witness, "cell asymmetry"))
     witness = next(((x, row.index(0)) for x, row in enumerate(table) if 0 in row), None)
-    reports.append(AxiomReport("total", witness is None, witness, witness and "empty cell"))
+    reports.append(_verdict("total", witness, "empty cell"))
     if not all(r.holds for r in reports):
         return MosaicVerification(tuple(reports), None)
 
@@ -258,7 +269,7 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
     if e is None:
         reports.append(AxiomReport("neutral", False, (), "no neutral element"))
         return MosaicVerification(tuple(reports), None)
-    reports.append(AxiomReport("neutral", True))
+    reports.append(_passing("neutral"))
 
     masks, cube = op._masks, op._cube
     w = masks.width
@@ -271,10 +282,12 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
             reports.append(AxiomReport("unique-inverses", False, (x,), reason))
             return MosaicVerification(tuple(reports), None)
         inv.append(least(ys))
-    reports.append(AxiomReport("unique-inverses", True))
-    rho = Involution(tuple(inv))
+    reports.append(_passing("unique-inverses"))
 
-    if inv != list(range(n)):
+    if inv == list(range(n)):
+        rho = Involution.identity(n)
+    else:
+        rho = Involution(tuple(inv))
         block = (1 << w * w) - 1
         flip = _pack([flip >> w * w * v & block for v in inv], w * w)
     bad = cube & ~(flip & _swap(flip, masks.swap01))
@@ -282,8 +295,8 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
         slot, z = divmod(least(bad), w)
         reports.append(AxiomReport("reversible", False, (*divmod(slot, w), z), "RE fails"))
         return MosaicVerification(tuple(reports), None)
-    reports.append(AxiomReport("reversible", True))
-    reports.append(AxiomReport("lemma1-consequences", True))
+    reports.append(_passing("reversible"))
+    reports.append(_passing("lemma1-consequences"))
 
     return MosaicVerification(tuple(reports), Mosaic(op, e, rho))
 
@@ -418,7 +431,7 @@ def is_associative(op: Multioperation) -> AxiomReport:
         if diff:
             slot = least(diff) // w
             return AxiomReport("associative", False, (x, *divmod(slot, w)), "associativity")
-    return AxiomReport("associative", True)
+    return _passing("associative")
 
 
 def _carrier_map(f, source_size: int, target_size: int) -> tuple[int, ...]:
@@ -450,7 +463,7 @@ def check_morphism(f, a: Mosaic, b: Mosaic) -> AxiomReport:
         for y, cell in enumerate(row):
             if image(cell, f) & ~images[f[y]]:
                 return AxiomReport(name, False, (x, y), "cell condition fails")
-    return AxiomReport(name, True)
+    return _passing(name)
 
 
 # -- L-mosaics ----------------------------------------------------------------
@@ -468,15 +481,13 @@ def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
     tests, nonzero and "more than one bit", find the pairs without exactly
     one among the n x n slots in use."""
     e, op = m.neutral, m.op
-    lms1 = AxiomReport("Lms1", True)
+    lms1 = _passing("Lms1")
     for x, row in enumerate(op.table):
         if not (row[x] >> e & 1 and row[x] >> x & 1):
             lms1 = AxiomReport("Lms1", False, (x,), "0,x not both in x+x")
             break
-    witness = op._lms2_witness
-    lms2 = AxiomReport("Lms2", witness is None, witness, witness and "(x+x)+(x+x) != x+x")
-    witness = op._lms3_witness
-    lms3 = AxiomReport("Lms3", witness is None, witness, witness and "intersection leaks")
+    lms2 = _verdict("Lms2", op._lms2_witness, "(x+x)+(x+x) != x+x")
+    lms3 = _verdict("Lms3", op._lms3_witness, "intersection leaks")
     n, masks = m.size, op._masks
     w = masks.width
     under = op._under  # under[x] = {z : x in z+z}
@@ -489,7 +500,7 @@ def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
         reason = "multiple join candidates" if multiple >> w * slot & masks.slot else "no join candidate"
         lms4 = AxiomReport("Lms4", False, divmod(slot, w), reason)
     else:
-        lms4 = AxiomReport("Lms4", True)
+        lms4 = _passing("Lms4")
     return (lms1, lms2, lms3, lms4)
 
 
@@ -510,4 +521,4 @@ def is_reproductive(op: Multioperation) -> AxiomReport:
     for x, row in enumerate(op.table):
         if reduce(or_, row, 0) != full:
             return AxiomReport("reproductive", False, (x,), "row union misses elements")
-    return AxiomReport("reproductive", True)
+    return _passing("reproductive")

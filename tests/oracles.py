@@ -624,6 +624,20 @@ def distributive_loops(l, members) -> AxiomReport:
     return _report("distributive")
 
 
+def modular_loops(l) -> AxiomReport:
+    """The least (x, y, z) in x, y, z order with x v (y ^ (x v z)) !=
+    (x v y) ^ (x v z), over every triple, each bound found by
+    bound_tables_scan from the order rows."""
+    join, meet = bound_tables_scan(l.leq)
+    n = len(join)
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if join[x][meet[y][join[x][z]]] != meet[join[x][y]][join[x][z]]:
+                    return _report("modular", (x, y, z), "modular law")
+    return _report("modular")
+
+
 def sublattice_copy_loops(l, pattern):
     """Place pattern elements in index order on the least free element of l
     that agrees, pair by pair, on order, joins and meets with the elements

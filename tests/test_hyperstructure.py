@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,14 @@ from mosaic_lab.hyperstructure import (
     verify_lmosaic,
     verify_mosaic,
 )
-from mosaic_lab.lattice_core import AxiomReport, Involution, lattice_automorphisms
-from mosaic_lab.nakano import NakanoMosaic, _restricted_op, additive_nakano, multiplicative_nakano
+from mosaic_lab.lattice_core import AxiomReport, Involution, is_modular, lattice_automorphisms
+from mosaic_lab.nakano import (
+    NakanoMosaic,
+    _restricted_op,
+    additive_nakano,
+    multiplicative_nakano,
+    nakano_property_reports,
+)
 from mosaic_lab.catalog import enumerate_lattices, named
 
 from oracles import Multimap, all_involutions, compose_relations, dual_table_loops, morphism_loops, table_of
@@ -90,6 +97,8 @@ def test_bad_parts_raise_typed_errors(pentagon, hexagon):
         (lambda: Multioperation(1, ((1,), (1,))), SizeMismatch, "table is not size x size"),
         (lambda: Mosaic(chain2, 0, Involution.identity(3)), SizeMismatch, "carrier sizes disagree"),
         (lambda: Mosaic(chain2, 1, Involution.identity(2)), InvalidStructure, "1 is not neutral at 0"),
+        (lambda: Mosaic(Multioperation(2, ((1, 2), (1, 2))), 0, Involution.identity(2)), InvalidStructure,
+         "0 is not neutral at 1"),
         (lambda: Mosaic(chain2, 0, Involution((1, 0))), InvalidStructure, "rho does not fix the neutral element"),
         (lambda: NakanoMosaic(pentagon.lattice, additive_nakano(hexagon.lattice).mosaic), SizeMismatch,
          "carrier sizes disagree"),
@@ -190,6 +199,61 @@ class TestVerifyMosaic:
                         b = bool(m.cell(z, rho(y)) >> x & 1)
                         c = bool(m.cell(rho(x), z) >> y & 1)
                         assert a == b == c
+
+
+def table_battery(nm):
+    """Every report of the checks the verify workload runs on one Nakano
+    table, with the rho that verify_mosaic hands out."""
+    m = nm.mosaic
+    got = verify_mosaic(m.op)
+    reports = (*got.reports, *verify_lmosaic(m), is_associative(m.op), *nakano_property_reports(nm))
+    return reports, got.mosaic.rho
+
+
+class TestSharedConstants:
+    """A passing check returns its axiom's one report, and verify_mosaic
+    the one identity map per n; a failing check builds its own report."""
+
+    def test_passing_reports_are_shared_across_tables(self):
+        first, _ = table_battery(additive_nakano(named("boolean_2").lattice))
+        second, _ = table_battery(multiplicative_nakano(named("chain_5").lattice))
+        assert all(r.holds for r in first + second)
+        for a, b in zip(first, second):
+            assert a == b == AxiomReport(a.axiom, True)
+            assert a is b
+        assert is_modular(named("chain_3").lattice) is is_modular(named("boolean_3").lattice)
+
+    def test_failing_reports_are_built_per_call(self, pentagon):
+        first, second = is_modular(pentagon.lattice), is_modular(pentagon.lattice)
+        assert not first.holds and first.witness is not None
+        assert first == second and first is not second
+
+    def test_identity_rho_is_shared(self, lattices_upto_6):
+        for l in lattices_upto_6:
+            for build in (additive_nakano, multiplicative_nakano):
+                m = build(l).mosaic
+                assert m.rho is Involution.identity(l.size)
+                assert verify_mosaic(m.op).mosaic.rho is Involution.identity(l.size)
+        assert Involution.identity(3) == Involution((0, 1, 2))
+
+    def test_a_checked_table_builds_no_report_and_no_map(self, monkeypatch, pentagon):
+        """After one table has been checked, a second modular one (both
+        flavors of boolean_3) passes every check without building an
+        AxiomReport or an Involution; a failing check builds one report."""
+        table_battery(additive_nakano(named("boolean_2").lattice))
+        tables = [build(named("boolean_3").lattice) for build in (additive_nakano, multiplicative_nakano)]
+        built = Counter()
+        for cls in (AxiomReport, Involution):
+            def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        for nm in tables:
+            reports, rho = table_battery(nm)
+            assert all(r.holds for r in reports) and rho is Involution.identity(8)
+        assert built == Counter()
+        is_modular(pentagon.lattice)
+        assert built == Counter(AxiomReport=1)
 
 
 class TestAssociativity:

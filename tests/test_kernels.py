@@ -163,7 +163,10 @@ def test_plane_kernels_match_on_wide_tables(wide_lattices):
     """On chain_16 a plane of is_associative spans 16 * 16 * 16 = 4 096 bits.
     A Nakano table meets the triple bound, and is associative exactly when
     the lattice is modular; the edits, one-sided and mirrored, make both
-    plane kernels fail, some of them past the first 64 bits of a plane."""
+    plane kernels fail, some of them past the first 64 bits of a plane.
+    They also make the Lms2 witness, read off the packed row unions, fail,
+    and the triple bound fail on mirrored edits, where the table stays
+    commutative and only the pairs y <= z are visited."""
     rng = random.Random(4471)
     failed = Counter()
     for l in wide_lattices:
@@ -176,7 +179,8 @@ def test_plane_kernels_match_on_wide_tables(wide_lattices):
                 assert assoc == associativity_loops(table)
                 reports = nakano_property_reports(m)
                 assert reports == nakano_property_loops(l, additive, table)
-                triple = next(r for r in reports if r.axiom == "triple-bound")
+                lemmas = {r.axiom: r for r in reports}
+                triple = lemmas["triple-bound"]
                 if m is nm:
                     assert triple.holds and assoc.holds == is_modular(l).holds
                 if not assoc.holds:
@@ -186,7 +190,9 @@ def test_plane_kernels_match_on_wide_tables(wide_lattices):
                 if not triple.holds:
                     failed["triple-bound"] += 1
                     failed["triple-bound past 64 bits"] += n * triple.witness[0] >= 64
-    assert len(failed) == 4 and all(failed.values()), failed
+                    failed["triple-bound commutative"] += table == tuple(zip(*table))
+                failed["principal-idempotent"] += not lemmas["principal-idempotent"].holds
+    assert len(failed) == 6 and all(failed.values()), failed
 
 
 def cube_bit(witness, n: int) -> int:

@@ -51,6 +51,7 @@ from oracles import (
     closure_oracle,
     complement_selecting_involutions,
     least_closed_superset,
+    modular_loops,
 )
 
 
@@ -472,6 +473,18 @@ class TestModularity:
     def test_fact3_pentagon_freeness(self, lattices_upto_6, pentagon):
         for l in lattices_upto_6:
             assert is_modular(l).holds == (find_sublattice_copy(l, pentagon.lattice) is None)
+
+    def test_least_witness_matches_the_triple_scan(self, lattices_upto_8):
+        """is_modular tests only the x v z above each x; its report, least
+        witness included, is the one of the scan over all n^3 triples."""
+        wide = [named(name).lattice for name in ("chain_16", "boolean_4", "MO_6", "hexagon", "pentagon")]
+        failing = 0
+        for l in lattices_upto_8 + wide:
+            for lattice in (l, dual_lattice(l)):
+                report = is_modular(lattice)
+                assert report == modular_loops(lattice), lattice.names
+                failing += not report.holds
+        assert failing
 
 
 class TestSublatticeCopy:
