@@ -39,6 +39,7 @@ from .lattice_core import (
     _base_pairs,
     _orbit,
     _orthomodular_law,
+    _unchecked,
     build_from_covers,
     complement_mask,
     from_leq,
@@ -372,7 +373,9 @@ def _ortho_classes(l: FiniteBoundedLattice) -> list[OrthoPair]:
     conjugates sigma pi sigma^-1 by every automorphism sigma, is then seen.
     The orbit is reached by a breadth-first search that conjugates by the
     generators of the group only, so the group is never listed: MO_5's 945
-    maps are one orbit under 9 generators, not under 3 628 800 maps."""
+    maps are one orbit under 9 generators, not under 3 628 800 maps.  Each
+    pi comes from the orthocomplement search, so its OrthoPair is built
+    without OrthoPair's check of pi (lattice_core._unchecked)."""
     pis = orthocomplementations(l)
     if not pis:
         return []
@@ -382,7 +385,7 @@ def _ortho_classes(l: FiniteBoundedLattice) -> list[OrthoPair]:
     for pi in pis:
         if pi.map not in seen:
             seen |= _orbit(pi.map, gens, _conjugate)
-            out.append(OrthoPair(l, pi))
+            out.append(_unchecked(OrthoPair, lattice=l, pi=pi))
     return out
 
 

@@ -1,14 +1,16 @@
 """The ortholattice <-> dualizable L-mosaic equivalence: functor, inverse
 reconstruction, morphism transfer and the mosaic-side orthomodularity test.
 
-The ortholattice side is lattice_core.OrthoPair, whose constructor checks pi.
-Both directions build what the paper's main theorem proves: functor_E the
-Nakano mosaic of an ortholattice, the reconstruction the order that the
-principal cells of a dualizable table induce, with pi as orthocomplement.
-Neither re-checks the theorem; the test suite does.  A table from outside
-the program is checked once, by _dualizability_failure, before it is
-reconstructed.  A pair's reconstruction and orthomodularity verdict have one
-public name each: reconstruct_lattice and is_orthomodular_mosaic.
+The ortholattice side is lattice_core.OrthoPair, whose constructor checks a
+pi from outside the program.  Both directions build what the paper's main
+theorem proves: functor_E the Nakano mosaic of an ortholattice, the
+reconstruction the order that the principal cells of a dualizable table
+induce, with pi as orthocomplement, in an OrthoPair built unchecked
+(lattice_core._unchecked).  Neither re-checks the theorem; the test suite
+does.  A table from outside the program is checked once, by
+_dualizability_failure, before it is reconstructed.  A pair's reconstruction
+and orthomodularity verdict have one public name each: reconstruct_lattice
+and is_orthomodular_mosaic.
 
 The table depends on the order alone, and the rebuilt order on the table
 alone, so one lattice carrying many orthocomplementations (MO_5 has 945)
@@ -54,6 +56,7 @@ from .lattice_core import (
     _members,
     _passing,
     _preserves,
+    _unchecked,
     from_leq,
     orthocomplementations,
 )
@@ -160,13 +163,14 @@ def reconstruct_lattice(p: DualizableLMosaicPair) -> OrthoPair:
     a table that passed the dualizability check): the pi-ortholattice on
     the carrier, with names x0, x1, ..., of the order read off the
     principal cells and pi as its orthocomplementation.  The paper proves
-    that this order is a lattice with bounds 0 and pi(0) and that the table
-    is its Nakano mosaic, so neither is checked; the lattice constructor
-    and OrthoPair keep their own input checks.  The lattice is the table's
-    own, built once per table, and each pi's OrthoPair wraps it.
-    tests/test_ortho_kernels.py checks the theorem on every dualizable
+    that this order is a lattice with bounds 0 and pi(0), that pi
+    orthocomplements it and that the table is its Nakano mosaic, so none of
+    it is checked: the lattice constructor keeps its own input checks, and
+    the OrthoPair is built without OrthoPair's check of pi.  The lattice is
+    the table's own, built once per table, and each pi's OrthoPair wraps
+    it.  tests/test_ortho_kernels.py checks the theorem on every dualizable
     input it has."""
-    return OrthoPair(p.mosaic.op._induced_lattice, p.pi)
+    return _unchecked(OrthoPair, lattice=p.mosaic.op._induced_lattice, pi=p.pi)
 
 
 @dataclass(frozen=True)

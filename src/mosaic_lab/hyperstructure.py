@@ -75,7 +75,7 @@ class Multioperation:
         table[x][y] = mask_of(zs)
         return Multioperation(self.size, tuple(tuple(r) for r in table))
 
-    @property
+    @cached_property
     def _masks(self) -> "_Masks":
         return _masks_of(1 << max(self.size - 1, 0).bit_length())
 

@@ -1,11 +1,19 @@
 """Finite bounded lattices: construction, order/join/meet queries, complements
 (the complement multimap omega, which the orthocomplement search reads),
-orthocomplementations, the ortholattice type OrthoPair (its constructor is
-the one test of pi), modularity/orthomodularity/distributivity checks,
-forbidden-sublattice search and the generators of the automorphism group.
+orthocomplementations, the ortholattice type OrthoPair (its constructor
+tests a pi from outside the program), modularity/orthomodularity/
+distributivity checks, forbidden-sublattice search and the generators of
+the automorphism group.
 
 Elements are canonical indices 0..n-1; labels are presentation-only.  Subsets
 of the carrier are bitmask ints throughout (see bits.py).
+
+Each orthocomplementation is checked once.  The constructors of Involution
+and OrthoPair check what comes from outside the program.  What the program
+derives and the test suite checks is built by _unchecked, without the
+constructor's check: the maps the orthocomplement search yields, whose pairs
+are involutive by construction, and the OrthoPairs of catalog's
+orthocomplement classes and of the equivalence's reconstruction.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import weakref
 from copy import copy
 from dataclasses import dataclass, field
 from functools import cache
+from operator import getitem
 
 from .bits import bits, elements, full_mask, image, least, mask_of, transpose
 from .errors import (
@@ -30,6 +39,14 @@ from .errors import (
     UnknownName,
     _echo,
 )
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls with the given fields, built
+    without running its __post_init__ check."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -58,18 +75,26 @@ class AxiomReport:
 
 @dataclass(frozen=True)
 class Involution:
-    """A self-inverse unary map on a carrier (rho, pi, orthocomplementations)."""
+    """A self-inverse unary map on a carrier (rho, pi, orthocomplementations).
+
+    The constructor stores the map as a tuple, whatever iterable of ints it
+    is given, and checks that it is a self-inverse permutation
+    (InvalidStructure otherwise)."""
 
     map: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.map)
-        if any(type(y) is not int for y in self.map):
-            raise InvalidStructure(f"involution entries must be ints, got {_echo(self.map)}")
-        if sorted(self.map) != list(range(n)):
+        try:
+            m = tuple(self.map)
+        except TypeError:
+            raise InvalidStructure(f"involution map must be a sequence of ints, got {_echo(self.map)}") from None
+        object.__setattr__(self, "map", m)
+        if any(type(y) is not int for y in m):
+            raise InvalidStructure(f"involution entries must be ints, got {_echo(m)}")
+        if sorted(m) != list(range(len(m))):
             raise InvalidStructure("not a permutation")
-        for x, y in enumerate(self.map):
-            if self.map[y] != x:
+        for x, y in enumerate(m):
+            if m[y] != x:
                 raise InvalidStructure(f"not an involution at {x}")
 
     @property
@@ -280,9 +305,18 @@ def complement_mask(l: FiniteBoundedLattice, x: int) -> int:
 
 def is_order_reversing(l: FiniteBoundedLattice, pi: Involution) -> bool:
     """OC1: x <= y iff pi(y) <= pi(x), one up-set row at a time: the elements
-    above x are the pi-images of the elements below pi(x)."""
+    above x are the pi-images of the elements below pi(x).  bits.image is
+    inlined: this loop runs on every check of a pi."""
     down, p = l.down, pi.map
-    return all(image(down[px], p) == row for row, px in zip(l.leq, p))
+    for row, px in zip(l.leq, p):
+        mask, above = down[px], 0
+        while mask:
+            low = mask & -mask
+            above |= 1 << p[low.bit_length() - 1]
+            mask ^= low
+        if above != row:
+            return False
+    return True
 
 
 def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> list[Involution]:
@@ -298,7 +332,9 @@ def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> 
 
     The De Morgan laws (OC2/OC3) follow from OC1 for an involution, so they
     are not tested here; tests/test_lattice_core.py checks them on every
-    returned map.
+    returned map.  The search pairs carrier elements only, so each map is
+    an involution by construction and is built without the Involution
+    check; tests/test_ortho_kernels.py checks every map it yields.
     """
     out = []
     for pi in _orthocomplementation_search(l):
@@ -355,7 +391,7 @@ def _orthocomplementation_search(l: FiniteBoundedLattice):
             if (up[x] & pair == image(down[y] & pair, assign)
                     and up[y] & pair == image(down[x] & pair, assign)):
                 if pair == full:
-                    yield Involution(tuple(assign))
+                    yield _unchecked(Involution, map=tuple(assign))
                 else:
                     frames.append((x, done, cands))
                     x, done = least(full & ~pair), pair
@@ -371,19 +407,25 @@ def _orthocomplementation_search(l: FiniteBoundedLattice):
 
 
 def is_orthocomplementation(l: FiniteBoundedLattice, pi: Involution) -> bool:
-    if pi.size != l.size:
-        return False
-    join, meet, top, bottom = l.join_table, l.meet_table, l.top, l.bottom
-    return all(
-        join[x][px] == top and meet[x][px] == bottom for x, px in enumerate(pi.map)
-    ) and is_order_reversing(l, pi)
+    """Whether pi, of l's size, sends each x to a complement and satisfies
+    OC1.  The complements are read as whole rows: join[x][pi(x)] over all x
+    is the one value top, and meet[x][pi(x)] the one value bottom."""
+    p = pi.map
+    return (
+        len(p) == l.size
+        and set(map(getitem, l.join_table, p)) == {l.top}
+        and set(map(getitem, l.meet_table, p)) == {l.bottom}
+        and is_order_reversing(l, pi)
+    )
 
 
 @dataclass(frozen=True)
 class OrthoPair:
     """An ortholattice: a bounded lattice together with one orthocomplementation
     (Kalmbach, Orthomodular Lattices, 1983).  Construction raises
-    NotAnOrthocomplementation otherwise."""
+    NotAnOrthocomplementation otherwise.  The pairs that the program derives
+    (catalog's orthocomplement classes, the equivalence's reconstruction)
+    are built by _unchecked, and the test suite checks them."""
 
     lattice: FiniteBoundedLattice
     pi: Involution

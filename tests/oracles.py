@@ -575,6 +575,21 @@ def order_reversing_loops(l, pi) -> bool:
     return all(l.le(x, y) == l.le(pi(y), pi(x)) for x in range(l.size) for y in range(l.size))
 
 
+def is_orthocomplementation_loops(l, pi) -> bool:
+    """pi orthocomplements l: its map is a tuple of ints that permutes the
+    carrier and is its own inverse, each pi(x) is a complement of x, and
+    OC1 holds for every pair."""
+    m, n = pi.map, l.size
+    return (
+        type(m) is tuple
+        and all(type(y) is int for y in m)
+        and sorted(m) == list(range(n))
+        and all(m[m[x]] == x for x in range(n))
+        and all(l.join(x, m[x]) == l.top and l.meet(x, m[x]) == l.bottom for x in range(n))
+        and order_reversing_loops(l, pi)
+    )
+
+
 def orthocomplementations_loops(l):
     """The unpruned search filtered by OC1, in the order it lists the maps."""
     return [pi for pi in complement_selecting_involutions(l) if order_reversing_loops(l, pi)]

@@ -95,6 +95,17 @@ class TestPairValidation:
         with pytest.raises(SizeMismatch):
             reconstruct_from(m, Involution.identity(5))
 
+    def test_a_pi_built_from_a_list_is_read_like_its_tuple(self, fresh_maps):
+        """A list-built pi is stored as a tuple, so the verdicts that the
+        table keeps by pi.map accept it, and it equals the catalog's pi."""
+        b2 = named("boolean_2")
+        pi = Involution([3, 2, 1, 0])
+        assert pi == b2.ortho
+        d = functor_E(OrthoPair(b2.lattice, pi))
+        assert is_orthomodular_mosaic(d).holds
+        assert generated_polygroup_check(d, 1, 2).holds
+        assert reconstruct_lattice(d).pi == b2.ortho
+
     def test_pentagon_admits_no_dualizing_involution(self, pentagon):
         m = additive_nakano(pentagon.lattice).mosaic
         passing = [pi for pi in all_involutions(5) if equivalence._dualizability_failure(m, Involution(pi)) is None]

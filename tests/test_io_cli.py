@@ -484,8 +484,8 @@ class TestCliOther:
     def test_an_ortho_block_is_checked_once_before_its_reconstruction(
         self, runner, tmp_path, call_counts, hexagon, command
     ):
-        """The ortho block's pi is checked once by io and once more by the
-        OrthoPair of its reconstruction; _run_checks takes it as checked."""
+        """The ortho block's pi is checked once, by io; _run_checks takes it
+        as checked, and its reconstruction builds its OrthoPair unchecked."""
         import mosaic_lab.io as io
 
         counts = call_counts(lattice_core, "is_orthocomplementation")
@@ -495,7 +495,7 @@ class TestCliOther:
         res = runner.invoke(main, [command, str(path)])
         assert res.exit_code == (1 if command == "check" else 0)
         assert "PASS roundtrip" in res.output
-        assert counts["is_orthocomplementation"] == 2
+        assert counts["is_orthocomplementation"] == 1
 
     @pytest.mark.parametrize("checks, tables", [("ortholattice", 0), ("modular", 0), (None, 1)])
     def test_check_builds_the_nakano_table_only_for_checks_that_read_it(

@@ -92,9 +92,27 @@ def test_involution_validation():
         Involution((0, 0))
 
 
-@pytest.mark.parametrize("entries", [(0.0,), (1, 0.0), ("0",), (None,), (True, False), (1, False)])
+@pytest.mark.parametrize(
+    "entries", [(0.0,), (1, 0.0), ("0",), (None,), (True, False), (1, False), [1, 0.0], iter([None]), "10"]
+)
 def test_involution_entries_that_are_no_ints_raise_a_typed_error(entries):
     with pytest.raises(InvalidStructure, match=r"^involution entries must be ints, got \("):
+        Involution(entries)
+
+
+@pytest.mark.parametrize("entries", [[3, 2, 1, 0], iter([3, 2, 1, 0]), range(3, -1, -1), (3, 2, 1, 0)])
+def test_an_involution_stores_its_map_as_a_tuple(entries):
+    """Any iterable of ints gives the same hashable Involution as its
+    tuple."""
+    pi = Involution(entries)
+    assert type(pi.map) is tuple and pi.map == (3, 2, 1, 0)
+    assert pi == Involution((3, 2, 1, 0)) and hash(pi) == hash(Involution((3, 2, 1, 0)))
+    assert {pi: 1}[Involution((3, 2, 1, 0))] == 1
+
+
+@pytest.mark.parametrize("entries", [None, 3, 1.5])
+def test_an_involution_map_that_is_no_iterable_raises_a_typed_error(entries):
+    with pytest.raises(InvalidStructure, match=r"^involution map must be a sequence of ints, got "):
         Involution(entries)
 
 

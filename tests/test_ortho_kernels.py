@@ -16,9 +16,11 @@ them.
 The reconstruction checks nothing: it reads the order off the principal
 cells and takes pi as orthocomplement.  That this is right is the theorem,
 checked here once on every input that passes the dualizability check: the
-order is a lattice with bounds 0 and pi(0), each join lies in its cell, each
-meet is the pi-transported join, and the table is the Nakano mosaic of the
-order.
+order is a lattice with bounds 0 and pi(0) that pi orthocomplements, each
+join lies in its cell, each meet is the pi-transported join, and the table
+is the Nakano mosaic of the order.  The orthocomplement search builds its
+maps without the Involution check, and each map it yields is checked here
+against the checked constructor and the reference.
 """
 
 import itertools
@@ -27,13 +29,14 @@ from collections import Counter
 
 import pytest
 
-from mosaic_lab import equivalence, lattice_core
+from mosaic_lab import catalog, equivalence, lattice_core
 from mosaic_lab.bits import bits, mask_of
 from mosaic_lab.catalog import CATALOG_NAMES, named
 from mosaic_lab.errors import SizeTooLarge
 from mosaic_lab.hyperstructure import Mosaic, verify_mosaic
 from mosaic_lab.lattice_core import (
     Involution,
+    OrthoPair,
     _orthocomplementation_search,
     build_from_covers,
     check_om_equivalences,
@@ -54,6 +57,7 @@ from oracles import (
     dual_table_loops,
     dualizability_failure_loops,
     generated_sublattice_loops,
+    is_orthocomplementation_loops,
     om_reports_loops,
     order_reversing_loops,
     orthomodular_criterion_loops,
@@ -108,6 +112,59 @@ def test_order_reversing_matches(corpus):
 def test_search_lists_the_filtered_involutions_in_order(corpus):
     for _, l in corpus:
         assert orthocomplementations(l) == orthocomplementations_loops(l)
+
+
+def test_every_searched_map_is_a_checked_orthocomplementation(lattices_upto_8):
+    """The search builds its maps without the Involution check, since it
+    pairs carrier elements only.  Every map it yields is the Involution
+    that the checked constructor builds from it, and orthocomplements the
+    lattice by the element-at-a-time reference: on every lattice with at
+    most 8 elements, MO_2 to MO_6, boolean_1 to boolean_4 and the hexagon."""
+    maps = 0
+    for l in lattices_upto_8 + [named(name).lattice for name in NAMED]:
+        for pi in orthocomplementations(l):
+            checked = Involution(pi.map)
+            assert pi == checked and hash(pi) == hash(checked)
+            assert is_orthocomplementation_loops(l, pi), (l.names, pi)
+            maps += 1
+    assert maps > 10_395
+
+
+class TestEachPiIsCheckedOnce:
+    """The search's maps, catalog's orthocomplement classes and the
+    reconstruction's OrthoPairs are built without the constructor checks;
+    the theorem tests of this module check what they build."""
+
+    def test_the_search_runs_no_involution_check(self, monkeypatch):
+        mo5 = named("MO_5").lattice
+        checks = Counter()
+        check = Involution.__post_init__
+
+        def counted(self):
+            checks["Involution"] += 1
+            check(self)
+
+        monkeypatch.setattr(Involution, "__post_init__", counted)
+        assert len(orthocomplementations(mo5)) == 945
+        assert checks["Involution"] == 0
+        Involution((1, 0))
+        assert checks["Involution"] == 1
+
+    def test_the_reconstruction_runs_no_orthocomplement_check(self, call_counts):
+        mo4 = named("MO_4").lattice
+        images = [equivalence.functor_E(OrthoPair(mo4, pi)) for pi in orthocomplementations(mo4)]
+        counts = call_counts(lattice_core, "is_orthocomplementation")
+        rebuilt = [equivalence.reconstruct_lattice(d) for d in images]
+        assert len(rebuilt) == 105
+        assert counts["is_orthocomplementation"] == 0
+        OrthoPair(rebuilt[0].lattice, rebuilt[0].pi)
+        assert counts["is_orthocomplementation"] == 1
+
+    def test_the_ortho_classes_run_no_orthocomplement_check(self, call_counts):
+        mo5 = named("MO_5").lattice
+        counts = call_counts(lattice_core, "is_orthocomplementation")
+        assert len(catalog._ortho_classes(mo5)) == 1
+        assert counts["is_orthocomplementation"] == 0
 
 
 def test_search_budget():
@@ -340,9 +397,10 @@ def test_pi_dual_is_a_mosaic_exactly_when_the_table_is(mosaic_cases):
 def test_reconstruction_is_the_inverse_functor(mosaic_cases):
     """Every input that passes the dualizability check, from the seeded
     cases and the raw table search on at most 4 elements: the lattice that
-    reconstruct_from reads off the table has bounds 0 and pi(0), and the
-    element-at-a-time reference finds no cell where the table fails to be
-    its Nakano mosaic."""
+    reconstruct_from reads off the table has bounds 0 and pi(0), pi
+    orthocomplements it by the element-at-a-time reference, which the
+    reconstruction does not check, and the reference finds no cell where
+    the table fails to be its Nakano mosaic."""
     cases = [(m, pi) for m, pi in mosaic_cases if equivalence._dualizability_failure(m, pi) is None]
     searched = [(p.mosaic, p.pi) for p in equivalence.enumerate_dualizable_pairs(4)]
     for m, pi in cases + searched:
@@ -350,4 +408,5 @@ def test_reconstruction_is_the_inverse_functor(mosaic_cases):
         assert reconstruction_failure_loops(r.lattice, m.op.table, pi) is None
         assert (r.lattice.bottom, r.lattice.top) == (m.neutral, pi(m.neutral))
         assert r.pi == pi
+        assert is_orthocomplementation_loops(r.lattice, r.pi)
     assert cases and searched
