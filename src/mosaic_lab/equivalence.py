@@ -55,7 +55,6 @@ from .lattice_core import (
     _generated_mask,
     _members,
     _passing,
-    _preserves,
     _unchecked,
     from_leq,
     orthocomplementations,
@@ -195,16 +194,27 @@ def morphism_transfer_check(f, src: OrthoPair, dst: OrthoPair) -> MorphismTransf
     mosaics and intertwines the orthocomplements.  f is checked to be a map
     between the carriers before either side is tested (SizeMismatch).
 
-    The lattice side is lattice_core._preserves, the join and meet test
-    that the sublattice-copy search runs on each full map.  The mosaic side
-    reads the Nakano table of each lattice that functor_E reads, built once
-    per lattice over all calls."""
+    The lattice side compares whole join and meet rows (_preserves).  The
+    mosaic side reads the Nakano table of each lattice that functor_E reads,
+    built once per lattice over all calls."""
     f = _carrier_map(f, src.size, dst.size)
     a, b = src.lattice, dst.lattice
     lattice_hom = _preserves(f, a, b)
     mosaic_hom = check_morphism(f, _nakano_mosaic(a), _nakano_mosaic(b)).holds
     intertwines = all(f[src.pi(x)] == dst.pi(f[x]) for x in range(a.size))
     return MorphismTransferReport(f, lattice_hom, mosaic_hom, intertwines)
+
+
+def _preserves(f, a, b) -> bool:
+    """Whether the map f between the lattices a and b preserves joins and
+    meets: the join row of each x, mapped through f, is the join row of
+    f(x) read at the images, and likewise the meet row."""
+    for rows, targets in ((a.join_table, b.join_table), (a.meet_table, b.meet_table)):
+        for row, fx in zip(rows, f):
+            images = targets[fx]
+            if [f[z] for z in row] != [images[v] for v in f]:
+                return False
+    return True
 
 
 def is_orthomodular_mosaic(p: DualizableLMosaicPair) -> AxiomReport:

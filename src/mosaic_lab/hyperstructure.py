@@ -13,8 +13,8 @@ from functools import cache, cached_property, reduce
 from operator import itemgetter, or_
 
 from .bits import bits, elements, full_mask, image, least, mask_of, transpose
-from .errors import InvalidStructure, SizeMismatch
-from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _passing, _verdict, from_leq
+from .errors import InvalidStructure, SizeMismatch, _echo
+from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _members, _passing, _verdict, from_leq
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,10 @@ class Multioperation:
         return m
 
     def with_cell(self, x: int, y: int, zs) -> "Multioperation":
-        """Copy with one cell replaced (mutation testing helper)."""
+        """Copy with one cell replaced (mutation testing helper); SizeMismatch
+        when x, y or a member of zs lies outside the carrier."""
+        zs = tuple(zs)
+        _members(self.size, (x, y, *zs))
         table = [list(r) for r in self.table]
         table[x][y] = mask_of(zs)
         return Multioperation(self.size, tuple(tuple(r) for r in table))
@@ -153,12 +156,12 @@ class Multioperation:
 
         x+(x+y) is slot (x, y) of the per-block square of the cube, and
         (x+y)+y slot (x, y) of the square of the cube with axes 0 and 1
-        swapped, swapped back; on a commutative table the two squares are
-        one."""
+        swapped, swapped back; on a commutative table, which _column_unions
+        tells, the two squares are one."""
         n, masks, cube = self.size, self._masks, self._cube
         left = _square(cube, n, masks)
-        flipped = _swap(cube, masks.swap01)
-        right = left if flipped == cube else _square(flipped, n, masks)
+        commutative = self._column_unions is self._row_unions
+        right = left if commutative else _square(_swap(cube, masks.swap01), n, masks)
         bad = left & _swap(right, masks.swap01) & ~cube
         return divmod(least(bad) // masks.width, masks.width) if bad else None
 
@@ -436,8 +439,11 @@ def is_associative(op: Multioperation) -> AxiomReport:
 
 def _carrier_map(f, source_size: int, target_size: int) -> tuple[int, ...]:
     """f as a tuple, once it is checked to map every element of a carrier
-    of source_size into one of target_size; SizeMismatch otherwise."""
+    of source_size into one of target_size: SizeMismatch otherwise, and
+    InvalidStructure for an entry that is no int (a bool included)."""
     f = tuple(f)
+    if any(type(v) is not int for v in f):
+        raise InvalidStructure(f"map entries must be ints, got {_echo(f)}")
     if len(f) != source_size or any(not 0 <= v < target_size for v in f):
         raise SizeMismatch("f is not a map between the carriers")
     return f

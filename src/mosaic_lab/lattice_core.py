@@ -276,13 +276,17 @@ def dual_lattice(l: FiniteBoundedLattice) -> FiniteBoundedLattice:
 
 def _members(size: int, subset) -> list[int]:
     """The sorted distinct members of a bitmask or of an iterable of
-    elements, checked once to lie in the carrier 0..size-1; SizeMismatch
-    otherwise."""
-    if isinstance(subset, int):
+    elements, checked once to lie in the carrier 0..size-1: SizeMismatch
+    otherwise, and InvalidStructure for a mask or an element that is no int
+    (a bool included)."""
+    if type(subset) is int:
         if subset < 0 or subset >> size:
             raise SizeMismatch(f"subset mask {subset} is not a subset of a {size}-element carrier")
         return list(bits(subset))
-    members = sorted(set(subset))
+    members = (subset,) if isinstance(subset, bool) else tuple(subset)
+    if any(type(x) is not int for x in members):
+        raise InvalidStructure(f"elements must be ints, got {_echo(subset)}")
+    members = sorted(set(members))
     if members and not 0 <= members[0] <= members[-1] < size:
         raise SizeMismatch(f"elements must lie in 0..{size - 1}, got {members}")
     return members
@@ -344,8 +348,9 @@ def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> 
     return out
 
 
-# pairs the orthocomplement search tries at most (about 2 s): MO_5's full
-# listing tries 2 278, MO_7's first 20 001 maps 48 219
+# placements a search makes at most (about 2 s): pairs the orthocomplement search
+# tries (MO_5's full listing tries 2 278, MO_7's first 20 001 maps 48 219), or
+# elements one question of _automorphism_generators places (12 at most on MO_5)
 _MAX_PLACEMENTS = 1_000_000
 
 
@@ -408,15 +413,12 @@ def _orthocomplementation_search(l: FiniteBoundedLattice):
 
 def is_orthocomplementation(l: FiniteBoundedLattice, pi: Involution) -> bool:
     """Whether pi, of l's size, sends each x to a complement and satisfies
-    OC1.  The complements are read as whole rows: join[x][pi(x)] over all x
-    is the one value top, and meet[x][pi(x)] the one value bottom."""
+    OC1.  The complements are read off the join row alone: join[x][pi(x)]
+    over all x is the one value top.  The meets follow, since an involution
+    that passes OC1 turns joins into meets: x ^ pi(x) = pi(pi(x) v x) =
+    pi(1) = 0."""
     p = pi.map
-    return (
-        len(p) == l.size
-        and set(map(getitem, l.join_table, p)) == {l.top}
-        and set(map(getitem, l.meet_table, p)) == {l.bottom}
-        and is_order_reversing(l, pi)
-    )
+    return len(p) == l.size and set(map(getitem, l.join_table, p)) == {l.top} and is_order_reversing(l, pi)
 
 
 @dataclass(frozen=True)
@@ -692,13 +694,14 @@ def _automorphism_generators(l: FiniteBoundedLattice) -> list[tuple[int, ...]]:
     that fixes 0..i-1 and sends i to v; each one found is a new generator.
     An automorphism g fixing 0..i-1 then agrees at i with some product h of
     the generators, and h^-1 g fixes 0..i, so the generators give g.  Each
-    question stops with SizeTooLarge past _MAX_MAP_PLACEMENTS placements."""
+    question stops with SizeTooLarge past _MAX_PLACEMENTS placements, the
+    budget of the orthocomplement search too."""
     n, pairs, gens = l.size, _base_pairs(l.leq, l.down), []
     for i in reversed(range(n)):
         orbit = {i}
         for v in range(i + 1, n):
             if pairs[v] == pairs[i] and v not in orbit:
-                sigma = next(_lattice_embeddings(l, l, (*range(i), v), _MAX_MAP_PLACEMENTS), None)
+                sigma = next(_lattice_embeddings(l, l, (*range(i), v), _MAX_PLACEMENTS), None)
                 if sigma is not None:
                     gens.append(sigma)
                     orbit = _orbit(i, gens, tuple.__getitem__)
@@ -718,11 +721,6 @@ def _orbit(start, gens, act) -> set:
     return orbit
 
 
-# placements one question of _automorphism_generators makes at most (about
-# 1 s: MO_5's full automorphism listing passes it)
-_MAX_MAP_PLACEMENTS = 1_000_000
-
-
 def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice, pinned=(), budget=None):
     """Yield every injective map a -> b that preserves joins and meets, as an
     index tuple, in lexicographic order; with pinned, only those that send
@@ -737,10 +735,10 @@ def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice, pinned
     when two row identities hold: the images of the placed elements above i
     are b.leq[v] & used, and those below i are b.down[v] & used, where used
     holds the images placed so far.  As the map is injective, that tests
-    both orders between i and every placed element.  When a is the smaller,
-    the join and the meet of i with each placed element it is incomparable
-    to are checked too, where their images are placed (between comparable
-    elements the rows decide them), and a full map once more by _preserves.
+    both orders between i and every placed element, and so the join and the
+    meet of every comparable pair.  When a is the smaller, the join and the
+    meet w of each incomparable pair u < x are tested once, when the last of
+    u, x and w is placed (checks[i]), so every map yielded is an embedding.
     When the sizes are equal, a bijective order embedding is an order
     isomorphism and preserves joins and meets, so only the rows are
     compared."""
@@ -760,14 +758,15 @@ def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice, pinned
         fits[i] &= 1 << v
     if not all(fits):
         return
-    partial = k < b.size
-    # bounds[i] of a smaller a: (table of b, u, w) for each u < i that i is
-    # incomparable to, whose join (meet) w with i comes before i
-    bounds = [
-        [(b.join_table, u, j) for u, j in enumerate(a.join_table[i][:i]) if u != j < i]
-        + [(b.meet_table, u, m) for u, m in enumerate(a.meet_table[i][:i]) if u != m < i]
-        for i in range(k)
-    ] if partial else [()] * k
+    # checks[i]: (table of b, u, x, w) for the join (meet) w of each
+    # incomparable pair u < x where i is the last of u, x and w
+    checks = [()] * k
+    if k < b.size:
+        checks = [[] for _ in range(k)]
+        for x in range(k):
+            for u in bits(~(a_up[x] | a_down[x]) & ((1 << x) - 1)):
+                for table, w in ((b.join_table, a.join_table[u][x]), (b.meet_table, a.meet_table[u][x])):
+                    checks[max(x, w)].append((table, u, x, w))
     assign = [0] * k
     left = -1 if budget is None else budget  # -1 never runs out
     frames = []  # per element placed on the way down: its untried candidates and row images
@@ -779,19 +778,19 @@ def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice, pinned
             v = low.bit_length() - 1
             if b_up[v] & used != above or b_down[v] & used != below:
                 continue
-            if bounds[i] and any(table[v][assign[u]] != assign[w] for table, u, w in bounds[i]):
+            assign[i] = v
+            if checks[i] and any(table[assign[u]][assign[x]] != assign[w] for table, u, x, w in checks[i]):
                 continue
             if not left:
                 raise SizeTooLarge(f"lattice-map search past {budget} placements")
             left -= 1
-            assign[i] = v
             if i + 1 < k:
                 frames.append((free, above, below))
                 i, used = i + 1, used | low
                 done = (1 << i) - 1
                 above, below = image(a_up[i] & done, assign), image(a_down[i] & done, assign)
                 free = fits[i] & ~used
-            elif not partial or _preserves(assign, a, b):
+            else:
                 yield tuple(assign)
         elif frames:
             free, above, below = frames.pop()
@@ -800,14 +799,3 @@ def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice, pinned
         else:
             return
 
-
-def _preserves(f, a: FiniteBoundedLattice, b: FiniteBoundedLattice) -> bool:
-    """Whether the map f: a -> b preserves joins and meets: the join row of
-    each x, mapped through f, is the join row of f(x) read at the images,
-    and likewise the meet row."""
-    for rows, targets in ((a.join_table, b.join_table), (a.meet_table, b.meet_table)):
-        for row, fx in zip(rows, f):
-            images = targets[fx]
-            if [f[z] for z in row] != [images[v] for v in f]:
-                return False
-    return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bits import bits, least
+from .bits import bits, image, least, mask_of
 from .errors import NoUniqueExtremum, SizeMismatch
 from .hyperstructure import Mosaic, Multioperation, is_reproductive, principal_rows
 from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _passing, _verdict, dual_lattice
@@ -87,21 +87,14 @@ def extremum_by_characterization(m: NakanoMosaic) -> int:
 
 def _restricted_op(table, members: list[int]) -> Multioperation:
     """The table's rows and columns at the sorted members, each cell
-    intersected with them; index k is the k-th member.  On the Nakano table
-    of a lattice and the members of a sublattice this is the Nakano table of
-    the sublattice (generated_polygroup_check restricts to the generated
-    subalgebra this way; tests/test_nakano.py checks the identity)."""
-    pos = [0] * len(table)
-    for k, x in enumerate(members):
-        pos[x] = 1 << k
-
-    def relabel(cell: int) -> int:
-        out = 0
-        for z in bits(cell):
-            out |= pos[z]
-        return out
-
-    return Multioperation(len(members), tuple(tuple(relabel(table[x][y]) for y in members) for x in members))
+    intersected with them and relabeled by bits.image; index k is the k-th
+    member.  On the Nakano table of a lattice and the members of a
+    sublattice this is the Nakano table of the sublattice
+    (generated_polygroup_check restricts to the generated subalgebra this
+    way; tests/test_nakano.py checks the identity)."""
+    index, keep = {x: k for k, x in enumerate(members)}, mask_of(members)
+    rows = (table[x] for x in members)
+    return Multioperation(len(members), tuple(tuple(image(row[y] & keep, index) for y in members) for row in rows))
 
 
 # -- the section-4 lemma battery, as runnable checks ---------------------------

@@ -43,6 +43,7 @@ from mosaic_lab.lattice_core import (
     hexagon_pattern,
     lattice_automorphisms,
     lattice_isomorphisms,
+    orthocomplementations,
     pentagon_pattern,
 )
 
@@ -296,11 +297,31 @@ def test_the_generator_search_stops_at_its_budget(monkeypatch):
     """Every question on M_6 finds its map at once, placing each of the 8
     elements one time: 8 placements a question pass, 7 stop the search."""
     m6 = named("MO_3").lattice
-    monkeypatch.setattr(lattice_core, "_MAX_MAP_PLACEMENTS", 8)
+    monkeypatch.setattr(lattice_core, "_MAX_PLACEMENTS", 8)
     assert len(_automorphism_generators(m6)) == 5
-    monkeypatch.setattr(lattice_core, "_MAX_MAP_PLACEMENTS", 7)
+    monkeypatch.setattr(lattice_core, "_MAX_PLACEMENTS", 7)
     with pytest.raises(SizeTooLarge, match="past 7 placements"):
         _automorphism_generators(m6)
+
+
+def test_both_searches_stop_at_the_one_placement_budget(monkeypatch):
+    """_MAX_PLACEMENTS bounds the orthocomplement search and each question
+    of the generator search.  On M_4, the listing of its 3 orthocomplements
+    tries 7 pairs and the generator search places at most 6 elements a
+    question: 7 pass both, 6 stop the listing alone and 5 stop both."""
+    m4 = named("MO_2").lattice
+    monkeypatch.setattr(lattice_core, "_MAX_PLACEMENTS", 7)
+    assert len(orthocomplementations(m4)) == 3
+    assert len(_automorphism_generators(m4)) == 3
+    monkeypatch.setattr(lattice_core, "_MAX_PLACEMENTS", 6)
+    with pytest.raises(SizeTooLarge, match="orthocomplement search past 6 placements"):
+        orthocomplementations(m4)
+    assert len(_automorphism_generators(m4)) == 3
+    monkeypatch.setattr(lattice_core, "_MAX_PLACEMENTS", 5)
+    with pytest.raises(SizeTooLarge, match="orthocomplement search past 5 placements"):
+        orthocomplementations(m4)
+    with pytest.raises(SizeTooLarge, match="lattice-map search past 5 placements"):
+        _automorphism_generators(m4)
 
 
 def test_embedding_lists_agree_with_the_sweep_over_injections(lattices_upto_6):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mosaic_lab import equivalence, hyperstructure, io, lattice_core
 from mosaic_lab.bits import full_mask, mask_of
 from mosaic_lab.errors import (
+    MosaicLabError,
     NotAnOrthocomplementation,
     PreconditionFailed,
     ReconstructionFailure,
@@ -290,6 +291,11 @@ class TestMorphismTransfer:
         # checked before the lattice side is tested, which would index f
         with pytest.raises(SizeMismatch, match="f is not a map between the carriers"):
             morphism_transfer_check(f, hexagon_pair, hexagon_pair)
+
+    def test_bool_entries_raise_a_typed_error(self, hexagon_pair):
+        """(True,) * 6 is no map of the carrier, not the constant map to 1."""
+        with pytest.raises(MosaicLabError, match="map entries must be ints"):
+            morphism_transfer_check((True,) * 6, hexagon_pair, hexagon_pair)
 
     def test_identity_map_agrees(self, hexagon_pair):
         assert morphism_transfer_check(range(6), hexagon_pair, hexagon_pair).agree

@@ -82,6 +82,15 @@ class TestMultioperation:
         with pytest.raises(ValueError):
             Multioperation(1, ((0b10,),))
 
+    @pytest.mark.parametrize("x, y, zs", [(-1, 0, [1]), (3, 0, [1]), (0, 3, []), (0, 0, [-1]), (0, 0, [1, 3])])
+    def test_a_cell_edit_past_the_carrier_is_a_size_mismatch(self, x, y, zs):
+        """Not the last row for x = -1, nor a bare IndexError or a negative
+        shift count."""
+        op = Multioperation(3, ((1, 2, 4), (2, 2, 4), (4, 4, 4)))
+        with pytest.raises(SizeMismatch):
+            op.with_cell(x, y, zs)
+        assert op.with_cell(2, 1, iter([0, 2])).table[2] == (4, 5, 4)
+
 
 def test_bad_parts_raise_typed_errors(pentagon, hexagon):
     """Each constructor refuses parts that do not make its structure with a
@@ -324,6 +333,11 @@ class TestMorphisms:
     @pytest.mark.parametrize("f", [(0, 1), (0, 1, 2, 3, 4, 9)])
     def test_map_off_the_carriers_is_a_size_mismatch(self, hv, f):
         with pytest.raises(SizeMismatch, match="f is not a map between the carriers"):
+            check_morphism(f, hv, hv)
+
+    @pytest.mark.parametrize("f", [(True,) * 5, (0, 1, 2, 3, 4.0), [0, 1, 2, 3, "4"]])
+    def test_map_entries_that_are_no_ints_raise_a_typed_error(self, hv, f):
+        with pytest.raises(InvalidStructure, match="ints"):
             check_morphism(f, hv, hv)
 
 

@@ -328,6 +328,26 @@ def test_elements_past_the_carrier_raise_size_mismatch(call):
         call(named("MO_2").lattice)
 
 
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda l: sublattice(l, [0, l.size - 1, True]),
+        lambda l: sublattice(l, True),
+        lambda l: sublattice(l, [l.size - 1, True]),
+        lambda l: is_distributive(l, [0.0, 1]),
+        lambda l: generated_sublattice(l, [False]),
+        lambda l: complements(l, True),
+    ],
+    ids=["sublattice-bool-member", "sublattice-bool-mask", "sublattice-top-and-bool", "is_distributive-float",
+         "generated_sublattice-bool", "complements-bool"],
+)
+def test_elements_that_are_no_ints_raise_a_typed_error(call):
+    """A bool is no element: [0, 5, True] is not the subset {0, 1, 5}, and
+    True is no mask of {0}."""
+    with pytest.raises(InvalidStructure, match="ints"):
+        call(named("MO_2").lattice)
+
 def test_join_meet_tables_equal_a_scan(lattices_upto_8):
     """The joins and meets the constructor reads off the rows are the bounds
     a scan of the whole carrier finds."""

@@ -37,6 +37,7 @@ from mosaic_lab.hyperstructure import Mosaic, verify_mosaic
 from mosaic_lab.lattice_core import (
     Involution,
     OrthoPair,
+    _lattice_embeddings,
     _orthocomplementation_search,
     build_from_covers,
     check_om_equivalences,
@@ -45,6 +46,7 @@ from mosaic_lab.lattice_core import (
     hexagon_pattern,
     is_distributive,
     is_order_reversing,
+    is_orthocomplementation,
     orthocomplementations,
     pentagon_pattern,
 )
@@ -52,7 +54,7 @@ from mosaic_lab.nakano import additive_nakano
 
 from oracles import (
     all_involutions,
-    brute_sublattice_copy,
+    brute_lattice_embeddings,
     distributive_loops,
     dual_table_loops,
     dualizability_failure_loops,
@@ -107,6 +109,24 @@ def test_order_reversing_matches(corpus):
             assert got == order_reversing_loops(l, pi)
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_orthocomplementation_verdicts_match(lattices_upto_6):
+    """is_orthocomplementation reads the complements off the join row alone;
+    the reference reads the meet row too.  They agree on all 1 297
+    involutions of the lattices with at most 6 elements, 24 of which pass
+    OC1 without selecting complements, and on seeded involutions of MO_4,
+    boolean_4 and the hexagon."""
+    rng = random.Random(30)
+    verdicts = Counter()
+    lattices = lattices_upto_6 + [named(name).lattice for name in ("MO_4", "boolean_4", "hexagon")]
+    for k, l in enumerate(lattices):
+        for pi in involutions(l, rng):
+            got = is_orthocomplementation(l, pi)
+            assert got == is_orthocomplementation_loops(l, pi), (l.names, pi)
+            verdicts[got, is_order_reversing(l, pi), k < len(lattices_upto_6)] += 1
+    assert sum(count for (_, _, enumerated), count in verdicts.items() if enumerated) == 1_297
+    assert verdicts[False, True, True] == 24
 
 
 def test_search_lists_the_filtered_involutions_in_order(corpus):
@@ -303,16 +323,25 @@ def test_orthomodular_criterion_matches(corpus):
     assert verdicts[True] and verdicts[False], verdicts
 
 
+def boolean_5():
+    """The 32 subsets of five atoms, built from their covers."""
+    names = [format(s, "05b") for s in range(32)]
+    return build_from_covers(names, [(names[s], names[s | 1 << k]) for s in range(32) for k in range(5) if not s >> k & 1])
+
+
 def test_sublattice_copies_match(corpus):
+    """The least copy against the pairwise reference on the corpus and a
+    boolean_5, and on hosts with at most 6 elements every copy, in order,
+    against the sweep over all injections."""
     patterns = {"hexagon": hexagon_pattern(), "pentagon": pentagon_pattern()}
     patterns.update((name, named(name).lattice) for name in ("diamond_M3", "boolean_3", "chain_3"))
     found = Counter()
-    for _, l in corpus:
+    for _, l in corpus + [("boolean_5", boolean_5())]:
         for name, pattern in patterns.items():
             got = find_sublattice_copy(l, pattern)
             assert got == sublattice_copy_loops(l, pattern)
             if l.size <= 6:
-                assert got == brute_sublattice_copy(l, pattern)
+                assert list(_lattice_embeddings(pattern, l)) == list(brute_lattice_embeddings(pattern, l))
             found[name] += got is not None
     # each pattern sits in some lattice of the corpus and not in others
     assert all(0 < found[name] < len(corpus) for name in patterns), found
