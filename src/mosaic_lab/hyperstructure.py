@@ -47,8 +47,13 @@ class Multioperation:
         full = full_mask(self.size)
         if len(self.table) != self.size or not set(map(len, self.table)) <= {self.size}:
             raise SizeMismatch("table is not size x size")
-        if self.size and not 0 <= min(map(min, self.table)) <= max(map(max, self.table)) <= full:
-            raise SizeMismatch("cell not a subset of the carrier")
+        # one pass tests each cell's type (a bool is no mask) and then its range
+        for row in self.table:
+            for cell in row:
+                if type(cell) is not int:
+                    raise InvalidStructure(f"table cells must be int bitmasks, got {_echo(cell)}")
+                if not 0 <= cell <= full:
+                    raise SizeMismatch("cell not a subset of the carrier")
 
     def cell(self, x: int, y: int) -> int:
         return self.table[x][y]

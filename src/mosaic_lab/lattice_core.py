@@ -348,9 +348,11 @@ def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> 
     return out
 
 
-# placements a search makes at most (about 2 s): pairs the orthocomplement search
-# tries (MO_5's full listing tries 2 278, MO_7's first 20 001 maps 48 219), or
-# elements one question of _automorphism_generators places (12 at most on MO_5)
+# placements one search makes at most (about 2 s): pairs the orthocomplement
+# search tries (MO_5's full listing tries 2 278, MO_7's first 20 001 maps
+# 48 219), or elements the lattice-map search places for one question of
+# _automorphism_generators (12 at most on MO_5) or one find_sublattice_copy
+# (the first hexagon copy 41 712 at most, on chain_64)
 _MAX_PLACEMENTS = 1_000_000
 
 
@@ -539,7 +541,8 @@ def _generated_mask(l: FiniteBoundedLattice, seeds: int, pi: Involution | None) 
 
 def find_sublattice_copy(l: FiniteBoundedLattice, pattern: FiniteBoundedLattice):
     """The least injective map embedding pattern into l preserving meet and
-    join, or None."""
+    join, or None; SizeTooLarge past _MAX_PLACEMENTS placements of the
+    lattice-map search."""
     return next(_lattice_embeddings(pattern, l), None)
 
 
@@ -663,17 +666,6 @@ def _require_closed(l: FiniteBoundedLattice, members: list[int]):
                 raise NotASublattice(f"subset not closed at ({x},{y})")
 
 
-def lattice_isomorphisms(a: FiniteBoundedLattice, b: FiniteBoundedLattice):
-    """Yield every isomorphism a -> b as an index tuple, in lexicographic
-    order: the embeddings of a into a lattice of its own size."""
-    if a.size == b.size:
-        yield from _lattice_embeddings(a, b)
-
-
-def lattice_automorphisms(l: FiniteBoundedLattice) -> list[tuple[int, ...]]:
-    return list(lattice_isomorphisms(l, l))
-
-
 def _base_pairs(up, down) -> list[tuple[int, int]]:
     """Per element of the order with up-set rows up and down-set rows down:
     (down-set size, up-set size).  The invariant that lattice maps and the
@@ -694,14 +686,13 @@ def _automorphism_generators(l: FiniteBoundedLattice) -> list[tuple[int, ...]]:
     that fixes 0..i-1 and sends i to v; each one found is a new generator.
     An automorphism g fixing 0..i-1 then agrees at i with some product h of
     the generators, and h^-1 g fixes 0..i, so the generators give g.  Each
-    question stops with SizeTooLarge past _MAX_PLACEMENTS placements, the
-    budget of the orthocomplement search too."""
+    question is one call of the lattice-map search, under its budget."""
     n, pairs, gens = l.size, _base_pairs(l.leq, l.down), []
     for i in reversed(range(n)):
         orbit = {i}
         for v in range(i + 1, n):
             if pairs[v] == pairs[i] and v not in orbit:
-                sigma = next(_lattice_embeddings(l, l, (*range(i), v), _MAX_PLACEMENTS), None)
+                sigma = next(_lattice_embeddings(l, l, (*range(i), v)), None)
                 if sigma is not None:
                     gens.append(sigma)
                     orbit = _orbit(i, gens, tuple.__getitem__)
@@ -721,11 +712,14 @@ def _orbit(start, gens, act) -> set:
     return orbit
 
 
-def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice, pinned=(), budget=None):
+def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice, pinned=()):
     """Yield every injective map a -> b that preserves joins and meets, as an
     index tuple, in lexicographic order; with pinned, only those that send
-    each element i < len(pinned) to pinned[i].  With a budget, SizeTooLarge
-    stops the search past that many placements.
+    each element i < len(pinned) to pinned[i].  The library's one
+    lattice-map search: find_sublattice_copy asks it for the first copy of a
+    pattern, _automorphism_generators for one automorphism with a pinned
+    prefix.  Each call raises SizeTooLarge past _MAX_PLACEMENTS placements,
+    the budget of the orthocomplement search too.
 
     a's elements are placed in index order, each on the free elements of b
     in ascending order.  An embedding sends the elements above and below i
@@ -768,7 +762,7 @@ def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice, pinned
                 for table, w in ((b.join_table, a.join_table[u][x]), (b.meet_table, a.meet_table[u][x])):
                     checks[max(x, w)].append((table, u, x, w))
     assign = [0] * k
-    left = -1 if budget is None else budget  # -1 never runs out
+    left = _MAX_PLACEMENTS
     frames = []  # per element placed on the way down: its untried candidates and row images
     i, used, free, above, below = 0, 0, fits[0], 0, 0
     while True:
@@ -782,7 +776,7 @@ def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice, pinned
             if checks[i] and any(table[assign[u]][assign[x]] != assign[w] for table, u, x, w in checks[i]):
                 continue
             if not left:
-                raise SizeTooLarge(f"lattice-map search past {budget} placements")
+                raise SizeTooLarge(f"lattice-map search past {_MAX_PLACEMENTS} placements")
             left -= 1
             if i + 1 < k:
                 frames.append((free, above, below))

@@ -92,10 +92,10 @@ def test_criterion_3_hexagon_not_orthomodular(hexagon):
     report("criterion-3 (hexagon fails OM on both sides)", ok, f"witness (b,a), b v (b' ^ a) = b")
 
 
-def test_criterion_4_nakano_equivalence(lattices_upto_6):
+def test_criterion_4_nakano_equivalence(lattices_upto_8):
     t0 = time.perf_counter()
     exceptions = []
-    for l in lattices_upto_6:
+    for l in lattices_upto_8:
         va = is_associative(additive_nakano(l).mosaic.op).holds
         vm = is_associative(multiplicative_nakano(l).mosaic.op).holds
         mod = is_modular(l).holds
@@ -103,16 +103,16 @@ def test_criterion_4_nakano_equivalence(lattices_upto_6):
             exceptions.append(l)
     elapsed = time.perf_counter() - t0
     report(
-        "criterion-4 (associativity iff modularity, n<=6)",
+        "criterion-4 (associativity iff modularity, n<=8)",
         not exceptions and elapsed < 60.0,
-        f"{len(lattices_upto_6)} lattices, {len(exceptions)} exceptions, {elapsed:.2f}s",
+        f"{len(lattices_upto_8)} lattices, {len(exceptions)} exceptions, {elapsed:.2f}s",
     )
 
 
-def test_criterion_5_lmosaic_axioms(lattices_upto_6):
+def test_criterion_5_lmosaic_axioms(lattices_upto_8):
     checked = 0
     ok = True
-    for l in lattices_upto_6:
+    for l in lattices_upto_8:
         for nm in (additive_nakano(l), multiplicative_nakano(l)):
             got = verify_mosaic(nm.mosaic.op)
             ok = ok and got.ok  # commutativity, totality, inverses, (RE)
@@ -127,7 +127,7 @@ def test_criterion_5_lmosaic_axioms(lattices_upto_6):
                             m.cell(rho(x), z) >> y & 1
                         )
             checked += 1
-    report("criterion-5 (L-mosaic axioms over the n<=6 corpus)", ok, f"{checked} mosaics")
+    report("criterion-5 (L-mosaic axioms over the n<=8 corpus)", ok, f"{checked} mosaics")
 
 
 def test_criterion_6_equivalence_roundtrip(ortholattices_upto_8):

@@ -3,10 +3,11 @@ references.
 
 catalog's canonicity test stages its invariants and cuts each relabeling at
 its first row that differs from the candidate's; the lattice-map search
-behind lattice_isomorphisms and find_sublattice_copy tests each candidate
-image by two row identities.  tests/oracles.py keeps the unpruned
+behind find_sublattice_copy and the automorphism generators tests each
+candidate image by two row identities.  tests/oracles.py keeps the unpruned
 relabeling sweep, a pairwise backtracking search with no invariants and a
-sweep over all injections.  Verdicts, isomorphism lists and
+sweep over all injections.  Verdicts, the search's full listings between
+lattices of one size (the path the generators ask, unpinned) and its
 embedding lists, their order included, must agree on every lattice and
 candidate with at most 8 elements, on the 1 833 candidates with 9 (only
 agreement is checked there, no count), and on seeded relabelings.  The
@@ -39,10 +40,9 @@ from mosaic_lab.lattice_core import (
     _automorphism_generators,
     _lattice_embeddings,
     build_from_covers,
+    find_sublattice_copy,
     from_leq,
     hexagon_pattern,
-    lattice_automorphisms,
-    lattice_isomorphisms,
     orthocomplementations,
     pentagon_pattern,
 )
@@ -245,7 +245,7 @@ def test_isomorphism_lists_agree_on_pairs_upto_6(lattices_upto_6):
     for a in pool:
         for b in pool:
             if a.size == b.size:
-                assert list(lattice_isomorphisms(a, b)) == order_isomorphisms_loops(a.leq, b.leq)
+                assert list(_lattice_embeddings(a, b)) == order_isomorphisms_loops(a.leq, b.leq)
 
 
 def test_automorphism_lists_agree_upto_8(lattices_upto_8):
@@ -257,7 +257,7 @@ def test_automorphism_lists_agree_upto_8(lattices_upto_8):
     for l in lattices_upto_8:
         (up,) = seeded_relabelings(l.leq, rng, 1)
         for m in (l, from_leq(l.names, up)):
-            assert lattice_automorphisms(m) == order_isomorphisms_loops(m.leq, m.leq), m.leq
+            assert list(_lattice_embeddings(m, m)) == order_isomorphisms_loops(m.leq, m.leq), m.leq
 
 
 def closure(gens, n):
@@ -304,11 +304,23 @@ def test_the_generator_search_stops_at_its_budget(monkeypatch):
         _automorphism_generators(m6)
 
 
-def test_both_searches_stop_at_the_one_placement_budget(monkeypatch):
-    """_MAX_PLACEMENTS bounds the orthocomplement search and each question
-    of the generator search.  On M_4, the listing of its 3 orthocomplements
-    tries 7 pairs and the generator search places at most 6 elements a
-    question: 7 pass both, 6 stop the listing alone and 5 stop both."""
+def two_blocks(k):
+    """0 < a0..a(2k-1) < 1, with a0..a(k-1) under b1 and the other k atoms
+    under b2: no two atoms of different blocks share a join below the top,
+    so the lattice holds no M_(k+1)."""
+    atoms = [f"a{i}" for i in range(2 * k)]
+    covers = [("0", a) for a in atoms] + [("b1", "1"), ("b2", "1")]
+    covers += [(a, "b1" if i < k else "b2") for i, a in enumerate(atoms)]
+    return build_from_covers(["0", *atoms, "b1", "b2", "1"], covers)
+
+
+def test_three_searches_stop_at_the_one_placement_budget(monkeypatch):
+    """_MAX_PLACEMENTS bounds the orthocomplement search, each question of
+    the generator search and the copy search.  On M_4, the listing of its 3
+    orthocomplements tries 7 pairs and the generator search places at most
+    6 elements a question: 7 pass both, 6 stop the listing alone and 5 stop
+    both.  Finding no M_5 in the 12-element two_blocks(4) takes 9 325
+    placements: 9 325 answer None and 9 324 stop the search."""
     m4 = named("MO_2").lattice
     monkeypatch.setattr(lattice_core, "_MAX_PLACEMENTS", 7)
     assert len(orthocomplementations(m4)) == 3
@@ -322,6 +334,12 @@ def test_both_searches_stop_at_the_one_placement_budget(monkeypatch):
         orthocomplementations(m4)
     with pytest.raises(SizeTooLarge, match="lattice-map search past 5 placements"):
         _automorphism_generators(m4)
+    host, m5 = two_blocks(4), from_leq([f"x{i}" for i in range(7)], diamond(5))
+    monkeypatch.setattr(lattice_core, "_MAX_PLACEMENTS", 9325)
+    assert find_sublattice_copy(host, m5) is None
+    monkeypatch.setattr(lattice_core, "_MAX_PLACEMENTS", 9324)
+    with pytest.raises(SizeTooLarge, match="lattice-map search past 9324 placements"):
+        find_sublattice_copy(host, m5)
 
 
 def test_embedding_lists_agree_with_the_sweep_over_injections(lattices_upto_6):

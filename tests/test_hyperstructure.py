@@ -20,7 +20,7 @@ from mosaic_lab.hyperstructure import (
     verify_lmosaic,
     verify_mosaic,
 )
-from mosaic_lab.lattice_core import AxiomReport, Involution, is_modular, lattice_automorphisms
+from mosaic_lab.lattice_core import AxiomReport, Involution, is_modular
 from mosaic_lab.nakano import (
     NakanoMosaic,
     _restricted_op,
@@ -30,7 +30,15 @@ from mosaic_lab.nakano import (
 )
 from mosaic_lab.catalog import enumerate_lattices, named
 
-from oracles import Multimap, all_involutions, compose_relations, dual_table_loops, morphism_loops, table_of
+from oracles import (
+    Multimap,
+    all_involutions,
+    compose_relations,
+    dual_table_loops,
+    morphism_loops,
+    order_isomorphisms_loops,
+    table_of,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +89,20 @@ class TestMultioperation:
     def test_cell_out_of_range(self):
         with pytest.raises(ValueError):
             Multioperation(1, ((0b10,),))
+
+    def test_a_float_cell_is_refused_before_any_check_runs(self):
+        """Not built, so verify_mosaic never meets it with a bare TypeError."""
+        with pytest.raises(InvalidStructure, match=r"^table cells must be int bitmasks, got 1\.0$"):
+            Multioperation(1, ((1.0,),))
+
+    def test_a_bool_cell_is_refused_not_read_as_a_mask(self):
+        with pytest.raises(InvalidStructure, match="^table cells must be int bitmasks, got True$"):
+            Multioperation(2, ((True, 2), (2, 3)))
+
+    def test_a_string_cell_is_refused_with_a_typed_error(self):
+        """Not a bare TypeError from comparing it with the carrier's mask."""
+        with pytest.raises(InvalidStructure, match="^table cells must be int bitmasks, got '1'$"):
+            Multioperation(1, (("1",),))
 
     @pytest.mark.parametrize("x, y, zs", [(-1, 0, [1]), (3, 0, [1]), (0, 3, []), (0, 0, [-1]), (0, 0, [1, 3])])
     def test_a_cell_edit_past_the_carrier_is_a_size_mismatch(self, x, y, zs):
@@ -390,7 +412,7 @@ class TestMorphismReference:
             inner = [x for x in range(m.size) if x != m.neutral]
             if not inner:
                 continue
-            automorphisms = lattice_automorphisms(p.lattice)
+            automorphisms = order_isomorphisms_loops(p.lattice.leq, p.lattice.leq)
             for _ in range(6):
                 x, y = rng.choice(inner), rng.choice(inner)
                 cell = list(bits(m.cell(x, y)))

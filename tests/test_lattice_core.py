@@ -37,8 +37,6 @@ from mosaic_lab.lattice_core import (
     is_order_reversing,
     is_orthocomplementation,
     is_orthomodular,
-    lattice_automorphisms,
-    lattice_isomorphisms,
     orthocomplementations,
     sublattice,
 )
@@ -52,6 +50,7 @@ from oracles import (
     complement_selecting_involutions,
     least_closed_superset,
     modular_loops,
+    order_isomorphisms_loops,
 )
 
 
@@ -397,7 +396,7 @@ class TestComplements:
         failing = [l for l in lattices_upto_6 if omega_cubed(l) != omega(l)]
         assert len(failing) == 3
         m3 = named("diamond_M3").lattice
-        assert any(next(lattice_isomorphisms(l, m3), None) for l in failing)
+        assert any(order_isomorphisms_loops(l.leq, m3.leq) for l in failing)
 
     def test_o2_counterexample_diamond(self):
         # in M3, omega(a) = {b, c} but omega^3(a) is all three atoms
@@ -675,8 +674,7 @@ class TestDual:
         p = pentagon.lattice
         d = dual_lattice(p)
         sigma = tuple(p.index({"0": "1", "1": "0", "a": "b", "b": "a", "c": "c"}[p.names[i]]) for i in range(5))
-        found = list(next(lattice_isomorphisms(d, p), None) for _ in (0,))
-        assert found[0] is not None
+        assert order_isomorphisms_loops(d.leq, p.leq)
         # the expected map is itself an isomorphism dual(P) -> P
         for x in range(5):
             for y in range(5):
@@ -718,4 +716,4 @@ def test_sublattice_restriction(pentagon):
 
 def test_automorphisms_m3():
     m3 = named("diamond_M3").lattice
-    assert len(lattice_automorphisms(m3)) == 6  # S3 on the atoms
+    assert len(order_isomorphisms_loops(m3.leq, m3.leq)) == 6  # S3 on the atoms
