@@ -38,6 +38,7 @@ from .lattice_core import (
     _automorphism_generators,
     _base_pairs,
     _orbit,
+    _order_fields,
     _orthomodular_law,
     _unchecked,
     build_from_covers,
@@ -293,7 +294,7 @@ def _is_canonical(up: tuple[int, ...], down: tuple[int, ...]) -> bool:
         groups.setdefault(key, []).append(i)
     if all(len(group) == 1 or len(_twin_classes(group, up, down)) == 1 for group in groups.values()):
         return True
-    above = [list(bits(row)) for row in up]
+    above = [bits(row) for row in up]
     bit = [0] * len(up)  # old element -> the bit of its new position
     orders = [
         _twin_respecting_orders(group, up, down) if len(group) > 1 else (group,)
@@ -351,12 +352,17 @@ def _twin_respecting_orders(group: list[int], up, down):
 
 def enumerate_lattices(n: int) -> list[FiniteBoundedLattice]:
     """Every isomorphism class of n-element bounded lattices, exactly once,
-    in canonical-key order: the candidates that are their own key."""
+    in canonical-key order: the candidates that are their own key, each
+    built by _unchecked from its rows without the constructor's order check,
+    sharing one tuple of names and one index per n (tests/test_catalog.py
+    checks that from_leq builds each alike)."""
     if not 1 <= n <= MAX_ENUM:
         raise SizeTooLarge(f"enumeration supports 1..{MAX_ENUM}, got {n}")
-    keys = sorted(up for up, down in _bounded_lattice_candidates(n) if _is_canonical(up, down))
-    names = [f"x{i}" for i in range(n)]
-    return [from_leq(names, key) for key in keys]
+    rows = sorted((up, down) for up, down in _bounded_lattice_candidates(n) if _is_canonical(up, down))
+    names = tuple(f"x{i}" for i in range(n))
+    index = {name: i for i, name in enumerate(names)}
+    return [_unchecked(FiniteBoundedLattice, size=n, names=names, _index=index, leq=up, down=down,
+                       **_order_fields(names, up, down)) for up, down in rows]
 
 
 def enumerate_ortholattices(n: int) -> list[OrthoPair]:

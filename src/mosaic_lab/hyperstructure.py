@@ -407,11 +407,9 @@ class _PackedUnions(dict):
         self.planes = planes
 
     def __missing__(self, m: int) -> int:
-        acc, rest = 0, m
-        while rest:
-            low = rest & -rest
-            acc |= self.planes[low.bit_length() - 1]
-            rest ^= low
+        acc, planes = 0, self.planes
+        for w in bits(m):
+            acc |= planes[w]
         self[m] = acc
         return acc
 

@@ -12,8 +12,9 @@ Each orthocomplementation is checked once.  The constructors of Involution
 and OrthoPair check what comes from outside the program.  What the program
 derives and the test suite checks is built by _unchecked, without the
 constructor's check: the maps the orthocomplement search yields, whose pairs
-are involutive by construction, and the OrthoPairs of catalog's
-orthocomplement classes and of the equivalence's reconstruction.
+are involutive by construction, the OrthoPairs of catalog's orthocomplement
+classes and of the equivalence's reconstruction, and catalog's enumerated
+lattices.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ class FiniteBoundedLattice:
     that row, and a miss means the pair lacks a join.  Meets likewise from
     the down rows.  == and hash read names and leq, on which the rest
     depends.  Immutable after construction by convention; all checks are
-    pure.
+    pure.  catalog's enumerated classes, lattices by a theorem, skip the
+    order check and share the derivation of bounds and tables (_order_fields).
     """
 
     size: int = field(init=False, compare=False)
@@ -165,37 +167,13 @@ class FiniteBoundedLattice:
                     raise NotAnOrder(f"leq not antisymmetric at ({i},{j})")
                 if up[j] & ~up[i]:
                     raise NotAnOrder(f"leq not transitive through ({i},{j})")
-        down = transpose(up)
-        bottoms = [i for i in range(n) if up[i] == full]
-        tops = [i for i in range(n) if down[i] == full]
-        if not bottoms or not tops:
-            raise NotBounded("no bottom element" if not bottoms else "no top element")
-        join = [[0] * n for _ in range(n)]
-        meet = [[0] * n for _ in range(n)]
-        above = {row: m for m, row in enumerate(up)}
-        below = {row: m for m, row in enumerate(down)}
-        for i in range(n):
-            up_i, down_i = up[i], down[i]
-            for j in range(i, n):
-                m = above.get(up_i & up[j])
-                if m is None:
-                    raise NotALattice(f"{_echo(labels[i])} and {_echo(labels[j])} lack a join", (i, j))
-                join[i][j] = join[j][i] = m
-                m = below.get(down_i & down[j])
-                if m is None:
-                    raise NotALattice(f"{_echo(labels[i])} and {_echo(labels[j])} lack a meet", (i, j))
-                meet[i][j] = meet[j][i] = m
-        self.size = n
-        self.names = tuple(str(x) for x in labels)
-        self._index = {name: i for i, name in enumerate(self.names)}
-        if len(self._index) != n:
+        down = tuple(transpose(up))
+        tables = _order_fields(labels, up, down)
+        names = tuple(str(x) for x in labels)
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != n:
             raise DuplicateLabel("duplicate element labels")
-        self.leq = up
-        self.down = tuple(down)
-        self.join_table = tuple(map(tuple, join))
-        self.meet_table = tuple(map(tuple, meet))
-        self.bottom = bottoms[0]
-        self.top = tops[0]
+        self.__dict__.update(tables, size=n, names=names, _index=index, leq=up, down=down)
 
     # -- queries ------------------------------------------------------------
 
@@ -224,6 +202,34 @@ class FiniteBoundedLattice:
                 if between == 0:
                     out.append((i, j))
         return out
+
+
+def _order_fields(labels, up, down) -> dict:
+    """The bounds and join and meet tables of the order with rows up and down,
+    as fields: NotBounded, or NotALattice at the first pair lacking a join or
+    a meet."""
+    n, full = len(up), full_mask(len(up))
+    bottoms = [i for i in range(n) if up[i] == full]
+    tops = [i for i in range(n) if down[i] == full]
+    if not bottoms or not tops:
+        raise NotBounded("no bottom element" if not bottoms else "no top element")
+    join = [[0] * n for _ in range(n)]
+    meet = [[0] * n for _ in range(n)]
+    above = {row: m for m, row in enumerate(up)}
+    below = {row: m for m, row in enumerate(down)}
+    for i in range(n):
+        up_i, down_i = up[i], down[i]
+        for j in range(i, n):
+            m = above.get(up_i & up[j])
+            if m is None:
+                raise NotALattice(f"{_echo(labels[i])} and {_echo(labels[j])} lack a join", (i, j))
+            join[i][j] = join[j][i] = m
+            m = below.get(down_i & down[j])
+            if m is None:
+                raise NotALattice(f"{_echo(labels[i])} and {_echo(labels[j])} lack a meet", (i, j))
+            meet[i][j] = meet[j][i] = m
+    return {"bottom": bottoms[0], "top": tops[0],
+            "join_table": tuple(map(tuple, join)), "meet_table": tuple(map(tuple, meet))}
 
 
 def build_from_covers(names, covers) -> FiniteBoundedLattice:
@@ -309,16 +315,10 @@ def complement_mask(l: FiniteBoundedLattice, x: int) -> int:
 
 def is_order_reversing(l: FiniteBoundedLattice, pi: Involution) -> bool:
     """OC1: x <= y iff pi(y) <= pi(x), one up-set row at a time: the elements
-    above x are the pi-images of the elements below pi(x).  bits.image is
-    inlined: this loop runs on every check of a pi."""
+    above x are the pi-images of the elements below pi(x)."""
     down, p = l.down, pi.map
     for row, px in zip(l.leq, p):
-        mask, above = down[px], 0
-        while mask:
-            low = mask & -mask
-            above |= 1 << p[low.bit_length() - 1]
-            mask ^= low
-        if above != row:
+        if image(down[px], p) != row:
             return False
     return True
 
@@ -456,7 +456,7 @@ def is_modular(l: FiniteBoundedLattice) -> AxiomReport:
     (tests/oracles.modular_loops keeps it)."""
     join, meet = l.join_table, l.meet_table
     for x, joins in enumerate(join):
-        above = tuple(bits(l.leq[x]))
+        above = bits(l.leq[x])
         for y, meets_y in enumerate(meet):
             meets_xvy = meet[joins[y]]
             for t in above:
@@ -529,12 +529,8 @@ def _generated_mask(l: FiniteBoundedLattice, seeds: int, pi: Involution | None) 
         done |= low
         joins, meets = join[x], meet[x]
         found = 0 if pi is None else 1 << pi.map[x]
-        rest = done
-        while rest:
-            low = rest & -rest
-            y = low.bit_length() - 1
+        for y in bits(done):
             found |= 1 << joins[y] | 1 << meets[y]
-            rest ^= low
         todo = (todo | found) & ~done
     return done
 
@@ -725,17 +721,17 @@ def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice, pinned
     in ascending order.  An embedding sends the elements above and below i
     to distinct elements above and below the image of i, so i goes only on
     an element with at least as many of each (fits[i]); an element that
-    fits nowhere ends the search before it starts.  A candidate v is kept
-    when two row identities hold: the images of the placed elements above i
-    are b.leq[v] & used, and those below i are b.down[v] & used, where used
-    holds the images placed so far.  As the map is injective, that tests
-    both orders between i and every placed element, and so the join and the
-    meet of every comparable pair.  When a is the smaller, the join and the
-    meet w of each incomparable pair u < x are tested once, when the last of
-    u, x and w is placed (checks[i]), so every map yielded is an embedding.
-    When the sizes are equal, a bijective order embedding is an order
-    isomorphism and preserves joins and meets, so only the rows are
-    compared."""
+    fits nowhere ends the search before it starts.  When i's turn comes, its
+    candidates are narrowed once, by one row of b per placed element u: the
+    free elements that fit and lie above the image of u when u <= i, below
+    it when i <= u, and apart from it otherwise (places[i]).  As the map is
+    injective, that holds both orders between i and every placed element,
+    and so the join and the meet of every comparable pair.  When a is the
+    smaller, the join and the meet w of each incomparable pair u < x are
+    tested once, when the last of u, x and w is placed (checks[i]), so every
+    map yielded is an embedding.  When the sizes are equal, a bijective
+    order embedding is an order isomorphism and preserves joins and meets,
+    so the rows alone narrow the candidates."""
     k = a.size
     if k > b.size:
         return
@@ -761,33 +757,35 @@ def _lattice_embeddings(a: FiniteBoundedLattice, b: FiniteBoundedLattice, pinned
             for u in bits(~(a_up[x] | a_down[x]) & ((1 << x) - 1)):
                 for table, w in ((b.join_table, a.join_table[u][x]), (b.meet_table, a.meet_table[u][x])):
                     checks[max(x, w)].append((table, u, x, w))
+    # places[i]: per u < i, the rows of b (up, down or apart) whose row at
+    # the image of u holds the elements that stand to it as i stands to u
+    b_apart = [~(up | down) for up, down in zip(b_up, b_down)]
+    places = [[(u, b_up if a_down[i] >> u & 1 else b_down if a_up[i] >> u & 1 else b_apart) for u in range(i)]
+              for i in range(k)]
     assign = [0] * k
     left = _MAX_PLACEMENTS
-    frames = []  # per element placed on the way down: its untried candidates and row images
-    i, used, free, above, below = 0, 0, fits[0], 0, 0
+    frames = []  # per element placed on the way down: its untried candidates
+    i, used, free = 0, 0, fits[0]
     while True:
         if free:
             low = free & -free
             free ^= low
-            v = low.bit_length() - 1
-            if b_up[v] & used != above or b_down[v] & used != below:
-                continue
-            assign[i] = v
+            assign[i] = low.bit_length() - 1
             if checks[i] and any(table[assign[u]][assign[x]] != assign[w] for table, u, x, w in checks[i]):
                 continue
             if not left:
                 raise SizeTooLarge(f"lattice-map search past {_MAX_PLACEMENTS} placements")
             left -= 1
             if i + 1 < k:
-                frames.append((free, above, below))
+                frames.append(free)
                 i, used = i + 1, used | low
-                done = (1 << i) - 1
-                above, below = image(a_up[i] & done, assign), image(a_down[i] & done, assign)
                 free = fits[i] & ~used
+                for u, rows in places[i]:
+                    free &= rows[assign[u]]
             else:
                 yield tuple(assign)
         elif frames:
-            free, above, below = frames.pop()
+            free = frames.pop()
             i -= 1
             used ^= 1 << assign[i]
         else:

@@ -1,5 +1,6 @@
 import functools
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from mosaic_lab.lattice_core import (
     _automorphism_generators,
     _orbit,
     find_sublattice_copy,
+    from_leq,
     hexagon_pattern,
     is_modular,
     is_orthomodular,
@@ -211,6 +213,21 @@ class TestEnumerateLattices:
     def test_counts_match_frozen_fixture(self):
         for n, want in COUNTS["lattice_classes"].items():
             assert len(enumerate_lattices(int(n))) == want
+
+    def test_classes_built_without_the_order_check_equal_from_leq(self):
+        """enumerate_lattices builds each class from its candidate's up and
+        down rows without the constructor's order check: a naturally
+        labelled finite meet-semilattice with a top is a lattice.  The
+        constructor, run on each class's names and up rows, builds the same
+        lattice, field for field, with the same index, == and hash."""
+        for n in range(1, 10):
+            for l in enumerate_lattices(n):
+                built = from_leq(l.names, l.leq)
+                assert {f.name: getattr(l, f.name) for f in fields(l)} == {
+                    f.name: getattr(built, f.name) for f in fields(built)
+                }, l.leq
+                assert [l.index(x) for x in l.names] == [built.index(x) for x in built.names] == list(range(n))
+                assert l == built and hash(l) == hash(built), l.leq
 
     def test_agrees_with_bruteforce_oracle(self):
         for n in range(1, COUNTS["oracle_max_n"] + 1):
