@@ -24,6 +24,7 @@ from .errors import MosaicLabError, SizeTooLarge
 from .hyperstructure import is_associative, verify_lmosaic, verify_mosaic
 from .io import (
     _json_doc,
+    _ortho_pairs,
     diff_table_docs,
     lattice_from_doc,
     lattice_to_doc,
@@ -318,15 +319,13 @@ def orthocomplements(source, fmt):
         doc = {
             "input": name,
             "count": len(pis),
-            "orthocomplementations": [
-                [[l.names[x], l.names[pi(x)]] for x in range(l.size) if x <= pi(x)] for pi in pis
-            ],
+            "orthocomplementations": [_ortho_pairs(l, pi) for pi in pis],
         }
         click.echo(json.dumps(doc, indent=2))
     else:
         click.echo(f"{name}: {len(pis)} orthocomplementation(s)")
         for k, pi in enumerate(pis):
-            pairs = " ".join(f"{l.names[x]}<->{l.names[pi(x)]}" for x in range(l.size) if x <= pi(x))
+            pairs = " ".join(f"{x}<->{y}" for x, y in _ortho_pairs(l, pi))
             click.echo(f"  pi{k}: {pairs}")
 
 

@@ -114,8 +114,9 @@ class DualizableLMosaicPair:
     and the table its Nakano mosaic.
 
     A plain value: construction checks nothing, and the pair stores
-    nothing.  Its Mosaic was checked, when built, only for a neutral that
-    is neutral and a rho that fixes it.  functor_E builds pairs that the
+    nothing.  A Mosaic from outside the program was checked, when built,
+    only for a neutral that is neutral, a rho that fixes it and a
+    commutative table.  functor_E builds pairs that the
     paper proves dualizable, and a table from outside is checked by
     reconstruct_from.  What the equivalence derives from a pair depends on
     its table and pi alone, so it is kept on the table, keyed by pi: the

@@ -14,7 +14,16 @@ from operator import itemgetter, or_
 
 from .bits import bits, elements, full_mask, image, least, mask_of, transpose
 from .errors import InvalidStructure, SizeMismatch, _echo
-from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _members, _passing, _verdict, from_leq
+from .lattice_core import (
+    AxiomReport,
+    FiniteBoundedLattice,
+    Involution,
+    _members,
+    _passing,
+    _unchecked,
+    _verdict,
+    from_leq,
+)
 
 
 @dataclass(frozen=True)
@@ -103,16 +112,6 @@ class Multioperation:
         return _PackedUnions(self._packed_rows)
 
     @cached_property
-    def _column_unions(self) -> "_PackedUnions":
-        """_column_unions[M] packs x.M for every x; the same object as
-        _row_unions when the table is commutative."""
-        columns = tuple(zip(*self.table))
-        if columns == self.table:
-            return self._row_unions
-        w = self._masks.width
-        return _PackedUnions([_pack(col, w) for col in columns])
-
-    @cached_property
     def _under(self) -> tuple[int, ...]:
         """_under[x] = {z : x in z.z}: the principal cells as up-set rows."""
         return tuple(transpose([row[j] for j, row in enumerate(self.table)]))
@@ -159,15 +158,12 @@ class Multioperation:
     def _lms3_witness(self):
         """The least (x, y) with (x+(x+y)) & ((x+y)+y) not inside x+y, or None.
 
-        x+(x+y) is slot (x, y) of the per-block square of the cube, and
-        (x+y)+y slot (x, y) of the square of the cube with axes 0 and 1
-        swapped, swapped back; on a commutative table, which _column_unions
-        tells, the two squares are one."""
-        n, masks, cube = self.size, self._masks, self._cube
-        left = _square(cube, n, masks)
-        commutative = self._column_unions is self._row_unions
-        right = left if commutative else _square(_swap(cube, masks.swap01), n, masks)
-        bad = left & _swap(right, masks.swap01) & ~cube
+        Read only off a Mosaic's table, which is commutative: x+(x+y) is
+        slot (x, y) of the per-block square of the cube, and (x+y)+y =
+        y+(y+x) is slot (y, x) of it, so the cube's axes 0 and 1 swapped."""
+        masks, cube = self._masks, self._cube
+        square = _square(cube, self.size, masks)
+        bad = square & _swap(square, masks.swap01) & ~cube
         return divmod(least(bad) // masks.width, masks.width) if bad else None
 
     def _antisym_witness(self):
@@ -186,13 +182,13 @@ class Multioperation:
 class Mosaic:
     """Commutative unital magma, reversible with respect to rho.
 
-    rho(x) is the unique inverse of x.  Construction checks only that the
-    neutral is neutral and that rho fixes it: verify_mosaic builds a Mosaic
-    from a table not yet known to be one, and a constructor whose tables are
-    mosaics by theorem (the Nakano mosaics) passes the neutral and rho itself.
-    The neutral's row and column are each compared whole with the units
-    {x}, one tuple per n that find_neutral shares; only when one differs is
-    the least x where it does looked for, for the error.
+    rho(x) is the unique inverse of x.  The constructor checks a Mosaic
+    from outside the program: an int neutral that is neutral, a rho that
+    fixes it, then a commutative table.  verify_mosaic and additive_nakano
+    build theirs by lattice_core._unchecked.  The neutral's row and column
+    are each compared whole with the units {x}, one tuple per n that
+    find_neutral shares; only when one differs is the least x where it
+    does looked for, for the error.
     """
 
     op: Multioperation
@@ -200,15 +196,20 @@ class Mosaic:
     rho: Involution
 
     def __post_init__(self):
-        n = self.op.size
-        if self.rho.size != n or not 0 <= self.neutral < n:
+        n, e = self.op.size, self.neutral
+        if type(e) is not int:
+            raise InvalidStructure(f"the neutral must be an int, got {_echo(e)}")
+        if self.rho.size != n or not 0 <= e < n:
             raise SizeMismatch("carrier sizes disagree")
-        e, table, units = self.neutral, self.op.table, _units(n)
+        table, units = self.op.table, _units(n)
         if table[e] != units or tuple(map(itemgetter(e), table)) != units:
             x = next(x for x in range(n) if table[e][x] != units[x] or table[x][e] != units[x])
             raise InvalidStructure(f"{e} is not neutral at {x}")
         if self.rho(e) != e:
             raise InvalidStructure("rho does not fix the neutral element")
+        asymmetry = _asymmetry(table)
+        if asymmetry is not None:
+            raise InvalidStructure(f"not commutative at {asymmetry}")
 
     @property
     def size(self) -> int:
@@ -222,6 +223,14 @@ class Mosaic:
 def _units(n: int) -> tuple[int, ...]:
     """The row and the column of a neutral element of an n-element table."""
     return tuple(1 << x for x in range(n))
+
+
+def _asymmetry(table):
+    """The least (x, y) with x.y != y.x, or None: row x against column x."""
+    for x, (row, col) in enumerate(zip(table, zip(*table))):
+        if row != col:
+            return x, next(y for y, (a, b) in enumerate(zip(row, col)) if a != b)
+    return None
 
 
 def find_neutral(op: Multioperation):
@@ -257,19 +266,12 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
     commutativity "x in z.rho(y)" is "z in T[rho(y)][x]", so with T1 the
     cube whose block y is block rho(y) of T, the cells that break
     reversibility are C & ~(T1 & T1 with axes 0 and 1 swapped), and the
-    lowest set bit is the least witness (x, y, z)."""
-    n = op.size
-    table = op.table
-    reports = []
-
-    witness = None
-    for x, (row, col) in enumerate(zip(table, zip(*table))):
-        if row != col:
-            witness = (x, next(y for y in range(n) if row[y] != col[y]))
-            break
-    reports.append(_verdict("commutative", witness, "cell asymmetry"))
-    witness = next(((x, row.index(0)) for x, row in enumerate(table) if 0 in row), None)
-    reports.append(_verdict("total", witness, "empty cell"))
+    lowest set bit is the least witness (x, y, z).  The stages prove the
+    Mosaic constructor's checks, so a passing table's Mosaic is built by
+    lattice_core._unchecked."""
+    n, table = op.size, op.table
+    empty = next(((x, row.index(0)) for x, row in enumerate(table) if 0 in row), None)
+    reports = [_verdict("commutative", _asymmetry(table), "cell asymmetry"), _verdict("total", empty, "empty cell")]
     if not all(r.holds for r in reports):
         return MosaicVerification(tuple(reports), None)
 
@@ -306,7 +308,7 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
     reports.append(_passing("reversible"))
     reports.append(_passing("lemma1-consequences"))
 
-    return MosaicVerification(tuple(reports), Mosaic(op, e, rho))
+    return MosaicVerification(tuple(reports), _unchecked(Mosaic, op=op, neutral=e, rho=rho))
 
 
 def _pack(cells, width: int) -> int:
@@ -458,10 +460,10 @@ def check_morphism(f, a: Mosaic, b: Mosaic) -> AxiomReport:
     is in x.rho(x), so f(e), the neutral of b, is in f(x).f(rho(x)), and
     f(rho(x)) is an inverse of f(x), whose one inverse in b is rho'(f(x)).
     That needs each rho to be its mosaic's inverse map, as verify_mosaic and
-    the Nakano constructors build it; Mosaic itself checks only that rho
-    fixes the neutral, so for a hand-built rho the report says nothing about
-    inverses.  tests/oracles.morphism_loops keeps the literal test.  The
-    report's axiom is "morphism-morphism"."""
+    the Nakano constructors build it; of rho the Mosaic constructor checks
+    only that it fixes the neutral, so for a hand-built rho the report says
+    nothing about inverses.  tests/oracles.morphism_loops keeps the literal
+    test.  The report's axiom is "morphism-morphism"."""
     f = _carrier_map(f, a.size, b.size)
     name = "morphism-morphism"
     if f[a.neutral] != b.neutral:
@@ -482,7 +484,8 @@ def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
     """The four L-mosaic axioms; Lms4 failures report zero or multiple join
     candidates at the witness pair.  Lms2, Lms3 and the principal rows that
     Lms4 reads are the table's own, which the section-4 lemma battery
-    shares: whichever runs first derives them, once per table.
+    shares: whichever runs first derives them, once per table.  Lms3 reads
+    one square of the cube, which the commutativity of a Mosaic allows.
 
     Lms4 runs on the whole cube (see Multioperation) at once: the cube masked
     by under[x] in every slot of block x and by under[y] in slot y of every

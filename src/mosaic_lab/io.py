@@ -119,13 +119,13 @@ def lattice_to_doc(lattice: FiniteBoundedLattice, ortho: Involution | None, name
         "covers": [[lattice.names[a], lattice.names[b]] for a, b in lattice.covers()],
     }
     if ortho is not None:
-        pairs = []
-        for x in range(lattice.size):
-            y = ortho(x)
-            if x <= y:
-                pairs.append([lattice.names[x], lattice.names[y]])
-        doc["ortho"] = pairs
+        doc["ortho"] = _ortho_pairs(lattice, ortho)
     return doc
+
+
+def _ortho_pairs(lattice: FiniteBoundedLattice, pi: Involution) -> list:
+    """pi as the label pairs [x, pi(x)] with x <= pi(x), in the order of x."""
+    return [[lattice.names[x], lattice.names[y]] for x, y in enumerate(pi.map) if x <= y]
 
 
 @dataclass

@@ -467,7 +467,7 @@ def is_modular(l: FiniteBoundedLattice) -> AxiomReport:
 
 
 def is_distributive(l: FiniteBoundedLattice, subset=None) -> AxiomReport:
-    """x ^ (y v z) = (x ^ y) v (x ^ z) over a meet/join-closed subset.
+    """x ^ (y v z) = (x ^ y) v (x ^ z) over a nonempty meet/join-closed subset.
 
     The triples run in x, y, z order over the sorted members, reading the
     meets of x and the joins of y and of x ^ y as table rows."""
@@ -643,8 +643,6 @@ def sublattice(l: FiniteBoundedLattice, subset) -> tuple[FiniteBoundedLattice, t
     a repeated member counts once).
     """
     members = _members(l.size, subset)
-    if not members:
-        raise NotASublattice("empty subset")
     _require_closed(l, members)
     pos = {x: i for i, x in enumerate(members)}
     up = [mask_of(pos[j] for j in bits(l.leq[x]) if j in pos) for x in members]
@@ -652,8 +650,10 @@ def sublattice(l: FiniteBoundedLattice, subset) -> tuple[FiniteBoundedLattice, t
 
 
 def _require_closed(l: FiniteBoundedLattice, members: list[int]):
-    """Raise NotASublattice at the first (x, y) of the sorted members whose
-    join or meet leaves them."""
+    """Raise NotASublattice when the sorted members are empty, or at the
+    first (x, y) of them whose join or meet leaves them."""
+    if not members:
+        raise NotASublattice("empty subset")
     mask = mask_of(members)
     for x in members:
         joins, meets = l.join_table[x], l.meet_table[x]

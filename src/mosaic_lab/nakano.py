@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .bits import bits, image, least, mask_of
 from .errors import NoUniqueExtremum, SizeMismatch
 from .hyperstructure import Mosaic, Multioperation, is_reproductive, principal_rows
-from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _passing, _verdict, dual_lattice
+from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _passing, _unchecked, _verdict, dual_lattice
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,14 @@ def additive_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
     Its cells are N(x,y) = reach[x][t] & reach[y][t] with t = x v y.
 
     The paper proves that the table of any bounded lattice is an L-mosaic
-    with these neutral and rho, so it is not run through verify_mosaic;
+    with these neutral and rho, so its Mosaic is built by _unchecked, with
+    neither verify_mosaic nor the constructor's checks;
     tests/test_nakano.py checks the theorem on the enumerated lattices."""
     reach = _reach(l.join_table)
     op = Multioperation(l.size, tuple(
         tuple(rx[t] & reach[y][t] for y, t in enumerate(row)) for rx, row in zip(reach, l.join_table)
     ))
-    return NakanoMosaic(l, Mosaic(op, l.bottom, Involution.identity(l.size)), reach)
+    return NakanoMosaic(l, _unchecked(Mosaic, op=op, neutral=l.bottom, rho=Involution.identity(l.size)), reach)
 
 
 def multiplicative_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
@@ -139,26 +140,22 @@ def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
 
     For each (y, z) both sides are packed over x, the cell of x at bit
     offset w*x, with w the slot width of the table's cube (see
-    hyperstructure.Multioperation).  x+(y+z) is the packed union of the columns
-    of the members of y+z.  With s = y v z the allowed set is
+    hyperstructure.Multioperation).  A Mosaic's table is commutative, so
+    x+(y+z) is (y+z)+x, the packed union of the rows of the members of
+    y+z: the table's row unions, which is_associative shares.  With
+    s = y v z the allowed set is
     bound[s][y] & bound[s][z], where bound[s][u] (u <= s) packs
     {t : t v x v u = t v s = x v s}: it depends on the lattice alone, and
     bound[s][s] is {t : t v s = x v s}, since then t v x v s = x v s.  The
     least failing x over all (y, z), then the first (y, z) at that x and the
-    lowest leaking t make the witness.  On a commutative table, which is
-    when _column_unions is _row_unions, (z, y) leaks what (y, z) does and
-    comes after it, so only y <= z is visited.
-
-    The packed unions are the table's own, which is_associative shares on
-    a commutative table, and reach from the constructor when it handed
-    them over."""
+    lowest leaking t make the witness.  (z, y) leaks what (y, z) does and
+    comes after it, so only y <= z is visited.  reach is the constructor's
+    when it handed the rows over."""
     join, below = m.base.join_table, m.base.down
     reach = m.reach if m.reach is not None else _reach(join)
     op = m.mosaic.op
-    table = op.table
     w = op._masks.width
-    sums = op._column_unions  # sums[M]: x+M for every x
-    commutative = sums is op._row_unions
+    sums = op._row_unions  # sums[M]: M+x = x+M for every x
     bound = []
     for s, (rs, js) in enumerate(zip(reach, join)):  # js[x] = x v s
         own = 0
@@ -172,9 +169,8 @@ def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
             planes[u] = own & plane
         bound.append(planes)
     witness = None
-    for y, (jy, row) in enumerate(zip(join, table)):
-        start = y if commutative else 0
-        for z, cell in enumerate(row[start:], start):
+    for y, (jy, row) in enumerate(zip(join, op.table)):
+        for z, cell in enumerate(row[y:], y):
             bs = bound[jy[z]]
             leak = sums[cell] & ~(bs[y] & bs[z])
             if leak:

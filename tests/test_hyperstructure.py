@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -131,6 +132,8 @@ def test_bad_parts_raise_typed_errors(pentagon, hexagon):
         (lambda: Mosaic(Multioperation(2, ((1, 2), (1, 2))), 0, Involution.identity(2)), InvalidStructure,
          "0 is not neutral at 1"),
         (lambda: Mosaic(chain2, 0, Involution((1, 0))), InvalidStructure, "rho does not fix the neutral element"),
+        (lambda: Mosaic(Multioperation(3, ((1, 2, 4), (2, 4, 4), (4, 2, 4))), 0, Involution.identity(3)),
+         InvalidStructure, "not commutative at (1, 2)"),
         (lambda: NakanoMosaic(pentagon.lattice, additive_nakano(hexagon.lattice).mosaic), SizeMismatch,
          "carrier sizes disagree"),
     ]
@@ -139,6 +142,46 @@ def test_bad_parts_raise_typed_errors(pentagon, hexagon):
             build()
         assert str(exc.value) == message
         assert isinstance(exc.value, MosaicLabError) and isinstance(exc.value, ValueError)
+
+
+class TestMosaic:
+    @pytest.mark.parametrize("neutral", [1.0, "0", None, False])
+    def test_a_neutral_that_is_no_int_is_refused(self, pentagon, neutral):
+        """A typed error before the table is indexed: not a bare TypeError,
+        and no mosaic whose neutral is False."""
+        m = additive_nakano(pentagon.lattice).mosaic
+        with pytest.raises(InvalidStructure, match=f"^the neutral must be an int, got {re.escape(repr(neutral))}$"):
+            Mosaic(m.op, neutral, m.rho)
+
+    def test_a_one_sided_table_is_refused_at_the_commutative_witness(self, lattices_upto_6):
+        """Seeded edits that flip one member of two cells off the diagonal
+        and off the neutral row and column, leaving the mirrored cells as
+        they were: the constructor refuses the table exactly when
+        verify_mosaic's commutative stage fails, and names its witness, the
+        least asymmetric (x, y)."""
+        rng = random.Random(3303)
+        wide = [named(name).lattice for name in ("MO_6", "boolean_4", "chain_16")]
+        refused = 0
+        for l in [*lattices_upto_6, *wide]:
+            for build in (additive_nakano, multiplicative_nakano):
+                m = build(l).mosaic
+                others = [x for x in range(l.size) if x != m.neutral]
+                if len(others) < 2:
+                    continue
+                for _ in range(3):
+                    op = m.op
+                    for _ in range(2):
+                        x, y = rng.sample(others, 2)
+                        op = op.with_cell(x, y, bits(op.cell(x, y) ^ 1 << rng.randrange(l.size)))
+                    commutative = verify_mosaic(op).reports[0]
+                    if commutative.holds:
+                        assert Mosaic(op, m.neutral, m.rho).op is op
+                        continue
+                    with pytest.raises(InvalidStructure) as exc:
+                        Mosaic(op, m.neutral, m.rho)
+                    assert str(exc.value) == f"not commutative at {commutative.witness}"
+                    refused += 1
+        assert refused
 
 
 class TestFindNeutral:
@@ -402,9 +445,10 @@ class TestMorphismReference:
         assert reasons == {None, "not unitary", "cell condition fails"}
 
     def test_seeded_cell_edits_of_the_target(self, ortholattices_upto_8):
-        """An automorphism f into a copy of the table with cell (x, y) cut
-        down fails exactly at the preimage of (x, y), which lies past (0, 0):
-        neither x nor y is the neutral, the bottom 0."""
+        """An automorphism f into a copy of the table with cell (x, y), and
+        its mirror (y, x), cut down fails exactly at the least preimage of
+        the two, which lies past (0, 0): neither x nor y is the neutral, the
+        bottom 0."""
         rng = random.Random(2911)  # fixed: results must be deterministic
         edits = 0
         for p in ortholattices_upto_8:
@@ -419,11 +463,11 @@ class TestMorphismReference:
                 kept = [z for z in cell if rng.random() < 0.5]
                 if len(kept) == len(cell):
                     kept.remove(rng.choice(kept))
-                target = Mosaic(m.op.with_cell(x, y, kept), m.neutral, m.rho)
+                target = Mosaic(m.op.with_cell(x, y, kept).with_cell(y, x, kept), m.neutral, m.rho)
                 f = rng.choice(automorphisms)
                 rep = check_morphism(f, m, target)
                 assert rep == morphism_loops(f, m, target), (p, f, x, y, kept)
-                assert rep.witness == (f.index(x), f.index(y))
+                assert rep.witness == min((f.index(x), f.index(y)), (f.index(y), f.index(x)))
                 assert rep.witness != (0, 0)
                 edits += 1
         assert edits

@@ -643,6 +643,15 @@ class TestDistributivity:
             is_distributive(pentagon.lattice, [1, 3])  # a,c: join 1 missing
 
 
+def test_an_empty_subset_is_no_sublattice(pentagon):
+    """One emptiness rule for both functions that take a subset, as a list
+    and as a mask: is_distributive does not pass it."""
+    for check in (sublattice, is_distributive):
+        for empty in ([], 0):
+            with pytest.raises(NotASublattice, match="^empty subset$"):
+                check(pentagon.lattice, empty)
+
+
 def all_fields(l):
     """Every field of a lattice, the derived ones included."""
     return {f.name: getattr(l, f.name) for f in fields(l)}
@@ -706,9 +715,6 @@ def test_sublattice_restriction(pentagon):
     assert sub.size == 4 and sub.names == ("0", "a", "b", "1")
     with pytest.raises(NotASublattice):
         sublattice(p, [1, 3])
-    for empty in ([], 0):
-        with pytest.raises(NotASublattice, match="^empty subset$"):
-            sublattice(p, empty)
     # a repeated member counts once
     sub, members = sublattice(p, [0, 0, 4])
     assert members == (0, 4) and sub.names == ("0", "1") and sub.leq == (0b11, 0b10)

@@ -368,17 +368,15 @@ def test_generated_sublattices_and_distributivity_match(corpus):
 
 def edited_mosaics(m, rng, count):
     """Seeded edits of one or two cells of a row, off the neutral row and
-    column, every other edit mirrored onto the column so that the table
-    stays commutative."""
+    column, each mirrored onto the column so that the table stays
+    commutative, as a Mosaic's must."""
     n, e = m.size, m.neutral
     others = [x for x in range(n) if x != e]
     for k in range(count):
         x, op = rng.choice(others), m.op
         for y in rng.sample(others, min(len(others), 1 + k % 3 // 2)):
             zs = [z for z in range(n) if rng.random() < 0.4]
-            op = op.with_cell(x, y, zs)
-            if k % 2:
-                op = op.with_cell(y, x, zs)
+            op = op.with_cell(x, y, zs).with_cell(y, x, zs)
         yield Mosaic(op, e, m.rho)
 
 
