@@ -322,7 +322,7 @@ def enumerate_dualizable_pairs(max_n: int):
                     table[x][x] = lattice.down[x]
                 for (x, y), cell in zip(free_pairs, choice):
                     table[x][y] = table[y][x] = cell
-                op = Multioperation(n, tuple(tuple(r) for r in table))
+                op = Multioperation(n, table)
                 got = verify_mosaic(op)
                 if got.ok and all(r.holds for r in verify_lmosaic(got.mosaic)):
                     out.extend(DualizableLMosaicPair(got.mosaic, pi) for pi in pis)

@@ -45,19 +45,30 @@ class Multioperation:
     Axis 0 is x, axis 1 is y, axis 2 is z; block x is the w*w bits of one
     row of the table and slot (x, y) the w bits of one cell.  Swapping two
     axes is a bit-matrix transpose of log2(w) shift-xor-mask steps, with
-    masks built once per width, so a check over all cells takes a fixed
-    number of integer operations.  The packed rows and their unions use the
-    same slot width."""
+    masks built once per width.  The packed rows and their unions use the
+    same slot width.
+
+    The constructor stores the table as a tuple of tuples, whatever
+    iterable of rows it is given, as Involution stores its map, and checks
+    the size, the shape and every cell before anything is indexed."""
 
     size: int
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        full = full_mask(self.size)
-        if len(self.table) != self.size or not set(map(len, self.table)) <= {self.size}:
+        n = self.size
+        if type(n) is not int or n < 0:
+            raise InvalidStructure(f"the size must be a non-negative int, got {_echo(n)}")
+        try:
+            table = tuple(map(tuple, self.table))
+        except TypeError:
+            raise InvalidStructure(f"the table must be a sequence of rows, got {_echo(self.table)}") from None
+        object.__setattr__(self, "table", table)
+        full = full_mask(n)
+        if len(table) != n or not set(map(len, table)) <= {n}:
             raise SizeMismatch("table is not size x size")
         # one pass tests each cell's type (a bool is no mask) and then its range
-        for row in self.table:
+        for row in table:
             for cell in row:
                 if type(cell) is not int:
                     raise InvalidStructure(f"table cells must be int bitmasks, got {_echo(cell)}")
@@ -90,7 +101,7 @@ class Multioperation:
         _members(self.size, (x, y, *zs))
         table = [list(r) for r in self.table]
         table[x][y] = mask_of(zs)
-        return Multioperation(self.size, tuple(tuple(r) for r in table))
+        return Multioperation(self.size, table)
 
     @cached_property
     def _masks(self) -> "_Masks":
@@ -165,17 +176,6 @@ class Multioperation:
         square = _square(cube, self.size, masks)
         bad = square & _swap(square, masks.swap01) & ~cube
         return divmod(least(bad) // masks.width, masks.width) if bad else None
-
-    def _antisym_witness(self):
-        """The least (x, y) where x and y both lie in x.y but x != y, or
-        where x is not in x.x; None if there is none.  Bit x and bit y of
-        every slot (x, y) are masked and tested slot-wise for nonzero, and
-        the slots where both are set must be the n diagonal slots."""
-        n, masks, cube = self.size, self._masks, self._cube
-        w = masks.width
-        both = _nonzero(cube & masks.own_x, masks) & _nonzero(cube & masks.own_y, masks)
-        bad = both ^ _repeat(1 << w - 1, w * w + w, n)
-        return divmod(least(bad) // w, w) if bad else None
 
 
 @dataclass(frozen=True)
@@ -267,8 +267,9 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
     cube whose block y is block rho(y) of T, the cells that break
     reversibility are C & ~(T1 & T1 with axes 0 and 1 swapped), and the
     lowest set bit is the least witness (x, y, z).  The stages prove the
-    Mosaic constructor's checks, so a passing table's Mosaic is built by
-    lattice_core._unchecked."""
+    Mosaic constructor's checks, and on a commutative table unique inverses
+    make the inverse map an involution, so a passing table's Mosaic and a
+    rho other than the identity are built by lattice_core._unchecked."""
     n, table = op.size, op.table
     empty = next(((x, row.index(0)) for x, row in enumerate(table) if 0 in row), None)
     reports = [_verdict("commutative", _asymmetry(table), "cell asymmetry"), _verdict("total", empty, "empty cell")]
@@ -297,7 +298,7 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
     if inv == list(range(n)):
         rho = Involution.identity(n)
     else:
-        rho = Involution(tuple(inv))
+        rho = _unchecked(Involution, map=tuple(inv))
         block = (1 << w * w) - 1
         flip = _pack([flip >> w * w * v & block for v in inv], w * w)
     bad = cube & ~(flip & _swap(flip, masks.swap01))
@@ -363,8 +364,9 @@ class _Masks:
     """The constant masks of every cube of slot width w (see Multioperation):
     the transpose steps that swap axes 1 and 2 (swap12) and axes 0 and 1
     (swap01), one full slot (slot), bit 0 of every slot of one block
-    (slots) and of every block (blocks), the low and the top bit of every
-    slot of the cube, and bit x and bit y of every slot (x, y)."""
+    (slots) and of every block (blocks), and the low bit of every slot of
+    the cube (low).  They serve whole-table algebra only; the checks that
+    read a pair at a time scan the rows."""
 
     def __init__(self, w: int):
         self.width, self.slot = w, (1 << w) - 1
@@ -373,20 +375,9 @@ class _Masks:
         self.slots = _repeat(1, w, w)
         self.blocks = _repeat(1, w * w, w)
         self.low = self.slots * self.blocks
-        self.high = self.low << w - 1
-        self.own_x = _repeat(1, w * w + 1, w) * self.slots  # bit x of slot (x, y)
-        self.own_y = _repeat(1, w + 1, w) * self.blocks  # bit y of slot (x, y)
 
 
 _masks_of = cache(_Masks)
-
-
-def _nonzero(v: int, masks: _Masks) -> int:
-    """The top bit of every slot of the cube v that is not empty: the low
-    bits of a slot, plus all ones below the top, carry into the top bit
-    iff one of them is set."""
-    high = masks.high
-    return ((v & ~high) + (high - masks.low) | v) & high
 
 
 def _square(cube: int, n: int, masks: _Masks) -> int:
@@ -462,7 +453,9 @@ def check_morphism(f, a: Mosaic, b: Mosaic) -> AxiomReport:
     That needs each rho to be its mosaic's inverse map, as verify_mosaic and
     the Nakano constructors build it; of rho the Mosaic constructor checks
     only that it fixes the neutral, so for a hand-built rho the report says
-    nothing about inverses.  tests/oracles.morphism_loops keeps the literal
+    nothing about inverses.  Both tables are commutative, so (x, y) and
+    (y, x) test the same cell against the same target cell, and only the
+    pairs y >= x are read.  tests/oracles.morphism_loops keeps the literal
     test.  The report's axiom is "morphism-morphism"."""
     f = _carrier_map(f, a.size, b.size)
     name = "morphism-morphism"
@@ -471,7 +464,7 @@ def check_morphism(f, a: Mosaic, b: Mosaic) -> AxiomReport:
     target = b.op.table
     for x, row in enumerate(a.op.table):
         images = target[f[x]]  # images[v] = f(x) [.] v
-        for y, cell in enumerate(row):
+        for y, cell in enumerate(row[x:], x):
             if image(cell, f) & ~images[f[y]]:
                 return AxiomReport(name, False, (x, y), "cell condition fails")
     return _passing(name)
@@ -487,33 +480,26 @@ def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
     shares: whichever runs first derives them, once per table.  Lms3 reads
     one square of the cube, which the commutativity of a Mosaic allows.
 
-    Lms4 runs on the whole cube (see Multioperation) at once: the cube masked
-    by under[x] in every slot of block x and by under[y] in slot y of every
-    block holds the join candidates of each (x, y), and two slot-wise
-    tests, nonzero and "more than one bit", find the pairs without exactly
-    one among the n x n slots in use."""
+    A Mosaic's table is commutative, so the join candidates
+    under[x] & under[y] & x+y of (x, y) are those of (y, x), and the least
+    pair without exactly one has x <= y: Lms4 scans each row x from y = x
+    on."""
     e, op = m.neutral, m.op
     lms1 = _passing("Lms1")
     for x, row in enumerate(op.table):
         if not (row[x] >> e & 1 and row[x] >> x & 1):
             lms1 = AxiomReport("Lms1", False, (x,), "0,x not both in x+x")
             break
-    lms2 = _verdict("Lms2", op._lms2_witness, "(x+x)+(x+x) != x+x")
-    lms3 = _verdict("Lms3", op._lms3_witness, "intersection leaks")
-    n, masks = m.size, op._masks
-    w = masks.width
+    lms = (lms1, _verdict("Lms2", op._lms2_witness, "(x+x)+(x+x) != x+x"),
+           _verdict("Lms3", op._lms3_witness, "intersection leaks"))
     under = op._under  # under[x] = {z : x in z+z}
-    cands = op._cube & _pack(under, w * w) * masks.slots & _pack(under, w) * masks.blocks
-    high = masks.high
-    multiple = _nonzero(cands & (cands | high) - masks.low, masks)
-    bad = _repeat(_repeat(1 << w - 1, w, n), w * w, n) & ~_nonzero(cands, masks) | multiple
-    if bad:
-        slot = least(bad) // w
-        reason = "multiple join candidates" if multiple >> w * slot & masks.slot else "no join candidate"
-        lms4 = AxiomReport("Lms4", False, divmod(slot, w), reason)
-    else:
-        lms4 = _passing("Lms4")
-    return (lms1, lms2, lms3, lms4)
+    for x, (row, ux) in enumerate(zip(op.table, under)):
+        for y, cell in enumerate(row[x:], x):
+            cands = ux & under[y] & cell
+            if not cands or cands & (cands - 1):
+                reason = "multiple join candidates" if cands else "no join candidate"
+                return (*lms, AxiomReport("Lms4", False, (x, y), reason))
+    return (*lms, _passing("Lms4"))
 
 
 def principal_rows(m: Mosaic) -> tuple[int, ...]:

@@ -20,7 +20,6 @@ lattices.
 from __future__ import annotations
 
 import weakref
-from copy import copy
 from dataclasses import dataclass, field
 from functools import cache
 from operator import getitem
@@ -124,7 +123,7 @@ def _verdict(axiom: str, witness, reason: str) -> AxiomReport:
     return _passing(axiom) if witness is None else AxiomReport(axiom, False, witness, reason)
 
 
-@dataclass(unsafe_hash=True)
+@dataclass(frozen=True)
 class FiniteBoundedLattice:
     """Carrier of `size` indexed elements with order, join/meet tables and bounds.
 
@@ -136,9 +135,10 @@ class FiniteBoundedLattice:
     when that element is the join of i and j, so a join is one look-up of
     that row, and a miss means the pair lacks a join.  Meets likewise from
     the down rows.  == and hash read names and leq, on which the rest
-    depends.  Immutable after construction by convention; all checks are
-    pure.  catalog's enumerated classes, lattices by a theorem, skip the
-    order check and share the derivation of bounds and tables (_order_fields).
+    depends.  Frozen, so a lattice can key the weak maps of its Nakano
+    table and its hexagon copy; all checks are pure.  catalog's enumerated
+    classes, lattices by a theorem, skip the order check and share the
+    derivation of bounds and tables (_order_fields).
     """
 
     size: int = field(init=False, compare=False)
@@ -270,11 +270,8 @@ def dual_lattice(l: FiniteBoundedLattice) -> FiniteBoundedLattice:
     dual of a lattice is a lattice, so l's own rows, tables and bounds are
     swapped unchecked; tests/test_lattice_core.py checks the constructor
     builds the same lattice from l.down."""
-    d = copy(l)
-    d.leq, d.down = l.down, l.leq
-    d.join_table, d.meet_table = l.meet_table, l.join_table
-    d.bottom, d.top = l.top, l.bottom
-    return d
+    return _unchecked(FiniteBoundedLattice, size=l.size, names=l.names, _index=l._index, leq=l.down, down=l.leq,
+                      join_table=l.meet_table, meet_table=l.join_table, bottom=l.top, top=l.bottom)
 
 
 # -- complements and orthocomplementations -----------------------------------

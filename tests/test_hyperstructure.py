@@ -37,6 +37,7 @@ from oracles import (
     compose_relations,
     dual_table_loops,
     morphism_loops,
+    nakano_table_loops,
     order_isomorphisms_loops,
     table_of,
 )
@@ -105,6 +106,24 @@ class TestMultioperation:
         with pytest.raises(InvalidStructure, match="^table cells must be int bitmasks, got '1'$"):
             Multioperation(1, (("1",),))
 
+    def test_a_table_of_lists_is_stored_as_tuples(self, pentagon):
+        """Rows given as lists are stored as tuples, so the table hashes,
+        equals its tuple twin and gives the twin's reports: a row of a list
+        table never equals a tuple column or the units, which made
+        verify_mosaic and the Mosaic constructor stop on a bare
+        StopIteration and find_neutral miss the neutral."""
+        chain2 = Multioperation(2, [[1, 2], [2, 3]])
+        assert chain2.table == ((1, 2), (2, 3)) and hash(chain2) == hash(Multioperation(2, chain2.table))
+        assert find_neutral(chain2) == 0 and verify_mosaic(chain2).ok
+        nm = additive_nakano(pentagon.lattice)
+        twin = nm.mosaic
+        op = Multioperation(twin.size, [list(row) for row in twin.op.table])
+        lists = NakanoMosaic(nm.base, Mosaic(op, twin.neutral, twin.rho))
+        assert op == twin.op and verify_mosaic(op) == verify_mosaic(twin.op)
+        assert verify_lmosaic(lists.mosaic) == verify_lmosaic(twin)
+        assert is_associative(op) == is_associative(twin.op)
+        assert nakano_property_reports(lists) == nakano_property_reports(nm)
+
     @pytest.mark.parametrize("x, y, zs", [(-1, 0, [1]), (3, 0, [1]), (0, 3, []), (0, 0, [-1]), (0, 0, [1, 3])])
     def test_a_cell_edit_past_the_carrier_is_a_size_mismatch(self, x, y, zs):
         """Not the last row for x = -1, nor a bare IndexError or a negative
@@ -127,6 +146,15 @@ def test_bad_parts_raise_typed_errors(pentagon, hexagon):
         (lambda: Multioperation(2, ((1, 2),)), SizeMismatch, "table is not size x size"),
         (lambda: Multioperation(2, ((1, 2), (2,))), SizeMismatch, "table is not size x size"),
         (lambda: Multioperation(1, ((1,), (1,))), SizeMismatch, "table is not size x size"),
+        (lambda: Multioperation(2.0, ((1, 2), (2, 3))), InvalidStructure,
+         "the size must be a non-negative int, got 2.0"),
+        (lambda: Multioperation("2", ((1, 2), (2, 3))), InvalidStructure,
+         "the size must be a non-negative int, got '2'"),
+        (lambda: Multioperation(True, ((1,),)), InvalidStructure, "the size must be a non-negative int, got True"),
+        (lambda: Multioperation(-1, ()), InvalidStructure, "the size must be a non-negative int, got -1"),
+        (lambda: Multioperation(2, 5), InvalidStructure, "the table must be a sequence of rows, got 5"),
+        (lambda: Multioperation(2, (5, 6)), InvalidStructure, "the table must be a sequence of rows, got (5, 6)"),
+        (lambda: Multioperation(1, None), InvalidStructure, "the table must be a sequence of rows, got None"),
         (lambda: Mosaic(chain2, 0, Involution.identity(3)), SizeMismatch, "carrier sizes disagree"),
         (lambda: Mosaic(chain2, 1, Involution.identity(2)), InvalidStructure, "1 is not neutral at 0"),
         (lambda: Mosaic(Multioperation(2, ((1, 2), (1, 2))), 0, Involution.identity(2)), InvalidStructure,
@@ -309,6 +337,28 @@ class TestSharedConstants:
                 assert m.rho is Involution.identity(l.size)
                 assert verify_mosaic(m.op).mosaic.rho is Involution.identity(l.size)
         assert Involution.identity(3) == Involution((0, 1, 2))
+
+    def test_the_library_checks_no_table_it_builds(self, monkeypatch, lattices_upto_6):
+        """The Nakano constructors build their tables without the
+        Multioperation check, whose cells are in range by construction, and
+        verify_mosaic builds the inverse map of a commutative table without
+        the Involution check, since unique inverses make it one.  The tables
+        still equal the references, and Z_3's map is still (0, 2, 1)."""
+        z3 = Multioperation(3, table_of(3, lambda x, y: 1 << ((x + y) % 3)))
+        checks = Counter()
+        for cls in (Multioperation, Involution):
+            def counted(self, _check=cls.__post_init__, _name=cls.__name__):
+                checks[_name] += 1
+                _check(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        for l in lattices_upto_6:
+            for additive, build in ((True, additive_nakano), (False, multiplicative_nakano)):
+                nm = build(l)
+                table_battery(nm)
+                assert nm.mosaic.op.table == nakano_table_loops(l, additive)
+        assert checks["Multioperation"] == 0
+        assert verify_mosaic(z3).mosaic.rho.map == (0, 2, 1)
+        assert checks["Involution"] == 0
 
     def test_a_checked_table_builds_no_report_and_no_map(self, monkeypatch, pentagon):
         """After one table has been checked, a second modular one (both

@@ -1,10 +1,10 @@
 """The table kernels against their element-at-a-time references.
 
 The Nakano table and most of the section-4 lemma battery read whole rows
-of bitmasks; verify_mosaic, verify_lmosaic, the antisym lemma,
-is_associative and the triple junction bound read the whole table, or
-whole planes of it, packed into one integer of w-bit slots, w the least
-power of two >= n.  tests/oracles.py keeps the same checks one element at
+of bitmasks, those that test a pair (x, y) of a commutative table only
+from y = x on; verify_mosaic, Lms3, is_associative and the triple
+junction bound read the whole table, or whole planes of it, packed into
+one integer of w-bit slots, w the least power of two >= n.  tests/oracles.py keeps the same checks one element at
 a time.  Their reports must agree exactly, least witness and reason
 included, on every lattice with at most 6 elements and on seeded cell edits
 of those lattices' tables, on larger and padded lattices, where one plane
@@ -53,7 +53,14 @@ from mosaic_lab.hyperstructure import (
     verify_lmosaic,
     verify_mosaic,
 )
-from mosaic_lab.lattice_core import Involution, check_om_equivalences, from_leq, is_modular, is_orthomodular
+from mosaic_lab.lattice_core import (
+    Involution,
+    build_from_covers,
+    check_om_equivalences,
+    from_leq,
+    is_modular,
+    is_orthomodular,
+)
 from mosaic_lab.nakano import (
     NakanoMosaic,
     additive_nakano,
@@ -214,17 +221,21 @@ def cube_bit(witness, n: int) -> int:
 
 
 def test_cube_kernels_match_on_wide_tables(wide_lattices, lattices_upto_6):
-    """verify_mosaic and verify_lmosaic read the table as one cube of w-bit
-    slots.  The sizes cover n = w = 16 (chain_16, boolean_4) and n = w = 8,
-    where an element's bit is the top bit of its slot, the padded cubes of
-    n = 7 and of MO_6 (n = 14, w = 16), and n = 1 and 2, where w = n.  The
+    """verify_mosaic and Lms3 read the table as one cube of w-bit slots;
+    Lms4, antisym, the bound by the junction and the junction
+    characterization scan its rows from y = x on.  The sizes cover
+    n = w = 16 (chain_16, boolean_4) and n = w = 8, where an element's bit
+    is the top bit of its slot, the padded cubes of n = 7, of MO_6 (n = 14,
+    w = 16) and of chain_34 (w = 64), and n = 1 and 2, where w = n.  The
     edits make reversibility (of mirrored tables), Lms3 and Lms4 (of the
     Mosaics, which hold the mirrored tables) fail with witnesses past the
-    first 64 bits of the cube."""
+    first 64 bits of the cube, and each row scan fail at some y >= 16."""
     rng = random.Random(5120)
     smallest = [l for l in lattices_upto_6 if l.size <= 2]
+    chain = [f"c{i}" for i in range(34)]
+    chain_34 = build_from_covers(chain, zip(chain, chain[1:]))
     failed, sizes = Counter(), set()
-    for l in smallest + wide_lattices:
+    for l in smallest + wide_lattices + [chain_34]:
         n = l.size
         sizes.add(n)
         for additive, build in FLAVORS:
@@ -234,14 +245,19 @@ def test_cube_kernels_match_on_wide_tables(wide_lattices, lattices_upto_6):
                 assert reports == mosaic_reports_loops(op.table)
                 lms = verify_lmosaic(m.mosaic)
                 assert lms == lmosaic_reports_loops(m.mosaic.op.table, m.mosaic.neutral)
+                lemmas = nakano_property_reports(m)
+                assert lemmas == nakano_property_loops(l, additive, m.mosaic.op.table)
                 stage = first_failure(reports)
                 if stage == "reversible":
                     failed["reversible past 64 bits"] += cube_bit(reports[-1].witness, n) >= 64
                 for r in lms[2:]:
                     if not r.holds:
                         failed[f"{r.axiom} past 64 bits"] += cube_bit(r.witness, n) >= 64
-    assert {1, 2, 7, 8, 14, 16} <= sizes
-    assert len(failed) == 3 and all(failed.values()), failed
+                for r in (lms[3], lemmas[0], lemmas[2], lemmas[3]):
+                    if not r.holds:
+                        failed[f"{r.axiom} at y >= 16"] += r.witness[1] >= 16
+    assert {1, 2, 7, 8, 14, 16, 34} <= sizes
+    assert len(failed) == 7 and all(failed.values()), failed
 
 
 def test_rows_derived_from_a_table_do_not_follow_its_edits(lattices_upto_6):

@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
@@ -691,6 +691,17 @@ class TestDual:
 
 
 class TestEqualityAndHash:
+    def test_a_lattice_is_frozen(self, pentagon):
+        """A lattice keys the weak maps of its Nakano table and its hexagon
+        copy, so no field of it, nor of its dual, which is built field by
+        field, can be assigned."""
+        p = pentagon.lattice
+        for l in (p, dual_lattice(p)):
+            for f in fields(l):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(l, f.name, getattr(l, f.name))
+        assert all_fields(dual_lattice(dual_lattice(p))) == all_fields(p)
+
     def test_eq_and_hash_read_names_and_leq(self, lattices_upto_6):
         for l in lattices_upto_6:
             same = from_leq(l.names, l.leq)
