@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 
 from .bits import bits, full_mask, least, mask_of, transpose
-from .errors import InvalidStructure, SizeTooLarge, UnknownName
+from .errors import InvalidStructure, SizeTooLarge, UnknownName, _echo
 from .lattice_core import (
     FiniteBoundedLattice,
     Involution,
@@ -355,7 +355,10 @@ def enumerate_lattices(n: int) -> list[FiniteBoundedLattice]:
     in canonical-key order: the candidates that are their own key, each
     built by _unchecked from its rows without the constructor's order check,
     sharing one tuple of names and one index per n (tests/test_catalog.py
-    checks that from_leq builds each alike)."""
+    checks that from_leq builds each alike).  InvalidStructure for an n
+    that is no int (a bool included)."""
+    if type(n) is not int:
+        raise InvalidStructure(f"the size must be an int, got {_echo(n)}")
     if not 1 <= n <= MAX_ENUM:
         raise SizeTooLarge(f"enumeration supports 1..{MAX_ENUM}, got {n}")
     rows = sorted((up, down) for up, down in _bounded_lattice_candidates(n) if _is_canonical(up, down))

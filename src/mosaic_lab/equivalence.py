@@ -32,11 +32,13 @@ from dataclasses import dataclass
 
 from .bits import bits, full_mask, image, least, mask_of, subsets, transpose
 from .errors import (
+    InvalidStructure,
     MosaicLabError,
     PreconditionFailed,
     ReconstructionFailure,
     SizeMismatch,
     SizeTooLarge,
+    _echo,
 )
 from .hyperstructure import (
     Mosaic,
@@ -299,7 +301,10 @@ def enumerate_dualizable_pairs(max_n: int):
     carrier's, and with Lms4 an involution passes the orthocomplement checks
     of _dualizability_failure exactly when it orthocomplements the carrier:
     the involutions are the carrier's orthocomplementations, found once per
-    carrier, and a carrier with none is skipped."""
+    carrier, and a carrier with none is skipped.  InvalidStructure for a
+    max_n that is no int (a bool included)."""
+    if type(max_n) is not int:
+        raise InvalidStructure(f"the size must be an int, got {_echo(max_n)}")
     if max_n > 4:
         raise SizeTooLarge("raw table search is capped at carrier size 4")
     out = []

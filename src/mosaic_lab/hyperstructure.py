@@ -32,7 +32,8 @@ class Multioperation:
 
     What several checks read off the table (the cube, the packed rows,
     their unions, the principal rows and the lattice they induce, the Lms2
-    and Lms3 witnesses) is derived once per table, on first use, in the
+    witness and the one scan of the pairs y >= x that gives the Lms3 and
+    Lms4 witnesses) is derived once per table, on first use, in the
     private cached properties below.  So are two dicts of what the
     equivalence derives from the table and an orthocomplementation pi, keyed
     by pi.map: the orthomodularity report, and the associativity verdict of
@@ -166,16 +167,32 @@ class Multioperation:
         return None
 
     @cached_property
-    def _lms3_witness(self):
-        """The least (x, y) with (x+(x+y)) & ((x+y)+y) not inside x+y, or None.
+    def _pair_scan(self):
+        """(Lms3's least witness, Lms4's least witness, Lms4's reason), each
+        witness None where its axiom holds: one scan of the pairs y >= x.
 
-        Read only off a Mosaic's table, which is commutative: x+(x+y) is
-        slot (x, y) of the per-block square of the cube, and (x+y)+y =
-        y+(y+x) is slot (y, x) of it, so the cube's axes 0 and 1 swapped."""
-        masks, cube = self._masks, self._cube
-        square = _square(cube, self.size, masks)
-        bad = square & _swap(square, masks.swap01) & ~cube
-        return divmod(least(bad) // masks.width, masks.width) if bad else None
+        Read only off a Mosaic's table, which is commutative, so (x, y)
+        and (y, x) test alike and the least failing pair has x <= y.  With
+        C = x+y, x+(x+y) = C+x and (x+y)+y = C+y are slots x and y of
+        _row_unions[C], which packs C+z for every z; Lms3 fails where both
+        leak outside C.  Lms4's join candidates are under[x] & under[y] & C.
+        The scan stops once both witnesses are found."""
+        w, slot = self._masks.width, self._masks.slot
+        unions, under = self._row_unions, self._under  # under[x] = {z : x in z+z}
+        lms3 = lms4 = reason = None
+        for x, (row, ux) in enumerate(zip(self.table, under)):
+            for y, cell in enumerate(row[x:], x):
+                if lms3 is None:
+                    packed = unions[cell]
+                    if packed >> w * x & packed >> w * y & slot & ~cell:
+                        lms3 = (x, y)
+                if lms4 is None:
+                    cands = ux & under[y] & cell
+                    if not cands or cands & (cands - 1):
+                        lms4, reason = (x, y), "multiple join candidates" if cands else "no join candidate"
+                if lms3 and lms4:
+                    return lms3, lms4, reason
+        return lms3, lms4, reason
 
 
 @dataclass(frozen=True)
@@ -320,22 +337,6 @@ def _pack(cells, width: int) -> int:
     return out
 
 
-def _repeat(pattern: int, stride: int, count: int) -> int:
-    """count copies of pattern, copy k at bit offset stride*k; the copies
-    must not overlap.  pattern doubles its copies at each step, and the
-    steps at the set bits of count go into the result."""
-    out = offset = 0
-    while count:
-        if count & 1:
-            out |= pattern << offset
-            offset += stride
-        count >>= 1
-        if count:
-            pattern |= pattern << stride
-            stride *= 2
-    return out
-
-
 def _transpose_steps(w: int, unit: int, copies: int):
     """(shift, mask) steps that transpose each of copies w x w matrices of
     unit-bit entries, laid out row-major one after the other.  Step k swaps
@@ -345,9 +346,9 @@ def _transpose_steps(w: int, unit: int, copies: int):
     steps = []
     k = w // 2
     while k:
-        columns = _repeat(((1 << unit * k) - 1) << unit * k, 2 * k * unit, w // (2 * k))
-        rows = _repeat(_repeat(1, w * unit, k), 2 * k * w * unit, w // (2 * k))
-        steps.append((k * (w - 1) * unit, _repeat(columns * rows, w * w * unit, copies)))
+        columns = _pack([((1 << unit * k) - 1) << unit * k] * (w // (2 * k)), 2 * k * unit)
+        rows = _pack([_pack([1] * k, w * unit)] * (w // (2 * k)), 2 * k * w * unit)
+        steps.append((k * (w - 1) * unit, _pack([columns * rows] * copies, w * w * unit)))
         k //= 2
     return tuple(steps)
 
@@ -363,33 +364,18 @@ def _swap(cube: int, steps) -> int:
 class _Masks:
     """The constant masks of every cube of slot width w (see Multioperation):
     the transpose steps that swap axes 1 and 2 (swap12) and axes 0 and 1
-    (swap01), one full slot (slot), bit 0 of every slot of one block
-    (slots) and of every block (blocks), and the low bit of every slot of
-    the cube (low).  They serve whole-table algebra only; the checks that
-    read a pair at a time scan the rows."""
+    (swap01), one full slot (slot) and the low bit of every slot of the
+    cube (low).  They serve verify_mosaic and is_associative; the checks
+    that read a pair at a time scan the rows."""
 
     def __init__(self, w: int):
         self.width, self.slot = w, (1 << w) - 1
         self.swap12 = _transpose_steps(w, 1, w)
         self.swap01 = _transpose_steps(w, w, 1)
-        self.slots = _repeat(1, w, w)
-        self.blocks = _repeat(1, w * w, w)
-        self.low = self.slots * self.blocks
+        self.low = _pack([_pack([1] * w, w)] * w, w * w)
 
 
 _masks_of = cache(_Masks)
-
-
-def _square(cube: int, n: int, masks: _Masks) -> int:
-    """Per block x, the Boolean square of the relation y -> x.y: slot (x, y)
-    holds the union of x.u over the members u of x.y.  For each u, cell x.u
-    of every block x is copied to all slots of its block and kept in the
-    slots whose cell holds u."""
-    w, first = masks.width, masks.blocks * masks.slot  # slot 0 of every block
-    out = 0
-    for u in range(n):
-        out |= (cube >> w * u & first) * masks.slots & (cube >> u & masks.low) * masks.slot
-    return out
 
 
 class _PackedUnions(dict):
@@ -475,31 +461,19 @@ def check_morphism(f, a: Mosaic, b: Mosaic) -> AxiomReport:
 
 def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
     """The four L-mosaic axioms; Lms4 failures report zero or multiple join
-    candidates at the witness pair.  Lms2, Lms3 and the principal rows that
-    Lms4 reads are the table's own, which the section-4 lemma battery
-    shares: whichever runs first derives them, once per table.  Lms3 reads
-    one square of the cube, which the commutativity of a Mosaic allows.
-
-    A Mosaic's table is commutative, so the join candidates
-    under[x] & under[y] & x+y of (x, y) are those of (y, x), and the least
-    pair without exactly one has x <= y: Lms4 scans each row x from y = x
-    on."""
+    candidates at the witness pair.  Lms2 and the one scan of the pairs
+    y >= x that gives Lms3's and Lms4's witnesses are the table's own,
+    which the section-4 lemma battery shares: whichever runs first derives
+    them, once per table."""
     e, op = m.neutral, m.op
     lms1 = _passing("Lms1")
     for x, row in enumerate(op.table):
         if not (row[x] >> e & 1 and row[x] >> x & 1):
             lms1 = AxiomReport("Lms1", False, (x,), "0,x not both in x+x")
             break
-    lms = (lms1, _verdict("Lms2", op._lms2_witness, "(x+x)+(x+x) != x+x"),
-           _verdict("Lms3", op._lms3_witness, "intersection leaks"))
-    under = op._under  # under[x] = {z : x in z+z}
-    for x, (row, ux) in enumerate(zip(op.table, under)):
-        for y, cell in enumerate(row[x:], x):
-            cands = ux & under[y] & cell
-            if not cands or cands & (cands - 1):
-                reason = "multiple join candidates" if cands else "no join candidate"
-                return (*lms, AxiomReport("Lms4", False, (x, y), reason))
-    return (*lms, _passing("Lms4"))
+    lms3, lms4, reason = op._pair_scan
+    return (lms1, _verdict("Lms2", op._lms2_witness, "(x+x)+(x+x) != x+x"),
+            _verdict("Lms3", lms3, "intersection leaks"), _verdict("Lms4", lms4, reason))
 
 
 def principal_rows(m: Mosaic) -> tuple[int, ...]:

@@ -336,7 +336,10 @@ def orthocomplementations(l: FiniteBoundedLattice, limit: int | None = None) -> 
     returned map.  The search pairs carrier elements only, so each map is
     an involution by construction and is built without the Involution
     check; tests/test_ortho_kernels.py checks every map it yields.
+    InvalidStructure for a limit that is neither None nor an int >= 0.
     """
+    if limit is not None and (type(limit) is not int or limit < 0):
+        raise InvalidStructure(f"the limit must be None or an int >= 0, got {_echo(limit)}")
     out = []
     for pi in _orthocomplementation_search(l):
         if limit is not None and len(out) == limit:

@@ -11,11 +11,12 @@ inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bits import bits, image, least, mask_of
 from .errors import NoUniqueExtremum, SizeMismatch
 from .hyperstructure import Mosaic, Multioperation, is_reproductive, principal_rows
-from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _passing, _unchecked, _verdict, dual_lattice
+from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _unchecked, _verdict, dual_lattice
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,8 @@ class NakanoMosaic:
     reach, when given, holds the rows reach[x][t] = {z : x v z = t} that the
     constructor built the table from, so that check_triple_bound need not
     build them again; without it the check builds them from the base.  It
-    takes no part in ==, hash or repr."""
+    takes no part in ==, hash or repr, and neither does the lemma scan,
+    which is derived on first use and kept on the mosaic."""
 
     base: FiniteBoundedLattice
     mosaic: Mosaic
@@ -43,6 +45,34 @@ class NakanoMosaic:
 
     def cell(self, x: int, y: int) -> int:
         return self.mosaic.cell(x, y)
+
+    @cached_property
+    def _lemma_scan(self):
+        """The least witnesses of antisym, the bound by the junction and the
+        junction characterization, each None where its lemma holds: one scan
+        of the pairs y >= x, which stops once all three are found.
+
+        The table and the join are commutative, so (x, y) and (y, x) test
+        alike and each least failing pair has x <= y.  antisym fails at
+        (x, x) when x is not in x+x and at (x, y), y > x, when x+y holds x
+        and y; the bound fails where x+y leaks outside the down row of
+        x v y; the characterization where under[x] & under[y] & x+y is not
+        {x v y}, at its lowest differing z."""
+        join, below, op = self.base.join_table, self.base.down, self.mosaic.op
+        under = op._under  # under[x] = {z : x in z+z}
+        antisym = bound = junction = None
+        for x, (jx, ux, row) in enumerate(zip(join, under, op.table)):
+            for y, cell in enumerate(row[x:], x):
+                t = jx[y]
+                if antisym is None and (cell >> x & cell >> y & 1) != (x == y):
+                    antisym = (x, y)
+                if bound is None and cell & ~below[t]:
+                    bound = (x, y, least(cell & ~below[t]))
+                if junction is None and (ux & under[y] & cell) ^ 1 << t:
+                    junction = (x, y, least((ux & under[y] & cell) ^ 1 << t))
+                if antisym and bound and junction:
+                    return antisym, bound, junction
+        return antisym, bound, junction
 
 
 def _reach(join) -> list[list[int]]:
@@ -106,16 +136,9 @@ def _restricted_op(table, members: list[int]) -> Multioperation:
 
 def check_antisym(m: NakanoMosaic) -> AxiomReport:
     """x,y in x+y iff x = y.  The table is commutative, so each row x is
-    read from y = x on: (x, x) fails when x is not in x+x, and (x, y) with
-    y > x when x+y holds both x and y."""
-    name, reason = "antisym", "x,y in x+y iff x=y"
-    for x, row in enumerate(m.mosaic.op.table):
-        if not row[x] >> x & 1:
-            return AxiomReport(name, False, (x, x), reason)
-        for y, cell in enumerate(row[x + 1:], x + 1):
-            if cell >> x & cell >> y & 1:
-                return AxiomReport(name, False, (x, y), reason)
-    return _passing(name)
+    read from y = x on, in the mosaic's lemma scan: (x, x) fails when x is
+    not in x+x, and (x, y) with y > x when x+y holds both x and y."""
+    return _verdict("antisym", m._lemma_scan[0], "x,y in x+y iff x=y")
 
 
 def check_principal_idempotent(m: NakanoMosaic) -> AxiomReport:
@@ -126,28 +149,16 @@ def check_principal_idempotent(m: NakanoMosaic) -> AxiomReport:
 
 def check_bound_by_extremum(m: NakanoMosaic) -> AxiomReport:
     """z in x+y implies z <= x v y.  The table and the join are
-    commutative, so (y, x) leaks what (x, y) does, and only y >= x is read."""
-    join, below = m.base.join_table, m.base.down
-    for x, (jx, row) in enumerate(zip(join, m.mosaic.op.table)):
-        for y, cell in enumerate(row[x:], x):
-            bad = cell & ~below[jx[y]]
-            if bad:
-                return AxiomReport("bounded-by-junction", False, (x, y, least(bad)), "z not under x v y")
-    return _passing("bounded-by-junction")
+    commutative, so (y, x) leaks what (x, y) does, and only y >= x is read,
+    in the mosaic's lemma scan."""
+    return _verdict("bounded-by-junction", m._lemma_scan[1], "z not under x v y")
 
 
 def check_junction_characterization(m: NakanoMosaic) -> AxiomReport:
     """z = x v y iff (x,y in z+z and z in x+y).  The table and the join are
     commutative, so (x, y) and (y, x) differ alike, and only y >= x is
-    read."""
-    join = m.base.join_table
-    under = principal_rows(m.mosaic)  # under[x] = {z : x in z+z}
-    for x, (jx, ux, row) in enumerate(zip(join, under, m.mosaic.op.table)):
-        for y, cell in enumerate(row[x:], x):
-            diff = (ux & under[y] & cell) ^ (1 << jx[y])
-            if diff:
-                return AxiomReport("junction-characterization", False, (x, y, least(diff)), "lemma sup/inf")
-    return _passing("junction-characterization")
+    read, in the mosaic's lemma scan."""
+    return _verdict("junction-characterization", m._lemma_scan[2], "lemma sup/inf")
 
 
 def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
@@ -196,17 +207,19 @@ def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
 
 
 def check_lms3_inclusion(m: NakanoMosaic) -> AxiomReport:
-    """(x+(x+y)) & ((x+y)+y) <= x+y; the table's Lms3 witness, shared
-    with verify_lmosaic."""
-    return _verdict("lms3-inclusion", m.mosaic.op._lms3_witness, "intersection leaks")
+    """(x+(x+y)) & ((x+y)+y) <= x+y; the witness of the table's scan of
+    the pairs y >= x, which verify_lmosaic reads for Lms3 and Lms4."""
+    return _verdict("lms3-inclusion", m.mosaic.op._pair_scan[0], "intersection leaks")
 
 
 def nakano_property_reports(m: NakanoMosaic) -> list[AxiomReport]:
-    """The section-4 lemma battery, one report per lemma.  The cube, the
-    principal rows, the Lms2 and Lms3 witnesses and the packed unions are
-    the table's own, so a table that verify_mosaic,
+    """The section-4 lemma battery, one report per lemma.  The principal
+    rows, the packed unions, the Lms2 witness and the scan of the pairs
+    y >= x that gives the Lms3 witness are the table's own, so a table that
     verify_lmosaic or is_associative has already checked does not derive
-    them again, and no order of the calls changes a report."""
+    them again, and no order of the calls changes a report.  antisym, the
+    bound by the junction and the junction characterization read one scan
+    of the pairs y >= x, kept on the NakanoMosaic."""
     reports = [
         check_antisym(m),
         check_principal_idempotent(m),

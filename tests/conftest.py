@@ -1,6 +1,7 @@
 import sys
 import weakref
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -46,16 +47,23 @@ def ortholattices_upto_4():
 
 @pytest.fixture
 def call_counts(monkeypatch):
-    """call_counts(module, *names) wraps the named functions of module for the
-    test and returns the Counter that tallies their calls by name."""
+    """call_counts(owner, *names) wraps the named functions of a module, or
+    the named cached properties of a class, for the test and returns the
+    Counter that tallies their calls by name."""
     counts = Counter()
 
-    def wrap(module, *names):
+    def wrap(owner, *names):
         for name in names:
-            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            fn = getattr(owner, name)
+            prop = isinstance(fn, cached_property)
+
+            def counted(*args, _fn=fn.func if prop else fn, _name=name, **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+            if prop:
+                counted = cached_property(counted)
+                counted.__set_name__(owner, name)
+            monkeypatch.setattr(owner, name, counted)
         return counts
 
     return wrap

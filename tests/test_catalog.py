@@ -262,6 +262,13 @@ class TestEnumerateLattices:
         with pytest.raises(SizeTooLarge):
             enumerate_lattices(0)
 
+    def test_a_size_that_is_no_int_is_refused(self):
+        """A bool, a float, a str or None is no size: InvalidStructure at
+        entry, not one lattice of size True or a bare TypeError."""
+        for n in (True, 2.0, "3", None):
+            with pytest.raises(InvalidStructure):
+                enumerate_lattices(n)
+
 
 def pi_compatible_isomorphic(p, q) -> bool:
     if p.lattice.size != q.lattice.size:
@@ -276,6 +283,11 @@ class TestEnumerateOrtholattices:
     def test_counts_match_frozen_fixture(self):
         for n, want in COUNTS["ortholattice_pairs"].items():
             assert len(enumerate_ortholattices(int(n))) == want
+
+    def test_a_size_that_is_no_int_is_refused(self):
+        for n in (2.5, True):
+            with pytest.raises(InvalidStructure):
+                enumerate_ortholattices(n)
 
     def test_n2_is_the_two_chain(self):
         pairs = enumerate_ortholattices(2)
@@ -356,6 +368,13 @@ def test_census_shape_and_determinism():
     assert rows == census(5)
     assert sum(1 for r in rows if not r["modular"]) == 1
     assert all(not r["ortholattice"] for r in rows)
+
+
+def test_census_refuses_a_size_that_is_no_int():
+    """census(True) would otherwise give the row id "nTrue_0"."""
+    for n in (True, None):
+        with pytest.raises(InvalidStructure):
+            census(n)
 
 
 def test_census_enumerates_once(call_counts):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mosaic_lab import equivalence, hyperstructure, io, lattice_core
 from mosaic_lab.bits import full_mask, mask_of
 from mosaic_lab.errors import (
+    InvalidStructure,
     MosaicLabError,
     NotAnOrthocomplementation,
     PreconditionFailed,
@@ -153,6 +154,11 @@ class TestEssentialSurjectivity:
     def test_search_is_capped(self):
         with pytest.raises(SizeTooLarge):
             enumerate_dualizable_pairs(5)
+
+    def test_a_size_that_is_no_int_is_refused(self):
+        for n in (True, 3.5):
+            with pytest.raises(InvalidStructure):
+                enumerate_dualizable_pairs(n)
 
     def test_raw_table_search(self):
         pairs = enumerate_dualizable_pairs(4)

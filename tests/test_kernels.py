@@ -2,18 +2,21 @@
 
 The Nakano table and most of the section-4 lemma battery read whole rows
 of bitmasks, those that test a pair (x, y) of a commutative table only
-from y = x on; verify_mosaic, Lms3, is_associative and the triple
-junction bound read the whole table, or whole planes of it, packed into
-one integer of w-bit slots, w the least power of two >= n.  tests/oracles.py keeps the same checks one element at
-a time.  Their reports must agree exactly, least witness and reason
+from y = x on; verify_mosaic, is_associative and the triple junction
+bound read the whole table, or whole planes of it, packed into one
+integer of w-bit slots, w the least power of two >= n, and Lms2 and Lms3
+read slots of the packed row unions.  tests/oracles.py keeps the same
+checks one element at a time.  Their reports must agree exactly, least witness and reason
 included, on every lattice with at most 6 elements and on seeded cell edits
 of those lattices' tables, on larger and padded lattices, where one plane
 spans thousands of bits, and on random commutative tables that no lattice
 gives.
 
 What these checks share (the packed cube, packed rows and their unions,
-the principal rows, the Lms2 and Lms3 witnesses) is derived once per
-table, by whichever check runs first, and kept with the table.  So the
+the principal rows, the Lms2 witness, the table's scan of its pairs for
+Lms3 and Lms4, and the NakanoMosaic's scan for three lemmas) is derived
+once, by whichever check runs first, and kept with the table or the
+NakanoMosaic.  So the
 reports are compared in both orders in which the checks can run on a new
 table, the derived rows must follow an edited table rather than the one it
 was edited from, and a
@@ -221,9 +224,10 @@ def cube_bit(witness, n: int) -> int:
 
 
 def test_cube_kernels_match_on_wide_tables(wide_lattices, lattices_upto_6):
-    """verify_mosaic and Lms3 read the table as one cube of w-bit slots;
-    Lms4, antisym, the bound by the junction and the junction
-    characterization scan its rows from y = x on.  The sizes cover
+    """verify_mosaic reads the table as one cube of w-bit slots; Lms3 and
+    Lms4 share one scan of its rows from y = x on, Lms3 reading slots of
+    the packed row unions, and antisym, the bound by the junction and the
+    junction characterization share another.  The sizes cover
     n = w = 16 (chain_16, boolean_4) and n = w = 8, where an element's bit
     is the top bit of its slot, the padded cubes of n = 7, of MO_6 (n = 14,
     w = 16) and of chain_34 (w = 64), and n = 1 and 2, where w = n.  The
@@ -284,6 +288,36 @@ def test_rows_derived_from_a_table_do_not_follow_its_edits(lattices_upto_6):
                 assert nakano_property_reports(bad) == nakano_property_loops(l, additive, table)
             assert verify_battery(nm) == before
     assert leaks
+
+
+def test_each_check_of_a_shared_scan_has_its_own_least_witness(lattices_upto_6):
+    """One scan of a table's pairs y >= x serves Lms3 and Lms4, and one scan
+    of a NakanoMosaic's serves antisym, the bound by the junction and the
+    junction characterization; each runs on past the first failure until
+    every check it serves has its least witness.  Each table here carries
+    two seeded mirrored edits, one on top of the other.  Lms3 fails first
+    on some tables and Lms4 on others, and the three lemmas fail at three
+    distinct pairs on some; every witness is the reference's."""
+    rng = random.Random(3535)
+    seen = Counter()
+    for l in lattices_upto_6:
+        if l.size < 3:
+            continue
+        for additive, build in FLAVORS:
+            for _, once in edits(build(l), rng, 12):
+                _, bad = next(edits(once, rng, 1))
+                table = bad.mosaic.op.table
+                lms = verify_lmosaic(bad.mosaic)
+                assert lms == lmosaic_reports_loops(table, bad.mosaic.neutral)
+                lemmas = {r.axiom: r for r in nakano_property_reports(bad)}
+                assert list(lemmas.values()) == nakano_property_loops(l, additive, table)
+                lms3, lms4 = lms[2:]
+                if not lms3.holds and not lms4.holds and lms3.witness != lms4.witness:
+                    seen["Lms3 first" if lms3.witness < lms4.witness else "Lms4 first"] += 1
+                scanned = ("antisym", "bounded-by-junction", "junction-characterization")
+                pairs = {lemmas[name].witness[:2] for name in scanned if not lemmas[name].holds}
+                seen["three lemma pairs"] += len(pairs) == 3
+    assert len(seen) == 3 and all(seen.values()), seen
 
 
 def test_batteries_store_nothing_on_the_lattice_or_the_pair(lattices_upto_6, ortholattices_upto_8):

@@ -446,6 +446,15 @@ class TestOrthocomplementations:
             assert not is_orthocomplementation(h, pi)
         assert is_orthocomplementation(h, hexagon.ortho)
 
+    def test_a_limit_that_is_no_count_is_refused(self):
+        """A limit that is no int >= 0 raises InvalidStructure at entry; it
+        was ignored before, so limit=2.5 listed all 15 maps of MO_3."""
+        mo3 = named("MO_3").lattice
+        for limit in (2.5, "3", -1, True):
+            with pytest.raises(InvalidStructure):
+                orthocomplementations(mo3, limit=limit)
+        assert len(orthocomplementations(mo3, limit=15)) == len(orthocomplementations(mo3)) == 15
+
     def test_boolean_2_set_complement(self):
         b2 = named("boolean_2")
         pis = orthocomplementations(b2.lattice)

@@ -177,19 +177,24 @@ class TestLemmaBattery:
 
     def test_checks_of_one_table_share_its_derived_parts(self, call_counts):
         """verify_mosaic, verify_lmosaic, is_associative and the battery read
-        the cube, its square and the principal rows that the table derives
-        once, whichever check runs first; a second verify_lmosaic derives
-        nothing."""
+        the principal rows, the table's scan of its pairs and the mosaic's
+        lemma scan, each derived once, whichever check runs first; a second
+        verify_lmosaic and a second battery derive nothing."""
         import mosaic_lab.hyperstructure as hs
 
-        counts = call_counts(hs, "_square", "transpose")
+        call_counts(hs, "transpose")
+        call_counts(hs.Multioperation, "_pair_scan")
+        counts = call_counts(NakanoMosaic, "_lemma_scan")
         nm = additive_nakano(named("MO_3").lattice)
         assert verify_mosaic(nm.mosaic.op).ok
         first = verify_lmosaic(nm.mosaic)
         assert is_associative(nm.mosaic.op).holds
-        assert all(r.holds for r in nakano_property_reports(nm))
-        assert verify_lmosaic(nm.mosaic) == first
-        assert counts == {"_square": 1, "transpose": 1}
+        battery = nakano_property_reports(nm)
+        assert all(r.holds for r in battery)
+        once = {"transpose": 1, "_pair_scan": 1, "_lemma_scan": 1}
+        assert counts == once
+        assert verify_lmosaic(nm.mosaic) == first and nakano_property_reports(nm) == battery
+        assert counts == once
 
     def test_individual_checks_pass(self, hexagon):
         nm = additive_nakano(hexagon.lattice)
