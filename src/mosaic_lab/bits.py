@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import getitem
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def _byte_table(k: int) -> tuple[tuple[int, ...], ...]:
@@ -71,13 +71,3 @@ def elements(mask: int) -> frozenset[int]:
 
 def full_mask(size: int) -> int:
     return (1 << size) - 1
-
-
-def subsets(mask: int) -> Iterator[int]:
-    """All subsets of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

@@ -22,6 +22,9 @@ still builds a new table on every call.  A dualizable pair is a plain
 table's induced lattice, Multioperation._induced_lattice, and the
 orthomodularity verdict and the associativity verdicts of the generated
 subalgebras are kept on the table, keyed by pi.map.
+
+The table-side search reads L-mosaics off the orbit bits of one symmetric
+relation and builds a table's lattice only once it passed verify_lmosaic.
 """
 
 from __future__ import annotations
@@ -30,10 +33,9 @@ import itertools
 import weakref
 from dataclasses import dataclass
 
-from .bits import bits, full_mask, image, least, mask_of, subsets, transpose
+from .bits import bits, image, least, mask_of
 from .errors import (
     InvalidStructure,
-    MosaicLabError,
     PreconditionFailed,
     ReconstructionFailure,
     SizeMismatch,
@@ -58,7 +60,6 @@ from .lattice_core import (
     _members,
     _passing,
     _unchecked,
-    from_leq,
     orthocomplementations,
 )
 from .nakano import _restricted_op, additive_nakano
@@ -279,56 +280,53 @@ def generated_polygroup_check(p: DualizableLMosaicPair, x: int, y: int) -> Axiom
 # -- exhaustive search for dualizable pairs on tiny carriers -------------------
 
 
-def _lattices_with_bottom(n: int):
-    """Every labeled lattice on 0..n-1 with bottom 0.  Each choice of down
-    rows, row i holding 0 and i, goes to the lattice constructor, which
-    rejects the rows that are no lattice order."""
-    names = [f"x{i}" for i in range(n)]
-    choices = [[row for row in range(1 << n) if row & (1 | 1 << i) == 1 | 1 << i] for i in range(1, n)]
-    for rows in itertools.product(*choices):
-        try:
-            lattice = from_leq(names, transpose((1, *rows)))
-        except MosaicLabError:
+def _lmosaic_tables(n: int):
+    """Every L-mosaic on 0..n-1 with neutral 0, read off the orbit bits of
+    one symmetric relation and built unchecked.
+
+    Lms1 puts 0 in x+x, so every x is its own inverse and rho is the
+    identity, and a commutative table that is reversible for the identity
+    holds "z in x+y" symmetrically in x, y and z.  So a candidate is one
+    bit per 3-element multiset: commutative, unital, with unique inverses
+    and reversible by construction.  The neutral 0 fixes every multiset
+    that holds 0 ({0, x, x} in, {0, x, y} out), Lms1 puts {x, x, x} in, and
+    the other multisets are free.  A candidate is a mosaic exactly when no
+    cell is empty (tests/oracles.lmosaic_tables_loops checks that cell by
+    cell), so no verify_mosaic runs and verify_lmosaic alone decides."""
+    free = [t for t in itertools.combinations_with_replacement(range(1, n), 3) if t[0] != t[2]]
+    orbits = [set(itertools.permutations(t)) for t in free]
+    base = [[0] * n for _ in range(n)]
+    for x in range(n):  # the fixed bits {0, x, x} and {x, x, x}
+        base[0][x] = base[x][0] = 1 << x
+        base[x][x] |= 1 | 1 << x
+    rho = Involution.identity(n)
+    for choice in range(1 << len(free)):
+        table = [row[:] for row in base]
+        for k in bits(choice):
+            for x, y, z in orbits[k]:
+                table[x][y] |= 1 << z
+        if any(0 in row for row in table):
             continue
-        yield lattice
+        op = _unchecked(Multioperation, size=n, table=tuple(map(tuple, table)))
+        mosaic = _unchecked(Mosaic, op=op, neutral=0, rho=rho)
+        if all(r.holds for r in verify_lmosaic(mosaic)):
+            yield mosaic
 
 
 def enumerate_dualizable_pairs(max_n: int):
-    """Exhaustively discover (L-mosaic, pi) pairs on carriers up to max_n <= 4,
-    generating only tables that satisfy the Lms1 diagonal constraints (and the
-    neutral row).  Each table is verified once, as a mosaic and an L-mosaic.
-    Its diagonal is the carrier's down rows, so the order it induces is the
-    carrier's, and with Lms4 an involution passes the orthocomplement checks
-    of _dualizability_failure exactly when it orthocomplements the carrier:
-    the involutions are the carrier's orthocomplementations, found once per
-    carrier, and a carrier with none is skipped.  InvalidStructure for a
-    max_n that is no int (a bool included)."""
+    """Exhaustively discover (L-mosaic, pi) pairs on carriers up to max_n <= 4:
+    each table of _lmosaic_tables with the orthocomplementations of its
+    induced lattice, the one reconstruct_lattice reads, found once per
+    table.  With Lms4 they are exactly the involutions that pass
+    _dualizability_failure.  InvalidStructure for a max_n that is no int (a
+    bool included)."""
     if type(max_n) is not int:
         raise InvalidStructure(f"the size must be an int, got {_echo(max_n)}")
     if max_n > 4:
         raise SizeTooLarge("raw table search is capped at carrier size 4")
     out = []
     for n in range(1, max_n + 1):
-        for lattice in _lattices_with_bottom(n):
-            pis = orthocomplementations(lattice)
-            if not pis:
-                continue
-            up, join = lattice.leq, lattice.join_table
-            free_pairs = [(x, y) for x in range(1, n) for y in range(x + 1, n)]
-            free_space = [
-                [m | 1 << join[x][y] for m in subsets(full_mask(n) & ~(up[x] & up[y]))]
-                for x, y in free_pairs
-            ]
-            for choice in itertools.product(*free_space):
-                table = [[0] * n for _ in range(n)]
-                for x in range(n):
-                    table[0][x] = table[x][0] = 1 << x
-                for x in range(1, n):
-                    table[x][x] = lattice.down[x]
-                for (x, y), cell in zip(free_pairs, choice):
-                    table[x][y] = table[y][x] = cell
-                op = Multioperation(n, table)
-                got = verify_mosaic(op)
-                if got.ok and all(r.holds for r in verify_lmosaic(got.mosaic)):
-                    out.extend(DualizableLMosaicPair(got.mosaic, pi) for pi in pis)
+        for mosaic in _lmosaic_tables(n):
+            pis = orthocomplementations(mosaic.op._induced_lattice)
+            out.extend(DualizableLMosaicPair(mosaic, pi) for pi in pis)
     return out

@@ -201,11 +201,12 @@ class Mosaic:
 
     rho(x) is the unique inverse of x.  The constructor checks a Mosaic
     from outside the program: an int neutral that is neutral, a rho that
-    fixes it, then a commutative table.  verify_mosaic and additive_nakano
-    build theirs by lattice_core._unchecked.  The neutral's row and column
-    are each compared whole with the units {x}, one tuple per n that
-    find_neutral shares; only when one differs is the least x where it
-    does looked for, for the error.
+    fixes it, then a commutative table.  verify_mosaic, additive_nakano and
+    the table-side search of equivalence build theirs by
+    lattice_core._unchecked.  The neutral's row and column are each
+    compared whole with the units {x}, one tuple per n that find_neutral
+    shares; only when one differs is the least x where it does looked for,
+    for the error.
     """
 
     op: Multioperation

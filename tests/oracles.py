@@ -9,6 +9,7 @@ bounds, permutation sweeps instead of backtracking, intersection-of-closed
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from mosaic_lab.bits import bits, full_mask, mask_of
@@ -297,6 +298,14 @@ def brute_bounded_lattices(n: int):
     return classes
 
 
+def labeled_lattice_count(n: int) -> int:
+    """How many lattices on 0..n-1 have bottom 0: (n-1)!/|Aut L| labelings
+    of each class of brute_bounded_lattices, whose automorphisms all fix
+    the bottom, counted by order_isomorphisms_loops."""
+    labelings = math.factorial(n - 1)
+    return sum(labelings // len(order_isomorphisms_loops(up, up)) for up in brute_bounded_lattices(n))
+
+
 def _transitive(up, n) -> bool:
     for i in range(n):
         for j in bits(up[i]):
@@ -524,6 +533,30 @@ def lmosaic_reports_loops(table, e):
         if not lms4.holds:
             break
     return (lms1, lms2, lms3, lms4)
+
+
+def lmosaic_tables_loops(n: int):
+    """(mosaics, L-mosaics): the tables on 0..n-1 that pass
+    mosaic_reports_loops, and those of them that also pass
+    lmosaic_reports_loops, among every commutative table with neutral 0, no
+    empty cell and 0 and x in x+x.  Each cell (x, y) with 0 < x <= y takes
+    every such mask on its own; no reversibility is assumed."""
+    full = full_mask(n)
+    cells = [(x, y) for x in range(1, n) for y in range(x, n)]
+    masks = [[m for m in range(1, full + 1) if x != y or m & (1 | 1 << x) == 1 | 1 << x] for x, y in cells]
+    mosaics, lmosaics = [], []
+    for choice in itertools.product(*masks):
+        table = [[0] * n for _ in range(n)]
+        for x in range(n):
+            table[0][x] = table[x][0] = 1 << x
+        for (x, y), m in zip(cells, choice):
+            table[x][y] = table[y][x] = m
+        table = tuple(map(tuple, table))
+        if all(r.holds for r in mosaic_reports_loops(table)):
+            mosaics.append(table)
+            if all(r.holds for r in lmosaic_reports_loops(table, 0)):
+                lmosaics.append(table)
+    return mosaics, lmosaics
 
 
 def nakano_property_loops(l, additive, table):

@@ -1,7 +1,10 @@
 import gc
 import itertools
+import json
 import random
 import weakref
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,8 @@ from oracles import (
     associativity_loops,
     dualizability_failure_loops,
     generated_sublattice_loops,
+    labeled_lattice_count,
+    lmosaic_tables_loops,
     nakano_table_loops,
     orthomodular_criterion_loops,
     restricted_table_loops,
@@ -58,6 +63,15 @@ from oracles import (
 
 NAMED_ORTHO = [f"boolean_{k}" for k in range(1, 5)] + [f"MO_{k}" for k in range(2, 7)] + [
     "hexagon", "chain_1", "chain_2"]
+COUNTS = json.loads((Path(__file__).parent / "fixtures" / "enumeration_counts.json").read_text())
+
+
+def searched_tables(n: int):
+    """(candidates, L-mosaics): the tables that the table-side search on n
+    elements hands to verify_lmosaic, and the tables it yields."""
+    with mock.patch.object(equivalence, "verify_lmosaic", wraps=equivalence.verify_lmosaic) as verify:
+        lmosaics = [m.op.table for m in equivalence._lmosaic_tables(n)]
+    return [call.args[0].op.table for call in verify.call_args_list], lmosaics
 
 
 @pytest.fixture(scope="module")
@@ -170,16 +184,32 @@ class TestEssentialSurjectivity:
             assert e.pi == p.pi
 
     def test_search_verifies_each_table_once(self, call_counts):
-        """verify_mosaic runs once per candidate table and verify_lmosaic at
-        most once; the involutions are searched once per carrier."""
-        counts = call_counts(
-            equivalence, "Multioperation", "verify_mosaic", "verify_lmosaic", "orthocomplementations"
-        )
+        """No candidate goes through verify_mosaic or the Multioperation
+        check; verify_lmosaic runs once per total candidate, and the
+        involutions are searched once per L-mosaic table."""
+        counts = call_counts(equivalence, "verify_mosaic", "verify_lmosaic", "orthocomplementations")
+        call_counts(hyperstructure.Multioperation, "__post_init__")
         assert len(enumerate_dualizable_pairs(4)) == 5
-        assert counts["verify_mosaic"] == counts["Multioperation"] > 0
-        assert 0 < counts["verify_lmosaic"] <= counts["Multioperation"]
-        carriers = sum(1 for n in range(1, 5) for _ in equivalence._lattices_with_bottom(n))
-        assert counts["orthocomplementations"] == carriers
+        assert counts["verify_mosaic"] == counts["__post_init__"] == 0
+        assert counts["verify_lmosaic"] == sum(COUNTS["lms1_mosaic_tables"][str(n)] for n in range(1, 5))
+        assert counts["orthocomplementations"] == sum(COUNTS["lmosaic_tables"][str(n)] for n in range(1, 5))
+
+    def test_search_matches_the_cell_by_cell_route(self):
+        """The candidates are exactly the mosaics with neutral 0 and 0 and x
+        in x+x, and the tables yielded exactly their L-mosaics, against the
+        oracle that fills each cell on its own and assumes no reversibility
+        (n = 4 takes seconds there: a CI step compares it)."""
+        for n in range(1, 4):
+            candidates, lmosaics = searched_tables(n)
+            want = lmosaic_tables_loops(n)
+            assert (sorted(candidates), sorted(lmosaics)) == tuple(map(sorted, want))
+            assert len(candidates) == COUNTS["lms1_mosaic_tables"][str(n)]
+
+    def test_lmosaic_counts_are_the_labeled_lattice_counts(self):
+        """One L-mosaic with neutral 0 per lattice on 0..n-1 with bottom 0,
+        counted from the lattice classes and their automorphisms."""
+        for n in range(1, 5):
+            assert len(searched_tables(n)[1]) == labeled_lattice_count(n) == COUNTS["lmosaic_tables"][str(n)]
 
     def test_search_pairs_each_table_with_its_dualizing_involutions(self):
         """The involutions found for each table are exactly those that pass
@@ -193,9 +223,11 @@ class TestEssentialSurjectivity:
             assert pis == want
 
     def test_search_finds_only_nakano_tables(self):
-        for p in enumerate_dualizable_pairs(3):
-            r = reconstruct_lattice(p)
-            assert additive_nakano(r.lattice).mosaic.op.table == p.mosaic.op.table
+        """Every generated table, orthocomplemented or not, is the additive
+        Nakano table of the lattice it induces."""
+        for n in range(1, 5):
+            for m in equivalence._lmosaic_tables(n):
+                assert additive_nakano(m.op._induced_lattice).mosaic.op.table == m.op.table
 
 
 class TestMorphismTransfer:
