@@ -31,10 +31,10 @@ class Multioperation:
     """n x n table of carrier subsets.
 
     What several checks read off the table (the cube, the packed rows,
-    their unions, the principal rows and the lattice they induce, the Lms2
-    witness and the one scan of the pairs y >= x that gives the Lms3 and
-    Lms4 witnesses) is derived once per table, on first use, in the
-    private cached properties below.  So are two dicts of what the
+    their unions, the principal rows and the lattice they induce, and the
+    one scan of the pairs y >= x that gives the Lms2, Lms3 and Lms4
+    witnesses) is derived once per table, on first use, in the private
+    cached properties below.  So are two dicts of what the
     equivalence derives from the table and an orthocomplementation pi, keyed
     by pi.map: the orthomodularity report, and the associativity verdict of
     the subalgebra each pi-closed seed set generates.  They take no part in
@@ -150,37 +150,26 @@ class Multioperation:
         return {}
 
     @cached_property
-    def _lms2_witness(self):
-        """(x,) for the least x with (x+x)+(x+x) != x+x, or None.
-
-        With C = x+x, C+C is the union of the cells at the slots b in C of
-        _row_unions[C], which packs C.z for every z: |C| slot reads, not |C|^2
-        cell reads, and the unions are those is_associative reads."""
-        w, slot, unions = self._masks.width, self._masks.slot, self._row_unions
-        for x, row in enumerate(self.table):
-            cell, acc = row[x], 0
-            packed = unions[cell]
-            for b in bits(cell):
-                acc |= packed >> w * b & slot
-            if acc != cell:
-                return (x,)
-        return None
-
-    @cached_property
     def _pair_scan(self):
-        """(Lms3's least witness, Lms4's least witness, Lms4's reason), each
+        """(Lms2's, Lms3's and Lms4's least witnesses, Lms4's reason), each
         witness None where its axiom holds: one scan of the pairs y >= x.
 
         Read only off a Mosaic's table, which is commutative, so (x, y)
-        and (y, x) test alike and the least failing pair has x <= y.  With
+        and (y, x) test alike and the least failing pair has x <= y.  The
+        head of row x tests Lms2: with C = x+x, C+C is the OR of the slots
+        b in C of _row_unions[C], which packs C+z for every z.  With
         C = x+y, x+(x+y) = C+x and (x+y)+y = C+y are slots x and y of
-        _row_unions[C], which packs C+z for every z; Lms3 fails where both
-        leak outside C.  Lms4's join candidates are under[x] & under[y] & C.
-        The scan stops once both witnesses are found."""
+        _row_unions[C]; Lms3 fails where both leak outside C.  Lms4's join
+        candidates are under[x] & under[y] & C.  The scan stops once all
+        three witnesses are found."""
         w, slot = self._masks.width, self._masks.slot
         unions, under = self._row_unions, self._under  # under[x] = {z : x in z+z}
-        lms3 = lms4 = reason = None
+        lms2 = lms3 = lms4 = reason = None
         for x, (row, ux) in enumerate(zip(self.table, under)):
+            if lms2 is None:
+                cell, packed = row[x], unions[row[x]]
+                if reduce(or_, (packed >> w * b & slot for b in bits(cell)), 0) != cell:
+                    lms2 = (x,)
             for y, cell in enumerate(row[x:], x):
                 if lms3 is None:
                     packed = unions[cell]
@@ -191,8 +180,10 @@ class Multioperation:
                     if not cands or cands & (cands - 1):
                         lms4, reason = (x, y), "multiple join candidates" if cands else "no join candidate"
                 if lms3 and lms4:
-                    return lms3, lms4, reason
-        return lms3, lms4, reason
+                    break
+            if lms2 and lms3 and lms4:
+                break
+        return lms2, lms3, lms4, reason
 
 
 @dataclass(frozen=True)
@@ -200,13 +191,13 @@ class Mosaic:
     """Commutative unital magma, reversible with respect to rho.
 
     rho(x) is the unique inverse of x.  The constructor checks a Mosaic
-    from outside the program: an int neutral that is neutral, a rho that
-    fixes it, then a commutative table.  verify_mosaic, additive_nakano and
-    the table-side search of equivalence build theirs by
-    lattice_core._unchecked.  The neutral's row and column are each
-    compared whole with the units {x}, one tuple per n that find_neutral
-    shares; only when one differs is the least x where it does looked for,
-    for the error.
+    from outside the program: a Multioperation and an Involution, an int
+    neutral that is neutral, a rho that fixes it, then a commutative table.
+    verify_mosaic, additive_nakano and the table-side search of
+    equivalence build theirs by lattice_core._unchecked.  The neutral's row
+    and column are each compared whole with the units {x}, one tuple per n
+    that find_neutral shares; only when one differs is the least x where
+    it does looked for, for the error.
     """
 
     op: Multioperation
@@ -214,6 +205,10 @@ class Mosaic:
     rho: Involution
 
     def __post_init__(self):
+        if not isinstance(self.op, Multioperation):
+            raise InvalidStructure(f"the operation must be a Multioperation, got {_echo(self.op)}")
+        if not isinstance(self.rho, Involution):
+            raise InvalidStructure(f"rho must be an Involution, got {_echo(self.rho)}")
         n, e = self.op.size, self.neutral
         if type(e) is not int:
             raise InvalidStructure(f"the neutral must be an int, got {_echo(e)}")
@@ -462,18 +457,18 @@ def check_morphism(f, a: Mosaic, b: Mosaic) -> AxiomReport:
 
 def verify_lmosaic(m: Mosaic) -> tuple[AxiomReport, ...]:
     """The four L-mosaic axioms; Lms4 failures report zero or multiple join
-    candidates at the witness pair.  Lms2 and the one scan of the pairs
-    y >= x that gives Lms3's and Lms4's witnesses are the table's own,
-    which the section-4 lemma battery shares: whichever runs first derives
-    them, once per table."""
+    candidates at the witness pair.  The one scan of the pairs y >= x that
+    gives Lms2's, Lms3's and Lms4's witnesses is the table's own, which the
+    section-4 lemma battery shares: whichever runs first derives it, once
+    per table."""
     e, op = m.neutral, m.op
     lms1 = _passing("Lms1")
     for x, row in enumerate(op.table):
         if not (row[x] >> e & 1 and row[x] >> x & 1):
             lms1 = AxiomReport("Lms1", False, (x,), "0,x not both in x+x")
             break
-    lms3, lms4, reason = op._pair_scan
-    return (lms1, _verdict("Lms2", op._lms2_witness, "(x+x)+(x+x) != x+x"),
+    lms2, lms3, lms4, reason = op._pair_scan
+    return (lms1, _verdict("Lms2", lms2, "(x+x)+(x+x) != x+x"),
             _verdict("Lms3", lms3, "intersection leaks"), _verdict("Lms4", lms4, reason))
 
 

@@ -10,11 +10,11 @@ inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .bits import bits, image, least, mask_of
-from .errors import NoUniqueExtremum, SizeMismatch
+from .errors import InvalidStructure, NoUniqueExtremum, SizeMismatch, _echo
 from .hyperstructure import Mosaic, Multioperation, is_reproductive, principal_rows
 from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _unchecked, _verdict, dual_lattice
 
@@ -25,17 +25,20 @@ class NakanoMosaic:
     base, with neutral base.bottom.  The multiplicative mosaic of a lattice
     is this mosaic of its dual.
 
-    reach, when given, holds the rows reach[x][t] = {z : x v z = t} that the
-    constructor built the table from, so that check_triple_bound need not
-    build them again; without it the check builds them from the base.  It
-    takes no part in ==, hash or repr, and neither does the lemma scan,
-    which is derived on first use and kept on the mosaic."""
+    The constructor checks that base is a FiniteBoundedLattice and mosaic a
+    Mosaic on as many elements.  The rows _reach[x][t] = {z : x v z = t}
+    and the lemma scan are derived on first use and kept on the mosaic,
+    outside ==, hash and repr; additive_nakano hands over the rows it built
+    the table from."""
 
     base: FiniteBoundedLattice
     mosaic: Mosaic
-    reach: list[list[int]] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.base, FiniteBoundedLattice):
+            raise InvalidStructure(f"the base must be a FiniteBoundedLattice, got {_echo(self.base)}")
+        if not isinstance(self.mosaic, Mosaic):
+            raise InvalidStructure(f"the mosaic must be a Mosaic, got {_echo(self.mosaic)}")
         if self.base.size != self.mosaic.size:
             raise SizeMismatch("carrier sizes disagree")
 
@@ -47,35 +50,66 @@ class NakanoMosaic:
         return self.mosaic.cell(x, y)
 
     @cached_property
+    def _reach(self) -> list[list[int]]:
+        return _reach_rows(self.base.join_table)
+
+    @cached_property
     def _lemma_scan(self):
-        """The least witnesses of antisym, the bound by the junction and the
-        junction characterization, each None where its lemma holds: one scan
-        of the pairs y >= x, which stops once all three are found.
+        """The least witnesses of antisym, the bound by the junction, the
+        junction characterization and the triple junction bound, each None
+        where its lemma holds: one scan of the pairs y >= x.
 
         The table and the join are commutative, so (x, y) and (y, x) test
-        alike and each least failing pair has x <= y.  antisym fails at
-        (x, x) when x is not in x+x and at (x, y), y > x, when x+y holds x
-        and y; the bound fails where x+y leaks outside the down row of
-        x v y; the characterization where under[x] & under[y] & x+y is not
-        {x v y}, at its lowest differing z."""
-        join, below, op = self.base.join_table, self.base.down, self.mosaic.op
-        under = op._under  # under[x] = {z : x in z+z}
-        antisym = bound = junction = None
+        alike and each least failing pair has x <= y.  With t = x v y,
+        antisym fails at (x, x) when x is not in x+x and at (x, y), y > x,
+        when x+y holds x and y; the bound fails where x+y leaks outside the
+        down row of t; the characterization where under[x] & under[y] & x+y
+        is not {t}, at its lowest differing z.
+
+        The triple bound packs u+(x+y) over u, the cell of u at bit offset
+        w*u, with w the slot width of the table's cube (see
+        hyperstructure.Multioperation).  u+(x+y) is (x+y)+u, the packed
+        union of the rows of the members of x+y: the table's row unions,
+        which is_associative shares.  The allowed set is
+        bound[t][x] & bound[t][y], where bound[t][v] (v <= t) packs
+        {s : s v u v v = s v t = u v t}: it depends on the lattice alone,
+        and bound[t][t] is {s : s v t = u v t}, since then
+        s v u v t = u v t.  Its witness (u, x, y, s) has the least leaking
+        u over all pairs, then the first pair at that u and the lowest
+        leaking s, so the scan visits every pair."""
+        join, below, reach, op = self.base.join_table, self.base.down, self._reach, self.mosaic.op
+        w, under, sums = op._masks.width, op._under, op._row_unions  # under[x] = {z : x in z+z}
+        bound = []
+        for t, (rt, jt) in enumerate(zip(reach, join)):  # jt[u] = u v t
+            own = 0
+            for s in reversed(jt):
+                own = own << w | rt[s]
+            planes = {t: own}
+            for v in bits(below[t] & ~(1 << t)):
+                plane = 0
+                for a, s in zip(reversed(join[v]), reversed(jt)):
+                    plane = plane << w | reach[a][s]
+                planes[v] = own & plane
+            bound.append(planes)
+        antisym = bounded = junction = triple = None
         for x, (jx, ux, row) in enumerate(zip(join, under, op.table)):
             for y, cell in enumerate(row[x:], x):
                 t = jx[y]
                 if antisym is None and (cell >> x & cell >> y & 1) != (x == y):
                     antisym = (x, y)
-                if bound is None and cell & ~below[t]:
-                    bound = (x, y, least(cell & ~below[t]))
+                if bounded is None and cell & ~below[t]:
+                    bounded = (x, y, least(cell & ~below[t]))
                 if junction is None and (ux & under[y] & cell) ^ 1 << t:
                     junction = (x, y, least((ux & under[y] & cell) ^ 1 << t))
-                if antisym and bound and junction:
-                    return antisym, bound, junction
-        return antisym, bound, junction
+                leak = sums[cell] & ~(bound[t][x] & bound[t][y])
+                if leak:
+                    u, s = divmod(least(leak), w)
+                    if triple is None or u < triple[0]:
+                        triple = (u, x, y, s)
+        return antisym, bounded, junction, triple
 
 
-def _reach(join) -> list[list[int]]:
+def _reach_rows(join) -> list[list[int]]:
     """reach[x][t] = {z : x v z = t} for a lattice's join table."""
     n = len(join)
     reach = [[0] * n for _ in range(n)]
@@ -94,12 +128,15 @@ def additive_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
     with these neutral and rho, and its cells lie in the carrier by
     construction, so its Multioperation and Mosaic are built by _unchecked,
     with neither verify_mosaic nor the constructors' checks;
-    tests/test_nakano.py checks the theorem on the enumerated lattices."""
-    reach = _reach(l.join_table)
+    tests/test_nakano.py checks the theorem on the enumerated lattices.
+    The NakanoMosaic, whose sizes agree by construction, is built by
+    _unchecked too, with the reach rows as its _reach."""
+    reach = _reach_rows(l.join_table)
     op = _unchecked(Multioperation, size=l.size, table=tuple(
         tuple(rx[t] & reach[y][t] for y, t in enumerate(row)) for rx, row in zip(reach, l.join_table)
     ))
-    return NakanoMosaic(l, _unchecked(Mosaic, op=op, neutral=l.bottom, rho=Involution.identity(l.size)), reach)
+    mosaic = _unchecked(Mosaic, op=op, neutral=l.bottom, rho=Involution.identity(l.size))
+    return _unchecked(NakanoMosaic, base=l, mosaic=mosaic, _reach=reach)
 
 
 def multiplicative_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
@@ -142,9 +179,9 @@ def check_antisym(m: NakanoMosaic) -> AxiomReport:
 
 
 def check_principal_idempotent(m: NakanoMosaic) -> AxiomReport:
-    """(x+x)+(x+x) = x+x; the table's Lms2 witness, shared with
-    verify_lmosaic."""
-    return _verdict("principal-idempotent", m.mosaic.op._lms2_witness, "(x+x)+(x+x) != x+x")
+    """(x+x)+(x+x) = x+x; the Lms2 witness of the table's scan of the
+    pairs y >= x, shared with verify_lmosaic."""
+    return _verdict("principal-idempotent", m.mosaic.op._pair_scan[0], "(x+x)+(x+x) != x+x")
 
 
 def check_bound_by_extremum(m: NakanoMosaic) -> AxiomReport:
@@ -163,63 +200,27 @@ def check_junction_characterization(m: NakanoMosaic) -> AxiomReport:
 
 def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
     """x+(y+z) stays in {t : t v x v y = t v x v z = t v y v z = x v y v z}.
-
-    For each (y, z) both sides are packed over x, the cell of x at bit
-    offset w*x, with w the slot width of the table's cube (see
-    hyperstructure.Multioperation).  A Mosaic's table is commutative, so
-    x+(y+z) is (y+z)+x, the packed union of the rows of the members of
-    y+z: the table's row unions, which is_associative shares.  With
-    s = y v z the allowed set is
-    bound[s][y] & bound[s][z], where bound[s][u] (u <= s) packs
-    {t : t v x v u = t v s = x v s}: it depends on the lattice alone, and
-    bound[s][s] is {t : t v s = x v s}, since then t v x v s = x v s.  The
-    least failing x over all (y, z), then the first (y, z) at that x and the
-    lowest leaking t make the witness.  (z, y) leaks what (y, z) does and
-    comes after it, so only y <= z is visited.  reach is the constructor's
-    when it handed the rows over."""
-    join, below = m.base.join_table, m.base.down
-    reach = m.reach if m.reach is not None else _reach(join)
-    op = m.mosaic.op
-    w = op._masks.width
-    sums = op._row_unions  # sums[M]: M+x = x+M for every x
-    bound = []
-    for s, (rs, js) in enumerate(zip(reach, join)):  # js[x] = x v s
-        own = 0
-        for t in reversed(js):
-            own = own << w | rs[t]
-        planes = {s: own}
-        for u in bits(below[s] & ~(1 << s)):
-            plane = 0
-            for a, t in zip(reversed(join[u]), reversed(js)):
-                plane = plane << w | reach[a][t]
-            planes[u] = own & plane
-        bound.append(planes)
-    witness = None
-    for y, (jy, row) in enumerate(zip(join, op.table)):
-        for z, cell in enumerate(row[y:], y):
-            bs = bound[jy[z]]
-            leak = sums[cell] & ~(bs[y] & bs[z])
-            if leak:
-                x, t = divmod(least(leak), w)
-                if witness is None or x < witness[0]:
-                    witness = (x, y, z, t)
-    return _verdict("triple-bound", witness, "triple junction bound")
+    The witness has the least leaking x over all (y, z), then the first
+    (y, z) at that x and the lowest leaking t; (z, y) leaks what (y, z)
+    does, so the mosaic's lemma scan reads only z >= y."""
+    return _verdict("triple-bound", m._lemma_scan[3], "triple junction bound")
 
 
 def check_lms3_inclusion(m: NakanoMosaic) -> AxiomReport:
     """(x+(x+y)) & ((x+y)+y) <= x+y; the witness of the table's scan of
-    the pairs y >= x, which verify_lmosaic reads for Lms3 and Lms4."""
-    return _verdict("lms3-inclusion", m.mosaic.op._pair_scan[0], "intersection leaks")
+    the pairs y >= x, which verify_lmosaic reads for Lms2, Lms3 and
+    Lms4."""
+    return _verdict("lms3-inclusion", m.mosaic.op._pair_scan[1], "intersection leaks")
 
 
 def nakano_property_reports(m: NakanoMosaic) -> list[AxiomReport]:
     """The section-4 lemma battery, one report per lemma.  The principal
-    rows, the packed unions, the Lms2 witness and the scan of the pairs
-    y >= x that gives the Lms3 witness are the table's own, so a table that
+    rows, the packed unions and the scan of the pairs y >= x that gives the
+    Lms2 and Lms3 witnesses are the table's own, so a table that
     verify_lmosaic or is_associative has already checked does not derive
     them again, and no order of the calls changes a report.  antisym, the
-    bound by the junction and the junction characterization read one scan
-    of the pairs y >= x, kept on the NakanoMosaic."""
+    bound by the junction, the junction characterization and the triple
+    bound read one scan of the pairs y >= x, kept on the NakanoMosaic."""
     reports = [
         check_antisym(m),
         check_principal_idempotent(m),

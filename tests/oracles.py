@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from mosaic_lab.bits import bits, full_mask, mask_of
 from mosaic_lab.errors import SizeMismatch
-from mosaic_lab.lattice_core import AxiomReport, Involution
+from mosaic_lab.lattice_core import AxiomReport, Involution, from_leq
 
 
 # -- plain helpers: multimaps and their composition, and tables built from a
@@ -304,6 +304,16 @@ def labeled_lattice_count(n: int) -> int:
     the bottom, counted by order_isomorphisms_loops."""
     labelings = math.factorial(n - 1)
     return sum(labelings // len(order_isomorphisms_loops(up, up)) for up in brute_bounded_lattices(n))
+
+
+def labeled_ortho_pair_count(n: int) -> int:
+    """How many pairs (L, pi), pi an orthocomplementation of a lattice L on
+    0..n-1 with bottom 0, there are: each class of brute_bounded_lattices
+    has (n-1)!/|Aut L| labelings, each with the maps of
+    orthocomplementations_loops."""
+    labelings = math.factorial(n - 1)
+    return sum(labelings * len(orthocomplementations_loops(from_leq([f"x{i}" for i in range(n)], up)))
+               // len(order_isomorphisms_loops(up, up)) for up in brute_bounded_lattices(n))
 
 
 def _transitive(up, n) -> bool:

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import weakref
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -55,6 +56,7 @@ from oracles import (
     dualizability_failure_loops,
     generated_sublattice_loops,
     labeled_lattice_count,
+    labeled_ortho_pair_count,
     lmosaic_tables_loops,
     nakano_table_loops,
     orthomodular_criterion_loops,
@@ -175,8 +177,14 @@ class TestEssentialSurjectivity:
                 enumerate_dualizable_pairs(n)
 
     def test_raw_table_search(self):
+        """One pair per orthocomplementation of a lattice on 0..n-1 with
+        bottom 0, counted from the lattice classes, their
+        orthocomplementations and their automorphisms, and the frozen
+        total; each pair is the functor's image of its reconstruction."""
         pairs = enumerate_dualizable_pairs(4)
-        assert len(pairs) == 5  # frozen: 1 (n=1) + 1 (n=2) + 3 labeled 2^2
+        sizes = Counter(p.size for p in pairs)
+        assert [sizes[n] for n in range(1, 5)] == [labeled_ortho_pair_count(n) for n in range(1, 5)]
+        assert len(pairs) == COUNTS["dualizable_pairs_by_raw_table_search_upto_4"]
         for p in pairs:
             r = reconstruct_lattice(p)
             e = functor_E(r)

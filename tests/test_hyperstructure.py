@@ -164,6 +164,13 @@ def test_bad_parts_raise_typed_errors(pentagon, hexagon):
          InvalidStructure, "not commutative at (1, 2)"),
         (lambda: NakanoMosaic(pentagon.lattice, additive_nakano(hexagon.lattice).mosaic), SizeMismatch,
          "carrier sizes disagree"),
+        (lambda: Mosaic(chain2, 0, (0, 1)), InvalidStructure, "rho must be an Involution, got (0, 1)"),
+        (lambda: Mosaic(chain2, 0, None), InvalidStructure, "rho must be an Involution, got None"),
+        (lambda: Mosaic(chain2.table, 0, Involution.identity(2)), InvalidStructure,
+         "the operation must be a Multioperation, got ((1, 2), (2, 3))"),
+        (lambda: NakanoMosaic(pentagon.lattice, "x"), InvalidStructure, "the mosaic must be a Mosaic, got 'x'"),
+        (lambda: NakanoMosaic("x", additive_nakano(pentagon.lattice).mosaic), InvalidStructure,
+         "the base must be a FiniteBoundedLattice, got 'x'"),
     ]
     for build, error, message in cases:
         with pytest.raises(error) as exc:

@@ -13,8 +13,8 @@ spans thousands of bits, and on random commutative tables that no lattice
 gives.
 
 What these checks share (the packed cube, packed rows and their unions,
-the principal rows, the Lms2 witness, the table's scan of its pairs for
-Lms3 and Lms4, and the NakanoMosaic's scan for three lemmas) is derived
+the principal rows, the table's scan of its pairs for Lms2, Lms3 and Lms4,
+and the NakanoMosaic's reach rows and its scan for four lemmas) is derived
 once, by whichever check runs first, and kept with the table or the
 NakanoMosaic.  So the
 reports are compared in both orders in which the checks can run on a new
@@ -291,13 +291,17 @@ def test_rows_derived_from_a_table_do_not_follow_its_edits(lattices_upto_6):
 
 
 def test_each_check_of_a_shared_scan_has_its_own_least_witness(lattices_upto_6):
-    """One scan of a table's pairs y >= x serves Lms3 and Lms4, and one scan
-    of a NakanoMosaic's serves antisym, the bound by the junction and the
-    junction characterization; each runs on past the first failure until
-    every check it serves has its least witness.  Each table here carries
-    two seeded mirrored edits, one on top of the other.  Lms3 fails first
-    on some tables and Lms4 on others, and the three lemmas fail at three
-    distinct pairs on some; every witness is the reference's."""
+    """One scan of a table's pairs y >= x serves Lms2, Lms3 and Lms4, and
+    one scan of a NakanoMosaic's serves antisym, the bound by the junction,
+    the junction characterization and the triple bound; each runs on past
+    the first failure until every check it serves has its least witness.
+    Each table here carries two seeded mirrored edits, one on top of the
+    other.  Lms3 fails first on some tables and Lms4 on others, and the
+    three lemmas fail at three distinct pairs on some; every witness is the
+    reference's.  Lms2's witness row lies past the rows of both Lms3's and
+    Lms4's pairs on some tables, and the triple bound's pair past the pairs
+    of the three other lemmas on some: a scan that stopped once the other
+    checks it serves had their witnesses would lose these."""
     rng = random.Random(3535)
     seen = Counter()
     for l in lattices_upto_6:
@@ -311,13 +315,19 @@ def test_each_check_of_a_shared_scan_has_its_own_least_witness(lattices_upto_6):
                 assert lms == lmosaic_reports_loops(table, bad.mosaic.neutral)
                 lemmas = {r.axiom: r for r in nakano_property_reports(bad)}
                 assert list(lemmas.values()) == nakano_property_loops(l, additive, table)
-                lms3, lms4 = lms[2:]
-                if not lms3.holds and not lms4.holds and lms3.witness != lms4.witness:
-                    seen["Lms3 first" if lms3.witness < lms4.witness else "Lms4 first"] += 1
+                lms2, lms3, lms4 = lms[1:]
+                if not lms3.holds and not lms4.holds:
+                    if lms3.witness != lms4.witness:
+                        seen["Lms3 first" if lms3.witness < lms4.witness else "Lms4 first"] += 1
+                    seen["Lms2 past Lms3 and Lms4"] += not lms2.holds and lms2.witness[0] > max(
+                        lms3.witness[0], lms4.witness[0])
                 scanned = ("antisym", "bounded-by-junction", "junction-characterization")
-                pairs = {lemmas[name].witness[:2] for name in scanned if not lemmas[name].holds}
-                seen["three lemma pairs"] += len(pairs) == 3
-    assert len(seen) == 3 and all(seen.values()), seen
+                failed = [lemmas[name].witness[:2] for name in scanned if not lemmas[name].holds]
+                seen["three lemma pairs"] += len(set(failed)) == 3
+                triple = lemmas["triple-bound"]
+                seen["triple bound past the three"] += (
+                    len(failed) == 3 and not triple.holds and triple.witness[1:3] > max(failed))
+    assert len(seen) == 5 and all(seen.values()), seen
 
 
 def test_batteries_store_nothing_on_the_lattice_or_the_pair(lattices_upto_6, ortholattices_upto_8):
@@ -349,20 +359,24 @@ def test_batteries_store_nothing_on_the_lattice_or_the_pair(lattices_upto_6, ort
         assert vars(d) == {"mosaic": d.mosaic, "pi": d.pi}
 
 
-def test_reach_rows_are_no_part_of_a_nakano_mosaic(lattices_upto_6):
-    """The constructors hand over the reach rows the table was built from;
-    they take no part in ==, hash or repr, and a NakanoMosaic built without
-    them, as edits() builds one, gives the same reports."""
-    reach = next(f for f in fields(NakanoMosaic) if f.name == "reach")
-    assert not reach.compare and not reach.repr and not reach.hash  # hash follows compare
+def test_reach_rows_are_no_part_of_a_nakano_mosaic(lattices_upto_6, call_counts):
+    """A NakanoMosaic is its base and its mosaic.  The reach rows that the
+    triple bound reads are derived from the base on first use, once per
+    mosaic, and the constructors hand over the rows they built the table
+    from; a NakanoMosaic built by hand, as edits() builds one, equals the
+    built one, with the same repr and hash, and gives the same reports."""
+    assert [f.name for f in fields(NakanoMosaic)] == ["base", "mosaic"]
+    counts = call_counts(NakanoMosaic, "_reach")
+    built = 0
     for l in lattices_upto_6:
         for additive, build in FLAVORS:
             nm = build(l)
             bare = NakanoMosaic(nm.base, nm.mosaic)
-            assert nm.reach is not None and bare.reach is None
-            assert bare == nm and repr(bare) == repr(nm)
+            assert bare == nm and repr(bare) == repr(nm) and hash(bare) == hash(nm)
             want = nakano_property_loops(l, additive, nm.mosaic.op.table)
-            assert nakano_property_reports(fresh(bare)) == nakano_property_reports(fresh(nm)) == want
+            assert nakano_property_reports(bare) == nakano_property_reports(nm) == want
+            built += 1
+            assert counts["_reach"] == built
 
 
 def test_order_of_an_lmosaic_is_a_bounded_partial_order(lattices_upto_6):

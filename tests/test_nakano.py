@@ -179,12 +179,13 @@ class TestLemmaBattery:
         """verify_mosaic, verify_lmosaic, is_associative and the battery read
         the principal rows, the table's scan of its pairs and the mosaic's
         lemma scan, each derived once, whichever check runs first; a second
-        verify_lmosaic and a second battery derive nothing."""
+        verify_lmosaic and a second battery derive nothing.  The reach rows
+        that the lemma scan reads are the constructor's, derived never."""
         import mosaic_lab.hyperstructure as hs
 
         call_counts(hs, "transpose")
         call_counts(hs.Multioperation, "_pair_scan")
-        counts = call_counts(NakanoMosaic, "_lemma_scan")
+        counts = call_counts(NakanoMosaic, "_lemma_scan", "_reach")
         nm = additive_nakano(named("MO_3").lattice)
         assert verify_mosaic(nm.mosaic.op).ok
         first = verify_lmosaic(nm.mosaic)
@@ -192,9 +193,9 @@ class TestLemmaBattery:
         battery = nakano_property_reports(nm)
         assert all(r.holds for r in battery)
         once = {"transpose": 1, "_pair_scan": 1, "_lemma_scan": 1}
-        assert counts == once
+        assert counts == once and counts["_reach"] == 0
         assert verify_lmosaic(nm.mosaic) == first and nakano_property_reports(nm) == battery
-        assert counts == once
+        assert counts == once and counts["_reach"] == 0
 
     def test_individual_checks_pass(self, hexagon):
         nm = additive_nakano(hexagon.lattice)
