@@ -26,10 +26,10 @@ class NakanoMosaic:
     is this mosaic of its dual.
 
     The constructor checks that base is a FiniteBoundedLattice and mosaic a
-    Mosaic on as many elements.  The rows _reach[x][t] = {z : x v z = t}
-    and the lemma scan are derived on first use and kept on the mosaic,
-    outside ==, hash and repr; additive_nakano hands over the rows it built
-    the table from."""
+    Mosaic on as many elements.  The base's own Nakano table _cells, which
+    the triple bound reads, and the lemma scan are derived on first use and
+    kept on the mosaic, outside ==, hash and repr; additive_nakano hands
+    over the table it built as _cells."""
 
     base: FiniteBoundedLattice
     mosaic: Mosaic
@@ -50,8 +50,10 @@ class NakanoMosaic:
         return self.mosaic.cell(x, y)
 
     @cached_property
-    def _reach(self) -> list[list[int]]:
-        return _reach_rows(self.base.join_table)
+    def _cells(self) -> tuple[tuple[int, ...], ...]:
+        """The base's own Nakano table, never the mosaic's, which may be an
+        edited one."""
+        return _nakano_table(self.base.join_table)
 
     @cached_property
     def _lemma_scan(self):
@@ -70,26 +72,24 @@ class NakanoMosaic:
         w*u, with w the slot width of the table's cube (see
         hyperstructure.Multioperation).  u+(x+y) is (x+y)+u, the packed
         union of the rows of the members of x+y: the table's row unions,
-        which is_associative shares.  The allowed set is
-        bound[t][x] & bound[t][y], where bound[t][v] (v <= t) packs
-        {s : s v u v v = s v t = u v t}: it depends on the lattice alone,
-        and bound[t][t] is {s : s v t = u v t}, since then
-        s v u v t = u v t.  Its witness (u, x, y, s) has the least leaking
-        u over all pairs, then the first pair at that u and the lowest
-        leaking s, so the scan visits every pair."""
-        join, below, reach, op = self.base.join_table, self.base.down, self._reach, self.mosaic.op
+        which is_associative shares.  The allowed set
+        {s : s v x v y = s v u v x = s v u v y = u v x v y} is
+        N(t, u v x) & N(t, u v y), with N the base's own Nakano cells, so
+        it is bound[t][x] & bound[t][y], where bound[t][v] (v <= t) packs
+        N(t, u v v) over u: it depends on the lattice alone.  Its witness
+        (u, x, y, s) has the least leaking u over all pairs, then the first
+        pair at that u and the lowest leaking s, so the scan visits every
+        pair."""
+        join, below, cells, op = self.base.join_table, self.base.down, self._cells, self.mosaic.op
         w, under, sums = op._masks.width, op._under, op._row_unions  # under[x] = {z : x in z+z}
         bound = []
-        for t, (rt, jt) in enumerate(zip(reach, join)):  # jt[u] = u v t
-            own = 0
-            for s in reversed(jt):
-                own = own << w | rt[s]
-            planes = {t: own}
-            for v in bits(below[t] & ~(1 << t)):
+        for t, ct in enumerate(cells):  # ct[a] = N(t, a)
+            planes = {}
+            for v in bits(below[t]):
                 plane = 0
-                for a, s in zip(reversed(join[v]), reversed(jt)):
-                    plane = plane << w | reach[a][s]
-                planes[v] = own & plane
+                for a in reversed(join[v]):  # a = u v v
+                    plane = plane << w | ct[a]
+                planes[v] = plane
             bound.append(planes)
         antisym = bounded = junction = triple = None
         for x, (jx, ux, row) in enumerate(zip(join, under, op.table)):
@@ -109,20 +109,21 @@ class NakanoMosaic:
         return antisym, bounded, junction, triple
 
 
-def _reach_rows(join) -> list[list[int]]:
-    """reach[x][t] = {z : x v z = t} for a lattice's join table."""
+def _nakano_table(join) -> tuple[tuple[int, ...], ...]:
+    """The additive Nakano table of a lattice's join table:
+    N(x, y) = reach[x][t] & reach[y][t] with t = x v y, where
+    reach[x][t] = {z : x v z = t}."""
     n = len(join)
     reach = [[0] * n for _ in range(n)]
     for x, row in enumerate(join):
         rx = reach[x]
         for z, t in enumerate(row):
             rx[t] |= 1 << z
-    return reach
+    return tuple(tuple(rx[t] & reach[y][t] for y, t in enumerate(row)) for rx, row in zip(reach, join))
 
 
 def additive_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
     """The mosaic (L, N_v, 0); commutative, total, reproductive, rho = id.
-    Its cells are N(x,y) = reach[x][t] & reach[y][t] with t = x v y.
 
     The paper proves that the table of any bounded lattice is an L-mosaic
     with these neutral and rho, and its cells lie in the carrier by
@@ -130,13 +131,11 @@ def additive_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
     with neither verify_mosaic nor the constructors' checks;
     tests/test_nakano.py checks the theorem on the enumerated lattices.
     The NakanoMosaic, whose sizes agree by construction, is built by
-    _unchecked too, with the reach rows as its _reach."""
-    reach = _reach_rows(l.join_table)
-    op = _unchecked(Multioperation, size=l.size, table=tuple(
-        tuple(rx[t] & reach[y][t] for y, t in enumerate(row)) for rx, row in zip(reach, l.join_table)
-    ))
+    _unchecked too, with the table as its _cells."""
+    cells = _nakano_table(l.join_table)
+    op = _unchecked(Multioperation, size=l.size, table=cells)
     mosaic = _unchecked(Mosaic, op=op, neutral=l.bottom, rho=Involution.identity(l.size))
-    return _unchecked(NakanoMosaic, base=l, mosaic=mosaic, _reach=reach)
+    return _unchecked(NakanoMosaic, base=l, mosaic=mosaic, _cells=cells)
 
 
 def multiplicative_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
@@ -199,10 +198,11 @@ def check_junction_characterization(m: NakanoMosaic) -> AxiomReport:
 
 
 def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
-    """x+(y+z) stays in {t : t v x v y = t v x v z = t v y v z = x v y v z}.
-    The witness has the least leaking x over all (y, z), then the first
-    (y, z) at that x and the lowest leaking t; (z, y) leaks what (y, z)
-    does, so the mosaic's lemma scan reads only z >= y."""
+    """x+(y+z) stays in {t : t v x v y = t v x v z = t v y v z = x v y v z},
+    which is N(y v z, x v y) & N(y v z, x v z) with N the base's own Nakano
+    cells.  The witness has the least leaking x over all (y, z), then the
+    first (y, z) at that x and the lowest leaking t; (z, y) leaks what
+    (y, z) does, so the mosaic's lemma scan reads only z >= y."""
     return _verdict("triple-bound", m._lemma_scan[3], "triple junction bound")
 
 

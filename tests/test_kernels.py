@@ -14,7 +14,7 @@ gives.
 
 What these checks share (the packed cube, packed rows and their unions,
 the principal rows, the table's scan of its pairs for Lms2, Lms3 and Lms4,
-and the NakanoMosaic's reach rows and its scan for four lemmas) is derived
+and the NakanoMosaic's base cells and its scan for four lemmas) is derived
 once, by whichever check runs first, and kept with the table or the
 NakanoMosaic.  So the
 reports are compared in both orders in which the checks can run on a new
@@ -359,14 +359,15 @@ def test_batteries_store_nothing_on_the_lattice_or_the_pair(lattices_upto_6, ort
         assert vars(d) == {"mosaic": d.mosaic, "pi": d.pi}
 
 
-def test_reach_rows_are_no_part_of_a_nakano_mosaic(lattices_upto_6, call_counts):
-    """A NakanoMosaic is its base and its mosaic.  The reach rows that the
-    triple bound reads are derived from the base on first use, once per
-    mosaic, and the constructors hand over the rows they built the table
-    from; a NakanoMosaic built by hand, as edits() builds one, equals the
-    built one, with the same repr and hash, and gives the same reports."""
+def test_base_cells_are_no_part_of_a_nakano_mosaic(lattices_upto_6, call_counts):
+    """A NakanoMosaic is its base and its mosaic.  The base's own Nakano
+    cells that the triple bound reads are derived from the base on first
+    use, once per mosaic, and equal the element-at-a-time table of the
+    lattice; the constructors hand over the table they built; a
+    NakanoMosaic built by hand, as edits() builds one, equals the built
+    one, with the same repr and hash, and gives the same reports."""
     assert [f.name for f in fields(NakanoMosaic)] == ["base", "mosaic"]
-    counts = call_counts(NakanoMosaic, "_reach")
+    counts = call_counts(NakanoMosaic, "_cells")
     built = 0
     for l in lattices_upto_6:
         for additive, build in FLAVORS:
@@ -376,7 +377,9 @@ def test_reach_rows_are_no_part_of_a_nakano_mosaic(lattices_upto_6, call_counts)
             want = nakano_property_loops(l, additive, nm.mosaic.op.table)
             assert nakano_property_reports(bare) == nakano_property_reports(nm) == want
             built += 1
-            assert counts["_reach"] == built
+            assert counts["_cells"] == built
+            assert bare._cells == nm._cells == nakano_table_loops(l, additive)
+            assert counts["_cells"] == built
 
 
 def test_order_of_an_lmosaic_is_a_bounded_partial_order(lattices_upto_6):

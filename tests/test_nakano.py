@@ -1,4 +1,5 @@
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from mosaic_lab.catalog import named
 from mosaic_lab.equivalence import OrthoPair, functor_E
 from mosaic_lab.io import parse_table_json, table_doc_from_mosaic
 
-from oracles import mosaic_isomorphism, nakano_cell_oracle, order_isomorphisms_loops
+from oracles import bound_tables_scan, mosaic_isomorphism, nakano_cell_oracle, order_isomorphisms_loops
 
 DATA = Path(__file__).parent.parent / "src" / "mosaic_lab" / "data"
 
@@ -179,13 +180,14 @@ class TestLemmaBattery:
         """verify_mosaic, verify_lmosaic, is_associative and the battery read
         the principal rows, the table's scan of its pairs and the mosaic's
         lemma scan, each derived once, whichever check runs first; a second
-        verify_lmosaic and a second battery derive nothing.  The reach rows
-        that the lemma scan reads are the constructor's, derived never."""
+        verify_lmosaic and a second battery derive nothing.  The base's
+        Nakano cells that the lemma scan reads are the constructor's,
+        derived never."""
         import mosaic_lab.hyperstructure as hs
 
         call_counts(hs, "transpose")
         call_counts(hs.Multioperation, "_pair_scan")
-        counts = call_counts(NakanoMosaic, "_lemma_scan", "_reach")
+        counts = call_counts(NakanoMosaic, "_lemma_scan", "_cells")
         nm = additive_nakano(named("MO_3").lattice)
         assert verify_mosaic(nm.mosaic.op).ok
         first = verify_lmosaic(nm.mosaic)
@@ -193,9 +195,9 @@ class TestLemmaBattery:
         battery = nakano_property_reports(nm)
         assert all(r.holds for r in battery)
         once = {"transpose": 1, "_pair_scan": 1, "_lemma_scan": 1}
-        assert counts == once and counts["_reach"] == 0
+        assert counts == once and counts["_cells"] == 0
         assert verify_lmosaic(nm.mosaic) == first and nakano_property_reports(nm) == battery
-        assert counts == once and counts["_reach"] == 0
+        assert counts == once and counts["_cells"] == 0
 
     def test_individual_checks_pass(self, hexagon):
         nm = additive_nakano(hexagon.lattice)
@@ -208,6 +210,22 @@ class TestLemmaBattery:
             check_lms3_inclusion,
         ):
             assert check(nm).holds
+
+
+def test_triple_bound_set_is_two_nakano_cells(lattices_upto_6):
+    """The identity the lemma scan's triple bound rests on: with t = x o y,
+    {s : s o x o y = s o u o x = s o u o y = u o x o y} is
+    N(t, u o x) & N(t, u o y), for both flavors and every (u, x, y).  Both
+    sides come from tests/oracles.py: the bounds from brute_bound's scan,
+    the cells from their defining equations."""
+    for l in lattices_upto_6:
+        pool = range(l.size)
+        for additive, o in zip((True, False), bound_tables_scan(l.leq)):
+            cell = {(a, b): nakano_cell_oracle(l, a, b, additive) for a in pool for b in pool}
+            for u, x, y in product(pool, repeat=3):
+                t, whole = o[x][y], o[o[u][x]][y]
+                allowed = {s for s in pool if o[o[s][x]][y] == o[o[s][u]][x] == o[o[s][u]][y] == whole}
+                assert allowed == cell[t, o[u][x]] & cell[t, o[u][y]], (l.names, additive, u, x, y)
 
 
 def test_fact4_nakano_equivalence(lattices_upto_6):
