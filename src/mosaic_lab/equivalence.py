@@ -118,15 +118,14 @@ class DualizableLMosaicPair:
 
     A plain value: construction checks nothing, and the pair stores
     nothing.  A Mosaic from outside the program was checked, when built,
-    only for a neutral that is neutral, a rho that fixes it and a
-    commutative table.  functor_E builds pairs that the
-    paper proves dualizable, and a table from outside is checked by
-    reconstruct_from.  What the equivalence derives from a pair depends on
-    its table and pi alone, so it is kept on the table, keyed by pi: the
-    pairs that functor_E builds from one lattice share one Mosaic, and with
-    it the table's induced lattice, the orthomodularity verdict of each pi
-    and the associativity verdict of each subalgebra that a pi-closed seed
-    set generates.
+    only for a neutral that is neutral and a commutative table.  functor_E
+    builds pairs that the paper proves dualizable, and a table from outside
+    is checked by reconstruct_from.  What the equivalence derives from a
+    pair depends on its table and pi alone, so it is kept on the table,
+    keyed by pi: the pairs that functor_E builds from one lattice share one
+    Mosaic, and with it the table's induced lattice, the orthomodularity
+    verdict of each pi and the associativity verdict of each subalgebra
+    that a pi-closed seed set generates.
     """
 
     mosaic: Mosaic
@@ -284,8 +283,8 @@ def _lmosaic_tables(n: int):
     """Every L-mosaic on 0..n-1 with neutral 0, read off the orbit bits of
     one symmetric relation and built unchecked.
 
-    Lms1 puts 0 in x+x, so every x is its own inverse and rho is the
-    identity, and a commutative table that is reversible for the identity
+    Lms1 puts 0 in x+x, so every x is its own inverse and the Mosaic's rho
+    is the identity, and a commutative table that is reversible for it
     holds "z in x+y" symmetrically in x, y and z.  So a candidate is one
     bit per 3-element multiset: commutative, unital, with unique inverses
     and reversible by construction.  The neutral 0 fixes every multiset
@@ -299,7 +298,6 @@ def _lmosaic_tables(n: int):
     for x in range(n):  # the fixed bits {0, x, x} and {x, x, x}
         base[0][x] = base[x][0] = 1 << x
         base[x][x] |= 1 | 1 << x
-    rho = Involution.identity(n)
     for choice in range(1 << len(free)):
         table = [row[:] for row in base]
         for k in bits(choice):
@@ -308,7 +306,7 @@ def _lmosaic_tables(n: int):
         if any(0 in row for row in table):
             continue
         op = _unchecked(Multioperation, size=n, table=tuple(map(tuple, table)))
-        mosaic = _unchecked(Mosaic, op=op, neutral=0, rho=rho)
+        mosaic = _unchecked(Mosaic, op=op, neutral=0)
         if all(r.holds for r in verify_lmosaic(mosaic)):
             yield mosaic
 

@@ -188,41 +188,50 @@ class Multioperation:
 
 @dataclass(frozen=True)
 class Mosaic:
-    """Commutative unital magma, reversible with respect to rho.
+    """Commutative unital magma with unique inverses, reversible with
+    respect to its inverse map rho.
 
-    rho(x) is the unique inverse of x.  The constructor checks a Mosaic
-    from outside the program: a Multioperation and an Involution, an int
-    neutral that is neutral, a rho that fixes it, then a commutative table.
-    verify_mosaic, additive_nakano and the table-side search of
-    equivalence build theirs by lattice_core._unchecked.  The neutral's row
-    and column are each compared whole with the units {x}, one tuple per n
-    that find_neutral shares; only when one differs is the least x where
-    it does looked for, for the error.
+    A Mosaic is its table and its neutral.  The constructor checks a Mosaic
+    from outside the program: a Multioperation, an int neutral that is
+    neutral, then a commutative table.  verify_mosaic, additive_nakano and
+    the table-side search of equivalence build theirs by
+    lattice_core._unchecked.  The neutral's row and column are each
+    compared whole with the units {x}, one tuple per n that find_neutral
+    shares; only when one differs is the least x where it does looked for,
+    for the error.
     """
 
     op: Multioperation
     neutral: int
-    rho: Involution
 
     def __post_init__(self):
         if not isinstance(self.op, Multioperation):
             raise InvalidStructure(f"the operation must be a Multioperation, got {_echo(self.op)}")
-        if not isinstance(self.rho, Involution):
-            raise InvalidStructure(f"rho must be an Involution, got {_echo(self.rho)}")
         n, e = self.op.size, self.neutral
         if type(e) is not int:
             raise InvalidStructure(f"the neutral must be an int, got {_echo(e)}")
-        if self.rho.size != n or not 0 <= e < n:
-            raise SizeMismatch("carrier sizes disagree")
+        if not 0 <= e < n:
+            raise SizeMismatch("the neutral lies outside the carrier")
         table, units = self.op.table, _units(n)
         if table[e] != units or tuple(map(itemgetter(e), table)) != units:
             x = next(x for x in range(n) if table[e][x] != units[x] or table[x][e] != units[x])
             raise InvalidStructure(f"{e} is not neutral at {x}")
-        if self.rho(e) != e:
-            raise InvalidStructure("rho does not fix the neutral element")
         asymmetry = _asymmetry(table)
         if asymmetry is not None:
             raise InvalidStructure(f"not commutative at {asymmetry}")
+
+    @cached_property
+    def rho(self) -> Involution:
+        """The inverse map, rho(x) the unique inverse of x, which the table
+        fixes: the map verify_mosaic derives, which it hands to the Mosaic
+        it builds, so no table derives it twice.  InvalidStructure names
+        verify_mosaic's first failing axiom and its witness when the table
+        is no mosaic.  Outside ==, hash and repr."""
+        got = verify_mosaic(self.op)
+        if got.mosaic is None:
+            bad = next(r for r in got.reports if not r.holds)
+            raise InvalidStructure(f"the table is no mosaic: {bad.axiom} fails at {bad.witness}")
+        return got.mosaic.rho
 
     @property
     def size(self) -> int:
@@ -282,7 +291,8 @@ def verify_mosaic(op: Multioperation) -> MosaicVerification:
     lowest set bit is the least witness (x, y, z).  The stages prove the
     Mosaic constructor's checks, and on a commutative table unique inverses
     make the inverse map an involution, so a passing table's Mosaic and a
-    rho other than the identity are built by lattice_core._unchecked."""
+    rho other than the identity are built by lattice_core._unchecked; the
+    Mosaic holds the map as its rho."""
     n, table = op.size, op.table
     empty = next(((x, row.index(0)) for x, row in enumerate(table) if 0 in row), None)
     reports = [_verdict("commutative", _asymmetry(table), "cell asymmetry"), _verdict("total", empty, "empty cell")]
@@ -432,13 +442,10 @@ def check_morphism(f, a: Mosaic, b: Mosaic) -> AxiomReport:
     cell.  Inverse preservation follows, so it is not tested: the neutral e
     is in x.rho(x), so f(e), the neutral of b, is in f(x).f(rho(x)), and
     f(rho(x)) is an inverse of f(x), whose one inverse in b is rho'(f(x)).
-    That needs each rho to be its mosaic's inverse map, as verify_mosaic and
-    the Nakano constructors build it; of rho the Mosaic constructor checks
-    only that it fixes the neutral, so for a hand-built rho the report says
-    nothing about inverses.  Both tables are commutative, so (x, y) and
-    (y, x) test the same cell against the same target cell, and only the
-    pairs y >= x are read.  tests/oracles.morphism_loops keeps the literal
-    test.  The report's axiom is "morphism-morphism"."""
+    Both tables are commutative, so (x, y) and (y, x) test the same cell
+    against the same target cell, and only the pairs y >= x are read.
+    tests/oracles.morphism_loops keeps the literal test.  The report's
+    axiom is "morphism-morphism"."""
     f = _carrier_map(f, a.size, b.size)
     name = "morphism-morphism"
     if f[a.neutral] != b.neutral:

@@ -16,7 +16,7 @@ from functools import cached_property
 from .bits import bits, image, least, mask_of
 from .errors import InvalidStructure, NoUniqueExtremum, SizeMismatch, _echo
 from .hyperstructure import Mosaic, Multioperation, is_reproductive, principal_rows
-from .lattice_core import AxiomReport, FiniteBoundedLattice, Involution, _unchecked, _verdict, dual_lattice
+from .lattice_core import AxiomReport, FiniteBoundedLattice, _unchecked, _verdict, dual_lattice
 
 
 @dataclass(frozen=True)
@@ -126,15 +126,15 @@ def additive_nakano(l: FiniteBoundedLattice) -> NakanoMosaic:
     """The mosaic (L, N_v, 0); commutative, total, reproductive, rho = id.
 
     The paper proves that the table of any bounded lattice is an L-mosaic
-    with these neutral and rho, and its cells lie in the carrier by
-    construction, so its Multioperation and Mosaic are built by _unchecked,
-    with neither verify_mosaic nor the constructors' checks;
+    with this neutral, each element its own inverse, and its cells lie in
+    the carrier by construction, so its Multioperation and Mosaic are built
+    by _unchecked, with neither verify_mosaic nor the constructors' checks;
     tests/test_nakano.py checks the theorem on the enumerated lattices.
     The NakanoMosaic, whose sizes agree by construction, is built by
     _unchecked too, with the table as its _cells."""
     cells = _nakano_table(l.join_table)
     op = _unchecked(Multioperation, size=l.size, table=cells)
-    mosaic = _unchecked(Mosaic, op=op, neutral=l.bottom, rho=Involution.identity(l.size))
+    mosaic = _unchecked(Mosaic, op=op, neutral=l.bottom)
     return _unchecked(NakanoMosaic, base=l, mosaic=mosaic, _cells=cells)
 
 
@@ -167,73 +167,44 @@ def _restricted_op(table, members: list[int]) -> Multioperation:
                       table=tuple(tuple(image(row[y] & keep, index) for y in members) for row in rows))
 
 
-# -- the section-4 lemma battery, as runnable checks ---------------------------
-
-
-def check_antisym(m: NakanoMosaic) -> AxiomReport:
-    """x,y in x+y iff x = y.  The table is commutative, so each row x is
-    read from y = x on, in the mosaic's lemma scan: (x, x) fails when x is
-    not in x+x, and (x, y) with y > x when x+y holds both x and y."""
-    return _verdict("antisym", m._lemma_scan[0], "x,y in x+y iff x=y")
-
-
-def check_principal_idempotent(m: NakanoMosaic) -> AxiomReport:
-    """(x+x)+(x+x) = x+x; the Lms2 witness of the table's scan of the
-    pairs y >= x, shared with verify_lmosaic."""
-    return _verdict("principal-idempotent", m.mosaic.op._pair_scan[0], "(x+x)+(x+x) != x+x")
-
-
-def check_bound_by_extremum(m: NakanoMosaic) -> AxiomReport:
-    """z in x+y implies z <= x v y.  The table and the join are
-    commutative, so (y, x) leaks what (x, y) does, and only y >= x is read,
-    in the mosaic's lemma scan."""
-    return _verdict("bounded-by-junction", m._lemma_scan[1], "z not under x v y")
-
-
-def check_junction_characterization(m: NakanoMosaic) -> AxiomReport:
-    """z = x v y iff (x,y in z+z and z in x+y).  The table and the join are
-    commutative, so (x, y) and (y, x) differ alike, and only y >= x is
-    read, in the mosaic's lemma scan."""
-    return _verdict("junction-characterization", m._lemma_scan[2], "lemma sup/inf")
-
-
-def check_triple_bound(m: NakanoMosaic) -> AxiomReport:
-    """x+(y+z) stays in {t : t v x v y = t v x v z = t v y v z = x v y v z},
-    which is N(y v z, x v y) & N(y v z, x v z) with N the base's own Nakano
-    cells.  The witness has the least leaking x over all (y, z), then the
-    first (y, z) at that x and the lowest leaking t; (z, y) leaks what
-    (y, z) does, so the mosaic's lemma scan reads only z >= y."""
-    return _verdict("triple-bound", m._lemma_scan[3], "triple junction bound")
-
-
-def check_lms3_inclusion(m: NakanoMosaic) -> AxiomReport:
-    """(x+(x+y)) & ((x+y)+y) <= x+y; the witness of the table's scan of
-    the pairs y >= x, which verify_lmosaic reads for Lms2, Lms3 and
-    Lms4."""
-    return _verdict("lms3-inclusion", m.mosaic.op._pair_scan[1], "intersection leaks")
+# -- the section-4 lemma battery ----------------------------------------------
 
 
 def nakano_property_reports(m: NakanoMosaic) -> list[AxiomReport]:
-    """The section-4 lemma battery, one report per lemma.  The principal
-    rows, the packed unions and the scan of the pairs y >= x that gives the
-    Lms2 and Lms3 witnesses are the table's own, so a table that
-    verify_lmosaic or is_associative has already checked does not derive
-    them again, and no order of the calls changes a report.  antisym, the
-    bound by the junction, the junction characterization and the triple
-    bound read one scan of the pairs y >= x, kept on the NakanoMosaic."""
-    reports = [
-        check_antisym(m),
-        check_principal_idempotent(m),
-        check_bound_by_extremum(m),
-        check_junction_characterization(m),
-        check_triple_bound(m),
-        check_lms3_inclusion(m),
-        is_reproductive(m.mosaic.op),
-    ]
+    """The section-4 lemma battery, one report per lemma, in this order:
+
+    - antisym: x,y in x+y iff x = y;
+    - principal-idempotent: (x+x)+(x+x) = x+x;
+    - bounded-by-junction: z in x+y implies z <= x v y;
+    - junction-characterization: z = x v y iff (x,y in z+z and z in x+y);
+    - triple-bound: x+(y+z) stays in
+      {t : t v x v y = t v x v z = t v y v z = x v y v z};
+    - lms3-inclusion: (x+(x+y)) & ((x+y)+y) <= x+y;
+    - reproductive, then extremum: the u with "u in x+x implies x = u" is
+      the base's top.
+
+    The table and the join are commutative, so each pair lemma reads only
+    the pairs y >= x.  principal-idempotent and lms3-inclusion are the Lms2
+    and Lms3 witnesses of the table's own scan of those pairs, which
+    verify_lmosaic shares; the other four pair lemmas read one scan kept on
+    the NakanoMosaic, _lemma_scan.  A table that verify_lmosaic or
+    is_associative has already checked derives neither its principal rows
+    nor its packed unions again, and no order of the calls changes a
+    report."""
+    antisym, bounded, junction, triple = m._lemma_scan
+    lms2, lms3 = m.mosaic.op._pair_scan[:2]
     expected = m.base.top
     try:
         ok = extremum_by_characterization(m) == expected
     except NoUniqueExtremum:
         ok = False
-    reports.append(_verdict("extremum", None if ok else (expected,), "characterized extremum is not the bound"))
-    return reports
+    return [
+        _verdict("antisym", antisym, "x,y in x+y iff x=y"),
+        _verdict("principal-idempotent", lms2, "(x+x)+(x+x) != x+x"),
+        _verdict("bounded-by-junction", bounded, "z not under x v y"),
+        _verdict("junction-characterization", junction, "lemma sup/inf"),
+        _verdict("triple-bound", triple, "triple junction bound"),
+        _verdict("lms3-inclusion", lms3, "intersection leaks"),
+        is_reproductive(m.mosaic.op),
+        _verdict("extremum", None if ok else (expected,), "characterized extremum is not the bound"),
+    ]

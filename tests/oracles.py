@@ -437,6 +437,22 @@ def nakano_table_loops(l, additive: bool = True):
     )
 
 
+def _inverses_loops(table, e):
+    """For each x, the list of its inverses y: e in x.y and in y.x."""
+    n = len(table)
+    return [[y for y in range(n) if table[x][y] >> e & 1 and table[y][x] >> e & 1] for x in range(n)]
+
+
+def inverse_map_loops(table, e):
+    """The inverse map of a table with neutral e, found one element at a
+    time: the tuple of each x's one inverse, or None when some x has none
+    or several."""
+    inverses = _inverses_loops(table, e)
+    if any(len(ys) != 1 for ys in inverses):
+        return None
+    return tuple(ys[0] for ys in inverses)
+
+
 def mosaic_reports_loops(table):
     """verify_mosaic's reports: commutative, total, neutral, unique inverses,
     reversibility, then the lemma-1 consequences tested for every (x, y, z):
@@ -454,12 +470,12 @@ def mosaic_reports_loops(table):
     if e is None:
         return tuple(reports + [_report("neutral", (), "no neutral element")])
     reports.append(_report("neutral"))
-    rho = []
-    for x in range(n):
-        ys = [y for y in range(n) if table[x][y] >> e & 1 and table[y][x] >> e & 1]
-        if len(ys) != 1:
-            return tuple(reports + [_report("unique-inverses", (x,), "no inverse" if not ys else "multiple inverses")])
-        rho.append(ys[0])
+    inverses = _inverses_loops(table, e)
+    x = next((x for x, ys in enumerate(inverses) if len(ys) != 1), None)
+    if x is not None:
+        reason = "no inverse" if not inverses[x] else "multiple inverses"
+        return tuple(reports + [_report("unique-inverses", (x,), reason)])
+    rho = [ys[0] for ys in inverses]
     reports.append(_report("unique-inverses"))
     for x in range(n):
         for y in range(n):
@@ -507,7 +523,8 @@ def morphism_loops(f, a, b):
     """check_morphism's report for the map f between the mosaics a and b:
     unitary, then the least (x, y) in row-major order with an element z of
     x.y whose image is not in f(x).f(y), each z tested on its own, then
-    inverse preservation."""
+    inverse preservation, with each side's inverse map from
+    inverse_map_loops."""
     name = "morphism-morphism"
     if f[a.neutral] != b.neutral:
         return _report(name, (a.neutral,), "not unitary")
@@ -517,8 +534,9 @@ def morphism_loops(f, a, b):
             for z in range(n):
                 if a.cell(x, y) >> z & 1 and not b.cell(f[x], f[y]) >> f[z] & 1:
                     return _report(name, (x, y), "cell condition fails")
+    rho_a, rho_b = inverse_map_loops(a.op.table, a.neutral), inverse_map_loops(b.op.table, b.neutral)
     for x in range(n):
-        if f[a.rho(x)] != b.rho(f[x]):
+        if f[rho_a[x]] != rho_b[f[x]]:
             return _report(name, (x,), "inverse preservation fails")
     return _report(name)
 

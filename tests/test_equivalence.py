@@ -635,7 +635,7 @@ class TestVerifiedOnce:
         op = additive_nakano(l).mosaic.op
         a, one = l.index("a"), l.top
         op = op.with_cell(a, a, range(4)).with_cell(one, one, [l.bottom, one])
-        m = Mosaic(op, l.bottom, Involution.identity(4))
+        m = Mosaic(op, l.bottom)
         with pytest.raises(ReconstructionFailure) as exc:
             reconstruct_from(m, b2.ortho)
         assert str(exc.value) == "Lms4 fails at (1, 2)"

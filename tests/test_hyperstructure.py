@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -36,6 +37,7 @@ from oracles import (
     all_involutions,
     compose_relations,
     dual_table_loops,
+    inverse_map_loops,
     morphism_loops,
     nakano_table_loops,
     order_isomorphisms_loops,
@@ -118,7 +120,7 @@ class TestMultioperation:
         nm = additive_nakano(pentagon.lattice)
         twin = nm.mosaic
         op = Multioperation(twin.size, [list(row) for row in twin.op.table])
-        lists = NakanoMosaic(nm.base, Mosaic(op, twin.neutral, twin.rho))
+        lists = NakanoMosaic(nm.base, Mosaic(op, twin.neutral))
         assert op == twin.op and verify_mosaic(op) == verify_mosaic(twin.op)
         assert verify_lmosaic(lists.mosaic) == verify_lmosaic(twin)
         assert is_associative(op) == is_associative(twin.op)
@@ -155,18 +157,14 @@ def test_bad_parts_raise_typed_errors(pentagon, hexagon):
         (lambda: Multioperation(2, 5), InvalidStructure, "the table must be a sequence of rows, got 5"),
         (lambda: Multioperation(2, (5, 6)), InvalidStructure, "the table must be a sequence of rows, got (5, 6)"),
         (lambda: Multioperation(1, None), InvalidStructure, "the table must be a sequence of rows, got None"),
-        (lambda: Mosaic(chain2, 0, Involution.identity(3)), SizeMismatch, "carrier sizes disagree"),
-        (lambda: Mosaic(chain2, 1, Involution.identity(2)), InvalidStructure, "1 is not neutral at 0"),
-        (lambda: Mosaic(Multioperation(2, ((1, 2), (1, 2))), 0, Involution.identity(2)), InvalidStructure,
-         "0 is not neutral at 1"),
-        (lambda: Mosaic(chain2, 0, Involution((1, 0))), InvalidStructure, "rho does not fix the neutral element"),
-        (lambda: Mosaic(Multioperation(3, ((1, 2, 4), (2, 4, 4), (4, 2, 4))), 0, Involution.identity(3)),
-         InvalidStructure, "not commutative at (1, 2)"),
+        (lambda: Mosaic(chain2, 2), SizeMismatch, "the neutral lies outside the carrier"),
+        (lambda: Mosaic(chain2, 1), InvalidStructure, "1 is not neutral at 0"),
+        (lambda: Mosaic(Multioperation(2, ((1, 2), (1, 2))), 0), InvalidStructure, "0 is not neutral at 1"),
+        (lambda: Mosaic(Multioperation(3, ((1, 2, 4), (2, 4, 4), (4, 2, 4))), 0), InvalidStructure,
+         "not commutative at (1, 2)"),
         (lambda: NakanoMosaic(pentagon.lattice, additive_nakano(hexagon.lattice).mosaic), SizeMismatch,
          "carrier sizes disagree"),
-        (lambda: Mosaic(chain2, 0, (0, 1)), InvalidStructure, "rho must be an Involution, got (0, 1)"),
-        (lambda: Mosaic(chain2, 0, None), InvalidStructure, "rho must be an Involution, got None"),
-        (lambda: Mosaic(chain2.table, 0, Involution.identity(2)), InvalidStructure,
+        (lambda: Mosaic(chain2.table, 0), InvalidStructure,
          "the operation must be a Multioperation, got ((1, 2), (2, 3))"),
         (lambda: NakanoMosaic(pentagon.lattice, "x"), InvalidStructure, "the mosaic must be a Mosaic, got 'x'"),
         (lambda: NakanoMosaic("x", additive_nakano(pentagon.lattice).mosaic), InvalidStructure,
@@ -186,7 +184,7 @@ class TestMosaic:
         and no mosaic whose neutral is False."""
         m = additive_nakano(pentagon.lattice).mosaic
         with pytest.raises(InvalidStructure, match=f"^the neutral must be an int, got {re.escape(repr(neutral))}$"):
-            Mosaic(m.op, neutral, m.rho)
+            Mosaic(m.op, neutral)
 
     def test_a_one_sided_table_is_refused_at_the_commutative_witness(self, lattices_upto_6):
         """Seeded edits that flip one member of two cells off the diagonal
@@ -210,10 +208,10 @@ class TestMosaic:
                         op = op.with_cell(x, y, bits(op.cell(x, y) ^ 1 << rng.randrange(l.size)))
                     commutative = verify_mosaic(op).reports[0]
                     if commutative.holds:
-                        assert Mosaic(op, m.neutral, m.rho).op is op
+                        assert Mosaic(op, m.neutral).op is op
                         continue
                     with pytest.raises(InvalidStructure) as exc:
-                        Mosaic(op, m.neutral, m.rho)
+                        Mosaic(op, m.neutral)
                     assert str(exc.value) == f"not commutative at {commutative.witness}"
                     refused += 1
         assert refused
@@ -251,6 +249,70 @@ class TestInverses:
         got = verify_mosaic(edited)
         assert got.mosaic is None
         assert got.reports[-1] == AxiomReport("unique-inverses", False, (a,), "no inverse")
+
+
+class TestDerivedRho:
+    """A Mosaic is its table and its neutral; its rho is the inverse map
+    the table determines, derived by verify_mosaic."""
+
+    def test_the_fields_are_the_table_and_the_neutral(self):
+        z3 = Multioperation(3, table_of(3, lambda x, y: 1 << ((x + y) % 3)))
+        assert [f.name for f in dataclasses.fields(Mosaic)] == ["op", "neutral"]
+        m = Mosaic(z3, 0)
+        assert m.rho.map == (0, 2, 1)
+        assert m == verify_mosaic(z3).mosaic and hash(m) == hash(verify_mosaic(z3).mosaic)
+        assert repr(m) == f"Mosaic(op={z3!r}, neutral=0)"
+
+    def test_rho_is_the_inverse_map_of_the_table(self, lattices_upto_6):
+        """Both Nakano tables of every lattice with n <= 6, built by the
+        Nakano constructors and by hand, and Z_3."""
+        for l in lattices_upto_6:
+            for build in (additive_nakano, multiplicative_nakano):
+                m = build(l).mosaic
+                want = inverse_map_loops(m.op.table, m.neutral)
+                assert m.rho.map == Mosaic(m.op, m.neutral).rho.map == want
+        z3 = Multioperation(3, table_of(3, lambda x, y: 1 << ((x + y) % 3)))
+        assert Mosaic(z3, 0).rho.map == inverse_map_loops(z3.table, 0) == (0, 2, 1)
+
+    def test_seeded_mirrored_edits(self, lattices_upto_6):
+        """Edits of a cell (x, y) and its mirror off the neutral row and
+        column: rho is the inverse map where the table stays a mosaic, and
+        otherwise InvalidStructure names verify_mosaic's first failing
+        axiom and its witness."""
+        rng = random.Random(3907)
+        kept, refused = 0, Counter()
+        for l in lattices_upto_6:
+            for build in (additive_nakano, multiplicative_nakano):
+                m = build(l).mosaic
+                others = [x for x in range(l.size) if x != m.neutral]
+                if not others:
+                    continue
+                for _ in range(4):
+                    x, y = rng.choice(others), rng.choice(others)
+                    zs = [z for z in range(l.size) if rng.random() < 0.4]
+                    edited = Mosaic(m.op.with_cell(x, y, zs).with_cell(y, x, zs), m.neutral)
+                    got = verify_mosaic(edited.op)
+                    if got.ok:
+                        assert edited.rho.map == inverse_map_loops(edited.op.table, edited.neutral)
+                        kept += 1
+                        continue
+                    bad = next(r for r in got.reports if not r.holds)
+                    with pytest.raises(InvalidStructure) as exc:
+                        edited.rho
+                    assert str(exc.value) == f"the table is no mosaic: {bad.axiom} fails at {bad.witness}"
+                    refused[bad.axiom] += 1
+        assert kept and set(refused) == {"total", "unique-inverses", "reversible"}
+
+    def test_the_rho_verify_mosaic_hands_over_is_read_without_a_second_run(self, call_counts, pentagon):
+        import mosaic_lab.hyperstructure as hs
+
+        counts = call_counts(hs, "verify_mosaic")
+        z3 = Multioperation(3, table_of(3, lambda x, y: 1 << ((x + y) % 3)))
+        m = hs.verify_mosaic(z3).mosaic
+        assert m.rho.map == (0, 2, 1) and counts["verify_mosaic"] == 1
+        nakano = additive_nakano(pentagon.lattice).mosaic
+        assert nakano.rho is nakano.rho is Involution.identity(5)
+        assert counts["verify_mosaic"] == 2
 
 
 class TestVerifyMosaic:
@@ -300,13 +362,13 @@ class TestVerifyMosaic:
     def test_three_way_equivalences_on_corpus(self, lattices_upto_6):
         for l in lattices_upto_6[:10]:
             m = additive_nakano(l).mosaic
-            rho = m.rho
+            rho = inverse_map_loops(m.op.table, m.neutral)
             for x in range(m.size):
                 for y in range(m.size):
                     for z in range(m.size):
                         a = bool(m.cell(x, y) >> z & 1)
-                        b = bool(m.cell(z, rho(y)) >> x & 1)
-                        c = bool(m.cell(rho(x), z) >> y & 1)
+                        b = bool(m.cell(z, rho[y]) >> x & 1)
+                        c = bool(m.cell(rho[x], z) >> y & 1)
                         assert a == b == c
 
 
@@ -368,10 +430,11 @@ class TestSharedConstants:
         assert checks["Involution"] == 0
 
     def test_a_checked_table_builds_no_report_and_no_map(self, monkeypatch, pentagon):
-        """After one table has been checked, a second modular one (both
-        flavors of boolean_3) passes every check without building an
-        AxiomReport or an Involution; a failing check builds one report."""
-        table_battery(additive_nakano(named("boolean_2").lattice))
+        """After one table of a size has been checked, a second modular one
+        of that size (both flavors of boolean_3 after chain_8) passes every
+        check without building an AxiomReport or an Involution; a failing
+        check builds one report."""
+        table_battery(additive_nakano(named("chain_8").lattice))
         tables = [build(named("boolean_3").lattice) for build in (additive_nakano, multiplicative_nakano)]
         built = Counter()
         for cls in (AxiomReport, Involution):
@@ -423,9 +486,10 @@ class TestMorphisms:
         n = pv.size
         dual = Multioperation(n, tuple(tuple(pv.cell(y, x) for y in range(n)) for x in range(n)))
         got = verify_mosaic(dual)
-        assert got.ok and got.mosaic.rho == pv.rho
-        assert check_morphism(pv.rho.map, pv, got.mosaic).holds
-        assert check_morphism(pv.rho.map, got.mosaic, pv).holds
+        rho = inverse_map_loops(pv.op.table, pv.neutral)
+        assert got.ok and got.mosaic.rho.map == rho
+        assert check_morphism(rho, pv, got.mosaic).holds
+        assert check_morphism(rho, got.mosaic, pv).holds
 
     def test_constant_to_neutral_is_a_morphism(self, pv):
         assert check_morphism([pv.neutral] * 5, pv, pv).holds
@@ -439,7 +503,7 @@ class TestMorphisms:
         # cells are the target's cells cut down to the image
         h = hexagon.lattice
         members = sorted([0, h.index("b"), h.index("a"), h.index("a'"), h.index("1")])
-        restricted = Mosaic(_restricted_op(hv.op.table, members), 0, Involution.identity(5))
+        restricted = Mosaic(_restricted_op(hv.op.table, members), 0)
         assert check_morphism(members, restricted, hv).holds
         image = mask_of(members)
         for x in range(5):
@@ -520,7 +584,7 @@ class TestMorphismReference:
                 kept = [z for z in cell if rng.random() < 0.5]
                 if len(kept) == len(cell):
                     kept.remove(rng.choice(kept))
-                target = Mosaic(m.op.with_cell(x, y, kept).with_cell(y, x, kept), m.neutral, m.rho)
+                target = Mosaic(m.op.with_cell(x, y, kept).with_cell(y, x, kept), m.neutral)
                 f = rng.choice(automorphisms)
                 rep = check_morphism(f, m, target)
                 assert rep == morphism_loops(f, m, target), (p, f, x, y, kept)
@@ -550,7 +614,7 @@ class TestLMosaic:
     def test_mutating_top_cell_breaks_lms1(self, pv, pentagon):
         one = pentagon.lattice.index("1")
         edited = pv.op.with_cell(one, one, [one])
-        m = Mosaic(edited, pv.neutral, pv.rho)
+        m = Mosaic(edited, pv.neutral)
         reports = verify_lmosaic(m)
         lms1 = reports[0]
         assert not lms1.holds and lms1.witness == (one,)
@@ -561,7 +625,7 @@ class TestLMosaic:
         c = named("chain_3").lattice
         m = additive_nakano(c).mosaic
         edited = m.op.with_cell(1, 1, [0, 1, 2]).with_cell(1, 2, [1, 2]).with_cell(2, 1, [1, 2])
-        mm = Mosaic(edited, 0, Involution.identity(3))
+        mm = Mosaic(edited, 0)
         reports = {r.axiom: r for r in verify_lmosaic(mm)}
         assert not reports["Lms4"].holds
         assert reports["Lms4"].reason == "multiple join candidates"
@@ -571,7 +635,7 @@ class TestLMosaic:
         c = named("chain_3").lattice
         m = additive_nakano(c).mosaic
         edited = m.op.with_cell(1, 2, [1]).with_cell(2, 1, [1])
-        mm = Mosaic(edited, 0, Involution.identity(3))
+        mm = Mosaic(edited, 0)
         reports = {r.axiom: r for r in verify_lmosaic(mm)}
         assert not reports["Lms4"].holds
         assert reports["Lms4"].reason == "no join candidate"
@@ -599,7 +663,7 @@ class TestInducedOrder:
         # the order is read only after the table check: reconstruct_from
         # refuses a table that fails it
         one = pentagon.lattice.index("1")
-        m = Mosaic(pv.op.with_cell(one, one, [one]), pv.neutral, pv.rho)
+        m = Mosaic(pv.op.with_cell(one, one, [one]), pv.neutral)
         bad = [r for r in verify_lmosaic(m) if not r.holds]
         assert bad
         with pytest.raises(ReconstructionFailure) as err:

@@ -67,7 +67,6 @@ from mosaic_lab.lattice_core import (
 from mosaic_lab.nakano import (
     NakanoMosaic,
     additive_nakano,
-    check_lms3_inclusion,
     multiplicative_nakano,
     nakano_property_reports,
 )
@@ -132,7 +131,7 @@ def edits(nm, rng, count):
         zs = [z for z in range(n) if rng.random() < 0.4]
         op = nm.mosaic.op.with_cell(x, y, zs)
         mirrored = op.with_cell(y, x, zs)
-        yield (mirrored if k % 2 else op), NakanoMosaic(nm.base, Mosaic(mirrored, e, nm.mosaic.rho))
+        yield (mirrored if k % 2 else op), NakanoMosaic(nm.base, Mosaic(mirrored, e))
 
 
 def first_failure(reports):
@@ -284,7 +283,7 @@ def test_rows_derived_from_a_table_do_not_follow_its_edits(lattices_upto_6):
                     continue
                 leaks += 1
                 assert verify_lmosaic(bad.mosaic)[2] == lms3
-                assert check_lms3_inclusion(bad).witness == lms3.witness
+                assert {r.axiom: r for r in nakano_property_reports(bad)}["lms3-inclusion"].witness == lms3.witness
                 assert nakano_property_reports(bad) == nakano_property_loops(l, additive, table)
             assert verify_battery(nm) == before
     assert leaks
@@ -417,7 +416,7 @@ def test_induced_order_raises_a_typed_error(pentagon):
     op = nm.mosaic.op.with_cell(b, b, [p.bottom, a, b])
     assert op.cell(a, a) >> b & 1 and op.cell(b, b) >> a & 1
     with pytest.raises(ReconstructionFailure) as err:
-        reconstruct_from(Mosaic(op, nm.mosaic.neutral, nm.mosaic.rho), Involution.identity(p.size))
+        reconstruct_from(Mosaic(op, nm.mosaic.neutral), Involution.identity(p.size))
     assert str(err.value) == f"Lms4 fails at {(a, a)}"
     assert err.value.witness == (a, a)
 
@@ -460,6 +459,6 @@ def test_cube_kernels_match_the_oracles_on_random_commutative_tables(table):
     op = Multioperation(n, table)
     got = verify_mosaic(op)
     assert got.reports == mosaic_reports_loops(table)
-    mosaic = got.mosaic or Mosaic(op, 0, Involution.identity(n))
+    mosaic = got.mosaic or Mosaic(op, 0)
     assert verify_lmosaic(mosaic) == lmosaic_reports_loops(table, 0)
     assert is_associative(Multioperation(n, table)) == associativity_loops(table)

@@ -12,12 +12,6 @@ from mosaic_lab.nakano import (
     NakanoMosaic,
     _restricted_op,
     additive_nakano,
-    check_antisym,
-    check_bound_by_extremum,
-    check_junction_characterization,
-    check_lms3_inclusion,
-    check_principal_idempotent,
-    check_triple_bound,
     extremum_by_characterization,
     multiplicative_nakano,
     nakano_property_reports,
@@ -114,7 +108,7 @@ class TestExtremum:
         bad_cell = list(bits(nm.cell(a, a))) + [one]
         corrupted = NakanoMosaic(
             nm.base,
-            type(nm.mosaic)(nm.mosaic.op.with_cell(a, a, bad_cell), nm.mosaic.neutral, nm.mosaic.rho),
+            type(nm.mosaic)(nm.mosaic.op.with_cell(a, a, bad_cell), nm.mosaic.neutral),
         )
         with pytest.raises(NoUniqueExtremum):
             extremum_by_characterization(corrupted)
@@ -171,10 +165,9 @@ class TestLemmaBattery:
             type(nm.mosaic)(
                 nm.mosaic.op.with_cell(a, b, [a, b]).with_cell(b, a, [a, b]),
                 nm.mosaic.neutral,
-                nm.mosaic.rho,
             ),
         )
-        assert not check_antisym(edited).holds
+        assert not {r.axiom: r for r in nakano_property_reports(edited)}["antisym"].holds
 
     def test_checks_of_one_table_share_its_derived_parts(self, call_counts):
         """verify_mosaic, verify_lmosaic, is_associative and the battery read
@@ -200,16 +193,19 @@ class TestLemmaBattery:
         assert counts == once and counts["_cells"] == 0
 
     def test_individual_checks_pass(self, hexagon):
-        nm = additive_nakano(hexagon.lattice)
-        for check in (
-            check_antisym,
-            check_principal_idempotent,
-            check_bound_by_extremum,
-            check_junction_characterization,
-            check_triple_bound,
-            check_lms3_inclusion,
-        ):
-            assert check(nm).holds
+        """The battery's report of each lemma, read by axiom, in order."""
+        reports = {r.axiom: r for r in nakano_property_reports(additive_nakano(hexagon.lattice))}
+        assert list(reports) == [
+            "antisym",
+            "principal-idempotent",
+            "bounded-by-junction",
+            "junction-characterization",
+            "triple-bound",
+            "lms3-inclusion",
+            "reproductive",
+            "extremum",
+        ]
+        assert all(r.holds for r in reports.values())
 
 
 def test_triple_bound_set_is_two_nakano_cells(lattices_upto_6):

@@ -377,7 +377,7 @@ def edited_mosaics(m, rng, count):
         for y in rng.sample(others, min(len(others), 1 + k % 3 // 2)):
             zs = [z for z in range(n) if rng.random() < 0.4]
             op = op.with_cell(x, y, zs).with_cell(y, x, zs)
-        yield Mosaic(op, e, m.rho)
+        yield Mosaic(op, e)
 
 
 @pytest.fixture(scope="module")
